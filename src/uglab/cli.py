@@ -284,6 +284,10 @@ def _sidecar_graph(sc: Dict) -> SimpleGraph:
 
 
 def _rebuild_pair(sc: Dict, u1: GroupUgInstance, u2: GroupUgInstance) -> InapproxPair:
+    if sc.get("kind") != "tree":
+        raise InvalidParameterError(
+            f"the tree strategy needs a 'gen random-pair' sidecar, got a {sc.get('kind', 'unknown')!r} pair"
+        )
     p = sc["params"]
     params = ParamSet(
         Fraction(p["alpha"]), Fraction(p["gamma"]), Fraction(p["epsilon"]),

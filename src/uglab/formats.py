@@ -42,6 +42,28 @@ def _parse_kv(token: str, key: str, lineno: int) -> str:
     return token[len(prefix):]
 
 
+def _int(text: str, key: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"line {lineno}: {key}= needs an integer, got {text!r}") from None
+
+
+def _ints(text: str, key: str, lineno: int) -> List[int]:
+    return [_int(x, key, lineno) for x in text.split(",")]
+
+
+def _header(text: str, kind: str, key: str) -> Tuple[int, List[Tuple[int, List[str]]]]:
+    """The integer of a '<kind> <key>=<int>' header and the lines after it."""
+    lines = _content_lines(text)
+    if not lines or lines[0][1][0] != kind:
+        raise InvalidParameterError(f"{kind} file must start with a '{kind} {key}=<int>' header")
+    lineno, head = lines[0]
+    if len(head) < 2:
+        raise InvalidParameterError(f"line {lineno}: {kind} header needs {key}=<int>")
+    return _int(_parse_kv(head[1], key, lineno), key, lineno), lines[1:]
+
+
 # -- group instances ---------------------------------------------------------
 
 
@@ -56,14 +78,10 @@ def write_gug(instance: GroupUgInstance) -> str:
 
 
 def parse_gug(text: str) -> GroupUgInstance:
-    lines = _content_lines(text)
-    if not lines or lines[0][1][0] != "gug":
-        raise InvalidParameterError("gug file must start with a 'gug m=<int>' header")
-    lineno, head = lines[0]
-    m = int(_parse_kv(head[1], "m", lineno))
+    m, lines = _header(text, "gug", "m")
     vertices: List[str] = []
     bundles = []
-    for lineno, toks in lines[1:]:
+    for lineno, toks in lines:
         if toks[0] == "vertex" and len(toks) == 2:
             vertices.append(toks[1])
         elif toks[0] == "bundle" and len(toks) == 4:
@@ -89,18 +107,14 @@ def write_pug(instance: PermUgInstance) -> str:
 
 
 def parse_pug(text: str) -> PermUgInstance:
-    lines = _content_lines(text)
-    if not lines or lines[0][1][0] != "pug":
-        raise InvalidParameterError("pug file must start with a 'pug q=<int>' header")
-    lineno, head = lines[0]
-    q = int(_parse_kv(head[1], "q", lineno))
+    q, lines = _header(text, "pug", "q")
     vertices: List[str] = []
     constraints = []
-    for lineno, toks in lines[1:]:
+    for lineno, toks in lines:
         if toks[0] == "vertex" and len(toks) == 2:
             vertices.append(toks[1])
         elif toks[0] == "edge" and len(toks) == 4:
-            perm = tuple(int(x) for x in _parse_kv(toks[3], "perm", lineno).split(","))
+            perm = tuple(_ints(_parse_kv(toks[3], "perm", lineno), "perm", lineno))
             constraints.append((toks[1], toks[2], perm))
         else:
             raise InvalidParameterError(f"line {lineno}: bad pug record {' '.join(toks)!r}")
@@ -141,28 +155,24 @@ def write_csp(instance: WeightedCspInstance) -> str:
 
 
 def parse_csp(text: str) -> WeightedCspInstance:
-    lines = _content_lines(text)
-    if not lines or lines[0][1][0] != "csp":
-        raise InvalidParameterError("csp file must start with a 'csp q=<int>' header")
-    lineno, head = lines[0]
-    q = int(_parse_kv(head[1], "q", lineno))
+    q, lines = _header(text, "csp", "q")
     variables: List[str] = []
     ctypes: Dict[str, CspType] = {}
     summed: Dict[Tuple, Fraction] = {}
     order: List[Tuple] = []
-    for lineno, toks in lines[1:]:
+    for lineno, toks in lines:
         if toks[0] == "var" and len(toks) == 2:
             variables.append(toks[1])
         elif toks[0] == "ctype" and len(toks) == 4:
             name = toks[1]
             if name in ctypes:
                 raise InvalidParameterError(f"line {lineno}: duplicate ctype {name!r}")
-            arity = int(_parse_kv(toks[2], "arity", lineno))
+            arity = _int(_parse_kv(toks[2], "arity", lineno), "arity", lineno)
             sat_text = _parse_kv(toks[3], "sat", lineno)
             tuples = []
             if sat_text:
                 for part in sat_text.split(";"):
-                    tuples.append(tuple(int(x) for x in part.split(",")))
+                    tuples.append(tuple(_ints(part, "sat", lineno)))
             ctypes[name] = CspType(arity, tuples, q)
         elif toks[0] == "apply" and len(toks) >= 4:
             tname = toks[1]

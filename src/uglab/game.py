@@ -255,15 +255,6 @@ def find_winning_line(
     return rec([])
 
 
-def spoiler_exhaustive(depth: int, budget: int = 500_000):
-    """Adapter so exhaustive search composes like a strategy factory."""
-
-    def run(A, B, k, duplicator_factory):
-        return find_winning_line(A, B, k, duplicator_factory, depth, budget)
-
-    return run
-
-
 # -- identity duplicator --------------------------------------------------------
 
 
@@ -770,7 +761,6 @@ __all__ = [
     "RandomSpoiler",
     "spoiler_random",
     "find_winning_line",
-    "spoiler_exhaustive",
     "IdentityDuplicator",
     "duplicator_identity",
     "K2Duplicator",

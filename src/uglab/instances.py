@@ -9,6 +9,7 @@ fractions are fractions.Fraction throughout; no floats on this path.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -27,7 +28,6 @@ from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments enumerated
 DEFAULT_TREE_BUDGET = 1_000_000  # (tree, diff-choice) evaluations performed
 DEFAULT_LIFT_VERTEX_CAP = 4096
-_VECTORIZE_THRESHOLD = 50_000
 
 
 def all_labels(m: int) -> List[Gf2Vector]:
@@ -241,100 +241,85 @@ def csp_value(instance: WeightedCspInstance, assignment: Dict) -> Fraction:
 
 # -- brute force -----------------------------------------------------------
 
-
-def _group_bundle_specs(instance: GroupUgInstance, pos: Dict, fixed: Dict) -> List[Tuple]:
-    specs = []
-    for u, v, diffs in instance.bundles:
-        du, dv = pos.get(u), pos.get(v)
-        base = 0
-        if du is None:
-            base ^= fixed[u].bits
-        if dv is None:
-            base ^= fixed[v].bits
-        specs.append((du, dv, base, tuple(z.bits for z in diffs)))
-    return specs
+_BLOCK = 1 << 14  # trailing assignments scored per numpy step
 
 
-def _count_group(specs: Sequence[Tuple], values: Sequence[int]) -> int:
-    count = 0
-    for du, dv, base, zbits in specs:
-        d = base
-        if du is not None:
-            d ^= values[du]
-        if dv is not None:
-            d ^= values[dv]
-        if d in zbits:
-            count += 1
-    return count
+def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tuple[int, Tuple[int, ...]]:
+    """Maximum total score over a mixed-radix space, with the lex-least argmax.
 
+    Variable i takes the values 0..radices[i]-1; the first variable is the
+    most significant digit. Each table is (scope, int64 array of shape
+    (radices[i] for i in scope)), and an assignment scores the sum of its
+    table entries. The digits of the trailing variables that fit one block
+    are computed once; the leading variables run in lex order, each step
+    adding one `take` per table that reads both kinds of variable. Only a
+    strict improvement replaces the best, and np.argmax picks the first
+    occurrence in a block, so the witness is lex-least. The search stops once
+    the best score reaches `stop`, which must be an upper bound.
+    """
+    k = len(radices)
+    split, size = k, 1
+    while split and (size == 1 or size * radices[split - 1] <= _BLOCK):
+        split -= 1
+        size *= radices[split]
+    idx = np.arange(size, dtype=np.int64)
+    digits: Dict[int, np.ndarray] = {}
+    for i in range(split, k):
+        size_below = math.prod(radices[i + 1 :])
+        digits[i] = idx // size_below % radices[i]
 
-def _brute_group_python(instance, free, fixed, early_stop) -> Tuple[int, Tuple[int, ...]]:
-    q = instance.q
-    pos = {v: i for i, v in enumerate(free)}
-    specs = _group_bundle_specs(instance, pos, fixed)
-    best_count, best_vals = -1, None
-    for values in itertools.product(range(q), repeat=len(free)):
-        c = _count_group(specs, values)
-        if c > best_count:
-            best_count, best_vals = c, values
-            if c >= early_stop:
+    base = np.zeros(size, dtype=np.int64)
+    scalar, mixed = [], []  # tables that read only leading / both kinds of variable
+    for scope, table in tables:
+        strides = [math.prod(table.shape[p + 1 :]) for p in range(len(scope))]
+        lead = [(i, s) for i, s in zip(scope, strides) if i < split]
+        trail = [(i, s) for i, s in zip(scope, strides) if i >= split]
+        flat = table.ravel()
+        if not trail:
+            scalar.append((flat, lead))
+            continue
+        key = sum(digits[i] * s for i, s in trail)
+        if lead:
+            mixed.append((flat, lead, key))
+        else:
+            base += flat.take(key)
+
+    best, best_at = None, ()
+    scores = np.empty(size, dtype=np.int64)
+    for head in itertools.product(*(range(r) for r in radices[:split])):
+        np.copyto(scores, base)
+        for flat, lead, key in mixed:
+            scores += flat[sum(head[i] * s for i, s in lead) :].take(key)
+        j = int(np.argmax(scores))
+        score = int(scores[j]) + sum(int(flat[sum(head[i] * s for i, s in lead)]) for flat, lead in scalar)
+        if best is None or score > best:
+            best, best_at = score, head + tuple(int(digits[i][j]) for i in range(split, k))
+            if best >= stop:
                 break
-    return best_count, best_vals
+    return best, best_at
 
 
-def _brute_group_numpy(instance, free, fixed, early_stop) -> Tuple[int, Tuple[int, ...]]:
-    q = instance.q
-    k = len(free)
-    total = q**k
-    pos = {v: i for i, v in enumerate(free)}
-    specs = _group_bundle_specs(instance, pos, fixed)
-    weights = [q ** (k - 1 - i) for i in range(k)]  # first vertex most significant
-    best_count, best_idx = -1, -1
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vals = [(idx // w) % q for w in weights]
-        counts = np.zeros(idx.shape, dtype=np.int32)
-        for du, dv, base, zbits in specs:
-            d = np.full(idx.shape, base, dtype=np.int64)
-            if du is not None:
-                d ^= vals[du]
-            if dv is not None:
-                d ^= vals[dv]
-            for z in zbits:
-                counts += d == z
-        cmax = int(counts.max())
-        if cmax > best_count:
-            best_count = cmax
-            best_idx = start + int(np.argmax(counts))  # first occurrence = lex-least
-        if best_count >= early_stop:
-            break
-    values = tuple((best_idx // w) % q for w in weights)
-    return best_count, values
+def _brute_group_component(instance: GroupUgInstance, comp, budget: int) -> Tuple[int, Dict]:
+    """Exact optimum on one connected component; lex-least witness.
 
-
-def _brute_group_component(instance, comp, budget) -> Tuple[int, Dict]:
-    """Exact optimum on one connected component; lex-least witness."""
+    The first vertex is fixed to zero as a radix-1 variable (every assignment
+    family is closed under a global shift); each bundle is the table
+    T[a, b] = (a + b in diffs).
+    """
     comp = sorted(comp, key=vertex_sort_key)
-    q = instance.q
-    sub_bundles = [b for b in instance.bundles if b[0] in comp]
-    early = len(sub_bundles)
-    sub = GroupUgInstance(instance.m, comp, sub_bundles) if sub_bundles else None
-    if sub is None:
-        return 0, {v: Gf2Vector.zero(instance.m) for v in comp}
-    root, rest = comp[0], comp[1:]
-    fixed = {root: Gf2Vector.zero(instance.m)}
-    space = q ** len(rest)
+    space = instance.q ** (len(comp) - 1)
     if space > budget:
         raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-    if space > _VECTORIZE_THRESHOLD:
-        count, values = _brute_group_numpy(sub, rest, fixed, early)
-    else:
-        count, values = _brute_group_python(sub, rest, fixed, early)
-    witness = dict(fixed)
-    for v, bits in zip(rest, values):
-        witness[v] = Gf2Vector(bits, instance.m)
-    return count, witness
+    pos = {v: i for i, v in enumerate(comp)}
+    radices = [1] + [instance.q] * (len(comp) - 1)
+    tables = []
+    for u, v, diffs in instance.bundles:
+        if u in pos:
+            iu, iv = pos[u], pos[v]
+            xor = np.arange(radices[iu])[:, None] ^ np.arange(radices[iv])
+            tables.append(((iu, iv), np.isin(xor, [z.bits for z in diffs]).astype(np.int64)))
+    count, values = _enumerate(radices, tables, len(tables))
+    return count, {v: Gf2Vector(bits, instance.m) for v, bits in zip(comp, values)}
 
 
 def brute_force_opt(
@@ -342,28 +327,27 @@ def brute_force_opt(
 ) -> Tuple[int, Fraction, Dict]:
     """Exact maximum satisfied count by exhaustion, with lex-least witness.
 
-    Group instances over a connected graph fix the first vertex to zero
-    (every assignment family is closed under a global shift, so an optimal
-    root-zero assignment always exists). Disconnected group instances are
-    enumerated fully per component and merged.
+    Every instance kind runs through one mixed-radix enumerator over 0/1
+    tables, one per bundle or constraint. Group instances are solved one
+    connected component at a time with the component's first vertex fixed to
+    zero (every assignment family is closed under a global shift, so an
+    optimal root-zero assignment always exists); `fix_root=True` insists on a
+    connected instance. Permutation constraints a(u) = perm(a(v)) are the
+    tables T[a, b] = (a == perm[b]) over all vertices. The budget bounds the
+    search space of each enumeration.
     """
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     if isinstance(instance, GroupUgInstance):
         g = instance.graph()
-        connected = g.is_connected()
-        if fix_root and not connected:
+        if fix_root and not g.is_connected():
             raise PreconditionError("root fixing requires a connected instance")
-        use_root = connected if fix_root is None else fix_root
+        count, witness = 0, {}
+        for comp in g.components():
+            c, w = _brute_group_component(instance, comp, budget)
+            count += c
+            witness.update(w)
         total = instance.constraint_count
-        if use_root:
-            count, witness = _brute_group_component(instance, instance.vertices, budget)
-        else:
-            count, witness = 0, {}
-            for comp in g.components():
-                c, w = _brute_group_component(instance, comp, budget)
-                count += c
-                witness.update(w)
         frac = Fraction(count, total) if total else Fraction(1)
         return count, frac, witness
     if isinstance(instance, PermUgInstance):
@@ -371,42 +355,50 @@ def brute_force_opt(
         space = q ** len(vs)
         if space > budget:
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-        early = instance.constraint_count
-        best_count, best_vals = -1, None
-        cons = [(vs.index(u), vs.index(v), perm) for u, v, perm in instance.constraints]
-        for values in itertools.product(range(q), repeat=len(vs)):
-            c = sum(1 for iu, iv, perm in cons if values[iu] == perm[values[iv]])
-            if c > best_count:
-                best_count, best_vals = c, values
-                if c >= early:
-                    break
-        witness = dict(zip(vs, best_vals))
-        frac = Fraction(best_count, early) if early else Fraction(1)
-        return best_count, frac, witness
+        pos = {v: i for i, v in enumerate(vs)}
+        labels = np.arange(q)
+        tables = [
+            ((pos[u], pos[v]), (labels[:, None] == np.array(perm)).astype(np.int64))
+            for u, v, perm in instance.constraints
+        ]
+        count, values = _enumerate([q] * len(vs), tables, len(tables))
+        total = instance.constraint_count
+        frac = Fraction(count, total) if total else Fraction(1)
+        return count, frac, dict(zip(vs, values))
     raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
 
 
 def csp_brute_opt(
     instance: WeightedCspInstance, budget: Optional[int] = None
 ) -> Tuple[Fraction, Dict]:
+    """Exact maximum weight by exhaustion, with lex-least witness.
+
+    Weights are scaled by the LCM L of their denominators, so each
+    application becomes an int64 table holding w*L on its satisfying tuples
+    for the enumerator behind brute_force_opt, and the optimum comes back
+    exactly as Fraction(best, L). The search stops early once it reaches the
+    sum of the positive weights. Raises SearchBudgetError when the space
+    exceeds the budget or the scaled absolute weights do not sum below 2^63.
+    """
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     vs = instance.variables
     space = instance.q ** len(vs)
     if space > budget:
         raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-    upper = sum((w for _, _, w in instance.applications if w > 0), Fraction(0))
-    best_val, best_witness = None, None
-    for values in itertools.product(range(instance.q), repeat=len(vs)):
-        a = dict(zip(vs, values))
-        val = csp_value(instance, a)
-        if best_val is None or val > best_val:
-            best_val, best_witness = val, a
-            if val >= upper:
-                break
-    if best_val is None:  # no variables at all
-        return Fraction(0), {}
-    return best_val, best_witness
+    scale = math.lcm(*(w.denominator for _, _, w in instance.applications))
+    if instance.abs_weight() * scale >= 1 << 63:
+        raise SearchBudgetError(f"weights scaled by {scale} to integers overflow int64")
+    pos = {v: i for i, v in enumerate(vs)}
+    tables = []
+    for tname, var_tuple, w in instance.applications:
+        table = np.zeros((instance.q,) * len(var_tuple), dtype=np.int64)
+        for f in instance.constraint_types[tname].satisfying:
+            table[f] = int(w * scale)
+        tables.append((tuple(pos[x] for x in var_tuple), table))
+    upper = sum(int(w * scale) for _, _, w in instance.applications if w > 0)
+    best, values = _enumerate([instance.q] * len(vs), tables, upper)
+    return Fraction(best, scale), dict(zip(vs, values))
 
 
 # -- propagation for permutation instances ---------------------------------

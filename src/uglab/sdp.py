@@ -5,7 +5,8 @@ once.  The dense view halves off-diagonal entries, so Frobenius inner products
 against it reproduce the sparse value.  Solving always happens on an explicit
 factorization X = V^T V, never on a full PSD matrix variable: unit-diagonal
 cut instances get a coordinate-ascent "mixing" solver at rank ceil(sqrt(2n))+1,
-everything else an augmented-Lagrangian ascent at full rank per block.
+everything else an augmented-Lagrangian ascent at full rank per symmetric
+block, with each diagonal block a vector whose squares are its entries.
 """
 
 from __future__ import annotations
@@ -321,28 +322,10 @@ def _solve_unit_diagonal(
     return sol
 
 
-def _diagonal_parameterized(instance: SdpInstance) -> List[bool]:
-    """Blocks whose off-diagonal is structurally zero or pinned by explicit zeros."""
-    pinned = set()
-    for a, bound, sense in instance.constraints:
-        if sense == "==" and bound == 0.0 and len(a.entries) == 1:
-            ((i, j), c), = a.entries.items()
-            if i != j and c != 0.0:
-                pinned.add((i, j))
-    out = []
-    for b, (kind, size) in enumerate(instance.blocks):
-        if kind == "d":
-            out.append(True)
-            continue
-        off, end = instance.block_range(b)
-        out.append(all((i, j) in pinned for i in range(off, end) for j in range(i + 1, end)))
-    return out
-
-
 def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> SdpSolution:
     n = instance.n
     gens, seed = _restart_generators(rng, restarts)
-    diag_param = _diagonal_parameterized(instance)
+    diag_param = [kind == "d" for kind, _ in instance.blocks]
     kcount = len(instance.constraints)
     bvec = np.array([bound for _, bound, _ in instance.constraints])
     is_le = np.array([sense == "<=" for _, _, sense in instance.constraints])
@@ -507,9 +490,10 @@ def solve_sdp_lowrank(
 
     Unit-diagonal single-block instances take the coordinate-ascent path at
     rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
-    ascent at full rank per block.  The spread across restart values is kept
-    as a duality-gap proxy.  Raises ConvergenceError, with the best iterate
-    attached, when no restart meets the feasibility tolerance.
+    ascent at full rank per symmetric block, diagonal blocks as squared
+    vectors.  The spread across restart values is kept as a duality-gap
+    proxy.  Raises ConvergenceError, with the best iterate attached, when no
+    restart meets the feasibility tolerance.
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
@@ -596,12 +580,12 @@ def build_lc_relaxation(
 ) -> SdpInstance:
     """Vector relaxation of a weighted CSP over label vectors and distributions.
 
-    The first block holds one vector per (variable, label); the second holds
-    one entry per (application, local assignment), forced diagonal by explicit
-    zero constraints, nonnegative as a squared diagonal.  Gram entries of the
-    first block are tied to marginals of the per-application distributions,
-    and each distribution sums to one.  Weights are scaled by a recorded
-    normalization factor so objective values land in [-1, 1].
+    The first block holds one vector per (variable, label); the second is
+    declared diagonal ("d") and holds one nonnegative entry per (application,
+    local assignment).  Gram entries of the first block are tied to marginals
+    of the per-application distributions, and each distribution sums to one.
+    Weights are scaled by a recorded normalization factor so objective values
+    land in [-1, 1].
     """
     if normalization not in ("weight", "count", "none"):
         raise InvalidParameterError(f"unknown normalization {normalization!r}")
@@ -658,15 +642,9 @@ def build_lc_relaxation(
                             if f[p1] == a and f[p2] == bl:
                                 row.add(mu_offsets[t] + r, mu_offsets[t] + r, -1.0)
                         constraints.append((row, 0.0, "=="))
-    # pin the whole second block diagonal
-    for i in range(n1, n):
-        for j in range(i + 1, n):
-            row = SymMatrix()
-            row.add(i, j, 1.0)
-            constraints.append((row, 0.0, "=="))
     if len(constraints) > 40000:
         raise SearchBudgetError(f"{len(constraints)} constraints exceed the desk budget")
-    blocks = ([("s", n1)] if n1 else []) + ([("s", n2)] if n2 else [])
+    blocks = ([("s", n1)] if n1 else []) + ([("d", n2)] if n2 else [])
     meta = {
         "kind": "lc",
         "scale": float(scale),

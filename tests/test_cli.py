@@ -129,6 +129,14 @@ def test_random_pair_tree_game(tmp_path):
     assert load(rt)["value"] == "1/4"
 
 
+def test_tree_duplicator_rejects_klein_sidecar(tmp_path, capsys):
+    pdir = tmp_path / "klein"
+    assert run("gen", "klein", "--out-dir", pdir, "--no-timestamp") == 0
+    capsys.readouterr()
+    assert run("game", "--pair", pdir / "pair.json", "--duplicator", "tree", "--k", 2, "--rounds", 1) == 2
+    assert "needs a 'gen random-pair' sidecar" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -210,6 +218,14 @@ def test_report_aggregates(tmp_path):
     assert data["count"] == 2
     assert "unreadable" in data["runs"]["junk.json"]
     assert data["runs"]["k/pair.json"]["kind"] == "klein"
+
+
+def test_malformed_header_exits_2(tmp_path, capsys):
+    for name, text in [("h.gug", "gug\n"), ("x.gug", "gug m=x\n"), ("p.pug", "pug q=2\nedge a b perm=0,x\n")]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("solve", "brute", "--in", path) == 2
+        assert "error: line " in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

@@ -70,6 +70,21 @@ def test_gug_errors():
         parse_gug("gug m=2\nwhat x\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        (parse_gug, "gug\n", 1),
+        (parse_gug, "# header\ngug m=x\n", 2),
+        (parse_pug, "pug\n", 1),
+        (parse_pug, "pug q=x\n", 1),
+        (parse_pug, "pug q=2\nedge a b perm=0,x\n", 2),
+    ],
+)
+def test_header_and_integer_errors_carry_line(parse, text, lineno):
+    with pytest.raises(InvalidParameterError, match=f"^line {lineno}:"):
+        parse(text)
+
+
 def test_gug_hex_width():
     inst = GroupUgInstance(5, ["u", "w"], [("u", "w", [Gf2Vector(31, 5)])])
     text = write_gug(inst)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uglab.errors import (
     IncompleteAssignmentError,
@@ -11,12 +15,14 @@ from uglab.errors import (
     PreconditionError,
     SearchBudgetError,
 )
+from uglab import instances
 from uglab.gf2 import Gf2Vector
 from uglab.instances import (
     CspType,
     GroupUgInstance,
     PermUgInstance,
     WeightedCspInstance,
+    all_labels,
     brute_force_opt,
     csp_brute_opt,
     csp_value,
@@ -146,19 +152,100 @@ def test_brute_root_fixing_matches_full_search():
         assert w1 == w2  # lex-least optimum always has a zero root
 
 
-def test_brute_vectorized_path_matches_python():
-    from uglab import instances as mod
+# the default block, and blocks small enough that the leading variables of
+# these instances run in several steps
+BLOCKS = (instances._BLOCK, 1, 4)
 
-    rng = random.Random(23)
-    inst = random_group_instance(rng, 5, 2, 8, connected=True)
-    c1, f1, w1 = brute_force_opt(inst)
-    old = mod._VECTORIZE_THRESHOLD
-    mod._VECTORIZE_THRESHOLD = 1
-    try:
-        c2, f2, w2 = brute_force_opt(inst)
-    finally:
-        mod._VECTORIZE_THRESHOLD = old
-    assert (c1, f1, w1) == (c2, f2, w2)
+
+def _first_strict_max(domains, score):
+    """Plain product enumeration: the first assignment with the best score."""
+    best, best_at = None, None
+    for values in itertools.product(*domains):
+        s = score(values)
+        if best is None or s > best:
+            best, best_at = s, values
+    return best, best_at
+
+
+def _random_perm_instance(rng):
+    q, n = rng.randint(1, 3), rng.randint(1, 5)
+    cons = []
+    for _ in range(rng.randint(0, 6) if n > 1 else 0):
+        u, w = rng.sample(range(n), 2)
+        cons.append((u, w, tuple(rng.sample(range(q), q))))
+    return PermUgInstance(q, range(n), cons)
+
+
+def _random_csp(rng):
+    q, n = rng.randint(1, 3), rng.randint(1, 5)
+    types, apps = {}, []
+    for t in range(rng.randint(0, 5)):
+        arity = rng.randint(1, 3)
+        tuples = list(itertools.product(range(q), repeat=arity))
+        types[f"t{t}"] = CspType(arity, rng.sample(tuples, rng.randint(0, len(tuples))), q)
+        scope = tuple(rng.randrange(n) for _ in range(arity))  # may repeat a variable
+        apps.append((f"t{t}", scope, Fraction(rng.randint(-6, 6), rng.randint(1, 6))))
+    return WeightedCspInstance(q, range(n), types, apps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_brute_group_matches_product_enumeration(rng, connected):
+    inst = random_group_instance(rng, rng.randint(1, 5), rng.randint(1, 2), 6, connected=connected)
+    vs = inst.vertices
+    best, best_at = _first_strict_max(
+        [all_labels(inst.m)] * len(vs), lambda values: evaluate(inst, dict(zip(vs, values)))[0]
+    )
+    expected = (best, evaluate(inst, dict(zip(vs, best_at)))[1], dict(zip(vs, best_at)))
+    roots = (None, False, True) if inst.graph().is_connected() else (None, False)
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            for fix_root in roots:
+                assert brute_force_opt(inst, fix_root=fix_root) == expected
+    if True not in roots:
+        with pytest.raises(PreconditionError):
+            brute_force_opt(inst, fix_root=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_brute_perm_and_csp_match_product_enumeration(rng):
+    perm = _random_perm_instance(rng)
+    vs = perm.vertices
+    best, best_at = _first_strict_max(
+        [range(perm.q)] * len(vs), lambda values: evaluate(perm, dict(zip(vs, values)))[0]
+    )
+    witness = dict(zip(vs, best_at))
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            assert brute_force_opt(perm) == (best, evaluate(perm, witness)[1], witness)
+
+    csp = _random_csp(rng)
+    vs = csp.variables
+    best, best_at = _first_strict_max(
+        [range(csp.q)] * len(vs), lambda values: csp_value(csp, dict(zip(vs, values)))
+    )
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            assert csp_brute_opt(csp) == (best, dict(zip(vs, best_at)))
+
+
+def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
+    one = CspType(1, [(1,)], 2)
+
+    def csp(*weights):
+        return WeightedCspInstance(2, ["x"], {"one": one}, [("one", ("x",), w) for w in weights])
+
+    assert csp_brute_opt(csp(2**62, 2**62 - 1)) == (2**63 - 1, {"x": 1})
+
+    def fail(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(instances, "_enumerate", fail)
+    # 1/3 scales every weight by 3: 2**62 + 1/3 becomes 3 * 2**62 + 1
+    for weights in [(2**62, 2**62), (2**62, Fraction(1, 3))]:
+        with pytest.raises(SearchBudgetError):
+            csp_brute_opt(csp(*weights))
 
 
 def test_brute_budget_error():

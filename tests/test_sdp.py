@@ -243,7 +243,7 @@ def test_lc_single_unary_constraint():
     csp = WeightedCspInstance(2, ["x"], {"zero": ct}, [("zero", ("x",), 1)])
     inst = build_lc_relaxation(csp)
     assert inst.n == 4
-    assert inst.blocks == (("s", 2), ("s", 2))
+    assert inst.blocks == (("s", 2), ("d", 2))
     sol = solve_sdp_lowrank(inst)
     assert sol.value == pytest.approx(1.0, abs=1e-4)
     assert sol.residual <= 1e-6
@@ -256,16 +256,12 @@ def test_lc_even_cycle_fully_satisfiable():
     assert sol.value == pytest.approx(1.0, abs=1e-4)
 
 
-def test_lc_second_block_pinned_diagonal():
+def test_lc_second_block_declared_diagonal():
     inst = build_lc_relaxation(xor_cycle_csp(4))
     n1 = 4 * 2
-    pins = [
-        (a, b, sense)
-        for a, b, sense in inst.constraints
-        if sense == "==" and b == 0.0 and len(a.entries) == 1 and next(iter(a.entries))[0] >= n1
-    ]
-    off_diag_pairs = {(i, j) for i in range(n1, inst.n) for j in range(i + 1, inst.n)}
-    assert {next(iter(a.entries)) for a, _, _ in pins} == off_diag_pairs
+    assert inst.blocks == (("s", n1), ("d", inst.n - n1))
+    for a, _, _ in [(inst.objective, 0.0, "==")] + list(inst.constraints):
+        assert all(i == j for i, j in a.entries if j >= n1)
     x = solve_sdp_lowrank(inst).gram()
     assert np.abs(x[n1:, n1:] - np.diag(np.diag(x[n1:, n1:]))).max() <= 1e-6
 
