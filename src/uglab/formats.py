@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import InvalidParameterError
 from .gf2 import Gf2Vector
@@ -53,15 +54,31 @@ def _ints(text: str, key: str, lineno: int) -> List[int]:
     return [_int(x, key, lineno) for x in text.split(",")]
 
 
-def _header(text: str, kind: str, key: str) -> Tuple[int, List[Tuple[int, List[str]]]]:
-    """The integer of a '<kind> <key>=<int>' header and the lines after it."""
+def _header(text: str, kind: str, key: str) -> Tuple[int, int, List[Tuple[int, List[str]]]]:
+    """The integer of a '<kind> <key>=<int>' header, its line number and the
+    lines after it."""
     lines = _content_lines(text)
     if not lines or lines[0][1][0] != kind:
         raise InvalidParameterError(f"{kind} file must start with a '{kind} {key}=<int>' header")
     lineno, head = lines[0]
     if len(head) < 2:
         raise InvalidParameterError(f"line {lineno}: {kind} header needs {key}=<int>")
-    return _int(_parse_kv(head[1], key, lineno), key, lineno), lines[1:]
+    return _int(_parse_kv(head[1], key, lineno), key, lineno), lineno, lines[1:]
+
+
+@contextmanager
+def _at(lineno: int) -> Iterator[None]:
+    """Prefix 'line N: ' to an InvalidParameterError raised in the block.
+
+    Parsers check a record by building an instance of that record alone
+    inside the block, so every rule of the constructor reports the line.
+    """
+    try:
+        yield
+    except InvalidParameterError as exc:
+        if str(exc).startswith("line "):
+            raise
+        raise InvalidParameterError(f"line {lineno}: {exc}") from None
 
 
 # -- group instances ---------------------------------------------------------
@@ -78,15 +95,19 @@ def write_gug(instance: GroupUgInstance) -> str:
 
 
 def parse_gug(text: str) -> GroupUgInstance:
-    m, lines = _header(text, "gug", "m")
+    m, head, lines = _header(text, "gug", "m")
+    with _at(head):
+        GroupUgInstance(m, [], [])
     vertices: List[str] = []
     bundles = []
     for lineno, toks in lines:
         if toks[0] == "vertex" and len(toks) == 2:
             vertices.append(toks[1])
         elif toks[0] == "bundle" and len(toks) == 4:
-            diffs = [Gf2Vector.from_hex(h, m) for h in toks[3].split(",")]
-            bundles.append((toks[1], toks[2], diffs))
+            with _at(lineno):
+                bundle = (toks[1], toks[2], [Gf2Vector.from_hex(h, m) for h in toks[3].split(",")])
+                GroupUgInstance(m, [], [bundle])
+            bundles.append(bundle)
         else:
             raise InvalidParameterError(f"line {lineno}: bad gug record {' '.join(toks)!r}")
     return GroupUgInstance(m, vertices, bundles)
@@ -107,15 +128,19 @@ def write_pug(instance: PermUgInstance) -> str:
 
 
 def parse_pug(text: str) -> PermUgInstance:
-    q, lines = _header(text, "pug", "q")
+    q, head, lines = _header(text, "pug", "q")
+    with _at(head):
+        PermUgInstance(q, [], [])
     vertices: List[str] = []
     constraints = []
     for lineno, toks in lines:
         if toks[0] == "vertex" and len(toks) == 2:
             vertices.append(toks[1])
         elif toks[0] == "edge" and len(toks) == 4:
-            perm = tuple(_ints(_parse_kv(toks[3], "perm", lineno), "perm", lineno))
-            constraints.append((toks[1], toks[2], perm))
+            constraint = (toks[1], toks[2], tuple(_ints(_parse_kv(toks[3], "perm", lineno), "perm", lineno)))
+            with _at(lineno):
+                PermUgInstance(q, [], [constraint])
+            constraints.append(constraint)
         else:
             raise InvalidParameterError(f"line {lineno}: bad pug record {' '.join(toks)!r}")
     return PermUgInstance(q, vertices, constraints)
@@ -155,11 +180,14 @@ def write_csp(instance: WeightedCspInstance) -> str:
 
 
 def parse_csp(text: str) -> WeightedCspInstance:
-    q, lines = _header(text, "csp", "q")
+    q, head, lines = _header(text, "csp", "q")
+    with _at(head):
+        WeightedCspInstance(q, [], {}, [])
     variables: List[str] = []
     ctypes: Dict[str, CspType] = {}
     summed: Dict[Tuple, Fraction] = {}
     order: List[Tuple] = []
+    first_line: Dict[Tuple, int] = {}
     for lineno, toks in lines:
         if toks[0] == "var" and len(toks) == 2:
             variables.append(toks[1])
@@ -173,20 +201,26 @@ def parse_csp(text: str) -> WeightedCspInstance:
             if sat_text:
                 for part in sat_text.split(";"):
                     tuples.append(tuple(_ints(part, "sat", lineno)))
-            ctypes[name] = CspType(arity, tuples, q)
+            with _at(lineno):
+                ctypes[name] = CspType(arity, tuples, q)
         elif toks[0] == "apply" and len(toks) >= 4:
             tname = toks[1]
             var_tuple = tuple(toks[2:-1])
-            w = parse_fraction(_parse_kv(toks[-1], "w", lineno))
+            with _at(lineno):
+                w = parse_fraction(_parse_kv(toks[-1], "w", lineno))
             key = (tname, var_tuple)
             if key in summed:
                 summed[key] += w  # duplicate application: weights add
             else:
                 summed[key] = w
                 order.append(key)
+                first_line[key] = lineno
         else:
             raise InvalidParameterError(f"line {lineno}: bad csp record {' '.join(toks)!r}")
     apps = [(tname, var_tuple, summed[(tname, var_tuple)]) for tname, var_tuple in order]
+    for app in apps:  # a ctype may follow the applications that use it
+        with _at(first_line[app[:2]]):
+            WeightedCspInstance(q, [], ctypes, [app])
     return WeightedCspInstance(q, variables, ctypes, apps)
 
 

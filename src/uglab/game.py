@@ -9,6 +9,7 @@ and rule compliance reduces to checks on g*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .constructions import klein_vec, robber_move
@@ -57,7 +58,8 @@ class GStarMap:
         self.values = dict(values)
 
     def shift(self, v) -> Gf2Vector:
-        return self.values.get(v, Gf2Vector.zero(self.m))
+        g = self.values.get(v)
+        return Gf2Vector.zero(self.m) if g is None else g
 
     def apply(self, elem: Tuple) -> Tuple:
         v, g = elem
@@ -98,6 +100,22 @@ def _elem_json(elem: Tuple) -> List:
     return [str(v), g.to_hex()]
 
 
+def _answer(duplicator, A, B, k: int, round_no: int, pebbles: List[Optional[Tuple]], picked: int):
+    """Lift pebble pair ``picked`` and ask for the Duplicator's bijection,
+    which must fix every pair still placed; returns (view, bijection)."""
+    pebbles[picked] = None
+    view = GameView(A, B, k, round_no, tuple(pebbles), picked)
+    gstar = duplicator.bijection(view)
+    for pair in pebbles:
+        if pair is not None and gstar.apply(pair[0]) != pair[1]:
+            raise StrategyViolationError(
+                "bijection moves a placed pebble pair",
+                side="duplicator",
+                detail={"pair": [_elem_json(pair[0]), _elem_json(pair[1])]},
+            )
+    return view, gstar
+
+
 def play_game(
     A: LiftedStructure,
     B: LiftedStructure,
@@ -126,16 +144,7 @@ def play_game(
         picked = spoiler.pick_up(view)
         if not 0 <= picked < k:
             raise InvalidParameterError(f"spoiler picked slot {picked} outside 0..{k-1}")
-        pebbles[picked] = None
-        view = GameView(A, B, k, round_no, tuple(pebbles), picked)
-        gstar = duplicator.bijection(view)
-        for pair in pebbles:
-            if pair is not None and gstar.apply(pair[0]) != pair[1]:
-                raise StrategyViolationError(
-                    "bijection moves a placed pebble pair",
-                    side="duplicator",
-                    detail={"pair": [_elem_json(pair[0]), _elem_json(pair[1])]},
-                )
+        view, gstar = _answer(duplicator, A, B, k, round_no, pebbles, picked)
         a = spoiler.place(view, gstar)
         if a not in valid:
             raise InvalidParameterError(f"spoiler placed on {a!r}, not a universe element")
@@ -196,10 +205,14 @@ def find_winning_line(
     depth: int,
     budget: int = 500_000,
 ) -> Optional[List[Tuple]]:
-    """Exhaustive Spoiler: DFS over pick-up/placement sequences up to depth,
-    replaying the (deterministic) Duplicator on each prefix. Returns the
-    first winning move list [(slot, element), ...] or None.
+    """Exhaustive Spoiler: DFS over pick-up/placement sequences up to depth
+    against a deterministic Duplicator. Returns the first winning move list
+    [(slot, element), ...] or None.
 
+    The Duplicator's bijection for a move depends on the prefix and the
+    lifted slot, not on the element placed. So for each node and slot a
+    fresh duplicator (answering may change its state) replays the prefix
+    and answers once, and every placement is tested against that one map.
     Empty slots are interchangeable, so only the first empty slot is tried
     alongside the occupied ones. The budget caps simulated placements.
     """
@@ -212,19 +225,11 @@ def find_winning_line(
         dup = duplicator_factory()
         pebbles: List[Optional[Tuple]] = [None] * k
         for rnd, (slot, a) in enumerate(prefix, start=1):
-            pebbles[slot] = None
-            view = GameView(A, B, k, rnd, tuple(pebbles), slot)
-            g = dup.bijection(view)
-            for pair in pebbles:
-                if pair is not None and g.apply(pair[0]) != pair[1]:
-                    raise StrategyViolationError(
-                        "bijection moves a placed pebble pair", side="duplicator"
-                    )
+            _, g = _answer(dup, A, B, k, rnd, pebbles, slot)
             pebbles[slot] = (a, g.apply(a))
-            view = GameView(A, B, k, rnd, tuple(pebbles), slot)
             if hasattr(dup, "observe_placement"):
-                dup.observe_placement(view)
-        return pebbles
+                dup.observe_placement(GameView(A, B, k, rnd, tuple(pebbles), slot))
+        return dup, pebbles
 
     def candidate_slots(pebbles: Sequence[Optional[Tuple]]) -> List[int]:
         slots = [i for i, p in enumerate(pebbles) if p is not None]
@@ -234,25 +239,30 @@ def find_winning_line(
                 break
         return slots
 
-    def rec(prefix: List[Tuple]) -> Optional[List[Tuple]]:
+    def rec(prefix: List[Tuple], pebbles: Sequence[Optional[Tuple]]) -> Optional[List[Tuple]]:
         nonlocal moves_tried
         if len(prefix) >= depth:
             return None
-        for slot in candidate_slots(replay(prefix)):
+        for slot in candidate_slots(pebbles):
+            g = None
             for a in els:
                 moves_tried += 1
                 if moves_tried > budget:
                     raise SearchBudgetError(f"winning-line search exceeded {budget} moves")
-                pebbles = replay(prefix + [(slot, a)])
-                pairs = [p for p in pebbles if p is not None]
-                if not check_partial_isomorphism(A, B, pairs):
-                    return prefix + [(slot, a)]
-                line = rec(prefix + [(slot, a)])
-                if line is not None:
+                if g is None:  # asked after the budget check: an exhausted budget comes first
+                    dup, lifted = replay(prefix)
+                    _, g = _answer(dup, A, B, k, len(prefix) + 1, lifted, slot)
+                child = list(lifted)
+                child[slot] = (a, g.apply(a))
+                line = prefix + [(slot, a)]
+                if not check_partial_isomorphism(A, B, [p for p in child if p is not None]):
                     return line
+                found = rec(line, child)
+                if found is not None:
+                    return found
         return None
 
-    return rec([])
+    return rec([], [None] * k)
 
 
 # -- identity duplicator --------------------------------------------------------
@@ -454,103 +464,110 @@ def extend_along_path(
     return out
 
 
-def _lex_shortest_path(g: SimpleGraph, src, dst) -> List:
-    """Lexicographically least among shortest src-dst paths."""
-    dist = g.bfs_distances(src)
-    if dst not in dist:
-        raise PreconditionError(f"{src!r} and {dst!r} are disconnected")
-    path = [dst]
-    cur = dst
-    while cur != src:
-        preds = [w for w in g.neighbors(cur) if dist.get(w, -1) == dist[cur] - 1]
-        cur = min(preds, key=vertex_sort_key)
-        path.append(cur)
-    path.reverse()
-    return path
+@lru_cache(maxsize=16)
+def _path_table(g: SimpleGraph) -> Tuple[Dict, Tuple[Tuple[Optional[int], ...], ...]]:
+    """Vertex ranks in ``g.vertices`` order, and the lex-least shortest paths
+    between all vertex pairs of ``g``.
+
+    Entry [i][j] is the path between the vertices of ranks i and j in
+    ``g.vertices`` order, as a bitmask over edge indices in ``g.edges``
+    order, or None when they are disconnected. The path between u < w walks
+    back from w along least-ranked predecessors of a BFS from u, so both
+    entries of a pair hold that one path.
+    """
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    n = len(g.vertices)
+    table: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+    for i, src in enumerate(g.vertices):
+        dist = g.bfs_distances(src)
+        row = table[i]
+        row[i] = 0
+        for w in dist:  # BFS order: predecessors come first
+            if w == src:
+                continue
+            pred = next(x for x in g.neighbors(w) if dist.get(x, -1) == dist[w] - 1)
+            row[rank[w]] = row[rank[pred]] | bit[normalize_edge(pred, w)]
+    for i in range(n):
+        for j in range(i):
+            table[i][j] = table[j][i]
+    return rank, tuple(map(tuple, table))  # shared by every caller: read only
+
+
+def _smaller(a: int, b: Optional[int]) -> bool:
+    """Order of edge sets as bitmasks: fewer edges first, then the sorted
+    edge tuples lexicographically, whose first difference is the lowest
+    edge index held by exactly one of the two sets."""
+    if b is None:
+        return True
+    na, nb = a.bit_count(), b.bit_count()
+    if na != nb:
+        return na < nb
+    x = a ^ b
+    return bool(x & -x & a)
 
 
 def steiner_tree(g: SimpleGraph, terminals: Sequence) -> FrozenSet:
     """Edge set of a minimum Steiner tree, deterministic under ties.
 
-    Two terminals reduce to a shortest path; more use the classic
-    subset-merge dynamic program with (size, sorted edges) as the order, so
-    equal-size trees resolve lexicographically.
+    Paths come from a per-graph table of lex-least shortest paths (cached
+    for each ``SimpleGraph``). Two terminals reduce to their path; more use
+    the classic subset-merge dynamic program with (size, sorted edges) as
+    the order, so equal-size trees resolve lexicographically. Edge sets are
+    bitmasks over ``g.edges`` throughout and become vertex pairs on return.
     """
     terms = sorted(set(terminals), key=vertex_sort_key)
     if len(terms) <= 1:
         return frozenset()
+    rank, table = _path_table(g)
+    for t in terms:
+        if t not in rank:
+            raise PreconditionError(f"terminal {t!r} is not a vertex of the graph")
+    ids = [rank[t] for t in terms]
     if len(terms) == 2:
-        p = _lex_shortest_path(g, terms[0], terms[1])
-        return frozenset(normalize_edge(a, b) for a, b in zip(p, p[1:]))
+        result = table[ids[0]][ids[1]]
+        if result is None:
+            raise PreconditionError(f"{terms[0]!r} and {terms[1]!r} are disconnected")
+    else:
+        result = _steiner_dp(table, ids[:-1])[ids[-1]]
+        if result is None:
+            raise PreconditionError("terminals are not all connected")
+    return frozenset(e for i, e in enumerate(g.edges) if result >> i & 1)
 
-    def key_of(edges: FrozenSet) -> Tuple:
-        return (len(edges), tuple(sorted(edges, key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))))
 
-    paths: Dict[Tuple, FrozenSet] = {}
-    for u in g.vertices:
-        for w in g.vertices:
-            if vertex_sort_key(u) < vertex_sort_key(w):
-                try:
-                    p = _lex_shortest_path(g, u, w)
-                except PreconditionError:
-                    continue
-                paths[(u, w)] = frozenset(normalize_edge(a, b) for a, b in zip(p, p[1:]))
-
-    def path_edges(u, w) -> Optional[FrozenSet]:
-        if u == w:
-            return frozenset()
-        key = (u, w) if vertex_sort_key(u) < vertex_sort_key(w) else (w, u)
-        return paths.get(key)
-
-    base_terms = terms[:-1]
-    root = terms[-1]
-    dp: Dict[Tuple[int, object], FrozenSet] = {}
-    for i, t in enumerate(base_terms):
-        for v in g.vertices:
-            pe = path_edges(t, v)
-            if pe is not None:
-                dp[(1 << i, v)] = pe
-    full = (1 << len(base_terms)) - 1
+def _steiner_dp(table: Sequence[Sequence[Optional[int]]], base: List[int]) -> List[Optional[int]]:
+    """Best tree spanning the ``base`` terminals plus each vertex, by rank."""
+    n = len(table)
+    dp: Dict[int, Sequence[Optional[int]]] = {1 << i: table[t] for i, t in enumerate(base)}
+    full = (1 << len(base)) - 1
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue
-        layer: Dict[object, FrozenSet] = {}
+        layer: List[Optional[int]] = [None] * n
         sub = (mask - 1) & mask
         while sub:
             rest = mask ^ sub
             if rest and sub < rest:  # each split once
-                for v in g.vertices:
-                    a = dp.get((sub, v))
-                    b = dp.get((rest, v))
-                    if a is not None and b is not None:
-                        cand = a | b
-                        old = layer.get(v)
-                        if old is None or key_of(cand) < key_of(old):
-                            layer[v] = cand
+                for v, (a, b) in enumerate(zip(dp[sub], dp[rest])):
+                    if a is not None and b is not None and _smaller(a | b, layer[v]):
+                        layer[v] = a | b
             sub = (sub - 1) & mask
         # grow: attach a shortest path from the best-connected vertex
         changed = True
         while changed:
             changed = False
-            for v in g.vertices:
-                for w in g.vertices:
-                    src = layer.get(w)
-                    if src is None or v == w:
+            for v in range(n):
+                row = table[v]
+                for w in range(n):
+                    src = layer[w]
+                    if src is None or v == w or row[w] is None:
                         continue
-                    pe = path_edges(w, v)
-                    if pe is None:
-                        continue
-                    cand = src | pe
-                    old = layer.get(v)
-                    if old is None or key_of(cand) < key_of(old):
+                    cand = src | row[w]
+                    if _smaller(cand, layer[v]):
                         layer[v] = cand
                         changed = True
-        for v, edges in layer.items():
-            dp[(mask, v)] = edges
-    result = dp.get((full, root))
-    if result is None:
-        raise PreconditionError("terminals are not all connected")
-    return result
+        dp[mask] = layer
+    return dp[full]
 
 
 class TreeDuplicator:

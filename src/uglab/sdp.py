@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import (
     ConvergenceError,
@@ -323,6 +322,8 @@ def _solve_unit_diagonal(
 
 
 def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> SdpSolution:
+    from scipy.optimize import minimize  # imported here: it costs most of `import uglab.cli`
+
     n = instance.n
     gens, seed = _restart_generators(rng, restarts)
     diag_param = [kind == "d" for kind, _ in instance.blocks]
@@ -522,6 +523,8 @@ def solve_sdp_lowrank(
 @functools.lru_cache(maxsize=1)
 def gw_alpha() -> float:
     """min over theta in (0, pi] of 2 theta / (pi (1 - cos theta))."""
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: 2.0 * t / (math.pi * (1.0 - math.cos(t))),
         bounds=(1e-12, math.pi),
@@ -743,45 +746,60 @@ def to_sdpa(instance: SdpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sdpa_number(tok: str, kind: type, lineno: int):
+    try:
+        return kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidParameterError(f"line {lineno}: expected {what}, got {tok!r}") from None
+
+
+def _sdpa_tokens(line: str) -> List[str]:
+    return line.replace(",", " ").replace("{", " ").replace("}", " ").split()
+
+
 def parse_sdpa(text: str) -> SdpInstance:
     """Inverse of to_sdpa; also accepts negative dimensions as diagonal blocks."""
     constant = 0.0
-    header: List[str] = []
-    entries: List[Tuple[int, int, int, int, float]] = []
-    for raw in text.splitlines():
+    header: List[Tuple[int, str]] = []
+    entries: List[Tuple[int, List[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith('"') or line.startswith("*"):
             parts = line[1:].split()
             if parts and parts[0] == "constant":
-                constant = float(parts[1])
+                constant = _sdpa_number(parts[1] if len(parts) > 1 else "", float, lineno)
             continue
         if len(header) < 4:
-            header.append(line)
+            header.append((lineno, line))
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 5:
-            raise InvalidParameterError(f"malformed SDPA entry line {raw!r}")
-        entries.append((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])))
+            raise InvalidParameterError(f"line {lineno}: malformed SDPA entry line {raw!r}")
+        entries.append((lineno, parts))
     if len(header) < 4:
         raise InvalidParameterError("SDPA text is missing header lines")
-    m = int(header[0].split()[0])
-    nblocks = int(header[1].split()[0])
-    dims = [int(tok) for tok in header[2].replace(",", " ").replace("{", " ").replace("}", " ").split()]
+    (l_m, h_m), (l_nb, h_nb), (l_dims, h_dims), (l_b, h_b) = header
+    m = _sdpa_number(h_m.split()[0], int, l_m)
+    nblocks = _sdpa_number(h_nb.split()[0], int, l_nb)
+    dims = [_sdpa_number(tok, int, l_dims) for tok in _sdpa_tokens(h_dims)]
     if len(dims) != nblocks:
-        raise InvalidParameterError(f"expected {nblocks} block sizes, got {len(dims)}")
-    bvals = [float(tok) for tok in header[3].replace(",", " ").replace("{", " ").replace("}", " ").split()]
+        raise InvalidParameterError(f"line {l_dims}: expected {nblocks} block sizes, got {len(dims)}")
+    bvals = [_sdpa_number(tok, float, l_b) for tok in _sdpa_tokens(h_b)]
     if len(bvals) != m:
-        raise InvalidParameterError(f"expected {m} bounds, got {len(bvals)}")
+        raise InvalidParameterError(f"line {l_b}: expected {m} bounds, got {len(bvals)}")
     blocks = [("s", d) if d > 0 else ("d", -d) for d in dims]
     offsets = list(itertools.accumulate((s for _, s in blocks), initial=0))
     mats = [SymMatrix() for _ in range(m + 1)]
-    for matno, blk, i, j, v in entries:
+    for lineno, parts in entries:
+        matno, blk, i, j = (_sdpa_number(tok, int, lineno) for tok in parts[:4])
+        v = _sdpa_number(parts[4], float, lineno)
         if not 0 <= matno <= m:
-            raise InvalidParameterError(f"matrix number {matno} out of range")
+            raise InvalidParameterError(f"line {lineno}: matrix number {matno} out of range")
         if not 1 <= blk <= nblocks:
-            raise InvalidParameterError(f"block number {blk} out of range")
+            raise InvalidParameterError(f"line {lineno}: block number {blk} out of range")
         gi = offsets[blk - 1] + i - 1
         gj = offsets[blk - 1] + j - 1
         mats[matno].add(gi, gj, v if gi == gj else 2.0 * v)

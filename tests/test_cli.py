@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import uglab
 from uglab import cli, formats
 from uglab.errors import StrategyViolationError
 from uglab.gf2 import Gf2Vector
@@ -221,7 +225,12 @@ def test_report_aggregates(tmp_path):
 
 
 def test_malformed_header_exits_2(tmp_path, capsys):
-    for name, text in [("h.gug", "gug\n"), ("x.gug", "gug m=x\n"), ("p.pug", "pug q=2\nedge a b perm=0,x\n")]:
+    for name, text in [
+        ("h.gug", "gug\n"),
+        ("x.gug", "gug m=x\n"),
+        ("p.pug", "pug q=2\nedge a b perm=0,x\n"),
+        ("z.gug", "gug m=2\nbundle a b zz\n"),
+    ]:
         path = tmp_path / name
         path.write_text(text)
         assert run("solve", "brute", "--in", path) == 2
@@ -247,3 +256,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code = run("game", "--pair", pdir / "pair.json", "--duplicator", "cops", "--k", 3)
     assert code == 3
     assert "strategy violation" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the solvers import scipy.optimize when they run; commands such as
+    # `params` and `gen` should not pay for it at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(uglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, uglab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

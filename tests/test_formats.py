@@ -85,6 +85,20 @@ def test_header_and_integer_errors_carry_line(parse, text, lineno):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, lineno, message",
+    [
+        (parse_gug, "gug m=2\nvertex a\nbundle a b zz\n", 3, "bad hex vector"),
+        (parse_gug, "# header\ngug m=0\n", 2, "m must be in 1..64"),
+        (parse_pug, "pug q=2\nvertex a\nedge a b perm=0,2\n", 3, "not a permutation"),
+        (parse_csp, "csp q=2\nctype t arity=2 sat=0,1\napply t a w=1\n", 3, "arity is 2"),
+    ],
+)
+def test_record_errors_carry_line(parse, text, lineno, message):
+    with pytest.raises(InvalidParameterError, match=f"^line {lineno}: .*{message}"):
+        parse(text)
+
+
 def test_gug_hex_width():
     inst = GroupUgInstance(5, ["u", "w"], [("u", "w", [Gf2Vector(31, 5)])])
     text = write_gug(inst)

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uglab.constructions import (
     ParamSet,
@@ -18,9 +20,11 @@ from uglab.constructions import (
 from uglab.errors import (
     NotInSpanError,
     PreconditionError,
+    SearchBudgetError,
     StrategyViolationError,
 )
 from uglab.game import (
+    GameView,
     GStarMap,
     LiftedStructure,
     check_partial_isomorphism,
@@ -322,6 +326,69 @@ def test_steiner_tree_is_deterministic():
     assert a == b
 
 
+@st.composite
+def graphs_with_cycles(draw):
+    """Connected graph on at most 10 vertices with at least one cycle, plus
+    3-4 terminals; labels are ints or strings."""
+    n = draw(st.integers(4, 10))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = {(p, i) for i, p in enumerate(parents, start=1)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    extra = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=n, unique=True))
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=4, unique=True))
+    name = (lambda i: i) if draw(st.booleans()) else (lambda i: f"v{i}")
+    g = SimpleGraph([name(i) for i in range(n)], [(name(a), name(b)) for a, b in sorted(edges | set(extra))])
+    return g, [name(t) for t in terminals]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_cycles())
+def test_steiner_tree_minimum_on_random_graphs(case):
+    g, terminals = case
+    edges = steiner_tree(g, terminals)
+    assert edges <= set(g.edges)
+    assert _tree_is_connected_cover(g, edges, terminals)
+    assert len(edges) == _brute_steiner_size(g, terminals)
+
+
+def c6_with_chords(name=lambda i: i):
+    ring = [(name(i), name((i + 1) % 6)) for i in range(6)]
+    return SimpleGraph([name(i) for i in range(6)], ring + [(name(0), name(3)), (name(1), name(4))])
+
+
+@pytest.mark.parametrize(
+    "g, terminals, expected",
+    [  # recorded from the all-pairs BFS implementation; many equal-size trees tie here
+        (petersen_graph(), [0, 5, 7], [(0, 5), (5, 7)]),
+        (petersen_graph(), [1, 3, 8], [(1, 2), (2, 3), (3, 8)]),
+        (petersen_graph(), [3, 6, 8], [(3, 8), (6, 8)]),
+        (petersen_graph(), [2, 4, 7, 9], [(2, 7), (4, 9), (7, 9)]),
+        (petersen_graph(), [0, 2, 6, 9], [(0, 1), (1, 2), (1, 6), (6, 9)]),
+        (c6_with_chords(), [0, 2, 4], [(0, 1), (1, 2), (1, 4)]),
+        (c6_with_chords(), [1, 3, 5], [(0, 1), (0, 3), (0, 5)]),
+        (c6_with_chords(), [0, 2, 3, 5], [(0, 3), (0, 5), (2, 3)]),
+        (c6_with_chords(), [2, 5], [(0, 1), (0, 5), (1, 2)]),
+        (c6_with_chords(lambda i: f"v{i}"), ["v0", "v2", "v4"], [("v0", "v1"), ("v1", "v2"), ("v1", "v4")]),
+        (c6_with_chords(lambda i: f"v{i}"), ["v5", "v1", "v3"], [("v0", "v1"), ("v0", "v3"), ("v0", "v5")]),
+    ],
+)
+def test_steiner_tree_tie_breaks_pinned(g, terminals, expected):
+    assert steiner_tree(g, terminals) == frozenset(expected)
+
+
+def test_steiner_tree_mixed_labels_and_errors():
+    g = c6_with_chords(lambda i: i if i % 2 else f"s{i}")
+    edges = steiner_tree(g, ["s0", 3, "s4"])
+    assert _tree_is_connected_cover(g, edges, ["s0", 3, "s4"]) and len(edges) == 2
+    split = SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)])
+    with pytest.raises(PreconditionError, match="disconnected"):
+        steiner_tree(split, [0, 3])
+    with pytest.raises(PreconditionError, match="not all connected"):
+        steiner_tree(split, [0, 1, 3])
+    with pytest.raises(PreconditionError, match="not a vertex"):
+        steiner_tree(split, [0, 9])
+
+
 # -- tree strategy -----------------------------------------------------------------
 
 
@@ -360,3 +427,128 @@ def test_tree_duplicator_respects_pebbles_under_search():
         A, B, 2, lambda: duplicator_tree(pair, assert_level="full"), depth=2, budget=60_000
     )
     assert line is None
+
+
+# -- winning-line search against a replay-everything reference ----------------------
+
+
+def naive_winning_line(A, B, k, duplicator_factory, depth, budget):
+    """The search as first written: replay a fresh duplicator from the empty
+    board for every move tried. Returns (line, moves tried)."""
+    els = A.elements()
+    tried = 0
+
+    def replay(prefix):
+        dup = duplicator_factory()
+        pebbles = [None] * k
+        for rnd, (slot, a) in enumerate(prefix, start=1):
+            pebbles[slot] = None
+            g = dup.bijection(GameView(A, B, k, rnd, tuple(pebbles), slot))
+            if any(p is not None and g.apply(p[0]) != p[1] for p in pebbles):
+                raise StrategyViolationError("bijection moves a placed pebble pair", side="duplicator")
+            pebbles[slot] = (a, g.apply(a))
+            if hasattr(dup, "observe_placement"):
+                dup.observe_placement(GameView(A, B, k, rnd, tuple(pebbles), slot))
+        return pebbles
+
+    def rec(prefix):
+        nonlocal tried
+        if len(prefix) >= depth:
+            return None
+        pebbles = replay(prefix)
+        occupied = [i for i, p in enumerate(pebbles) if p is not None]
+        for slot in occupied + [i for i, p in enumerate(pebbles) if p is None][:1]:
+            for a in els:
+                tried += 1
+                if tried > budget:
+                    raise SearchBudgetError(f"winning-line search exceeded {budget} moves")
+                line = prefix + [(slot, a)]
+                if not check_partial_isomorphism(A, B, [p for p in replay(line) if p is not None]):
+                    return line
+                found = rec(line)
+                if found is not None:
+                    return found
+        return None
+
+    return rec([]), tried
+
+
+class ShiftsAfterFirstRound:
+    """Identity in round 1, then a shift of every vertex, which moves the
+    placed pair: the search must raise once it first asks in round 2."""
+
+    def bijection(self, view):
+        if view.round_no == 1:
+            return GStarMap(1, {})
+        return GStarMap(1, {v: Gf2Vector(1, 1) for v in view.A.base.vertices})
+
+
+def twisted_triangle():
+    base = cycle_graph(3)
+    zero, one = Gf2Vector(0, 1), Gf2Vector(1, 1)
+    u1 = GroupUgInstance(1, base.vertices, [(u, v, [zero]) for u, v in base.edges])
+    u2 = GroupUgInstance(1, base.vertices, [(u, v, [one if (u, v) == (0, 1) else zero]) for u, v in base.edges])
+    return u1, u2
+
+
+class StatefulK2:
+    """Counts its calls: the K2 answer while ``k2_while(calls, round_no)``
+    holds, the identity otherwise."""
+
+    def __init__(self, u1, u2, k2_while):
+        self.inner = duplicator_k2(u1, u2)
+        self.k2_while = k2_while
+        self.calls = 0
+
+    def bijection(self, view):
+        self.calls += 1
+        if self.k2_while(self.calls, view.round_no):
+            return self.inner.bijection(view)
+        return duplicator_identity(self.inner.u1.m).bijection(view)
+
+
+def search_cases():
+    u1, u2, A, B, g, coloring, star = klein_lifts()
+    t1, t2 = singleton_pair()
+    C, D = LiftedStructure(t1), LiftedStructure(t2)
+    r1, r2 = twisted_triangle()
+    E, F = LiftedStructure(r1), LiftedStructure(r2)
+    return [
+        ("identity", A, B, 2, lambda: duplicator_identity(2), 3),
+        ("identity-k3", C, D, 3, lambda: duplicator_identity(2), 2),
+        ("k2", C, D, 2, lambda: duplicator_k2(t1, t2), 2),
+        ("k2-triangle", E, F, 2, lambda: duplicator_k2(r1, r2), 3),
+        # gives way after two answers, so the line is found in round 3
+        ("k2-for-two-calls", C, D, 2, lambda: StatefulK2(t1, t2, lambda calls, rnd: calls <= 2), 3),
+        # loses only if one duplicator answers twice in a replay
+        ("k2-once-per-round", E, F, 2, lambda: StatefulK2(r1, r2, lambda calls, rnd: calls == rnd), 3),
+        ("cops", A, B, 3, lambda: duplicator_cops(u1, u2, g, coloring, star), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", search_cases(), ids=lambda c: c[0])
+def test_winning_line_matches_replay_reference(case):
+    _, A, B, k, factory, depth = case
+    want, needed = naive_winning_line(A, B, k, factory, depth, budget=10**6)
+    assert find_winning_line(A, B, k, factory, depth) == want
+    assert find_winning_line(A, B, k, factory, depth, budget=needed) == want
+    with pytest.raises(SearchBudgetError) as ref:
+        naive_winning_line(A, B, k, factory, depth, budget=needed - 1)
+    with pytest.raises(SearchBudgetError) as got:
+        find_winning_line(A, B, k, factory, depth, budget=needed - 1)
+    assert str(got.value) == str(ref.value)
+
+
+def test_winning_line_budget_before_strategy_check():
+    # after the first placement, round 2 tries slot 0 (nothing left pinned)
+    # on every element, then slot 1, whose first placement is the first move
+    # the duplicator must answer with a pair pinned: a budget one short stops
+    # the search before it asks, an exact one lets the violation surface
+    r1, _ = twisted_triangle()
+    A = LiftedStructure(r1)
+    first_pinned = 1 + A.universe_size() + 1
+    for search in (find_winning_line, naive_winning_line):
+        with pytest.raises(SearchBudgetError):
+            search(A, A, 2, ShiftsAfterFirstRound, 2, budget=first_pinned - 1)
+        with pytest.raises(StrategyViolationError, match="moves a placed pebble pair"):
+            search(A, A, 2, ShiftsAfterFirstRound, 2, budget=first_pinned)

@@ -380,6 +380,24 @@ def test_sdpa_parse_errors():
         parse_sdpa("1\n1\n1\n1.0\n0 1 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("1\n1\n1\n1.0\n0 1 1 1 x\n", 5),  # non-numeric coefficient
+        ("1\n1\n1\n1.0\n0 1 a 1 2.0\n", 5),  # non-integer index
+        ("m\n1\n1\n1.0\n", 1),  # non-integer constraint count
+        ("1\n1.5\n1\n1.0\n", 2),  # non-integer block count
+        ('"comment\n1\n1\n{x}\n1.0\n', 4),  # non-integer block size
+        ("1\n1\n1\nb\n", 4),  # non-numeric bound
+        ('1\n1\n1\n1.0\n"constant y\n', 5),
+        ("1\n1\n1\n1.0\n2 1 1 1 1.0\n", 5),  # matrix number out of range
+    ],
+)
+def test_sdpa_parse_errors_carry_line(text, lineno):
+    with pytest.raises(InvalidParameterError, match=f"^line {lineno}:"):
+        parse_sdpa(text)
+
+
 def test_sdpa_diagonal_block_dimension():
     a = SymMatrix({(1, 1): 1.0})
     inst = SdpInstance(2, SymMatrix({(0, 0): 1.0}), [(a, 1.0, "==")], blocks=[("s", 1), ("d", 1)])
