@@ -25,20 +25,13 @@ from .constructions import (
     cubic_edge_coloring,
     InapproxPair,
     k4_klein_inputs,
+    klein_from_json,
     klein_pair,
+    klein_to_json,
     random_inapprox_pair,
     unsat_complete_graph,
 )
-from .errors import (
-    ConvergenceError,
-    IncompleteAssignmentError,
-    InvalidParameterError,
-    NotInSpanError,
-    PreconditionError,
-    SearchBudgetError,
-    StrategyViolationError,
-    UglabError,
-)
+from .errors import InvalidParameterError, PreconditionError, StrategyViolationError, UglabError
 from .game import (
     LiftedStructure,
     duplicator_cops,
@@ -48,12 +41,10 @@ from .game import (
     play_game,
     spoiler_random,
 )
-from .gf2 import Gf2Subspace, Gf2Vector
-from .graphs import SimpleGraph, normalize_edge, petersen_graph
+from .gf2 import Gf2Vector
+from .graphs import SimpleGraph, petersen_graph
 from .instances import (
     GroupUgInstance,
-    PermUgInstance,
-    WeightedCspInstance,
     brute_force_opt,
     csp_brute_opt,
     label_lift,
@@ -90,10 +81,6 @@ def _stamp(args, extra: Dict) -> Dict:
     return extra
 
 
-def _edge_key(e: Tuple) -> str:
-    return f"{e[0]} {e[1]}"
-
-
 def _load_instance(path: str):
     text = _read(path)
     if path.endswith(".gug"):
@@ -123,6 +110,27 @@ def cmd_gen_unsat(args) -> int:
     return 0
 
 
+# the sidecar names the pair's instance files, which sit next to it
+PAIR_FILES = {"u1": "u1.gug", "u2": "u2.gug"}
+
+
+def _write_pair(args, u1: GroupUgInstance, u2: GroupUgInstance, sidecar: Dict) -> None:
+    os.makedirs(args.out_dir, exist_ok=True)
+    for inst, name in zip((u1, u2), PAIR_FILES.values()):
+        formats.atomic_write_text(os.path.join(args.out_dir, name), formats.write_gug(inst))
+    formats.atomic_write_json(os.path.join(args.out_dir, "pair.json"), _stamp(args, {**sidecar, **PAIR_FILES}))
+
+
+def _read_pair(path: str) -> Tuple[Dict, GroupUgInstance, GroupUgInstance]:
+    with open(path, "r", encoding="utf-8") as fh:
+        sc = json.load(fh)
+    if not isinstance(sc, dict) or not all(isinstance(sc.get(key), str) for key in PAIR_FILES):
+        raise InvalidParameterError(f"{path} does not name the pair's 'u1' and 'u2' instance files")
+    basedir = os.path.dirname(os.path.abspath(path))
+    u1, u2 = (formats.parse_gug(_read(os.path.join(basedir, sc[key]))) for key in PAIR_FILES)
+    return sc, u1, u2
+
+
 def cmd_gen_klein(args) -> int:
     if args.cops:
         h = cops_robbers_graph(args.cops)
@@ -130,25 +138,7 @@ def cmd_gen_klein(args) -> int:
         star = h.edges[0]
     else:
         h, coloring, star = k4_klein_inputs()
-    u1, u2 = klein_pair(h, coloring, star)
-    os.makedirs(args.out_dir, exist_ok=True)
-    p1 = os.path.join(args.out_dir, "u1.gug")
-    p2 = os.path.join(args.out_dir, "u2.gug")
-    formats.atomic_write_text(p1, formats.write_gug(u1))
-    formats.atomic_write_text(p2, formats.write_gug(u2))
-    sidecar = _stamp(args, {
-        "kind": "klein",
-        "m": 2,
-        "u1": "u1.gug",
-        "u2": "u2.gug",
-        "graph": {
-            "vertices": [str(v) for v in h.vertices],
-            "edges": [[str(u), str(v)] for u, v in h.edges],
-        },
-        "coloring": {_edge_key(e): c for e, c in sorted(coloring.items())},
-        "star": [str(star[0]), str(star[1])],
-    })
-    formats.atomic_write_json(os.path.join(args.out_dir, "pair.json"), sidecar)
+    _write_pair(args, *klein_pair(h, coloring, star), klein_to_json(h, coloring, star))
     print(f"wrote {args.out_dir}: u1.gug u2.gug pair.json (star {star[0]}-{star[1]})")
     return 0
 
@@ -177,34 +167,7 @@ def cmd_gen_random_pair(args) -> int:
     pair = random_inapprox_pair(
         params, base, random.Random(args.seed), k=args.k, good_override=args.good_override
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    formats.atomic_write_text(os.path.join(args.out_dir, "u1.gug"), formats.write_gug(pair.u1))
-    formats.atomic_write_text(os.path.join(args.out_dir, "u2.gug"), formats.write_gug(pair.u2))
-    sidecar = _stamp(args, {
-        "kind": "tree",
-        "seed": args.seed,
-        "u1": "u1.gug",
-        "u2": "u2.gug",
-        "graph": {
-            "vertices": [str(v) for v in base.vertices],
-            "edges": [[str(u), str(v)] for u, v in base.edges],
-        },
-        "params": {
-            "alpha": str(params.alpha),
-            "gamma": str(params.gamma),
-            "epsilon": str(params.epsilon),
-            "d": params.d,
-            "ell": params.ell,
-            "m": params.m,
-            "r": params.r,
-            "q": params.q,
-        },
-        "zmap": {_edge_key(e): [v.to_hex() for v in sub.basis] for e, sub in sorted(pair.zmap.items())},
-        "bmap": {_edge_key(e): v.to_hex() for e, v in sorted(pair.bmap.items())},
-        "good": [[str(u), str(v)] for u, v in sorted(pair.good)],
-        "girth_ok": pair.girth_ok,
-    })
-    formats.atomic_write_json(os.path.join(args.out_dir, "pair.json"), sidecar)
+    _write_pair(args, pair.u1, pair.u2, {"seed": args.seed, **pair.to_json()})
     print(
         f"wrote {args.out_dir}: u1.gug u2.gug pair.json "
         f"({len(pair.good)} good of {len(base.edges)} edges, girth_ok={pair.girth_ok})"
@@ -278,55 +241,8 @@ def cmd_solve(args) -> int:
 # -- game ---------------------------------------------------------------------------
 
 
-def _sidecar_graph(sc: Dict) -> SimpleGraph:
-    g = sc["graph"]
-    return SimpleGraph(g["vertices"], [tuple(e) for e in g["edges"]])
-
-
-def _rebuild_pair(sc: Dict, u1: GroupUgInstance, u2: GroupUgInstance) -> InapproxPair:
-    if sc.get("kind") != "tree":
-        raise InvalidParameterError(
-            f"the tree strategy needs a 'gen random-pair' sidecar, got a {sc.get('kind', 'unknown')!r} pair"
-        )
-    p = sc["params"]
-    params = ParamSet(
-        Fraction(p["alpha"]), Fraction(p["gamma"]), Fraction(p["epsilon"]),
-        p["d"], p["ell"], p["m"], p["r"], p["q"],
-    )
-    m = params.m
-    base = _sidecar_graph(sc)
-    zmap = {}
-    for key, basis in sc["zmap"].items():
-        e = normalize_edge(*key.split())
-        zmap[e] = Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in basis], m)
-    bmap = {
-        normalize_edge(*key.split()): Gf2Vector.from_hex(h, m) for key, h in sc["bmap"].items()
-    }
-    good = frozenset(normalize_edge(*e) for e in sc["good"])
-    full1, full2 = [], []
-    for e in base.edges:
-        full1.append((e[0], e[1], list(zmap[e].elements())))
-        full2.append((e[0], e[1], sorted(zmap[e].shifted(bmap[e]))))
-    return InapproxPair(
-        u1=u1,
-        u2=u2,
-        u1_full=GroupUgInstance(m, base.vertices, full1),
-        u2_full=GroupUgInstance(m, base.vertices, full2),
-        good=good,
-        zmap=zmap,
-        bmap=bmap,
-        params=params,
-        base=base,
-        girth_ok=bool(sc.get("girth_ok", True)),
-    )
-
-
 def cmd_game(args) -> int:
-    with open(args.pair, "r", encoding="utf-8") as fh:
-        sc = json.load(fh)
-    basedir = os.path.dirname(os.path.abspath(args.pair))
-    u1 = formats.parse_gug(_read(os.path.join(basedir, sc["u1"])))
-    u2 = formats.parse_gug(_read(os.path.join(basedir, sc["u2"])))
+    sc, u1, u2 = _read_pair(args.pair)
     a = LiftedStructure(u1)
     b = LiftedStructure(u2)
     if args.duplicator == "identity":
@@ -334,12 +250,9 @@ def cmd_game(args) -> int:
     elif args.duplicator == "k2":
         dup = duplicator_k2(u1, u2)
     elif args.duplicator == "cops":
-        coloring = {normalize_edge(*k.split()): c for k, c in sc["coloring"].items()}
-        dup = duplicator_cops(
-            u1, u2, _sidecar_graph(sc), coloring, tuple(sc["star"]), args.assert_level
-        )
+        dup = duplicator_cops(u1, u2, *klein_from_json(sc), args.assert_level)
     else:
-        dup = duplicator_tree(_rebuild_pair(sc, u1, u2), args.assert_level)
+        dup = duplicator_tree(InapproxPair.from_json(sc, u1, u2), args.assert_level)
     transcript = play_game(
         a, b, args.k, dup, spoiler_random(random.Random(args.seed)), max_rounds=args.rounds
     )
@@ -363,14 +276,7 @@ def cmd_sdp_maxcut(args) -> int:
     g = formats.parse_graph(_read(args.graph))
     inst = build_maxcut_sdp(g)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
-    out = sol.result_json()
-    out.update({
-        "kind": "maxcut",
-        "n": inst.n,
-        "spread": sol.spread,
-        "gw_alpha": gw_alpha(),
-        "gw_symmetric": gw_symmetric_value(sol),
-    })
+    out = {**sol.result_json(), "gw_alpha": gw_alpha(), "gw_symmetric": gw_symmetric_value(sol)}
     if args.round:
         mean, std = hyperplane_round(sol, rng=args.seed, trials=args.round)
         out["round_mean"] = mean
@@ -387,14 +293,7 @@ def cmd_sdp_lc(args) -> int:
     csp = formats.parse_csp(_read(args.csp))
     inst = build_lc_relaxation(csp, normalization=args.normalization)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
-    out = sol.result_json()
-    out.update({
-        "kind": "lc",
-        "n": inst.n,
-        "spread": sol.spread,
-        "scale": inst.meta["scale"],
-        "normalization": args.normalization,
-    })
+    out = {**sol.result_json(), "scale": inst.meta["scale"], "normalization": args.normalization}
     if args.sdpa:
         formats.atomic_write_text(args.sdpa, to_sdpa(inst))
     formats.atomic_write_json(args.out, _stamp(args, out))
@@ -442,17 +341,7 @@ def cmd_params(args) -> int:
     p = compute_params(args.alpha, args.gamma, args.epsilon)
     print(f"d={p.d} ell={p.ell} m={p.m} r={p.r} q={p.q}")
     if args.out:
-        out = _stamp(args, {
-            "alpha": str(p.alpha),
-            "gamma": str(p.gamma),
-            "epsilon": str(p.epsilon),
-            "d": p.d,
-            "ell": p.ell,
-            "m": p.m,
-            "r": p.r,
-            "q": p.q,
-        })
-        formats.atomic_write_json(args.out, out)
+        formats.atomic_write_json(args.out, _stamp(args, p.to_dict()))
     return 0
 
 
@@ -606,19 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except StrategyViolationError as exc:
         print(f"strategy violation: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidParameterError,
-        PreconditionError,
-        SearchBudgetError,
-        IncompleteAssignmentError,
-        NotInSpanError,
-        ConvergenceError,
-        UglabError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (UglabError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

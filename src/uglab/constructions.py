@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,6 +33,58 @@ def klein_vec(name: str) -> Gf2Vector:
     if name not in KLEIN:
         raise InvalidParameterError(f"unknown Klein element {name!r}")
     return Gf2Vector(KLEIN[name], 2)
+
+
+# -- pair sidecar encoding ------------------------------------------------------
+#
+# The JSON sidecars written next to a pair's instance files. Vertex names are
+# written with str(), so a sidecar read back carries string names, as the
+# parsed instance files do.
+
+
+def _edge_json(e: Tuple) -> List[str]:
+    return [str(e[0]), str(e[1])]
+
+
+def _edge_key(e: Tuple) -> str:
+    return f"{e[0]} {e[1]}"
+
+
+def _json_edge(e) -> Tuple:
+    if not isinstance(e, list) or len(e) != 2:
+        raise InvalidParameterError(f"sidecar edge {e!r} is not two vertex names")
+    return normalize_edge(*e)
+
+
+def _key_edge(key: str) -> Tuple:
+    return _json_edge(key.split())
+
+
+def _graph_json(g: SimpleGraph) -> Dict:
+    return {"vertices": [str(v) for v in g.vertices], "edges": [_edge_json(e) for e in g.edges]}
+
+
+def _graph_from_json(data) -> SimpleGraph:
+    vertices, edges = _fields(data, "sidecar graph", ("vertices", "edges"))
+    return SimpleGraph(vertices, [_json_edge(e) for e in edges])
+
+
+def _fields(data, what: str, keys: Sequence[str]) -> List:
+    """The values of keys in the JSON object data, in order."""
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise InvalidParameterError(f"{what} has no {key!r} key")
+    return [data[key] for key in keys]
+
+
+def _sidecar(sc, kind: str, made_by: str, keys: Sequence[str]) -> List:
+    """The values of keys in a sidecar of this kind, written by `uglab <made_by>`."""
+    got = sc.get("kind") if isinstance(sc, dict) else None
+    if got != kind:
+        raise InvalidParameterError(f"needs a {made_by!r} sidecar (kind {kind!r}), got kind {got!r}")
+    return _fields(sc, f"{made_by!r} sidecar", keys)
 
 
 # -- fully unsatisfiable-beyond-2/n family ----------------------------------
@@ -99,6 +151,26 @@ def klein_pair(
     u1 = GroupUgInstance(2, h.vertices, u1_bundles)
     u2 = GroupUgInstance(2, h.vertices, u2_bundles)
     return u1, u2
+
+
+def klein_to_json(h: SimpleGraph, coloring: Dict[Tuple, str], star_edge: Tuple) -> Dict:
+    """The 'gen klein' sidecar fields for klein_pair's inputs."""
+    return {
+        "kind": "klein",
+        "m": 2,
+        "graph": _graph_json(h),
+        "coloring": {_edge_key(e): c for e, c in sorted(coloring.items())},
+        "star": _edge_json(star_edge),
+    }
+
+
+def klein_from_json(sc: Dict) -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
+    """The (graph, coloring, star edge) that klein_to_json wrote, checked
+    as klein_pair checks its inputs."""
+    graph, coloring, star = _sidecar(sc, "klein", "gen klein", ("graph", "coloring", "star"))
+    inputs = (_graph_from_json(graph), {_key_edge(k): c for k, c in coloring.items()}, _json_edge(star))
+    klein_pair(*inputs)
+    return inputs
 
 
 def k4_klein_inputs() -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
@@ -344,16 +416,14 @@ class ParamSet:
     q: int
 
     def to_dict(self) -> Dict:
-        return {
-            "alpha": str(self.alpha),
-            "gamma": str(self.gamma),
-            "epsilon": str(self.epsilon),
-            "d": self.d,
-            "ell": self.ell,
-            "m": self.m,
-            "r": self.r,
-            "q": self.q,
-        }
+        """Fractions as strings, so from_dict reads them back exactly."""
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
+
+    @classmethod
+    def from_dict(cls, data) -> "ParamSet":
+        """The set that to_dict wrote."""
+        values = _fields(data, "parameter set", [f.name for f in fields(cls)])
+        return cls(*(Fraction(v) for v in values[:3]), *(int(v) for v in values[3:]))
 
 
 def _ceil_guarded(x: float) -> int:
@@ -432,6 +502,56 @@ class InapproxPair:
     base: SimpleGraph
     girth_ok: bool
 
+    def to_json(self) -> Dict:
+        """The 'gen random-pair' sidecar fields."""
+        return {
+            "kind": "tree",
+            "graph": _graph_json(self.base),
+            "params": self.params.to_dict(),
+            "zmap": {_edge_key(e): [v.to_hex() for v in z.basis] for e, z in sorted(self.zmap.items())},
+            "bmap": {_edge_key(e): v.to_hex() for e, v in sorted(self.bmap.items())},
+            "good": [_edge_json(e) for e in sorted(self.good)],
+            "girth_ok": self.girth_ok,
+        }
+
+    @classmethod
+    def from_json(cls, sc: Dict, u1: GroupUgInstance, u2: GroupUgInstance) -> "InapproxPair":
+        """The pair whose to_json wrote sc, with u1 and u2 its good-edge
+        instances as read from their files; they must match the sidecar."""
+        graph, params, zraw, braw, good, girth_ok = _sidecar(
+            sc, "tree", "gen random-pair", ("graph", "params", "zmap", "bmap", "good", "girth_ok")
+        )
+        params = ParamSet.from_dict(params)
+        m = params.m
+        base = _graph_from_json(graph)
+        zmap = {
+            _key_edge(k): Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in basis], m)
+            for k, basis in zraw.items()
+        }
+        bmap = {_key_edge(k): Gf2Vector.from_hex(h, m) for k, h in braw.items()}
+        good = frozenset(_json_edge(e) for e in good)
+        pair = cls(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, bool(girth_ok))
+        for name, given, built in (("u1", u1, pair.u1), ("u2", u2, pair.u2)):
+            if (given.m, given.vertices, given.bundles) != (built.m, built.vertices, built.bundles):
+                raise InvalidParameterError(f"{name} instance does not match the sidecar's good edges")
+        return pair
+
+
+def _pair_instances(
+    base: SimpleGraph, zmap: Dict, bmap: Dict, good: FrozenSet, m: int
+) -> Tuple[GroupUgInstance, GroupUgInstance, GroupUgInstance, GroupUgInstance]:
+    """(u1, u2, u1_full, u2_full): Z(e) on the first instance and the coset
+    Z(e)+b(e) on the second, over every edge and over good edges only."""
+    for name, table in (("zmap", zmap), ("bmap", bmap)):
+        for e in base.edges:
+            if e not in table:
+                raise InvalidParameterError(f"{name} has no entry for edge {_edge_key(e)!r}")
+    full1 = [(u, v, list(zmap[(u, v)].elements())) for u, v in base.edges]
+    full2 = [(u, v, sorted(zmap[(u, v)].shifted(bmap[(u, v)]))) for u, v in base.edges]
+    u1 = GroupUgInstance(m, base.vertices, [b for b in full1 if b[:2] in good])
+    u2 = GroupUgInstance(m, base.vertices, [b for b in full2 if b[:2] in good])
+    return u1, u2, GroupUgInstance(m, base.vertices, full1), GroupUgInstance(m, base.vertices, full2)
+
 
 def random_inapprox_pair(
     params: ParamSet,
@@ -460,17 +580,8 @@ def random_inapprox_pair(
     for e in base.edges:  # canonical order; b drawn before Z on each edge
         bmap[e] = random_vector(m, rng)
         zmap[e] = random_subspace(m, ell, rng)
-    full1 = []
-    full2 = []
-    for e in base.edges:
-        full1.append((e[0], e[1], list(zmap[e].elements())))
-        full2.append((e[0], e[1], sorted(zmap[e].shifted(bmap[e]))))
-    u1_full = GroupUgInstance(m, base.vertices, full1)
-    u2_full = GroupUgInstance(m, base.vertices, full2)
     good = good_edges(base, zmap, r, m, override=good_override)
-    u1 = GroupUgInstance(m, base.vertices, [b for b in full1 if normalize_edge(b[0], b[1]) in good])
-    u2 = GroupUgInstance(m, base.vertices, [b for b in full2 if normalize_edge(b[0], b[1]) in good])
-    return InapproxPair(u1, u2, u1_full, u2_full, good, zmap, bmap, params, base, girth_ok)
+    return InapproxPair(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, girth_ok)
 
 
 __all__ = [
@@ -479,6 +590,8 @@ __all__ = [
     "klein_vec",
     "unsat_complete_graph",
     "klein_pair",
+    "klein_to_json",
+    "klein_from_json",
     "k4_klein_inputs",
     "cubic_edge_coloring",
     "CopsRobbersGraph",

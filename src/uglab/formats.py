@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .errors import InvalidParameterError
 from .gf2 import Gf2Vector
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, normalize_edge
 from .instances import CspType, GroupUgInstance, PermUgInstance, WeightedCspInstance
 
 
@@ -241,15 +241,23 @@ def parse_graph(text: str) -> SimpleGraph:
     if not lines or lines[0][1] != ["graph"]:
         raise InvalidParameterError("graph file must start with a 'graph' header")
     vertices: List[str] = []
-    edges = []
+    edges: Dict[Tuple, int] = {}  # edge -> its line
     for lineno, toks in lines[1:]:
         if toks[0] == "v" and len(toks) == 2:
             vertices.append(toks[1])
         elif toks[0] == "e" and len(toks) == 3:
-            edges.append((toks[1], toks[2]))
+            with _at(lineno):
+                edge = normalize_edge(toks[1], toks[2])
+                if edge in edges:
+                    raise InvalidParameterError(f"duplicate edge {edge!r}")
+            edges[edge] = lineno
         else:
             raise InvalidParameterError(f"line {lineno}: bad graph record {' '.join(toks)!r}")
-    return SimpleGraph(vertices, edges)
+    declared = set(vertices)
+    for edge, lineno in edges.items():  # a vertex may follow the edges that use it
+        if not declared.issuperset(edge):
+            raise InvalidParameterError(f"line {lineno}: edge {edge!r} uses unknown vertex")
+    return SimpleGraph(vertices, list(edges))
 
 
 # -- assignments -------------------------------------------------------------------
@@ -271,7 +279,8 @@ def parse_assignment(text: str, instance) -> Dict:
         if toks[0] != "assign" or len(toks) != 3:
             raise InvalidParameterError(f"line {lineno}: bad assign record {' '.join(toks)!r}")
         name, label = toks[1], toks[2]
-        out[name] = Gf2Vector.from_hex(label, instance.m) if group else int(label)
+        with _at(lineno):
+            out[name] = Gf2Vector.from_hex(label, instance.m) if group else _int(label, "label", lineno)
     return out
 
 

@@ -322,28 +322,22 @@ def _brute_group_component(instance: GroupUgInstance, comp, budget: int) -> Tupl
     return count, {v: Gf2Vector(bits, instance.m) for v, bits in zip(comp, values)}
 
 
-def brute_force_opt(
-    instance, fix_root: Optional[bool] = None, budget: Optional[int] = None
-) -> Tuple[int, Fraction, Dict]:
+def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
     """Exact maximum satisfied count by exhaustion, with lex-least witness.
 
     Every instance kind runs through one mixed-radix enumerator over 0/1
     tables, one per bundle or constraint. Group instances are solved one
     connected component at a time with the component's first vertex fixed to
     zero (every assignment family is closed under a global shift, so an
-    optimal root-zero assignment always exists); `fix_root=True` insists on a
-    connected instance. Permutation constraints a(u) = perm(a(v)) are the
+    optimal root-zero assignment always exists). Permutation constraints a(u) = perm(a(v)) are the
     tables T[a, b] = (a == perm[b]) over all vertices. The budget bounds the
     search space of each enumeration.
     """
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     if isinstance(instance, GroupUgInstance):
-        g = instance.graph()
-        if fix_root and not g.is_connected():
-            raise PreconditionError("root fixing requires a connected instance")
         count, witness = 0, {}
-        for comp in g.components():
+        for comp in instance.graph().components():
             c, w = _brute_group_component(instance, comp, budget)
             count += c
             witness.update(w)

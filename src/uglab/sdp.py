@@ -58,9 +58,6 @@ class SymMatrix:
     def get(self, i: int, j: int) -> float:
         return self.entries.get(self._key(i, j), 0.0)
 
-    def max_index(self) -> int:
-        return max((j for _, j in self.entries), default=-1)
-
     def value(self, x: np.ndarray) -> float:
         """Inner product against a dense symmetric matrix, pairs counted once."""
         return float(sum(c * x[i, j] for (i, j), c in self.entries.items()))
@@ -177,13 +174,15 @@ class SdpSolution:
     restarts: int
     seed: Optional[int]
     instance: SdpInstance
-    restart_values: Tuple[float, ...] = ()
 
     def gram(self) -> np.ndarray:
         return self.factor.T @ self.factor
 
     def result_json(self) -> Dict:
         return {
+            "kind": self.instance.meta.get("kind"),
+            "n": self.instance.n,
+            "spread": self.spread,
             "value": self.value,
             "residual": self.residual,
             "restarts": self.restarts,
@@ -312,7 +311,6 @@ def _solve_unit_diagonal(
         restarts=restarts,
         seed=seed,
         instance=instance,
-        restart_values=tuple(values),
     )
     if not any_ok:
         raise ConvergenceError(
@@ -355,7 +353,6 @@ def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> Sdp
                         else:
                             adense[i - off, j - off] = c / 2.0
                             adense[j - off, i - off] = c / 2.0
-        # rows that touch this block at all, to skip dead einsum work
         block_data.append((off, size, cpart, apart))
 
     sizes = [size * size if not diag_param[b] else size for b, (_, size) in enumerate(instance.blocks)]
@@ -474,7 +471,6 @@ def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> Sdp
         restarts=restarts,
         seed=seed,
         instance=instance,
-        restart_values=tuple(values),
     )
     if not ok:
         raise ConvergenceError(
@@ -492,9 +488,10 @@ def solve_sdp_lowrank(
     Unit-diagonal single-block instances take the coordinate-ascent path at
     rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
     ascent at full rank per symmetric block, diagonal blocks as squared
-    vectors.  The spread across restart values is kept as a duality-gap
-    proxy.  Raises ConvergenceError, with the best iterate attached, when no
-    restart meets the feasibility tolerance.
+    vectors.  `spread` is the max - min of the feasible restarts' values (of
+    all restarts when none is feasible); it bounds nothing, the distance to
+    the SDP optimum included.  Raises ConvergenceError, with the best iterate
+    attached, when no restart meets the feasibility tolerance.
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
@@ -510,7 +507,6 @@ def solve_sdp_lowrank(
             restarts=restarts,
             seed=seed,
             instance=instance,
-            restart_values=(instance.constant,) * restarts,
         )
     if _unit_diagonal_form(instance):
         return _solve_unit_diagonal(instance, tol, restarts, rng)

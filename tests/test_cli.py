@@ -138,7 +138,39 @@ def test_tree_duplicator_rejects_klein_sidecar(tmp_path, capsys):
     assert run("gen", "klein", "--out-dir", pdir, "--no-timestamp") == 0
     capsys.readouterr()
     assert run("game", "--pair", pdir / "pair.json", "--duplicator", "tree", "--k", 2, "--rounds", 1) == 2
-    assert "needs a 'gen random-pair' sidecar" in capsys.readouterr().err
+    assert "needs a 'gen random-pair' sidecar (kind 'tree'), got kind 'klein'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pairs(tmp_path):
+    """The sidecars of `gen klein` and `gen random-pair --seed 4`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("gen", "klein", "--out-dir", tmp_path / "klein", "--no-timestamp") == 0
+        assert run("gen", "random-pair", "--out-dir", tmp_path / "rp", "--seed", 4, "--no-timestamp") == 0
+    return {"klein": tmp_path / "klein" / "pair.json", "tree": tmp_path / "rp" / "pair.json"}
+
+
+def test_cops_duplicator_rejects_random_pair_sidecar(pairs, capsys):
+    capsys.readouterr()
+    assert run("game", "--pair", pairs["tree"], "--duplicator", "cops", "--k", 2, "--rounds", 1) == 2
+    assert "needs a 'gen klein' sidecar (kind 'klein'), got kind 'tree'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duplicator, sidecar, key, message", [
+    ("cops", "klein", "coloring", "'gen klein' sidecar has no 'coloring' key"),
+    ("tree", "tree", "zmap", "'gen random-pair' sidecar has no 'zmap' key"),
+    ("tree", "tree", "girth_ok", "'gen random-pair' sidecar has no 'girth_ok' key"),
+    ("identity", "klein", "u2", "does not name the pair's 'u1' and 'u2' instance files"),
+])
+def test_sidecar_missing_key_exits_2(pairs, capsys, duplicator, sidecar, key, message):
+    sc = load(pairs[sidecar])
+    del sc[key]
+    pairs[sidecar].write_text(json.dumps(sc))
+    capsys.readouterr()
+    assert run("game", "--pair", pairs[sidecar], "--duplicator", duplicator, "--k", 2, "--rounds", 1) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.strip() != f"error: {key!r}"
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -170,6 +202,7 @@ def test_sdp_maxcut_cli(tmp_path):
     assert data["residual"] <= 1e-6
     assert data["round_mean"] == pytest.approx(18.0, abs=1e-9)
     assert data["seed"] == 0
+    assert (data["kind"], data["n"]) == ("maxcut", 12) and data["spread"] >= 0
     back = parse_sdpa(dats.read_text())
     assert back.n == 12 and len(back.constraints) == 12
 
@@ -197,6 +230,7 @@ def test_sdp_lc_and_gap_cli(tmp_path):
     data = load(out)
     assert data["value"] == pytest.approx(1.0, abs=1e-4)
     assert data["scale"] == 2.0
+    assert (data["kind"], data["n"]) == ("lc", 14) and data["spread"] >= 0
     assert parse_sdpa(dats.read_text()).n == 14
 
     gap = tmp_path / "gap.json"

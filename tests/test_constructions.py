@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from uglab import formats
 from uglab.constructions import (
     CopsRobbersGraph,
+    InapproxPair,
     KLEIN,
     ParamSet,
     compute_params,
@@ -17,7 +21,9 @@ from uglab.constructions import (
     cubic_edge_coloring,
     good_edges,
     k4_klein_inputs,
+    klein_from_json,
     klein_pair,
+    klein_to_json,
     klein_vec,
     paths_through_edge,
     random_inapprox_pair,
@@ -153,6 +159,29 @@ def test_klein_pair_on_pursuit_graph():
     c2, f2, _ = brute_force_opt(u2)
     assert c2 == 17  # all but one bundle
     assert f2 == Fraction(17, 36)
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+@pytest.mark.parametrize("cops", [0, 3])
+def test_klein_sidecar_round_trip(cops):
+    # the inputs of `uglab gen klein` (cops=0) and `uglab gen klein --cops 3`
+    if cops:
+        h = cops_robbers_graph(cops)
+        inputs = (h, cubic_edge_coloring(h), h.edges[0])
+    else:
+        inputs = k4_klein_inputs()
+    assert klein_from_json(_through_json(klein_to_json(*inputs))) == inputs
+
+
+def test_klein_sidecar_rejects_malformed_fields():
+    sc = _through_json(klein_to_json(*k4_klein_inputs()))
+    with pytest.raises(InvalidParameterError, match="is not two vertex names"):
+        klein_from_json({**sc, "star": ["v3"]})
+    with pytest.raises(PreconditionError, match="coloring misses edge"):
+        klein_from_json({**sc, "coloring": {}})
 
 
 def test_cubic_edge_coloring_is_proper():
@@ -474,6 +503,48 @@ def test_random_pair_u1_value_when_good_edges_exist():
         count, frac = evaluate(pair.u1, zero)
         assert count == len(pair.u1.bundles)
         assert frac == Fraction(1, 4)  # 2^-ell
+
+
+@pytest.mark.parametrize("base", [petersen_graph(), cops_robbers_graph(3)], ids=["petersen", "cops3"])
+def test_random_pair_sidecar_round_trip(base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # desk parameters sit below the girth bound
+        pair = random_inapprox_pair(desk_params(), base, random.Random(4))
+    # files and sidecars carry vertex names as strings
+    u1, u2 = (formats.parse_gug(formats.write_gug(u)) for u in (pair.u1, pair.u2))
+    back = InapproxPair.from_json(_through_json(pair.to_json()), u1, u2)
+
+    def named(e):
+        return (str(e[0]), str(e[1]))
+
+    assert back.zmap == {named(e): z for e, z in pair.zmap.items()}
+    assert back.bmap == {named(e): b for e, b in pair.bmap.items()}
+    assert back.good == {named(e) for e in pair.good}
+    assert back.params == pair.params
+    assert back.base == SimpleGraph([str(v) for v in base.vertices], [named(e) for e in base.edges])
+    assert back.girth_ok == pair.girth_ok
+    for got, want in [(back.u1_full, pair.u1_full), (back.u2_full, pair.u2_full), (back.u1, u1), (back.u2, u2)]:
+        assert formats.write_gug(got) == formats.write_gug(want)
+
+
+def test_random_pair_sidecar_rejects_mismatched_instances():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pair = random_inapprox_pair(desk_params(), petersen_graph(), random.Random(4))
+    u1, u2 = (formats.parse_gug(formats.write_gug(u)) for u in (pair.u1, pair.u2))
+    with pytest.raises(InvalidParameterError, match="u2 instance does not match"):
+        InapproxPair.from_json(_through_json(pair.to_json()), u1, u1)
+    sc = _through_json(pair.to_json())
+    del sc["zmap"]["0 1"]
+    with pytest.raises(InvalidParameterError, match="zmap has no entry for edge '0 1'"):
+        InapproxPair.from_json(sc, u1, u2)
+
+
+def test_param_set_dict_round_trip():
+    for params in (desk_params(), compute_params(Fraction(1, 2))):
+        assert ParamSet.from_dict(_through_json(params.to_dict())) == params
+    with pytest.raises(InvalidParameterError, match="parameter set has no 'ell' key"):
+        ParamSet.from_dict({"alpha": "1", "gamma": "1/4", "epsilon": "1/4", "d": 3})
 
 
 def test_random_pair_degree_check():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -92,6 +93,9 @@ def test_header_and_integer_errors_carry_line(parse, text, lineno):
         (parse_gug, "# header\ngug m=0\n", 2, "m must be in 1..64"),
         (parse_pug, "pug q=2\nvertex a\nedge a b perm=0,2\n", 3, "not a permutation"),
         (parse_csp, "csp q=2\nctype t arity=2 sat=0,1\napply t a w=1\n", 3, "arity is 2"),
+        (parse_graph, "graph\nv a\ne a a\n", 3, "self-loop"),
+        (parse_graph, "graph\nv a\ne a b\n", 3, "unknown vertex"),
+        (partial(parse_assignment, instance=PermUgInstance(2, ["a"], [])), "assign a x\n", 1, "needs an integer"),
     ],
 )
 def test_record_errors_carry_line(parse, text, lineno, message):

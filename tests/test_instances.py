@@ -143,13 +143,19 @@ def test_brute_witness_attains_reported_count():
 
 
 def test_brute_root_fixing_matches_full_search():
+    # the solver fixes the first vertex to zero; a search over every label
+    # of every vertex finds the same value and lex-least witness
     rng = random.Random(5)
     for _ in range(15):
         inst = random_group_instance(rng, rng.randrange(2, 5), rng.randrange(1, 3), 6, connected=True)
-        c1, f1, w1 = brute_force_opt(inst, fix_root=True)
-        c2, f2, w2 = brute_force_opt(inst, fix_root=False)
-        assert (c1, f1) == (c2, f2)
-        assert w1 == w2  # lex-least optimum always has a zero root
+        vs = inst.vertices
+        best, best_at = _first_strict_max(
+            [all_labels(inst.m)] * len(vs), lambda values: evaluate(inst, dict(zip(vs, values)))[0]
+        )
+        count, frac, witness = brute_force_opt(inst)
+        assert (count, frac) == (best, evaluate(inst, witness)[1])
+        assert witness == dict(zip(vs, best_at))
+        assert witness[vs[0]] == v(0, inst.m)  # lex-least optimum always has a zero root
 
 
 # the default block, and blocks small enough that the leading variables of
@@ -197,14 +203,9 @@ def test_brute_group_matches_product_enumeration(rng, connected):
         [all_labels(inst.m)] * len(vs), lambda values: evaluate(inst, dict(zip(vs, values)))[0]
     )
     expected = (best, evaluate(inst, dict(zip(vs, best_at)))[1], dict(zip(vs, best_at)))
-    roots = (None, False, True) if inst.graph().is_connected() else (None, False)
     for block in BLOCKS:
         with mock.patch.object(instances, "_BLOCK", block):
-            for fix_root in roots:
-                assert brute_force_opt(inst, fix_root=fix_root) == expected
-    if True not in roots:
-        with pytest.raises(PreconditionError):
-            brute_force_opt(inst, fix_root=True)
+            assert brute_force_opt(inst) == expected
 
 
 @settings(max_examples=40, deadline=None)
