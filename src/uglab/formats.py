@@ -274,13 +274,18 @@ def write_assignment(assignment: Dict, instance) -> str:
 
 def parse_assignment(text: str, instance) -> Dict:
     group = isinstance(instance, GroupUgInstance)
+    names = {str(v) for v in instance.vertices}
     out: Dict = {}
     for lineno, toks in _content_lines(text):
         if toks[0] != "assign" or len(toks) != 3:
             raise InvalidParameterError(f"line {lineno}: bad assign record {' '.join(toks)!r}")
         name, label = toks[1], toks[2]
+        if name not in names:
+            raise InvalidParameterError(f"line {lineno}: unknown vertex {name!r}")
         with _at(lineno):
             out[name] = Gf2Vector.from_hex(label, instance.m) if group else _int(label, "label", lineno)
+        if not group and not 0 <= out[name] < instance.q:
+            raise InvalidParameterError(f"line {lineno}: label {out[name]} outside 0..{instance.q - 1}")
     return out
 
 

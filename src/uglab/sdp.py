@@ -1,12 +1,18 @@
 """Low-rank semidefinite programming for cut values and label distributions.
 
-Symmetric matrices are stored sparsely with each unordered index pair counted
-once.  The dense view halves off-diagonal entries, so Frobenius inner products
-against it reproduce the sparse value.  Solving always happens on an explicit
-factorization X = V^T V, never on a full PSD matrix variable: unit-diagonal
-cut instances get a coordinate-ascent "mixing" solver at rank ceil(sqrt(2n))+1,
-everything else an augmented-Lagrangian ascent at full rank per symmetric
-block, with each diagonal block a vector whose squares are its entries.
+Coefficient convention: each unordered index pair (i, j), i <= j, holds its
+full coefficient c once, so a matrix's value at X is the sum of c * X_ij.  In
+a dense block (and in SDPA text, whose inner products run over both
+triangles) an off-diagonal c is halved and mirrored; ``_halved`` is the one
+place that does it.  An instance flattens its objective and constraints into
+one coefficient table of parallel arrays (matrix number, i, j, coefficient)
+that its checks, both solvers and the SDPA export read.
+
+Solving always happens on an explicit factorization X = V^T V, never on a
+full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
+"mixing" solver at rank ceil(sqrt(2n))+1, everything else an
+augmented-Lagrangian ascent at full rank per symmetric block, with each
+diagonal block a vector whose squares are its entries.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .instances import WeightedCspInstance, csp_brute_opt
 
 
 class SymMatrix:
-    """Sparse symmetric matrix; each unordered pair holds its full coefficient."""
+    """Accumulator the builders fill; each unordered pair holds its full coefficient."""
 
     def __init__(self, entries: Optional[Dict[Tuple[int, int], float]] = None) -> None:
         self.entries: Dict[Tuple[int, int], float] = {}
@@ -55,24 +61,6 @@ class SymMatrix:
         else:
             self.entries[key] = c
 
-    def get(self, i: int, j: int) -> float:
-        return self.entries.get(self._key(i, j), 0.0)
-
-    def value(self, x: np.ndarray) -> float:
-        """Inner product against a dense symmetric matrix, pairs counted once."""
-        return float(sum(c * x[i, j] for (i, j), c in self.entries.items()))
-
-    def dense(self, n: int) -> np.ndarray:
-        """Dense view with halved off-diagonal so <dense, X>_F = value(X)."""
-        a = np.zeros((n, n))
-        for (i, j), c in self.entries.items():
-            if i == j:
-                a[i, i] = c
-            else:
-                a[i, j] = c / 2.0
-                a[j, i] = c / 2.0
-        return a
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.entries == other.entries
 
@@ -92,7 +80,9 @@ class SdpInstance:
     and "d" for a diagonal one.  Indices are global across blocks; entries
     crossing two blocks or off the diagonal of a "d" block are rejected since
     the corresponding variable entries are structurally zero.  ``constant``
-    is added to every reported objective value.
+    is added to every reported objective value.  ``objective`` and
+    ``constraints`` are kept as given; everything else reads the coefficient
+    table built from them once here.
     """
 
     def __init__(
@@ -118,43 +108,52 @@ class SdpInstance:
         if sum(size for _, size in blocks) != n:
             raise InvalidParameterError("block sizes must sum to the dimension")
         self.blocks: Tuple[Tuple[str, int], ...] = tuple(blocks)
-        self._block_of = np.zeros(n, dtype=int)
-        offsets = []
-        off = 0
-        for b, (_, size) in enumerate(blocks):
-            offsets.append(off)
-            self._block_of[off : off + size] = b
-            off += size
-        self.block_offsets: Tuple[int, ...] = tuple(offsets)
-        self._check_matrix(objective, "objective")
-        self.objective = objective
+        sizes = [size for _, size in blocks]
+        self.block_offsets: Tuple[int, ...] = tuple(itertools.accumulate(sizes, initial=0))[:-1]
+        self._block_of = np.repeat(np.arange(len(blocks)), sizes)
         cons = []
         for a, bound, sense in constraints:
             if sense not in SENSES:
                 raise InvalidParameterError(f"constraint sense must be one of {SENSES}, got {sense!r}")
-            self._check_matrix(a, "constraint")
             cons.append((a, float(bound), sense))
+        self.objective = objective
         self.constraints: Tuple[Tuple[SymMatrix, float, str], ...] = tuple(cons)
         self.constant = float(constant)
         self.meta: Dict = dict(meta or {})
+        # the coefficient table: row r is entry (_i[r], _j[r]), i <= j, of
+        # matrix _mat[r] (0 the objective, k constraint k) with full
+        # coefficient _coef[r]; constraint k reads _bounds[k-1], _is_le[k-1]
+        mats = [objective] + [a for a, _, _ in cons]
+        self._mat = np.repeat(np.arange(len(mats)), [len(a.entries) for a in mats])
+        ij = np.array([key for a in mats for key in a.entries], dtype=int).reshape(-1, 2)
+        self._i, self._j = ij[:, 0], ij[:, 1]
+        self._coef = np.array([c for a in mats for c in a.entries.values()], dtype=float)
+        self._bounds = np.array([bound for _, bound, _ in cons], dtype=float)
+        self._is_le = np.array([sense == "<=" for _, _, sense in cons], dtype=bool)
+        self._check_table()
 
-    def _check_matrix(self, a: SymMatrix, what: str) -> None:
-        for (i, j) in a.entries:
-            if j >= self.n:
-                raise InvalidParameterError(f"{what} index {j} out of range for dimension {self.n}")
-            bi, bj = self._block_of[i], self._block_of[j]
-            if bi != bj:
-                raise InvalidParameterError(
-                    f"{what} entry ({i}, {j}) crosses blocks; that position is structurally zero"
-                )
-            if i != j and self.blocks[bi][0] == "d":
-                raise InvalidParameterError(
-                    f"{what} entry ({i}, {j}) is off-diagonal inside a diagonal block"
-                )
-
-    def block_range(self, b: int) -> Tuple[int, int]:
-        off = self.block_offsets[b]
-        return off, off + self.blocks[b][1]
+    def _check_table(self) -> None:
+        """Reject the first entry, in table order, that no block can hold."""
+        n = self.n
+        block_of = np.append(self._block_of, -1)  # -1: past the last index
+        diagonal = np.array([kind == "d" for kind, _ in self.blocks] + [False])
+        bi = block_of[np.minimum(self._i, n)]
+        bj = block_of[np.minimum(self._j, n)]
+        out = self._j >= n
+        cross = bi != bj
+        bad = out | cross | ((self._i != self._j) & diagonal[bi])
+        if not bad.any():
+            return
+        r = int(np.argmax(bad))
+        what = "objective" if self._mat[r] == 0 else "constraint"
+        i, j = int(self._i[r]), int(self._j[r])
+        if out[r]:
+            raise InvalidParameterError(f"{what} index {j} out of range for dimension {n}")
+        if cross[r]:
+            raise InvalidParameterError(
+                f"{what} entry ({i}, {j}) crosses blocks; that position is structurally zero"
+            )
+        raise InvalidParameterError(f"{what} entry ({i}, {j}) is off-diagonal inside a diagonal block")
 
     def __repr__(self) -> str:
         return (
@@ -239,121 +238,93 @@ def _restart_generators(rng, restarts: int) -> Tuple[List[np.random.Generator], 
 
 
 def _unit_diagonal_form(instance: SdpInstance) -> bool:
-    if len(instance.blocks) != 1 or instance.blocks[0][0] != "s":
-        return False
-    if len(instance.constraints) != instance.n:
-        return False
-    seen = set()
-    for a, bound, sense in instance.constraints:
-        if sense != "==" or bound != 1.0 or len(a.entries) != 1:
-            return False
-        ((i, j), c), = a.entries.items()
-        if i != j or c != 1.0:
-            return False
-        seen.add(i)
-    return seen == set(range(instance.n))
-
-
-def _mixing_restart(cd: np.ndarray, p: int, rng: np.random.Generator) -> Tuple[np.ndarray, float, bool]:
-    """Coordinate-exact ascent over unit columns; monotone, so plateaus mean done."""
-    n = cd.shape[0]
-    v = rng.standard_normal((p, n))
-    norms = np.linalg.norm(v, axis=0)
-    norms[norms == 0] = 1.0
-    v /= norms
-    val = float(np.einsum("ij,ij->", v.T @ v, cd))
-    converged = False
-    # degenerate weight patterns crawl along nearly flat directions, so the
-    # sweep budget is generous; single sweeps are O(n^2 p) and cheap here
-    for _ in range(30000):
-        for i in range(n):
-            g = v @ cd[:, i] - cd[i, i] * v[:, i]
-            nrm = float(np.linalg.norm(g))
-            if nrm > 1e-15:
-                v[:, i] = g / nrm
-        new = float(np.einsum("ij,ij->", v.T @ v, cd))
-        if abs(new - val) <= 1e-13 * (1.0 + abs(new)):
-            val = new
-            converged = True
-            break
-        val = new
-    return v, val, converged
-
-
-def _solve_unit_diagonal(
-    instance: SdpInstance, tol: float, restarts: int, rng
-) -> SdpSolution:
-    n = instance.n
-    gens, seed = _restart_generators(rng, restarts)
-    p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    cd = instance.objective.dense(n)
-    best = None
-    values = []
-    feasible_values = []
-    for gen in gens:
-        v, val, converged = _mixing_restart(cd, p, gen)
-        residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0))) if n else 0.0
-        ok = converged and residual <= tol
-        total = val + instance.constant
-        values.append(total)
-        if ok:
-            feasible_values.append(total)
-        if best is None or (ok, total) > (best[3], best[1]):
-            best = (v, total, residual, ok)
-    v, val, residual, any_ok = best
-    pool = feasible_values if feasible_values else values
-    spread = float(max(pool) - min(pool)) if pool else 0.0
-    sol = SdpSolution(
-        value=val,
-        factor=v,
-        residual=residual,
-        spread=spread,
-        restarts=restarts,
-        seed=seed,
-        instance=instance,
+    """One "s" block and n constraints X_ii == 1, one per index."""
+    n, rows = instance.n, instance._mat > 0
+    i, ones = instance._i[rows], np.ones(n)
+    return (
+        instance.blocks == (("s", n),)
+        and len(instance.constraints) == n
+        and np.array_equal(instance._mat[rows], np.arange(1, n + 1))
+        and not instance._is_le.any()
+        and np.array_equal(instance._bounds, ones)
+        and np.array_equal(i, instance._j[rows])
+        and np.array_equal(instance._coef[rows], ones)
+        and np.array_equal(np.sort(i), np.arange(n))
     )
-    if not any_ok:
-        raise ConvergenceError(
-            f"no restart reached tolerance {tol} within the sweep budget", best=sol
-        )
-    return sol
 
 
-def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> SdpSolution:
+def _halved(instance: SdpInstance) -> np.ndarray:
+    """Table coefficients as a dense block holds them: off-diagonal ones halved."""
+    return np.where(instance._i == instance._j, instance._coef, instance._coef / 2.0)
+
+
+def _dense(instance: SdpInstance, b: int, stop: int) -> np.ndarray:
+    """Block b of matrices 0..stop-1 (0 the objective), dense.
+
+    Shape (stop, size) for a "d" block and (stop, size, size), pairs mirrored,
+    for an "s" block, so a Frobenius product gives the sum of c * X_ij.
+    """
+    kind, size = instance.blocks[b]
+    off = instance.block_offsets[b]
+    rows = (instance._mat < stop) & (instance._block_of[instance._i] == b)
+    k, i, j = instance._mat[rows], instance._i[rows] - off, instance._j[rows] - off
+    c = _halved(instance)[rows]
+    out = np.zeros((stop,) + (size,) * (1 if kind == "d" else 2))
+    if kind == "d":
+        out[k, i] = c
+    else:
+        out[k, i, j] = c
+        out[k, j, i] = c
+    return out
+
+
+def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
+    """The coordinate-ascent restart and its failure message.
+
+    Each restart runs coordinate-exact ascent over unit columns at rank p;
+    it is monotone, so a plateau means done.
+    """
+    n = instance.n
+    p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
+    cd = _dense(instance, 0, 1)[0]
+
+    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool]:
+        v = gen.standard_normal((p, n))
+        norms = np.linalg.norm(v, axis=0)
+        norms[norms == 0] = 1.0
+        v /= norms
+        val = float(np.einsum("ij,ij->", v.T @ v, cd))
+        converged = False
+        # degenerate weight patterns crawl along nearly flat directions, so the
+        # sweep budget is generous; single sweeps are O(n^2 p) and cheap here
+        for _ in range(30000):
+            for i in range(n):
+                g = v @ cd[:, i] - cd[i, i] * v[:, i]
+                nrm = float(np.linalg.norm(g))
+                if nrm > 1e-15:
+                    v[:, i] = g / nrm
+            new = float(np.einsum("ij,ij->", v.T @ v, cd))
+            converged = abs(new - val) <= 1e-13 * (1.0 + abs(new))
+            val = new
+            if converged:
+                break
+        residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)))
+        return v, val + instance.constant, residual, converged and residual <= tol
+
+    return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"
+
+
+def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
+    """The augmented-Lagrangian restart and its failure message."""
     from scipy.optimize import minimize  # imported here: it costs most of `import uglab.cli`
 
     n = instance.n
-    gens, seed = _restart_generators(rng, restarts)
     diag_param = [kind == "d" for kind, _ in instance.blocks]
     kcount = len(instance.constraints)
-    bvec = np.array([bound for _, bound, _ in instance.constraints])
-    is_le = np.array([sense == "<=" for _, _, sense in instance.constraints])
+    bvec, is_le = instance._bounds, instance._is_le
 
-    # per block: dense objective piece and (K, ...) constraint tensors
-    cd_full = instance.objective.dense(n)
-    block_data = []
-    for b, (kind, size) in enumerate(instance.blocks):
-        off, end = instance.block_range(b)
-        if diag_param[b]:
-            cpart = np.diag(cd_full[off:end, off:end]).copy()
-            apart = np.zeros((kcount, size))
-            for k, (a, _, _) in enumerate(instance.constraints):
-                for (i, j), c in a.entries.items():
-                    if i == j and off <= i < end:
-                        apart[k, i - off] = c
-        else:
-            cpart = cd_full[off:end, off:end].copy()
-            apart = np.zeros((kcount, size, size))
-            for k, (a, _, _) in enumerate(instance.constraints):
-                adense = apart[k]
-                for (i, j), c in a.entries.items():
-                    if off <= i < end and off <= j < end:
-                        if i == j:
-                            adense[i - off, i - off] = c
-                        else:
-                            adense[i - off, j - off] = c / 2.0
-                            adense[j - off, i - off] = c / 2.0
-        block_data.append((off, size, cpart, apart))
+    # per block: [0] the objective piece, [1:] the (K, ...) constraint tensor
+    dense = [_dense(instance, b, kcount + 1) for b in range(len(instance.blocks))]
 
     sizes = [size * size if not diag_param[b] else size for b, (_, size) in enumerate(instance.blocks)]
     x_offsets = list(itertools.accumulate(sizes, initial=0))
@@ -367,25 +338,17 @@ def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> Sdp
 
     def constraint_values(parts: List[np.ndarray]) -> np.ndarray:
         c = -bvec.copy()
-        for b, part in enumerate(parts):
-            _, size, _, apart = block_data[b]
-            if diag_param[b]:
-                c += apart @ (part * part)
-            else:
-                c += np.einsum("kij,ij->k", apart, part.T @ part)
+        for part, d, diag in zip(parts, dense, diag_param):
+            c += d[1:] @ (part * part) if diag else np.einsum("kij,ij->k", d[1:], part.T @ part)
         return c
 
     def objective_value(parts: List[np.ndarray]) -> float:
         f = 0.0
-        for b, part in enumerate(parts):
-            _, _, cpart, _ = block_data[b]
-            if diag_param[b]:
-                f += float(cpart @ (part * part))
-            else:
-                f += float(np.einsum("ij,ij->", cpart, part.T @ part))
+        for part, d, diag in zip(parts, dense, diag_param):
+            f += float(d[0] @ (part * part)) if diag else float(np.einsum("ij,ij->", d[0], part.T @ part))
         return f
 
-    def solve_restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float]:
+    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool]:
         x0 = []
         for b, (_, size) in enumerate(instance.blocks):
             if diag_param[b]:
@@ -407,26 +370,19 @@ def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> Sdp
                 pen_le = (np.maximum(0.0, lam + rho * c) ** 2 - lam * lam) / (2 * rho)
                 val = objective_value(parts) - float(np.where(is_le, pen_le, pen_eq).sum())
                 grads = []
-                for b, part in enumerate(parts):
-                    _, _, cpart, apart = block_data[b]
-                    if diag_param[b]:
-                        m = cpart - np.einsum("k,kj->j", w, apart)
+                for part, d, diag in zip(parts, dense, diag_param):
+                    if diag:
+                        m = d[0] - np.einsum("k,kj->j", w, d[1:])
                         grads.append(-2.0 * part * m)
                     else:
-                        m = cpart - np.einsum("k,kij->ij", w, apart)
+                        m = d[0] - np.einsum("k,kij->ij", w, d[1:])
                         grads.append((-2.0 * (part @ m)).ravel())
                 g = np.concatenate(grads) if grads else np.zeros(0)
                 return -val, g
 
             if x.size:
-                res = minimize(
-                    neg_lagrangian,
-                    x,
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10},
-                )
-                x = res.x
+                options = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10}
+                x = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", options=options).x
             c = constraint_values(unpack(x))
             viol = np.where(is_le, np.maximum(0.0, c), np.abs(c))
             infeas = float(viol.max()) if kcount else 0.0
@@ -436,48 +392,16 @@ def _solve_general(instance: SdpInstance, tol: float, restarts: int, rng) -> Sdp
             if infeas > 0.25 * infeas_prev:
                 rho = min(rho * 10.0, 1e9)
             infeas_prev = infeas
-        parts = unpack(x)
-        c = constraint_values(parts)
-        viol = np.where(is_le, np.maximum(0.0, c), np.abs(c))
-        infeas = float(viol.max()) if kcount else 0.0
-        return x, objective_value(parts) + instance.constant, infeas
+        parts = unpack(x)  # infeas above is already this x's residual
+        # a block-diagonal factor, so the Gram really is the block variable
+        factor = np.zeros((n, n))
+        for off, (_, size), part, diag in zip(instance.block_offsets, instance.blocks, parts, diag_param):
+            factor[off : off + size, off : off + size] = np.diag(part) if diag else part
+        return factor, objective_value(parts) + instance.constant, infeas, infeas <= tol
 
-    best = None
-    values = []
-    feasible_values = []
-    for gen in gens:
-        x, val, infeas = solve_restart(gen)
-        ok = infeas <= tol
-        values.append(val)
-        if ok:
-            feasible_values.append(val)
-        key = (ok, val)
-        if best is None or key > (best[3], best[1]):
-            best = (x, val, infeas, ok)
-    x, val, infeas, ok = best
-
-    # assemble a block-diagonal factor so the Gram really is the block variable
-    factor = np.zeros((n, n))
-    for b, part in enumerate(unpack(x)):
-        off, size, _, _ = block_data[b]
-        factor[off : off + size, off : off + size] = np.diag(part) if diag_param[b] else part
-    pool = feasible_values if feasible_values else values
-    spread = float(max(pool) - min(pool)) if pool else 0.0
-    sol = SdpSolution(
-        value=val,
-        factor=factor,
-        residual=infeas,
-        spread=spread,
-        restarts=restarts,
-        seed=seed,
-        instance=instance,
+    return restart, lambda residual: (
+        f"feasibility residual {residual:.3g} above tolerance {tol} after the outer budget"
     )
-    if not ok:
-        raise ConvergenceError(
-            f"feasibility residual {infeas:.3g} above tolerance {tol} after the outer budget",
-            best=sol,
-        )
-    return sol
 
 
 def solve_sdp_lowrank(
@@ -488,10 +412,12 @@ def solve_sdp_lowrank(
     Unit-diagonal single-block instances take the coordinate-ascent path at
     rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
     ascent at full rank per symmetric block, diagonal blocks as squared
-    vectors.  `spread` is the max - min of the feasible restarts' values (of
-    all restarts when none is feasible); it bounds nothing, the distance to
-    the SDP optimum included.  Raises ConvergenceError, with the best iterate
-    attached, when no restart meets the feasibility tolerance.
+    vectors.  The best restart is the feasible one of largest value (the
+    largest value when none is feasible).  `spread` is the max - min of the
+    feasible restarts' values (of all restarts when none is feasible); it
+    bounds nothing, the distance to the SDP optimum included.  Raises
+    ConvergenceError, with the best iterate attached, when no restart meets
+    the feasibility tolerance.
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
@@ -499,18 +425,34 @@ def solve_sdp_lowrank(
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     if instance.n == 0:
         _, seed = _restart_generators(rng, 1)
-        return SdpSolution(
-            value=instance.constant,
-            factor=np.zeros((0, 0)),
-            residual=0.0,
-            spread=0.0,
-            restarts=restarts,
-            seed=seed,
-            instance=instance,
-        )
-    if _unit_diagonal_form(instance):
-        return _solve_unit_diagonal(instance, tol, restarts, rng)
-    return _solve_general(instance, tol, restarts, rng)
+        return SdpSolution(instance.constant, np.zeros((0, 0)), 0.0, 0.0, restarts, seed, instance)
+    gens, seed = _restart_generators(rng, restarts)
+    path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
+    restart, failure = path(instance, tol)
+    best = None
+    values: List[float] = []
+    feasible: List[float] = []
+    for gen in gens:
+        factor, value, residual, ok = restart(gen)
+        values.append(value)
+        if ok:
+            feasible.append(value)
+        if best is None or (ok, value) > (best[3], best[1]):
+            best = (factor, value, residual, ok)
+    factor, value, residual, ok = best
+    pool = feasible or values
+    sol = SdpSolution(
+        value=value,
+        factor=factor,
+        residual=residual,
+        spread=float(max(pool) - min(pool)),
+        restarts=restarts,
+        seed=seed,
+        instance=instance,
+    )
+    if not ok:
+        raise ConvergenceError(failure(residual), best=sol)
+    return sol
 
 
 # -- rounding and the symmetric cut value -------------------------------------
@@ -715,30 +657,26 @@ def to_sdpa(instance: SdpInstance) -> str:
     external solver reproduce this module's values.  The objective constant
     travels in a comment since the format has no slot for it.
     """
-    for _, _, sense in instance.constraints:
-        if sense != "==":
-            raise InvalidParameterError("SDPA export supports equality constraints only")
+    if instance._is_le.any():
+        raise InvalidParameterError("SDPA export supports equality constraints only")
     lines = [f"*constant {instance.constant!r}"]
-    lines.append(f"{len(instance.constraints)}")
+    lines.append(f"{len(instance._bounds)}")
     lines.append(f"{len(instance.blocks)}")
-    lines.append(" ".join(str(size if kind == "s" else -size) for kind, size in instance.blocks))
-    lines.append(" ".join(repr(b) for _, b, _ in instance.constraints) or "")
-
-    def local(i: int) -> Tuple[int, int]:
-        b = int(instance._block_of[i])
-        return b, i - instance.block_offsets[b]
-
-    def emit(matno: int, a: SymMatrix) -> None:
-        for (i, j) in sorted(a.entries):
-            c = a.entries[(i, j)]
-            b, li = local(i)
-            _, lj = local(j)
-            v = c if i == j else c / 2.0
-            lines.append(f"{matno} {b + 1} {li + 1} {lj + 1} {v!r}")
-
-    emit(0, instance.objective)
-    for k, (a, _, _) in enumerate(instance.constraints, start=1):
-        emit(k, a)
+    # an empty vector is written "{}": a blank line would not hold its place
+    lines.append(" ".join(str(size if kind == "s" else -size) for kind, size in instance.blocks) or "{}")
+    lines.append(" ".join(repr(b) for b in instance._bounds.tolist()) or "{}")
+    order = np.lexsort((instance._j, instance._i, instance._mat))
+    i, j = instance._i[order], instance._j[order]
+    b = instance._block_of[i]
+    off = np.array(instance.block_offsets, dtype=int)[b]
+    for row in zip(
+        instance._mat[order].tolist(),
+        (b + 1).tolist(),
+        (i - off + 1).tolist(),
+        (j - off + 1).tolist(),
+        _halved(instance)[order].tolist(),
+    ):
+        lines.append("%d %d %d %d %r" % row)
     return "\n".join(lines) + "\n"
 
 
@@ -796,7 +734,14 @@ def parse_sdpa(text: str) -> SdpInstance:
             raise InvalidParameterError(f"line {lineno}: matrix number {matno} out of range")
         if not 1 <= blk <= nblocks:
             raise InvalidParameterError(f"line {lineno}: block number {blk} out of range")
-        gi = offsets[blk - 1] + i - 1
+        kind, size = blocks[blk - 1]
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise InvalidParameterError(f"line {lineno}: index ({i}, {j}) outside 1..{size} of block {blk}")
+        if kind == "d" and i != j:
+            raise InvalidParameterError(
+                f"line {lineno}: entry ({i}, {j}) is off-diagonal in diagonal block {blk}"
+            )
+        gi =offsets[blk - 1] + i - 1
         gj = offsets[blk - 1] + j - 1
         mats[matno].add(gi, gj, v if gi == gj else 2.0 * v)
     n = offsets[-1]

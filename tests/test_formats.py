@@ -86,6 +86,9 @@ def test_header_and_integer_errors_carry_line(parse, text, lineno):
         parse(text)
 
 
+PERM_AB = PermUgInstance(2, ["a", "b"], [("a", "b", (1, 0))])
+
+
 @pytest.mark.parametrize(
     "parse, text, lineno, message",
     [
@@ -96,6 +99,9 @@ def test_header_and_integer_errors_carry_line(parse, text, lineno):
         (parse_graph, "graph\nv a\ne a a\n", 3, "self-loop"),
         (parse_graph, "graph\nv a\ne a b\n", 3, "unknown vertex"),
         (partial(parse_assignment, instance=PermUgInstance(2, ["a"], [])), "assign a x\n", 1, "needs an integer"),
+        (partial(parse_assignment, instance=PERM_AB), "assign b 0\nassign a 7\n", 2, "label 7 outside 0..1"),
+        (partial(parse_assignment, instance=PERM_AB), "assign a -1\n", 1, "label -1 outside 0..1"),
+        (partial(parse_assignment, instance=PERM_AB), "assign a 1\n\nassign zz 1\n", 3, "unknown vertex 'zz'"),
     ],
 )
 def test_record_errors_carry_line(parse, text, lineno, message):

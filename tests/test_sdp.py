@@ -9,12 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uglab.errors import (
     ConvergenceError,
     InvalidParameterError,
     PreconditionError,
     SearchBudgetError,
+    UglabError,
 )
 from uglab.graphs import SimpleGraph
 from uglab.instances import CspType, WeightedCspInstance, csp_brute_opt
@@ -33,6 +36,7 @@ from uglab.sdp import (
     solve_sdp_lowrank,
     to_sdpa,
 )
+from uglab.sdp import _dense
 
 
 def cycle(n):
@@ -60,8 +64,12 @@ def test_symmatrix_accumulates_symmetrically():
     a.add(2, 1, 3.0)
     a.add(1, 2, -1.0)
     a.add(0, 0, 5.0)
-    assert a.get(1, 2) == 2.0
-    assert a.get(2, 1) == 2.0
+    assert a.entries == {(1, 2): 2.0, (0, 0): 5.0}
+    table = SdpInstance(3, a)
+    assert sorted(zip(table._i.tolist(), table._j.tolist(), table._coef.tolist())) == [
+        (0, 0, 5.0),
+        (1, 2, 2.0),
+    ]
     a.add(2, 1, -2.0)
     assert a.entries == {(0, 0): 5.0}
 
@@ -69,8 +77,18 @@ def test_symmatrix_accumulates_symmetrically():
 def test_symmatrix_dense_reproduces_value():
     a = SymMatrix({(0, 1): 4.0, (1, 1): 2.0})
     x = np.array([[1.0, 0.5], [0.5, 3.0]])
-    assert a.value(x) == pytest.approx(4.0 * 0.5 + 2.0 * 3.0)
-    assert np.sum(a.dense(2) * x) == pytest.approx(a.value(x))
+    inst = SdpInstance(2, a)
+    pairs_once = sum(c * x[i, j] for i, j, c in zip(inst._i, inst._j, inst._coef))
+    assert pairs_once == pytest.approx(4.0 * 0.5 + 2.0 * 3.0)
+    assert np.sum(_dense(inst, 0, 1)[0] * x) == pytest.approx(pairs_once)
+    # one scatter per block: matrix k of an "s" block mirrors its pairs, a
+    # "d" block keeps its diagonal as a vector
+    cons = [(SymMatrix({(0, 1): 4.0, (2, 2): -1.0}), 1.0, "==")]
+    two = SdpInstance(3, a, cons, blocks=[("s", 2), ("d", 1)])
+    s_block, d_block = _dense(two, 0, 2), _dense(two, 1, 2)
+    assert s_block.shape == (2, 2, 2) and d_block.shape == (2, 1)
+    assert np.sum(s_block[1] * x) == pytest.approx(4.0 * 0.5)
+    assert d_block.tolist() == [[0.0], [-1.0]]
 
 
 def test_instance_validation():
@@ -220,6 +238,15 @@ def test_inequality_sense_binds():
     assert sol.value == pytest.approx(2.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
+def test_only_unit_diagonal_instances_take_the_mixing_path(coeff, bound, value):
+    # max -X_01 subject to coeff * X_ii == bound is bound / coeff; the mixing
+    # path holds X_ii at 1 and would report 1.0 for every row
+    cons = [(SymMatrix({(i, i): coeff}), bound, "==") for i in range(2)]
+    sol = solve_sdp_lowrank(SdpInstance(2, SymMatrix({(0, 1): -1.0}), cons), restarts=1)
+    assert sol.value == pytest.approx(value, abs=1e-5)
+
+
 def test_infeasible_instance_raises_with_best():
     a = SymMatrix({(0, 0): 1.0})
     inst = SdpInstance(1, SymMatrix(), [(a, 1.0, "=="), (a, 2.0, "==")])
@@ -366,6 +393,15 @@ def test_sdpa_round_trip_lc():
     assert len(back.constraints) == len(inst.constraints)
 
 
+def test_sdpa_round_trip_without_constraints():
+    # an empty bound vector is written "{}", so the header keeps its four lines
+    inst = SdpInstance(1, SymMatrix({(0, 0): 2.0}), constant=0.5)
+    text = to_sdpa(inst)
+    assert text.splitlines()[1:5] == ["0", "1", "1", "{}"]
+    back = parse_sdpa(text)
+    assert back.objective == inst.objective and back.constraints == () and back.constant == 0.5
+
+
 def test_sdpa_rejects_inequalities():
     a = SymMatrix({(0, 0): 1.0})
     inst = SdpInstance(1, SymMatrix(), [(a, 1.0, "<=")])
@@ -391,6 +427,10 @@ def test_sdpa_parse_errors():
         ("1\n1\n1\nb\n", 4),  # non-numeric bound
         ('1\n1\n1\n1.0\n"constant y\n', 5),
         ("1\n1\n1\n1.0\n2 1 1 1 1.0\n", 5),  # matrix number out of range
+        ("1\n2\n2 2\n1.0\n0 2 0 0 1.0\n", 5),  # index 0 of block 2, not block 1's last
+        ("1\n1\n1\n1.0\n0 1 5 5 1.0\n", 5),  # index past the block size
+        ("1\n1\n1\n1.0\n0 1 0 1 1.0\n", 5),  # index 0
+        ("1\n1\n-2\n1.0\n0 1 1 2 1.0\n", 5),  # off-diagonal in a diagonal block
     ],
 )
 def test_sdpa_parse_errors_carry_line(text, lineno):
@@ -405,3 +445,58 @@ def test_sdpa_diagonal_block_dimension():
     assert "1 -1" in text.splitlines()[3]
     back = parse_sdpa(text)
     assert back.blocks == (("s", 1), ("d", 1))
+
+
+# halving and doubling are exact away from the subnormal range
+COEFFS = st.floats(-1e6, 1e6, allow_subnormal=False).filter(lambda c: c == 0 or abs(c) >= 1e-300)
+
+
+@st.composite
+def sdpa_instances(draw):
+    """1-3 blocks of either kind, entries only where a block holds them
+    (pairs of an "s" block, the diagonal of a "d" block), equalities."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from("sd"), st.integers(1, 4)), min_size=1, max_size=3))
+    offsets = itertools.accumulate((size for _, size in blocks), initial=0)
+    slots = [
+        (off + i, off + j)
+        for (kind, size), off in zip(blocks, offsets)
+        for i in range(size)
+        for j in range(i, size)
+        if kind == "s" or i == j
+    ]
+
+    def matrix():
+        a = SymMatrix()
+        for (i, j), c in draw(st.lists(st.tuples(st.sampled_from(slots), COEFFS), max_size=6)):
+            a.add(*((j, i) if draw(st.booleans()) else (i, j)), c)
+        return a
+
+    cons = [(matrix(), draw(COEFFS), "==") for _ in range(draw(st.integers(0, 4)))]
+    constant = draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0))
+    n = sum(size for _, size in blocks)
+    return SdpInstance(n, matrix(), cons, blocks=blocks, constant=constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sdpa_instances())
+def test_sdpa_round_trip_property(inst):
+    back = parse_sdpa(to_sdpa(inst))
+    assert (back.n, back.blocks, back.constant) == (inst.n, inst.blocks, inst.constant)
+    assert back.objective.entries == inst.objective.entries
+    assert [(a.entries, b) for a, b, _ in back.constraints] == [(a.entries, b) for a, b, _ in inst.constraints]
+
+
+SDPA_TOKENS = ["0", "1", "2", "3", "-1", "-2", "1.5", "-0.5", "x", "{", "}", ",", "*", '"constant', "nan", "1e3"]
+SDPA_HEADS = ["", "1\n1\n2\n1.0\n", "2\n2\n2 -2\n1.0 0.0\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SDPA_HEADS),
+    st.lists(st.lists(st.sampled_from(SDPA_TOKENS), max_size=6).map(" ".join), max_size=8).map("\n".join),
+)
+def test_sdpa_parse_raises_only_uglab_errors(head, body):
+    try:
+        parse_sdpa(head + body)
+    except UglabError:
+        pass
