@@ -250,9 +250,9 @@ def cmd_game(args) -> int:
     elif args.duplicator == "k2":
         dup = duplicator_k2(u1, u2)
     elif args.duplicator == "cops":
-        dup = duplicator_cops(u1, u2, *klein_from_json(sc), args.assert_level)
+        dup = duplicator_cops(u1, u2, *klein_from_json(sc))
     else:
-        dup = duplicator_tree(InapproxPair.from_json(sc, u1, u2), args.assert_level)
+        dup = duplicator_tree(InapproxPair.from_json(sc, u1, u2))
     transcript = play_game(
         a, b, args.k, dup, spoiler_random(random.Random(args.seed)), max_rounds=args.rounds
     )
@@ -408,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_pair.add_argument("--m", type=int, default=3)
     g_pair.add_argument("--r", type=int, default=3)
     g_pair.add_argument("--k", type=int, default=2, help="pebble count for the girth check")
-    g_pair.add_argument("--good-override", action="store_true", help="keep all edges regardless of rank")
+    g_pair.add_argument(
+        "--good-override", action="store_true", help="allow girth <= r; edges are still filtered by rank"
+    )
     g_pair.add_argument("--seed", type=int, default=0)
     g_pair.add_argument("--out-dir", required=True)
     _add_no_timestamp(g_pair)
@@ -435,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--k", type=int, default=2)
     game.add_argument("--rounds", type=int, default=50)
     game.add_argument("--seed", type=int, default=0)
-    game.add_argument("--assert-level", choices=["off", "edges", "full"], default="full")
     game.add_argument("--out", default=None, help="transcript JSON path")
     _add_no_timestamp(game)
     game.set_defaults(func=cmd_game)

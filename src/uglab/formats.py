@@ -1,8 +1,9 @@
 """Line-oriented text formats for instances, graphs, and assignments.
 
-One record per line, '#' starts a comment. Vertex names are serialized
-with str(), so they must not contain whitespace; parsed files always carry
-string names. Group labels are lowercase hex of ceil(m/4) digits.
+One record per line, '#' starts a comment. Vertex and constraint-type
+names are serialized with str(), so they must not contain whitespace or
+'#'; parsed files always carry string names. Group labels are lowercase
+hex of ceil(m/4) digits.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .graphs import SimpleGraph, normalize_edge
 from .instances import CspType, GroupUgInstance, PermUgInstance, WeightedCspInstance
 
 
-def _vertex_name(v) -> str:
+def _name(v) -> str:
     s = str(v)
-    if not s or any(c.isspace() for c in s):
-        raise InvalidParameterError(f"vertex {v!r} has no whitespace-free name")
+    if not s or "#" in s or any(c.isspace() for c in s):
+        raise InvalidParameterError(f"name {v!r} is empty or holds whitespace or '#'")
     return s
 
 
@@ -87,10 +88,10 @@ def _at(lineno: int) -> Iterator[None]:
 def write_gug(instance: GroupUgInstance) -> str:
     lines = [f"gug m={instance.m}"]
     for v in instance.vertices:
-        lines.append(f"vertex {_vertex_name(v)}")
+        lines.append(f"vertex {_name(v)}")
     for u, v, diffs in instance.bundles:
         hexes = ",".join(z.to_hex() for z in diffs)
-        lines.append(f"bundle {_vertex_name(u)} {_vertex_name(v)} {hexes}")
+        lines.append(f"bundle {_name(u)} {_name(v)} {hexes}")
     return "\n".join(lines) + "\n"
 
 
@@ -119,11 +120,9 @@ def parse_gug(text: str) -> GroupUgInstance:
 def write_pug(instance: PermUgInstance) -> str:
     lines = [f"pug q={instance.q}"]
     for v in instance.vertices:
-        lines.append(f"vertex {_vertex_name(v)}")
+        lines.append(f"vertex {_name(v)}")
     for u, v, perm in instance.constraints:
-        lines.append(
-            f"edge {_vertex_name(u)} {_vertex_name(v)} perm={','.join(str(i) for i in perm)}"
-        )
+        lines.append(f"edge {_name(u)} {_name(v)} perm={','.join(str(i) for i in perm)}")
     return "\n".join(lines) + "\n"
 
 
@@ -168,13 +167,13 @@ def write_csp(instance: WeightedCspInstance) -> str:
     # therefore carry at most one apply line per (type, tuple)
     lines = [f"csp q={instance.q}"]
     for v in instance.variables:
-        lines.append(f"var {_vertex_name(v)}")
+        lines.append(f"var {_name(v)}")
     for name in sorted(instance.constraint_types):
         ct = instance.constraint_types[name]
         tuples = ";".join(",".join(str(x) for x in t) for t in sorted(ct.satisfying))
-        lines.append(f"ctype {name} arity={ct.arity} sat={tuples}")
+        lines.append(f"ctype {_name(name)} arity={ct.arity} sat={tuples}")
     for tname, var_tuple, w in instance.applications:
-        vs = " ".join(_vertex_name(x) for x in var_tuple)
+        vs = " ".join(_name(x) for x in var_tuple)
         lines.append(f"apply {tname} {vs} w={_format_fraction(w)}")
     return "\n".join(lines) + "\n"
 
@@ -230,9 +229,9 @@ def parse_csp(text: str) -> WeightedCspInstance:
 def write_graph(g: SimpleGraph) -> str:
     lines = ["graph"]
     for v in g.vertices:
-        lines.append(f"v {_vertex_name(v)}")
+        lines.append(f"v {_name(v)}")
     for u, v in g.edges:
-        lines.append(f"e {_vertex_name(u)} {_vertex_name(v)}")
+        lines.append(f"e {_name(u)} {_name(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,10 +264,10 @@ def parse_graph(text: str) -> SimpleGraph:
 
 def write_assignment(assignment: Dict, instance) -> str:
     lines = []
-    for v in sorted(assignment, key=lambda x: _vertex_name(x)):
+    for v in sorted(assignment, key=_name):
         label = assignment[v]
         text = label.to_hex() if isinstance(label, Gf2Vector) else str(label)
-        lines.append(f"assign {_vertex_name(v)} {text}")
+        lines.append(f"assign {_name(v)} {text}")
     return "\n".join(lines) + "\n"
 
 

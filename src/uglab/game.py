@@ -340,19 +340,15 @@ class CopsDuplicator:
         h: SimpleGraph,
         coloring: Dict[Tuple, str],
         star_edge: Tuple,
-        assert_level: str = "full",
     ) -> None:
         if u1.vertices != u2.vertices or set(u1.bundle_map) != set(h.edges):
             raise PreconditionError("instances do not match the coloring graph")
-        if assert_level not in ("off", "edges", "full"):
-            raise InvalidParameterError(f"unknown assert level {assert_level!r}")
         self.u1 = u1
         self.u2 = u2
         self.h = h
         self.coloring = coloring
         self.robber = normalize_edge(*star_edge)
         self.gstar: Dict = {v: Gf2Vector.zero(2) for v in h.vertices}
-        self.assert_level = assert_level
 
     def bijection(self, view: GameView) -> GStarMap:
         cops = {p[0][0] for p in view.pebbles if p is not None}
@@ -377,17 +373,11 @@ class CopsDuplicator:
                 e_j = normalize_edge(path[j], others[0])
                 self.gstar[path[j]] = self.gstar[path[j]] + klein_vec(self.coloring[e_j])
             self.robber = normalize_edge(path[-2], path[-1])
-        self._assert_invariant(cops)
+        self._assert_invariant()
         return GStarMap(2, dict(self.gstar))
 
-    def _assert_invariant(self, cops) -> None:
-        if self.assert_level == "off":
-            return
-        if self.assert_level == "edges":
-            edges = [e for e in self.h.edges if e[0] in cops and e[1] in cops]
-        else:
-            edges = self.h.edges
-        for e in edges:
+    def _assert_invariant(self) -> None:
+        for e in self.h.edges:
             s = self.gstar[e[0]] + self.gstar[e[1]]
             d1 = set(self.u1.diffs_on(*e))
             d2 = {z + s for z in self.u2.diffs_on(*e)}
@@ -410,9 +400,8 @@ def duplicator_cops(
     h: SimpleGraph,
     coloring: Dict[Tuple, str],
     star_edge: Tuple,
-    assert_level: str = "full",
 ) -> CopsDuplicator:
-    return CopsDuplicator(u1, u2, h, coloring, star_edge, assert_level)
+    return CopsDuplicator(u1, u2, h, coloring, star_edge)
 
 
 # -- tree strategy for the random pair ----------------------------------------------
@@ -511,10 +500,11 @@ def steiner_tree(g: SimpleGraph, terminals: Sequence) -> FrozenSet:
     """Edge set of a minimum Steiner tree, deterministic under ties.
 
     Paths come from a per-graph table of lex-least shortest paths (cached
-    for each ``SimpleGraph``). Two terminals reduce to their path; more use
-    the classic subset-merge dynamic program with (size, sorted edges) as
-    the order, so equal-size trees resolve lexicographically. Edge sets are
-    bitmasks over ``g.edges`` throughout and become vertex pairs on return.
+    for each ``SimpleGraph``) and feed the classic subset-merge dynamic
+    program with (size, sorted edges) as the order, so equal-size trees
+    resolve lexicographically; two terminals get their table path. Edge
+    sets are bitmasks over ``g.edges`` throughout and become vertex pairs
+    on return.
     """
     terms = sorted(set(terminals), key=vertex_sort_key)
     if len(terms) <= 1:
@@ -524,14 +514,9 @@ def steiner_tree(g: SimpleGraph, terminals: Sequence) -> FrozenSet:
         if t not in rank:
             raise PreconditionError(f"terminal {t!r} is not a vertex of the graph")
     ids = [rank[t] for t in terms]
-    if len(terms) == 2:
-        result = table[ids[0]][ids[1]]
-        if result is None:
-            raise PreconditionError(f"{terms[0]!r} and {terms[1]!r} are disconnected")
-    else:
-        result = _steiner_dp(table, ids[:-1])[ids[-1]]
-        if result is None:
-            raise PreconditionError("terminals are not all connected")
+    result = _steiner_dp(table, ids[:-1])[ids[-1]]
+    if result is None:
+        raise PreconditionError(f"terminals are not all connected: {terms!r} span disconnected components")
     return frozenset(e for i, e in enumerate(g.edges) if result >> i & 1)
 
 
@@ -584,12 +569,9 @@ class TreeDuplicator:
         zmap: Dict[Tuple, Gf2Subspace],
         bmap: Dict[Tuple, Gf2Vector],
         r: int,
-        assert_level: str = "full",
     ) -> None:
         if u1.vertices != u2.vertices or set(u1.bundle_map) != set(u2.bundle_map):
             raise PreconditionError("instances must share one base graph")
-        if assert_level not in ("off", "edges", "full"):
-            raise InvalidParameterError(f"unknown assert level {assert_level!r}")
         self.u1 = u1
         self.u2 = u2
         self.m = u1.m
@@ -597,7 +579,6 @@ class TreeDuplicator:
         self.graph = u1.graph()
         self.zmap = {e: zmap[e] for e in self.graph.edges}
         self.bmap = {e: bmap[e] for e in self.graph.edges}
-        self.assert_level = assert_level
         self.comp_of: Dict = {}
         for comp in self.graph.components():
             for v in comp:
@@ -625,11 +606,7 @@ class TreeDuplicator:
             tree_edges, vals = self._tree_for(u, pebbled)
             self._round_trees[u] = (tree_edges, vals)
             values[u] = vals[u]
-            if self.assert_level == "full":
-                self._assert_tree(u, tree_edges, vals, pebbled)
-        if self.assert_level == "edges":
-            for u in pebbled:
-                self._assert_tree(u, *self._round_trees[u], pebbled)
+            self._assert_tree(u, tree_edges, vals, pebbled)
         return GStarMap(self.m, values)
 
     def observe_placement(self, view: GameView) -> None:
@@ -764,9 +741,9 @@ def _split_segments(new_edges: FrozenSet, marked: set) -> List[List]:
     return segments
 
 
-def duplicator_tree(pair, assert_level: str = "full") -> TreeDuplicator:
+def duplicator_tree(pair) -> TreeDuplicator:
     """Strategy over the good-edge restriction of a random pair."""
-    return TreeDuplicator(pair.u1, pair.u2, pair.zmap, pair.bmap, pair.params.r, assert_level)
+    return TreeDuplicator(pair.u1, pair.u2, pair.zmap, pair.bmap, pair.params.r)
 
 
 __all__ = [

@@ -149,18 +149,6 @@ def span_of(vectors: Sequence[Gf2Vector], m: int) -> Gf2Subspace:
     return Gf2Subspace.from_vectors(vectors, m)
 
 
-def rank_of_bits(bits_list: Iterable[int]) -> int:
-    """Rank over GF(2) of raw bitmask rows (dimension-free fast path)."""
-    basis: List[int] = []
-    for row in bits_list:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def coefficients_in_basis(target: Gf2Vector, basis: Sequence[Gf2Vector]) -> List[int]:
     """GF(2) coefficients expressing target over the given ordered vectors.
 
@@ -226,7 +214,6 @@ __all__ = [
     "Gf2Vector",
     "Gf2Subspace",
     "span_of",
-    "rank_of_bits",
     "coefficients_in_basis",
     "random_vector",
     "random_subspace",

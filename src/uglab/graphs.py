@@ -72,9 +72,6 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_vertex(self, v) -> bool:
-        return v in self._adj
-
     def has_edge(self, u, v) -> bool:
         if u == v:
             return False
@@ -273,44 +270,23 @@ def _kuhn_perfect_matching(g: SimpleGraph, avail_edges: set, left: Sequence) -> 
     return {u: w for w, u in match_r.items()}
 
 
-def matching_decomposition(
-    g: SimpleGraph, coloring: Optional[Dict[Tuple, object]] = None
-) -> List[Tuple[Tuple, ...]]:
-    """Partition the edges of a d-regular graph into d perfect matchings.
+def matching_decomposition(g: SimpleGraph) -> List[Tuple[Tuple, ...]]:
+    """Partition the edges of a d-regular bipartite graph into d perfect
+    matchings.
 
-    Without a coloring the graph must be bipartite; matchings are peeled off
-    one at a time with augmenting paths (each layer of a regular bipartite
-    graph has one by Hall's theorem). A supplied proper d-edge-coloring is
-    validated instead, which admits non-bipartite cases such as K_4.
+    Matchings are peeled off one at a time with augmenting paths (each layer
+    of a regular bipartite graph has one by Hall's theorem), and each comes
+    back sorted by edge. Non-bipartite graphs such as K_4 are rejected; a
+    proper edge-coloring of one goes to ``klein_pair`` directly.
     """
     d = g.regular_degree()
     if d is None:
         raise PreconditionError("matching decomposition needs a regular graph")
     if g.n % 2 != 0:
         raise PreconditionError("odd vertex count admits no perfect matching")
-
-    if coloring is not None:
-        classes: Dict = {}
-        for e in g.edges:
-            if e not in coloring:
-                raise PreconditionError(f"coloring misses edge {e!r}")
-            classes.setdefault(coloring[e], []).append(e)
-        if len(coloring) != g.m:
-            raise PreconditionError("coloring mentions edges outside the graph")
-        if len(classes) != d:
-            raise PreconditionError(f"expected {d} colors, got {len(classes)}")
-        out = []
-        for color in sorted(classes, key=vertex_sort_key):
-            cls = classes[color]
-            covered = [v for e in cls for v in e]
-            if len(covered) != g.n or len(set(covered)) != g.n:
-                raise PreconditionError(f"color {color!r} is not a perfect matching")
-            out.append(tuple(sorted(cls, key=lambda e: vertex_sort_key(e[0]))))
-        return out
-
     parts = g.bipartition()
     if parts is None:
-        raise PreconditionError("graph is not bipartite and no coloring was supplied")
+        raise PreconditionError("graph is not bipartite")
     left = sorted(parts[0], key=vertex_sort_key)
     if len(parts[0]) != len(parts[1]):
         raise PreconditionError("bipartition sides differ; no perfect matching")

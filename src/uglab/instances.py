@@ -194,6 +194,11 @@ class WeightedCspInstance:
 # -- evaluation ------------------------------------------------------------
 
 
+def _fraction(count: int, total: int) -> Fraction:
+    """Satisfied share of the constraints; a vacuous instance scores 1."""
+    return Fraction(count, total) if total else Fraction(1)
+
+
 def evaluate(instance, assignment: Dict) -> Tuple[int, Fraction]:
     """Satisfied-constraint count and exact fraction under a total assignment."""
     if isinstance(instance, GroupUgInstance):
@@ -221,9 +226,7 @@ def evaluate(instance, assignment: Dict) -> Tuple[int, Fraction]:
     for v in instance.vertices:
         if v not in assignment:
             raise IncompleteAssignmentError(f"assignment misses vertex {v!r}")
-    if total == 0:
-        return 0, Fraction(1)  # vacuous
-    return count, Fraction(count, total)
+    return count, _fraction(count, total)
 
 
 def csp_value(instance: WeightedCspInstance, assignment: Dict) -> Fraction:
@@ -341,9 +344,7 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
             c, w = _brute_group_component(instance, comp, budget)
             count += c
             witness.update(w)
-        total = instance.constraint_count
-        frac = Fraction(count, total) if total else Fraction(1)
-        return count, frac, witness
+        return count, _fraction(count, instance.constraint_count), witness
     if isinstance(instance, PermUgInstance):
         q, vs = instance.q, instance.vertices
         space = q ** len(vs)
@@ -356,9 +357,7 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
             for u, v, perm in instance.constraints
         ]
         count, values = _enumerate([q] * len(vs), tables, len(tables))
-        total = instance.constraint_count
-        frac = Fraction(count, total) if total else Fraction(1)
-        return count, frac, dict(zip(vs, values))
+        return count, _fraction(count, instance.constraint_count), dict(zip(vs, values))
     raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
 
 
@@ -409,23 +408,7 @@ def propagate_complete_sat(instance: PermUgInstance) -> Tuple[bool, Optional[Dic
         adj[u].append((v, tuple(inv)))  # a(v) = perm^{-1}(a(u))
         adj[v].append((u, perm))  # a(u) = perm(a(v))
     witness: Dict = {}
-    comp_of: Dict = {}
-    comps = []
-    for s in instance.vertices:
-        if s in comp_of:
-            continue
-        comp = [s]
-        comp_of[s] = s
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y, _ in adj[x]:
-                if y not in comp_of:
-                    comp_of[y] = s
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(comp)
-    for comp in comps:
+    for comp in instance.graph().components():
         root = comp[0]
         found = None
         for label in range(instance.q):
@@ -448,7 +431,7 @@ def propagate_complete_sat(instance: PermUgInstance) -> Tuple[bool, Optional[Dic
         if found is None:
             return False, None
         witness.update(found)
-    count, frac = evaluate(instance, witness)
+    count, _ = evaluate(instance, witness)
     if count != instance.constraint_count:
         return False, None
     return True, witness
@@ -529,9 +512,7 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
         labels = [a for a in range(q) for _ in range(counts[a])]  # sorted multiset
         for g, y in enumerate(labels):
             witness[(v, g)] = Gf2Vector(y ^ g, instance.m)
-    total_constraints = instance.constraint_count * q * q
-    frac = Fraction(best, total_constraints) if total_constraints else Fraction(1)
-    return best, frac, witness
+    return best, _fraction(best, instance.constraint_count * q * q), witness
 
 
 def _compositions(total: int, parts: int):
@@ -556,6 +537,10 @@ def spanning_tree_opt(
     spanning forest, so for some spanning tree and some per-tree-edge choice
     of allowed difference, propagating from a zero root reproduces an optimal
     assignment up to a shift. The budget counts evaluations performed.
+
+    The witness is optimal but in general not the lex-least one: once an
+    assignment satisfies every bundle, the search stops and returns the
+    first such assignment in networkx's spanning-tree order.
     """
     import networkx as nx
 
@@ -604,10 +589,8 @@ def spanning_tree_opt(
                 if key < best_key:
                     best_witness, best_key = a, key
             if best_count >= early:
-                frac = Fraction(best_count, total) if total else Fraction(1)
-                return best_count, frac, best_witness
-    frac = Fraction(best_count, total) if total else Fraction(1)
-    return best_count, frac, best_witness
+                return best_count, _fraction(best_count, total), best_witness
+    return best_count, _fraction(best_count, total), best_witness
 
 
 __all__ = [

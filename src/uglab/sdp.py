@@ -219,7 +219,6 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
         cons.append((a, 1.0, "=="))
     meta = {
         "kind": "maxcut",
-        "index": {str(v): i for v, i in index.items()},
         "weights": {(i, j): float(w) for (i, j), w in sorted(wmap.items())},
     }
     return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=float(total / 2), meta=meta)
@@ -423,9 +422,6 @@ def solve_sdp_lowrank(
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     if tol <= 0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
-    if instance.n == 0:
-        _, seed = _restart_generators(rng, 1)
-        return SdpSolution(instance.constant, np.zeros((0, 0)), 0.0, 0.0, restarts, seed, instance)
     gens, seed = _restart_generators(rng, restarts)
     path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
     restart, failure = path(instance, tol)
@@ -472,18 +468,16 @@ def gw_alpha() -> float:
     return float(res.fun)
 
 
-def _edge_weights(solution: SdpSolution, weights: Optional[Dict]) -> Dict[Tuple[int, int], float]:
-    if weights is not None:
-        return {SymMatrix._key(i, j): float(w) for (i, j), w in weights.items()}
+def _edge_weights(solution: SdpSolution) -> Dict[Tuple[int, int], float]:
     got = solution.instance.meta.get("weights")
     if got is None:
-        raise PreconditionError("solution's instance records no edge weights; pass them explicitly")
+        raise PreconditionError("solution's instance records no edge weights (not a MaxCut relaxation)")
     return {tuple(k): float(w) for k, w in got.items()}
 
 
-def gw_symmetric_value(solution: SdpSolution, weights: Optional[Dict] = None) -> float:
+def gw_symmetric_value(solution: SdpSolution) -> float:
     """(alpha/2) * sum of w_ij (1 - X_ij); exactly alpha times the relaxation value."""
-    wmap = _edge_weights(solution, weights)
+    wmap = _edge_weights(solution)
     x = solution.gram()
     alpha = gw_alpha()
     return float(sum(0.5 * alpha * w * (1.0 - x[i, j]) for (i, j), w in wmap.items()))
@@ -497,7 +491,7 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    wmap = _edge_weights(solution, None)
+    wmap = _edge_weights(solution)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else int(rng))
     v = solution.factor
     h = gen.standard_normal((trials, v.shape[0]))
@@ -586,14 +580,7 @@ def build_lc_relaxation(
     if len(constraints) > 40000:
         raise SearchBudgetError(f"{len(constraints)} constraints exceed the desk budget")
     blocks = ([("s", n1)] if n1 else []) + ([("d", n2)] if n2 else [])
-    meta = {
-        "kind": "lc",
-        "scale": float(scale),
-        "normalization": normalization,
-        "q": q,
-        "variables": [str(v) for v in variables],
-        "mu_offsets": list(mu_offsets),
-    }
+    meta = {"kind": "lc", "scale": float(scale)}
     return SdpInstance(n, objective, constraints, blocks=blocks, constant=0.0, meta=meta)
 
 
@@ -721,6 +708,8 @@ def parse_sdpa(text: str) -> SdpInstance:
     dims = [_sdpa_number(tok, int, l_dims) for tok in _sdpa_tokens(h_dims)]
     if len(dims) != nblocks:
         raise InvalidParameterError(f"line {l_dims}: expected {nblocks} block sizes, got {len(dims)}")
+    if 0 in dims:
+        raise InvalidParameterError(f"line {l_dims}: block size must be nonzero, got 0")
     bvals = [_sdpa_number(tok, float, l_b) for tok in _sdpa_tokens(h_b)]
     if len(bvals) != m:
         raise InvalidParameterError(f"line {l_b}: expected {m} bounds, got {len(bvals)}")
@@ -741,7 +730,7 @@ def parse_sdpa(text: str) -> SdpInstance:
             raise InvalidParameterError(
                 f"line {lineno}: entry ({i}, {j}) is off-diagonal in diagonal block {blk}"
             )
-        gi =offsets[blk - 1] + i - 1
+        gi = offsets[blk - 1] + i - 1
         gj = offsets[blk - 1] + j - 1
         mats[matno].add(gi, gj, v if gi == gj else 2.0 * v)
     n = offsets[-1]

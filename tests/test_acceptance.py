@@ -205,7 +205,7 @@ def test_criterion_05_cops_strategy_random_rounds(capsys):
     with criterion(5, 120, capsys) as c:
         h, coloring, star = k4_klein_inputs()
         u1, u2 = klein_pair(h, coloring, star)
-        dup = duplicator_cops(u1, u2, h, coloring, star, assert_level="full")
+        dup = duplicator_cops(u1, u2, h, coloring, star)
         t1 = play_game(
             LiftedStructure(u1), LiftedStructure(u2), 3, dup,
             spoiler_random(random.Random(505)), max_rounds=200,
@@ -216,7 +216,7 @@ def test_criterion_05_cops_strategy_random_rounds(capsys):
         col3 = cubic_edge_coloring(h3)
         star3 = h3.edges[0]
         v1, v2 = klein_pair(h3, col3, star3)
-        dup3 = duplicator_cops(v1, v2, h3, col3, star3, assert_level="full")
+        dup3 = duplicator_cops(v1, v2, h3, col3, star3)
         t2 = play_game(
             LiftedStructure(v1), LiftedStructure(v2), 3, dup3,
             spoiler_random(random.Random(506)), max_rounds=200,
@@ -278,7 +278,7 @@ def test_criterion_08_desk_parameters_construction(capsys):
 
         game = play_game(
             LiftedStructure(pair.u1), LiftedStructure(pair.u2), 2,
-            duplicator_tree(pair, assert_level="full"),
+            duplicator_tree(pair),
             spoiler_random(random.Random(89)), max_rounds=100,
         )
         assert game["winner"] is None and game["survived"] == 100

@@ -12,6 +12,7 @@ import pytest
 
 import uglab
 from uglab import cli, formats
+from uglab.constructions import InapproxPair, good_edges
 from uglab.errors import StrategyViolationError
 from uglab.gf2 import Gf2Vector
 from uglab.instances import CspType, GroupUgInstance, WeightedCspInstance, evaluate
@@ -131,6 +132,23 @@ def test_random_pair_tree_game(tmp_path):
     rt = tmp_path / "rt.json"
     assert run("solve", "tree", "--in", pdir / "u1.gug", "--out", rt, "--no-timestamp") == 0
     assert load(rt)["value"] == "1/4"
+
+
+def test_good_override_allows_girth_at_most_r_and_still_filters(tmp_path, capsys):
+    """Petersen has girth 5: r=5 is refused without the flag. With it the
+    good-edge filter runs, and at ell=1, m=5 no edge keeps full rank."""
+    argv = ["gen", "random-pair", "--r", 5, "--ell", 1, "--m", 5, "--seed", 1, "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(*argv, "--out-dir", tmp_path / "plain") == 2
+        assert "girth must exceed r" in capsys.readouterr().err
+        pdir = tmp_path / "override"
+        assert run(*argv, "--out-dir", pdir, "--good-override") == 0
+    assert "(0 good of 15 edges" in capsys.readouterr().out
+    sc = load(pdir / "pair.json")
+    u1, u2 = (formats.parse_gug((pdir / f).read_text()) for f in ("u1.gug", "u2.gug"))
+    pair = InapproxPair.from_json(sc, u1, u2)
+    assert pair.good == good_edges(pair.base, pair.zmap, 5, 5, override=True) == frozenset()
 
 
 def test_tree_duplicator_rejects_klein_sidecar(tmp_path, capsys):

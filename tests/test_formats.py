@@ -8,8 +8,10 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uglab.errors import InvalidParameterError
+from uglab.errors import InvalidParameterError, UglabError
 from uglab.formats import (
     atomic_write_json,
     atomic_write_text,
@@ -204,6 +206,15 @@ def test_vertex_names_must_be_clean():
         write_graph(g)
 
 
+@pytest.mark.parametrize("name", ["a#b", "#", ""])
+def test_names_with_a_comment_marker_are_not_written(name):
+    """A '#' would start a comment on reading, so the name would come back cut."""
+    with pytest.raises(InvalidParameterError, match="whitespace or '#'"):
+        write_graph(SimpleGraph([name, "c"], []))
+    with pytest.raises(InvalidParameterError, match="whitespace or '#'"):
+        write_csp(WeightedCspInstance(2, ["x"], {name: CspType(1, [], 2)}, []))
+
+
 def test_assignment_round_trip_group():
     inst = GroupUgInstance(3, ["x", "y"], [("x", "y", [Gf2Vector(5, 3)])])
     a = {"x": Gf2Vector(5, 3), "y": Gf2Vector(0, 3)}
@@ -234,3 +245,166 @@ def test_atomic_write_json(tmp_path):
     assert text.endswith("\n")
     assert json.loads(text) == {"a": [1, 2], "b": 2}
     assert text.index('"a"') < text.index('"b"')
+
+
+# -- write -> parse round trips and arbitrary input -------------------------------
+
+# any name the writers accept: no whitespace (it splits tokens) and no '#'
+# (it starts a comment)
+NAMES = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace() and c != "#"),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def group_instances(draw):
+    m = draw(st.integers(1, 8))
+    vs = draw(st.lists(NAMES, min_size=2, max_size=6, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    diffs = st.lists(st.integers(0, (1 << m) - 1).map(lambda b: Gf2Vector(b, m)), min_size=1, max_size=3)
+    return GroupUgInstance(m, vs, [(u, v, draw(diffs)) for u, v in edges])
+
+
+@st.composite
+def perm_instances(draw):
+    q = draw(st.integers(1, 4))
+    vs = draw(st.lists(NAMES, min_size=2, max_size=6, unique=True))
+    ordered = [(u, v) for u in vs for v in vs if u != v]
+    perms = st.permutations(range(q)).map(tuple)
+    # repeated and reversed pairs are kept as written
+    cons = [(u, v, draw(perms)) for u, v in draw(st.lists(st.sampled_from(ordered), max_size=6))]
+    return PermUgInstance(q, vs, cons)
+
+
+@st.composite
+def csp_instances(draw):
+    q = draw(st.integers(1, 3))
+    vs = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    ctypes = {}
+    for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
+        arity = draw(st.integers(1, 2))
+        tuples = st.tuples(*[st.integers(0, q - 1)] * arity)
+        ctypes[name] = CspType(arity, draw(st.lists(tuples, max_size=4)), q)
+    weights = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    apps, seen = [], set()
+    for _ in range(draw(st.integers(0, 5))):
+        tname = draw(st.sampled_from(sorted(ctypes)))
+        scope = draw(st.tuples(*[st.sampled_from(vs)] * ctypes[tname].arity))
+        if (tname, scope) not in seen:  # the parser sums repeated applications
+            seen.add((tname, scope))
+            apps.append((tname, scope, draw(weights)))
+    return WeightedCspInstance(q, vs, ctypes, apps)
+
+
+@st.composite
+def graphs(draw):
+    vs = draw(st.lists(NAMES, max_size=6, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    return SimpleGraph(vs, draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_instances())
+def test_gug_round_trip_property(inst):
+    back = parse_gug(write_gug(inst))
+    assert (back.m, back.vertices, back.bundles) == (inst.m, inst.vertices, inst.bundles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_instances())
+def test_pug_round_trip_property(inst):
+    back = parse_pug(write_pug(inst))
+    assert (back.q, back.vertices, back.constraints) == (inst.q, inst.vertices, inst.constraints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csp_instances())
+def test_csp_round_trip_property(inst):
+    back = parse_csp(write_csp(inst))
+    assert (back.q, back.variables, back.applications) == (inst.q, inst.variables, inst.applications)
+    assert {n: (t.arity, t.satisfying) for n, t in back.constraint_types.items()} == {
+        n: (t.arity, t.satisfying) for n, t in inst.constraint_types.items()
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_graph_round_trip_property(g):
+    back = parse_graph(write_graph(g))
+    assert (back.vertices, back.edges) == (g.vertices, g.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(group_instances(), perm_instances()), st.data())
+def test_assignment_round_trip_property(inst, data):
+    if isinstance(inst, GroupUgInstance):
+        label = st.integers(0, inst.q - 1).map(lambda b: Gf2Vector(b, inst.m))
+    else:
+        label = st.integers(0, inst.q - 1)
+    a = {v: data.draw(label) for v in inst.vertices}
+    assert parse_assignment(write_assignment(a, inst), inst) == a
+
+
+JUNK = [
+    "gug", "pug", "csp", "graph", "vertex", "bundle", "edge", "var", "ctype", "apply", "v", "e", "assign",
+    "m=2", "m=0", "m=x", "q=2", "q=0", "q=-1", "q=x", "a", "b", "0", "1", "-1", "3", "ff", "zz", ",", "=", "#", "",
+    "perm=1,0", "perm=0,0", "perm=0,x", "perm=", "arity=1", "arity=0", "arity=x",
+    "sat=0,1;1,0", "sat=0", "sat=", "sat=;", "sat=0,x", "w=1/2", "w=-3", "w=1/0", "w=x", "w=",
+]
+VALUES = ["x", "", "0", "-1", "2", "99", "1/0", "1/2", "0,x", "0,0", "1,0", ";", "0,1;1,0", ",", "ff"]
+ASSIGN_TO = [
+    GroupUgInstance(2, ["a", "b"], [("a", "b", [Gf2Vector(1, 2)])]),
+    PermUgInstance(2, ["a", "b"], [("a", "b", (1, 0))]),
+]
+
+
+@st.composite
+def texts(draw):
+    """A parser and either a soup of junk lines or a written file with a few
+    tokens replaced by junk, deleted, inserted or given a junk value (the
+    part after '=' of a key=value token, else the whole token)."""
+    kind = draw(st.sampled_from(["gug", "pug", "csp", "graph", "assign"]))
+    if kind == "assign":
+        inst = draw(st.sampled_from(ASSIGN_TO))
+        parse = partial(parse_assignment, instance=inst)
+        label = Gf2Vector(3, 2) if isinstance(inst, GroupUgInstance) else 1
+        text = write_assignment({"a": label, "b": label}, inst)
+    else:
+        parse, write, inst = {
+            "gug": (parse_gug, write_gug, group_instances()),
+            "pug": (parse_pug, write_pug, perm_instances()),
+            "csp": (parse_csp, write_csp, csp_instances()),
+            "graph": (parse_graph, write_graph, graphs()),
+        }[kind]
+        text = write(draw(inst))
+    junk = st.sampled_from(JUNK)
+    if draw(st.booleans()):
+        return parse, "\n".join(" ".join(draw(st.lists(junk, max_size=5))) for _ in range(draw(st.integers(0, 6))))
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        toks = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(toks)))
+        how = draw(st.sampled_from(["revalue", "replace", "delete", "insert"]))
+        if how == "insert" or at == len(toks):
+            toks.insert(at, draw(junk))
+        elif how == "replace":
+            toks[at] = draw(junk)
+        elif how == "delete":
+            del toks[at]
+        else:
+            key, eq, _ = toks[at].rpartition("=")
+            toks[at] = key + eq + draw(st.sampled_from(VALUES))
+    return parse, "\n".join(" ".join(toks) for toks in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts())
+def test_text_parsers_raise_only_uglab_errors(case):
+    parse, text = case
+    try:
+        parse(text)
+    except UglabError:
+        pass

@@ -193,7 +193,7 @@ def test_play_game_rejects_moving_placed_pairs():
 
 def test_cops_duplicator_k4_random_rounds():
     u1, u2, A, B, g, coloring, star = klein_lifts()
-    dup = duplicator_cops(u1, u2, g, coloring, star, assert_level="full")
+    dup = duplicator_cops(u1, u2, g, coloring, star)
     t = play_game(A, B, 3, dup, spoiler_random(random.Random(11)), 200)
     assert t["winner"] is None
     assert t["survived"] == 200
@@ -205,18 +205,18 @@ def test_cops_duplicator_cycle_graph_random_rounds():
     star = h.edges[0]
     u1, u2 = klein_pair(h, coloring, star)
     A, B = LiftedStructure(u1), LiftedStructure(u2)
-    dup = duplicator_cops(u1, u2, h, coloring, star, assert_level="full")
+    dup = duplicator_cops(u1, u2, h, coloring, star)
     t = play_game(A, B, 3, dup, spoiler_random(random.Random(12)), 200)
     assert t["winner"] is None
     assert t["survived"] == 200
 
 
 def test_cops_duplicator_assert_levels_run():
+    """The invariant checks run on every edge each round and hold for 30 rounds."""
     u1, u2, A, B, g, coloring, star = klein_lifts()
-    for level in ("off", "edges", "full"):
-        dup = duplicator_cops(u1, u2, g, coloring, star, assert_level=level)
-        t = play_game(A, B, 3, dup, spoiler_random(random.Random(13)), 30)
-        assert t["winner"] is None
+    dup = duplicator_cops(u1, u2, g, coloring, star)
+    t = play_game(A, B, 3, dup, spoiler_random(random.Random(13)), 30)
+    assert t["winner"] is None
 
 
 # -- path extension ------------------------------------------------------------------
@@ -414,7 +414,7 @@ def desk_pair(seed):
 def test_tree_duplicator_survives_random_rounds(seed):
     pair = desk_pair(seed)
     A, B = LiftedStructure(pair.u1), LiftedStructure(pair.u2)
-    dup = duplicator_tree(pair, assert_level="full")
+    dup = duplicator_tree(pair)
     t = play_game(A, B, 2, dup, spoiler_random(random.Random(100 + seed)), 100)
     assert t["winner"] is None
     assert t["survived"] == 100
@@ -424,7 +424,7 @@ def test_tree_duplicator_respects_pebbles_under_search():
     pair = desk_pair(2)
     A, B = LiftedStructure(pair.u1), LiftedStructure(pair.u2)
     line = find_winning_line(
-        A, B, 2, lambda: duplicator_tree(pair, assert_level="full"), depth=2, budget=60_000
+        A, B, 2, lambda: duplicator_tree(pair), depth=2, budget=60_000
     )
     assert line is None
 

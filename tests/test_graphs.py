@@ -12,7 +12,6 @@ from uglab.graphs import (
     cycle_graph,
     girth,
     matching_decomposition,
-    normalize_edge,
     path_graph,
     petersen_graph,
 )
@@ -83,28 +82,6 @@ def test_matching_decomposition_needs_bipartite_or_coloring():
         matching_decomposition(complete_graph(4))
     with pytest.raises(PreconditionError):
         matching_decomposition(path_graph(4))  # not regular
-
-
-def test_matching_decomposition_k4_with_coloring():
-    g = complete_graph(4)
-    coloring = {
-        normalize_edge(0, 1): "a",
-        normalize_edge(2, 3): "a",
-        normalize_edge(0, 2): "b",
-        normalize_edge(1, 3): "b",
-        normalize_edge(0, 3): "c",
-        normalize_edge(1, 2): "c",
-    }
-    ms = matching_decomposition(g, coloring)
-    assert len(ms) == 3
-    assert all(len(m) == 2 for m in ms)
-
-
-def test_matching_decomposition_rejects_improper_coloring():
-    g = complete_graph(4)
-    bad = {e: "a" for e in g.edges}
-    with pytest.raises(PreconditionError):
-        matching_decomposition(g, bad)
 
 
 def test_cycle_decomposes_into_two_matchings():

@@ -131,6 +131,21 @@ def test_maxcut_no_vertices():
     assert sol.value == 0.0 and sol.residual == 0.0
 
 
+@pytest.mark.parametrize("cons", [[], [(SymMatrix(), 0.0, "==")]])
+def test_zero_dimensional_solve_returns_the_constant(cons):
+    sol = solve_sdp_lowrank(SdpInstance(0, SymMatrix(), cons, constant=2.5), restarts=3, rng=7)
+    assert (sol.value, sol.residual, sol.spread) == (2.5, 0.0, 0.0)
+    assert (sol.restarts, sol.seed, sol.factor.shape) == (3, 7, (0, 0))
+
+
+def test_zero_dimensional_solve_checks_its_constraints():
+    """With no variables, 0 == 1 can never hold."""
+    inst = SdpInstance(0, SymMatrix(), [(SymMatrix(), 1.0, "==")], constant=2.5)
+    with pytest.raises(ConvergenceError, match="feasibility residual 1 above tolerance") as err:
+        solve_sdp_lowrank(inst)
+    assert err.value.best.residual == 1.0
+
+
 def test_single_edge_value():
     sol = solve_sdp_lowrank(build_maxcut_sdp(SimpleGraph(["a", "b"], [("a", "b")])))
     assert abs(sol.value - 1.0) <= 1e-6
@@ -431,6 +446,7 @@ def test_sdpa_parse_errors():
         ("1\n1\n1\n1.0\n0 1 5 5 1.0\n", 5),  # index past the block size
         ("1\n1\n1\n1.0\n0 1 0 1 1.0\n", 5),  # index 0
         ("1\n1\n-2\n1.0\n0 1 1 2 1.0\n", 5),  # off-diagonal in a diagonal block
+        ("1\n1\n0\n1.0\n", 3),  # zero block size
     ],
 )
 def test_sdpa_parse_errors_carry_line(text, lineno):
