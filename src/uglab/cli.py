@@ -71,8 +71,21 @@ def _rational(text: str) -> Fraction:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidParameterError(f"line {line}: {path} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # the newlines text mode reads
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"line {exc.lineno}: {path} is not JSON: {exc.msg}") from None
 
 
 def _stamp(args, extra: Dict) -> Dict:
@@ -122,8 +135,7 @@ def _write_pair(args, u1: GroupUgInstance, u2: GroupUgInstance, sidecar: Dict) -
 
 
 def _read_pair(path: str) -> Tuple[Dict, GroupUgInstance, GroupUgInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        sc = json.load(fh)
+    sc = _read_json(path)
     if not isinstance(sc, dict) or not all(isinstance(sc.get(key), str) for key in PAIR_FILES):
         raise InvalidParameterError(f"{path} does not name the pair's 'u1' and 'u2' instance files")
     basedir = os.path.dirname(os.path.abspath(path))
@@ -154,7 +166,11 @@ def _base_graph(name: str) -> SimpleGraph:
     if name == "petersen":
         return petersen_graph()
     if name.startswith("cops:"):
-        return cops_robbers_graph(int(name.split(":", 1)[1]))
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            raise InvalidParameterError(f"--base cops:K needs an integer K, got {name!r}") from None
+        return cops_robbers_graph(k)
     return formats.parse_graph(_read(name))
 
 
@@ -302,6 +318,12 @@ def cmd_sdp_lc(args) -> int:
 
 
 def cmd_sdp_gap(args) -> int:
+    grid = None
+    if args.grid:
+        try:
+            grid = [float(tok) for tok in args.grid.split(",")]
+        except ValueError:
+            raise InvalidParameterError(f"--grid takes comma-separated numbers, got {args.grid!r}") from None
     paths = sorted(
         os.path.join(args.family, name)
         for name in os.listdir(args.family)
@@ -310,7 +332,6 @@ def cmd_sdp_gap(args) -> int:
     if not paths:
         raise PreconditionError(f"no .csp files in {args.family!r}")
     family = [formats.parse_csp(_read(p)) for p in paths]
-    grid = [float(tok) for tok in args.grid.split(",")] if args.grid else None
     table = gap_curve_estimate(
         family,
         eta=float(args.eta),
@@ -355,9 +376,8 @@ def cmd_report(args) -> int:
                 continue
             rel = os.path.relpath(path, args.dir)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    runs[rel] = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+                runs[rel] = _read_json(path)
+            except (OSError, InvalidParameterError) as exc:
                 runs[rel] = {"unreadable": str(exc)}
     report = _stamp(args, {"directory": os.path.abspath(args.dir), "count": len(runs), "runs": runs})
     formats.atomic_write_json(args.out, report)
@@ -496,9 +516,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except StrategyViolationError as exc:
         print(f"strategy violation: {exc}", file=sys.stderr)
         return 3
-    except (UglabError, OSError, KeyError, ValueError) as exc:
+    except (UglabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

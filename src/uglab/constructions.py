@@ -422,8 +422,16 @@ class ParamSet:
     @classmethod
     def from_dict(cls, data) -> "ParamSet":
         """The set that to_dict wrote."""
-        values = _fields(data, "parameter set", [f.name for f in fields(cls)])
-        return cls(*(Fraction(v) for v in values[:3]), *(int(v) for v in values[3:]))
+        names = [f.name for f in fields(cls)]
+        kinds = [Fraction] * 3 + [int] * 5
+        parsed = []
+        for name, kind, v in zip(names, kinds, _fields(data, "parameter set", names)):
+            try:
+                parsed.append(kind(v))
+            except (TypeError, ValueError, ZeroDivisionError):
+                what = "a rational" if kind is Fraction else "an integer"
+                raise InvalidParameterError(f"parameter set value {name}={v!r} is not {what}") from None
+        return cls(*parsed)
 
 
 def _ceil_guarded(x: float) -> int:

@@ -184,7 +184,7 @@ def coefficients_in_basis(target: Gf2Vector, basis: Sequence[Gf2Vector]) -> List
 
 def random_vector(m: int, rng) -> Gf2Vector:
     """Uniform element of F_2^m (zero included)."""
-    return Gf2Vector(rng.getrandbits(m) if m else 0, m)
+    return Gf2Vector(rng.getrandbits(m) if m > 0 else 0, m)
 
 
 def random_subspace(m: int, ell: int, rng) -> Gf2Subspace:

@@ -12,7 +12,9 @@ Solving always happens on an explicit factorization X = V^T V, never on a
 full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
 "mixing" solver at rank ceil(sqrt(2n))+1, everything else an
 augmented-Lagrangian ascent at full rank per symmetric block, with each
-diagonal block a vector whose squares are its entries.
+diagonal block a vector whose squares are its entries.  A mixing sweep
+takes one vectorized step per colour class of indices; no objective entry
+joins two indices of a class, so that is the per-column sweep in class order.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ class SdpSolution:
     restarts: int
     seed: Optional[int]
     instance: SdpInstance
+    # one list per solver counter, one entry per restart
+    stats: Dict[str, List[int]] = dataclasses.field(default_factory=dict)
 
     def gram(self) -> np.ndarray:
         return self.factor.T @ self.factor
@@ -186,6 +190,7 @@ class SdpSolution:
             "residual": self.residual,
             "restarts": self.restarts,
             "seed": self.seed,
+            "stats": self.stats,
         }
 
 
@@ -277,38 +282,53 @@ def _dense(instance: SdpInstance, b: int, stop: int) -> np.ndarray:
     return out
 
 
+def _colour_classes(instance: SdpInstance) -> List[np.ndarray]:
+    """Greedy colouring of the objective's off-diagonal entries, indices in
+    ascending order, each taking the least colour no earlier neighbour has."""
+    rows = (instance._mat == 0) & (instance._i != instance._j)
+    earlier: List[List[int]] = [[] for _ in range(instance.n)]
+    for i, j in zip(instance._i[rows].tolist(), instance._j[rows].tolist()):
+        earlier[j].append(i)
+    colour: List[int] = []
+    for nbrs in earlier:
+        colour.append(min(set(range(len(nbrs) + 1)) - {colour[i] for i in nbrs}))
+    return [np.flatnonzero(np.array(colour) == c) for c in range(max(colour, default=-1) + 1)]
+
+
 def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
     """The coordinate-ascent restart and its failure message.
 
     Each restart runs coordinate-exact ascent over unit columns at rank p;
-    it is monotone, so a plateau means done.
+    it is monotone, so a plateau means done.  A sweep takes one vectorized
+    step per colour class: no two indices of a class share an objective
+    entry, so their updates read none of each other, and the step equals
+    the per-column sweep over the class's indices in ascending order.
     """
     n = instance.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
     cd = _dense(instance, 0, 1)[0]
+    steps = [(s, cd[:, s], np.diag(cd)[s]) for s in _colour_classes(instance)]
 
-    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool]:
+    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
         v = gen.standard_normal((p, n))
         norms = np.linalg.norm(v, axis=0)
         norms[norms == 0] = 1.0
         v /= norms
         val = float(np.einsum("ij,ij->", v.T @ v, cd))
-        converged = False
-        # degenerate weight patterns crawl along nearly flat directions, so the
-        # sweep budget is generous; single sweeps are O(n^2 p) and cheap here
-        for _ in range(30000):
-            for i in range(n):
-                g = v @ cd[:, i] - cd[i, i] * v[:, i]
-                nrm = float(np.linalg.norm(g))
-                if nrm > 1e-15:
-                    v[:, i] = g / nrm
+        # degenerate weight patterns crawl along nearly flat directions: a generous budget
+        for sweeps in range(1, 30001):
+            for s, cs, ds in steps:
+                g = v @ cs - v[:, s] * ds
+                nrm = np.linalg.norm(g, axis=0)
+                keep = nrm > 1e-15
+                v[:, s[keep]] = g[:, keep] / nrm[keep]
             new = float(np.einsum("ij,ij->", v.T @ v, cd))
             converged = abs(new - val) <= 1e-13 * (1.0 + abs(new))
             val = new
             if converged:
                 break
         residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)))
-        return v, val + instance.constant, residual, converged and residual <= tol
+        return v, val + instance.constant, residual, converged and residual <= tol, {"sweeps": sweeps}
 
     return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"
 
@@ -347,7 +367,7 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
             f += float(d[0] @ (part * part)) if diag else float(np.einsum("ij,ij->", d[0], part.T @ part))
         return f
 
-    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool]:
+    def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
         x0 = []
         for b, (_, size) in enumerate(instance.blocks):
             if diag_param[b]:
@@ -358,7 +378,8 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
         lam = np.zeros(kcount)
         rho = 10.0
         infeas_prev = math.inf
-        for _ in range(30):
+        evaluations = 0
+        for outer in range(1, 31):
             def neg_lagrangian(xv: np.ndarray):
                 parts = unpack(xv)
                 c = constraint_values(parts)
@@ -381,7 +402,8 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
 
             if x.size:
                 options = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10}
-                x = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", options=options).x
+                res = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", options=options)
+                x, evaluations = res.x, evaluations + int(res.nfev)
             c = constraint_values(unpack(x))
             viol = np.where(is_le, np.maximum(0.0, c), np.abs(c))
             infeas = float(viol.max()) if kcount else 0.0
@@ -396,7 +418,8 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
         factor = np.zeros((n, n))
         for off, (_, size), part, diag in zip(instance.block_offsets, instance.blocks, parts, diag_param):
             factor[off : off + size, off : off + size] = np.diag(part) if diag else part
-        return factor, objective_value(parts) + instance.constant, infeas, infeas <= tol
+        value = objective_value(parts) + instance.constant
+        return factor, value, infeas, infeas <= tol, {"outer_iterations": outer, "evaluations": evaluations}
 
     return restart, lambda residual: (
         f"feasibility residual {residual:.3g} above tolerance {tol} after the outer budget"
@@ -425,18 +448,9 @@ def solve_sdp_lowrank(
     gens, seed = _restart_generators(rng, restarts)
     path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
     restart, failure = path(instance, tol)
-    best = None
-    values: List[float] = []
-    feasible: List[float] = []
-    for gen in gens:
-        factor, value, residual, ok = restart(gen)
-        values.append(value)
-        if ok:
-            feasible.append(value)
-        if best is None or (ok, value) > (best[3], best[1]):
-            best = (factor, value, residual, ok)
-    factor, value, residual, ok = best
-    pool = feasible or values
+    runs = [restart(gen) for gen in gens]  # (factor, value, residual, ok, counters)
+    factor, value, residual, ok, _ = max(runs, key=lambda run: (run[3], run[1]))
+    pool = [run[1] for run in runs if run[3]] or [run[1] for run in runs]
     sol = SdpSolution(
         value=value,
         factor=factor,
@@ -445,6 +459,7 @@ def solve_sdp_lowrank(
         restarts=restarts,
         seed=seed,
         instance=instance,
+        stats={key: [run[4][key] for run in runs] for key in runs[0][4]},
     )
     if not ok:
         raise ConvergenceError(failure(residual), best=sol)

@@ -221,6 +221,9 @@ def test_sdp_maxcut_cli(tmp_path):
     assert data["round_mean"] == pytest.approx(18.0, abs=1e-9)
     assert data["seed"] == 0
     assert (data["kind"], data["n"]) == ("maxcut", 12) and data["spread"] >= 0
+    # one entry per restart (5 by default), no wall time
+    assert list(data["stats"]) == ["sweeps"] and len(data["stats"]["sweeps"]) == 5
+    assert all(isinstance(s, int) and s >= 1 for s in data["stats"]["sweeps"])
     back = parse_sdpa(dats.read_text())
     assert back.n == 12 and len(back.constraints) == 12
 
@@ -249,6 +252,10 @@ def test_sdp_lc_and_gap_cli(tmp_path):
     assert data["value"] == pytest.approx(1.0, abs=1e-4)
     assert data["scale"] == 2.0
     assert (data["kind"], data["n"]) == ("lc", 14) and data["spread"] >= 0
+    assert sorted(data["stats"]) == ["evaluations", "outer_iterations"]
+    assert [len(v) for v in data["stats"].values()] == [5, 5]
+    assert all(1 <= k <= 30 for k in data["stats"]["outer_iterations"])
+    assert all(e >= 1 for e in data["stats"]["evaluations"])
     assert parse_sdpa(dats.read_text()).n == 14
 
     gap = tmp_path / "gap.json"
@@ -272,7 +279,7 @@ def test_report_aggregates(tmp_path):
     assert run("report", "--dir", tmp_path, "--out", out, "--no-timestamp") == 0
     data = load(out)
     assert data["count"] == 2
-    assert "unreadable" in data["runs"]["junk.json"]
+    assert data["runs"]["junk.json"]["unreadable"].startswith("line 1: ")
     assert data["runs"]["k/pair.json"]["kind"] == "klein"
 
 
@@ -308,6 +315,52 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code = run("game", "--pair", pdir / "pair.json", "--duplicator", "cops", "--k", 3)
     assert code == 3
     assert "strategy violation" in capsys.readouterr().err
+
+    def bug(*a, **kw):
+        raise KeyError("lost")
+
+    # a fault of the program is not reported as invalid input
+    monkeypatch.setattr(cli, "play_game", bug)
+    assert run("game", "--pair", pdir / "pair.json", "--duplicator", "cops", "--k", 3) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
+
+
+def _edit_sidecar(path, text):
+    path.write_text(text)
+    return ["game", "--pair", path, "--duplicator", "identity", "--rounds", 1]
+
+
+def _bad_params(path):
+    sc = load(path)
+    sc["params"]["d"] = "x"
+    path.write_text(json.dumps(sc))
+    return ["game", "--pair", path, "--duplicator", "tree", "--rounds", 1]
+
+
+def _bad_bytes(path):
+    bad = path.parent / "u1.gug"
+    bad.write_bytes(b"gug m=2\nvertex \xff\n")
+    return ["solve", "brute", "--in", bad]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda p: _edit_sidecar(p["klein"], "{not json"), "error: line 1: "),
+    (lambda p: _edit_sidecar(p["klein"], '{\n  "u1": "u1.gug",\n  u2\n}\n'), "error: line 3: "),
+    (lambda p: ["gen", "random-pair", "--base", "cops:x", "--out-dir", p["tree"].parent / "x"],
+     "error: --base cops:K needs an integer K, got 'cops:x'"),
+    (lambda p: ["sdp", "gap", "--family", ".", "--eta", "0.1", "--grid", "0.1,x", "--out", "gap.json"],
+     "error: --grid takes comma-separated numbers, got '0.1,x'"),
+    (lambda p: _bad_params(p["tree"]), "error: parameter set value d='x' is not an integer"),
+    (lambda p: _bad_bytes(p["klein"]), "error: line 2: "),
+    (lambda p: ["gen", "random-pair", "--m", -1, "--out-dir", p["tree"].parent / "x"],
+     "error: dimension must be in 1..64, got -1"),
+], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m"])
+@pytest.mark.filterwarnings("ignore:girth")
+def test_malformed_input_exits_2(pairs, capsys, argv, message):
+    args = argv(pairs)
+    capsys.readouterr()
+    assert run(*args) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -36,7 +36,7 @@ from uglab.sdp import (
     solve_sdp_lowrank,
     to_sdpa,
 )
-from uglab.sdp import _dense
+from uglab.sdp import _colour_classes, _dense, _mixing
 
 
 def cycle(n):
@@ -184,6 +184,83 @@ def test_sdp_dominates_brute_force_cut():
         assert sol.value >= float(opt) - 1e-4
         assert sol.residual <= 1e-6
         assert np.linalg.eigvalsh(sol.gram()).min() >= -1e-9
+
+
+# -- the colour-class mixing sweep ----------------------------------------------
+
+
+FRACS = st.fractions(-4, 4, max_denominator=4).filter(bool)
+
+
+@st.composite
+def weighted_graph_sdps(draw):
+    """Unit-diagonal instances of random weighted graphs on 1-25 vertices,
+    isolated ones included, some with diagonal objective entries."""
+    n = draw(st.integers(1, 25))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=60))) if pairs else []
+    weights = {e: draw(FRACS) for e in edges}
+    cut = build_maxcut_sdp(SimpleGraph(range(n), edges), weights)
+    objective = SymMatrix(cut.objective.entries)
+    for i, c in draw(st.dictionaries(st.integers(0, n - 1), FRACS, max_size=3)).items():
+        objective.add(i, i, c)
+    return SdpInstance(n, objective, cut.constraints, constant=cut.constant)
+
+
+def mixing_reference(inst, order, gen, sweeps):
+    """Per-column coordinate ascent over the indices in the given order."""
+    n = inst.n
+    p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
+    c = _dense(inst, 0, 1)[0]
+    v = gen.standard_normal((p, n))
+    norms = np.linalg.norm(v, axis=0)
+    norms[norms == 0] = 1.0
+    v /= norms
+    for _ in range(sweeps):
+        for i in order:
+            g = v @ c[:, i] - c[i, i] * v[:, i]
+            nrm = float(np.linalg.norm(g))
+            if nrm > 1e-15:
+                v[:, i] = g / nrm
+    return v, float(np.einsum("ij,ij->", v.T @ v, c)) + inst.constant
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_sdps(), st.integers(0, 2**32 - 1))
+def test_mixing_equals_the_per_column_sweep_in_colour_order(inst, seed):
+    # the reference runs as many sweeps as the restart did: near a flat
+    # plateau a last-bit difference in the sums may stop one sweep apart
+    restart, _ = _mixing(inst, 1e-6)
+    factor, value, _, _, counts = restart(np.random.default_rng(seed))
+    order = np.concatenate(_colour_classes(inst))
+    ref, ref_value = mixing_reference(inst, order, np.random.default_rng(seed), counts["sweeps"])
+    assert np.abs(factor - ref).max() <= 1e-12
+    assert abs(value - ref_value) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_sdps())
+def test_colour_classes_partition_and_hold_no_objective_entry(inst):
+    classes = _colour_classes(inst)
+    assert sorted(np.concatenate(classes).tolist()) == list(range(inst.n))
+    colour = {int(i): c for c, members in enumerate(classes) for i in members}
+    for i, j in inst.objective.entries:
+        assert i == j or colour[i] != colour[j]
+
+
+def test_dense_unit_diagonal_sdpa_instance_solves():
+    # max -3 tr X - sum_{i != j} X_ij over unit diagonals is -15 + 5 at n = 5,
+    # reached when the five vectors sum to zero; every pair shares an entry,
+    # so each class is one index
+    n = 5
+    lines = ["*constant 2.5", str(n), "1", str(n), " ".join(["1"] * n)]
+    lines += [f"0 1 {i} {j} {-3 if i == j else -1}" for i in range(1, n + 1) for j in range(i, n + 1)]
+    lines += [f"{k} 1 {k} {k} 1" for k in range(1, n + 1)]
+    inst = parse_sdpa("\n".join(lines) + "\n")
+    assert [s.tolist() for s in _colour_classes(inst)] == [[i] for i in range(n)]
+    sol = solve_sdp_lowrank(inst, restarts=2)
+    assert sol.value == pytest.approx(-10.0 + 2.5, abs=1e-6)
+    assert sol.residual <= 1e-6 and len(sol.stats["sweeps"]) == 2
 
 
 # -- rounding -----------------------------------------------------------------
