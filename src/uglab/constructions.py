@@ -79,6 +79,13 @@ def _fields(data, what: str, keys: Sequence[str]) -> List:
     return [data[key] for key in keys]
 
 
+def _typed(value, key: str, kind: type):
+    """value, read from the sidecar's key, checked to be a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"sidecar {key!r} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _sidecar(sc, kind: str, made_by: str, keys: Sequence[str]) -> List:
     """The values of keys in a sidecar of this kind, written by `uglab <made_by>`."""
     got = sc.get("kind") if isinstance(sc, dict) else None
@@ -168,7 +175,8 @@ def klein_from_json(sc: Dict) -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
     """The (graph, coloring, star edge) that klein_to_json wrote, checked
     as klein_pair checks its inputs."""
     graph, coloring, star = _sidecar(sc, "klein", "gen klein", ("graph", "coloring", "star"))
-    inputs = (_graph_from_json(graph), {_key_edge(k): c for k, c in coloring.items()}, _json_edge(star))
+    coloring = {_key_edge(k): c for k, c in _typed(coloring, "coloring", dict).items()}
+    inputs = (_graph_from_json(graph), coloring, _json_edge(star))
     klein_pair(*inputs)
     return inputs
 
@@ -534,10 +542,10 @@ class InapproxPair:
         base = _graph_from_json(graph)
         zmap = {
             _key_edge(k): Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in basis], m)
-            for k, basis in zraw.items()
+            for k, basis in _typed(zraw, "zmap", dict).items()
         }
-        bmap = {_key_edge(k): Gf2Vector.from_hex(h, m) for k, h in braw.items()}
-        good = frozenset(_json_edge(e) for e in good)
+        bmap = {_key_edge(k): Gf2Vector.from_hex(h, m) for k, h in _typed(braw, "bmap", dict).items()}
+        good = frozenset(_json_edge(e) for e in _typed(good, "good", list))
         pair = cls(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, bool(girth_ok))
         for name, given, built in (("u1", u1, pair.u1), ("u2", u2, pair.u2)):
             if (given.m, given.vertices, given.bundles) != (built.m, built.vertices, built.bundles):

@@ -12,15 +12,15 @@ Solving always happens on an explicit factorization X = V^T V, never on a
 full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
 "mixing" solver at rank ceil(sqrt(2n))+1, everything else an
 augmented-Lagrangian ascent at full rank per symmetric block, with each
-diagonal block a vector whose squares are its entries.  A mixing sweep
-takes one vectorized step per colour class of indices; no objective entry
-joins two indices of a class, so that is the per-column sweep in class order.
+diagonal block's entries held directly as variables bounded below by 0.  A
+mixing sweep takes one vectorized step per colour class of indices; no
+objective entry joins two indices of a class, so that is the per-column sweep
+in class order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -204,29 +204,26 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
     weight is stored separately so reported values equal actual cut weights.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    wmap: Dict[Tuple[int, int], Fraction] = {}
-    total = Fraction(0)
-    for u, v in graph.edges:
-        w = Fraction(weights[normalize_edge(u, v)]) if weights is not None else Fraction(1)
-        i, j = index[u], index[v]
-        if i > j:
-            i, j = j, i
-        wmap[(i, j)] = w
-        total += w
-    n = len(graph.vertices)
+    pairs = [tuple(sorted((index[u], index[v]))) for u, v in graph.edges]
     c = SymMatrix()
-    for (i, j), w in wmap.items():
-        c.add(i, j, -Fraction(w, 2))
+    if weights is None:
+        wmap = dict.fromkeys(pairs, 1.0)
+        c.entries = dict.fromkeys(pairs, -0.5)
+        constant = len(pairs) / 2
+    else:
+        # exact sums, so the constant does not depend on the edge order
+        ws = [Fraction(weights[normalize_edge(u, v)]) for u, v in graph.edges]
+        wmap = {ij: float(w) for ij, w in zip(pairs, ws)}
+        c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, ws) if w}
+        constant = float(sum(ws) / 2)
+    n = len(graph.vertices)
     cons = []
     for i in range(n):
         a = SymMatrix()
-        a.add(i, i, 1.0)
+        a.entries[(i, i)] = 1.0
         cons.append((a, 1.0, "=="))
-    meta = {
-        "kind": "maxcut",
-        "weights": {(i, j): float(w) for (i, j), w in sorted(wmap.items())},
-    }
-    return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=float(total / 2), meta=meta)
+    meta = {"kind": "maxcut", "weights": dict(sorted(wmap.items()))}
+    return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=constant, meta=meta)
 
 
 # -- solver -------------------------------------------------------------------
@@ -334,44 +331,47 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
 
 
 def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
-    """The augmented-Lagrangian restart and its failure message."""
+    """The augmented-Lagrangian restart and its failure message.
+
+    The unknowns x hold, block after block, a square factor P of each "s"
+    block (row-major) and the entries mu >= 0 of each "d" block.  With each P
+    replaced by its Gram P^T P, x becomes z, and one sparse map A (row k:
+    matrix k's coefficients at z's positions) gives every matrix value as A z.
+    """
     from scipy.optimize import minimize  # imported here: it costs most of `import uglab.cli`
+    from scipy.sparse import csr_matrix
 
-    n = instance.n
-    diag_param = [kind == "d" for kind, _ in instance.blocks]
-    kcount = len(instance.constraints)
+    n, kcount = instance.n, len(instance.constraints)
     bvec, is_le = instance._bounds, instance._is_le
+    diagonal = np.array([kind == "d" for kind, _ in instance.blocks], dtype=bool)
+    sizes = np.array([size for _, size in instance.blocks], dtype=int)
+    lengths = np.where(diagonal, sizes, sizes * sizes)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    squares = [(starts[b], starts[b + 1], sizes[b]) for b in np.flatnonzero(~diagonal)]
+    # table row r sits at (i, j) of its "s" block's row-major Gram, or at i of its "d" block
+    b = instance._block_of[instance._i]
+    first = np.array(instance.block_offsets, dtype=int)[b]
+    i, j = instance._i - first, instance._j - first
+    col = starts[b] + np.where(diagonal[b], i, i * sizes[b] + j)
+    amap = csr_matrix((instance._coef, (instance._mat, col)), shape=(kcount + 1, starts[-1]))
+    amap_t = amap.T.tocsr()
+    bounds = [(0.0, None) if diag else (None, None) for diag, m in zip(diagonal, lengths) for _ in range(m)]
 
-    # per block: [0] the objective piece, [1:] the (K, ...) constraint tensor
-    dense = [_dense(instance, b, kcount + 1) for b in range(len(instance.blocks))]
-
-    sizes = [size * size if not diag_param[b] else size for b, (_, size) in enumerate(instance.blocks)]
-    x_offsets = list(itertools.accumulate(sizes, initial=0))
-
-    def unpack(x: np.ndarray) -> List[np.ndarray]:
-        parts = []
-        for b, (_, size) in enumerate(instance.blocks):
-            seg = x[x_offsets[b] : x_offsets[b + 1]]
-            parts.append(seg if diag_param[b] else seg.reshape(size, size))
-        return parts
-
-    def constraint_values(parts: List[np.ndarray]) -> np.ndarray:
-        c = -bvec.copy()
-        for part, d, diag in zip(parts, dense, diag_param):
-            c += d[1:] @ (part * part) if diag else np.einsum("kij,ij->k", d[1:], part.T @ part)
-        return c
-
-    def objective_value(parts: List[np.ndarray]) -> float:
-        f = 0.0
-        for part, d, diag in zip(parts, dense, diag_param):
-            f += float(d[0] @ (part * part)) if diag else float(np.einsum("ij,ij->", d[0], part.T @ part))
-        return f
+    def values(x: np.ndarray) -> np.ndarray:
+        """A z: the objective, then each constraint's value minus its bound."""
+        z = x.copy()
+        for lo, hi, size in squares:
+            p = x[lo:hi].reshape(size, size)
+            z[lo:hi] = (p.T @ p).ravel()
+        v = amap @ z
+        v[1:] -= bvec
+        return v
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
         x0 = []
-        for b, (_, size) in enumerate(instance.blocks):
-            if diag_param[b]:
-                x0.append(0.5 + 0.1 * gen.standard_normal(size))
+        for kind, size in instance.blocks:
+            if kind == "d":
+                x0.append((0.5 + 0.1 * gen.standard_normal(size)) ** 2)
             else:
                 x0.append((0.4 * gen.standard_normal((size, size))).ravel())
         x = np.concatenate(x0) if x0 else np.zeros(0)
@@ -381,30 +381,27 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
         evaluations = 0
         for outer in range(1, 31):
             def neg_lagrangian(xv: np.ndarray):
-                parts = unpack(xv)
-                c = constraint_values(parts)
+                v = values(xv)
+                c = v[1:]
                 w = lam + rho * c
                 if is_le.any():
                     w = np.where(is_le, np.maximum(0.0, w), w)
                 pen_eq = lam * c + 0.5 * rho * c * c
                 pen_le = (np.maximum(0.0, lam + rho * c) ** 2 - lam * lam) / (2 * rho)
-                val = objective_value(parts) - float(np.where(is_le, pen_le, pen_eq).sum())
-                grads = []
-                for part, d, diag in zip(parts, dense, diag_param):
-                    if diag:
-                        m = d[0] - np.einsum("k,kj->j", w, d[1:])
-                        grads.append(-2.0 * part * m)
-                    else:
-                        m = d[0] - np.einsum("k,kij->ij", w, d[1:])
-                        grads.append((-2.0 * (part @ m)).ravel())
-                g = np.concatenate(grads) if grads else np.zeros(0)
-                return -val, g
+                val = v[0] - float(np.where(is_le, pen_le, pen_eq).sum())
+                # d val / d z, then through each Gram: d <M, P^T P> / d P = P (M + M^T)
+                g = amap_t @ np.concatenate(([1.0], -w))
+                for lo, hi, size in squares:
+                    m = g[lo:hi].reshape(size, size)
+                    g[lo:hi] = (xv[lo:hi].reshape(size, size) @ (m + m.T)).ravel()
+                return -val, -g
 
             if x.size:
                 options = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10}
-                res = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", options=options)
+                res = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
                 x, evaluations = res.x, evaluations + int(res.nfev)
-            c = constraint_values(unpack(x))
+            v = values(x)
+            c = v[1:]
             viol = np.where(is_le, np.maximum(0.0, c), np.abs(c))
             infeas = float(viol.max()) if kcount else 0.0
             lam = np.where(is_le, np.maximum(0.0, lam + rho * c), lam + rho * c)
@@ -413,12 +410,13 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
             if infeas > 0.25 * infeas_prev:
                 rho = min(rho * 10.0, 1e9)
             infeas_prev = infeas
-        parts = unpack(x)  # infeas above is already this x's residual
         # a block-diagonal factor, so the Gram really is the block variable
         factor = np.zeros((n, n))
-        for off, (_, size), part, diag in zip(instance.block_offsets, instance.blocks, parts, diag_param):
-            factor[off : off + size, off : off + size] = np.diag(part) if diag else part
-        value = objective_value(parts) + instance.constant
+        for off, (kind, size), lo, hi in zip(instance.block_offsets, instance.blocks, starts, starts[1:]):
+            seg = x[lo:hi]
+            part = np.diag(np.sqrt(seg)) if kind == "d" else seg.reshape(size, size)
+            factor[off : off + size, off : off + size] = part
+        value = float(v[0]) + instance.constant  # v and infeas above are this x's
         return factor, value, infeas, infeas <= tol, {"outer_iterations": outer, "evaluations": evaluations}
 
     return restart, lambda residual: (
@@ -433,8 +431,8 @@ def solve_sdp_lowrank(
 
     Unit-diagonal single-block instances take the coordinate-ascent path at
     rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
-    ascent at full rank per symmetric block, diagonal blocks as squared
-    vectors.  The best restart is the feasible one of largest value (the
+    ascent at full rank per symmetric block, diagonal blocks as nonnegative
+    bounded vectors.  The best restart is the feasible one of largest value (the
     largest value when none is feasible).  `spread` is the max - min of the
     feasible restarts' values (of all restarts when none is feasible); it
     bounds nothing, the distance to the SDP optimum included.  Raises
@@ -443,7 +441,7 @@ def solve_sdp_lowrank(
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     gens, seed = _restart_generators(rng, restarts)
     path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
@@ -469,33 +467,35 @@ def solve_sdp_lowrank(
 # -- rounding and the symmetric cut value -------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def gw_alpha() -> float:
-    """min over theta in (0, pi] of 2 theta / (pi (1 - cos theta))."""
-    from scipy.optimize import minimize_scalar
+    """min over theta in (0, pi] of 2 theta / (pi (1 - cos theta)).
 
-    res = minimize_scalar(
-        lambda t: 2.0 * t / (math.pi * (1.0 - math.cos(t))),
-        bounds=(1e-12, math.pi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.fun)
+    The minimizer is the root of tan(theta / 2) = theta in [2, 2.5], found by
+    bisection down to adjacent floats.
+    """
+    lo, hi = 2.0, 2.5
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if math.tan(mid / 2) < mid:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * lo / (math.pi * (1.0 - math.cos(lo)))
 
 
-def _edge_weights(solution: SdpSolution) -> Dict[Tuple[int, int], float]:
+def _edge_arrays(solution: SdpSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints i < j and weights of the relaxed graph's edges, in sorted order."""
     got = solution.instance.meta.get("weights")
     if got is None:
         raise PreconditionError("solution's instance records no edge weights (not a MaxCut relaxation)")
-    return {tuple(k): float(w) for k, w in got.items()}
+    pairs = sorted(got.items())
+    ij = np.array([key for key, _ in pairs], dtype=int).reshape(-1, 2)
+    return ij[:, 0], ij[:, 1], np.array([w for _, w in pairs], dtype=float)
 
 
 def gw_symmetric_value(solution: SdpSolution) -> float:
     """(alpha/2) * sum of w_ij (1 - X_ij); exactly alpha times the relaxation value."""
-    wmap = _edge_weights(solution)
-    x = solution.gram()
-    alpha = gw_alpha()
-    return float(sum(0.5 * alpha * w * (1.0 - x[i, j]) for (i, j), w in wmap.items()))
+    i, j, w = _edge_arrays(solution)
+    return float(0.5 * gw_alpha() * (w @ (1.0 - solution.gram()[i, j])))
 
 
 def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[float, float]:
@@ -506,15 +506,12 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    wmap = _edge_weights(solution)
+    i, j, w = _edge_arrays(solution)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else int(rng))
     v = solution.factor
     h = gen.standard_normal((trials, v.shape[0]))
-    signs = np.sign(h @ v)
-    signs[signs == 0] = 1.0
-    cuts = np.zeros(trials)
-    for (i, j), w in sorted(wmap.items()):
-        cuts += w * (signs[:, i] != signs[:, j])
+    side = h @ v >= 0  # a zero projection counts as positive
+    cuts = (side[:, i] != side[:, j]) @ w
     mean = float(cuts.mean())
     std = float(cuts.std(ddof=1)) if trials > 1 else 0.0
     return mean, std

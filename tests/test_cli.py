@@ -191,6 +191,25 @@ def test_sidecar_missing_key_exits_2(pairs, capsys, duplicator, sidecar, key, me
     assert message in err and err.strip() != f"error: {key!r}"
 
 
+@pytest.mark.parametrize("value", [5, "x", None, [], {}], ids=["5", "str", "null", "array", "object"])
+@pytest.mark.parametrize("duplicator, sidecar, key, kind", [
+    ("cops", "klein", "coloring", dict),
+    ("tree", "tree", "zmap", dict),
+    ("tree", "tree", "bmap", dict),
+    ("tree", "tree", "good", list),
+])
+def test_sidecar_value_of_wrong_json_type_exits_2(pairs, capsys, duplicator, sidecar, key, kind, value):
+    sc = load(pairs[sidecar])
+    sc[key] = value
+    pairs[sidecar].write_text(json.dumps(sc))
+    capsys.readouterr()
+    assert run("game", "--pair", pairs[sidecar], "--duplicator", duplicator, "--k", 2, "--rounds", 1) == 2
+    err = capsys.readouterr().err
+    # a value of the right type but empty fails later, on the edges it lacks
+    if not isinstance(value, kind):
+        assert err == f"error: sidecar {key!r} is not a JSON {'object' if kind is dict else 'array'}\n"
+
+
 def test_byte_identical_reruns(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -363,11 +382,30 @@ def test_malformed_input_exits_2(pairs, capsys, argv, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+def _python(*args, cwd=None):
+    """Run this interpreter on args with the package under test importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(uglab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the solvers import scipy.optimize when they run; commands such as
     # `params` and `gen` should not pay for it at start-up
-    src = os.path.dirname(os.path.dirname(os.path.abspath(uglab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, uglab.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python("-c", "import sys, uglab.cli; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdp", "maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"],
+    ["solve", "brute", "--in", "u4.gug", "--out", "r.json", "--no-timestamp"],
+], ids=["sdp-maxcut", "solve-brute"])
+def test_commands_that_need_no_scipy_import_none(tmp_path, argv):
+    # mixing, rounding, gw_alpha and the exact solvers are numpy-only; an
+    # eager scipy import would add its start-up time to every such run
+    assert run("gen", "cops-graph", "--k", 3, "--out", tmp_path / "c3.graph") == 0
+    assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0
+    err = _python("-X", "importtime", "-m", "uglab", *argv, cwd=tmp_path).stderr
+    modules = [line.split("|")[-1].strip() for line in err.splitlines() if line.startswith("import time:")]
+    assert "uglab.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

@@ -339,6 +339,13 @@ def test_only_unit_diagonal_instances_take_the_mixing_path(coeff, bound, value):
     assert sol.value == pytest.approx(value, abs=1e-5)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_tolerance_must_be_positive(tol):
+    # a NaN tolerance would run every restart to its budget and then fail
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        solve_sdp_lowrank(build_maxcut_sdp(cycle(5)), tol=tol)
+
+
 def test_infeasible_instance_raises_with_best():
     a = SymMatrix({(0, 0): 1.0})
     inst = SdpInstance(1, SymMatrix(), [(a, 1.0, "=="), (a, 2.0, "==")])
@@ -401,6 +408,54 @@ def test_lc_dominates_brute_force():
         sol = solve_sdp_lowrank(inst)
         opt, _ = csp_brute_opt(csp)
         assert sol.value >= float(opt / csp.abs_weight()) - 1e-4
+
+
+@st.composite
+def small_csps(draw):
+    """Random CSPs in the style of acceptance criterion 11: 2-4 binary
+    variables, 1-3 constraint types of arity 1-2, 1-5 weighted applications."""
+    vs = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
+    types = {}
+    for name in ("t0", "t1", "t2")[: draw(st.integers(1, 3))]:
+        arity = draw(st.integers(1, 2))
+        tuples = list(itertools.product(range(2), repeat=arity))
+        types[name] = CspType(arity, draw(st.sets(st.sampled_from(tuples), min_size=1)), 2)
+    apps = []
+    for _ in range(draw(st.integers(1, 5))):
+        name = draw(st.sampled_from(sorted(types)))
+        scope = tuple(draw(st.permutations(vs))[: types[name].arity])
+        apps.append((name, scope, Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))))
+    return WeightedCspInstance(2, vs, types, apps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_csps(), st.integers(0, 2**32 - 1))
+def test_lc_bounds_the_optimum_with_a_diagonal_nonnegative_distribution_block(csp, seed):
+    inst = build_lc_relaxation(csp)
+    sol = solve_sdp_lowrank(inst, restarts=1, rng=seed)
+    opt, _ = csp_brute_opt(csp)
+    assert sol.value >= float(opt / csp.abs_weight()) - 1e-4
+    assert sol.residual <= 1e-6
+    (_, n1), (kind, _) = inst.blocks
+    mu = sol.gram()[n1:, n1:]
+    assert kind == "d" and np.array_equal(mu, np.diag(np.diag(mu))) and np.diag(mu).min() >= 0.0
+
+
+def test_lc_xor8_reaches_its_integral_optimum():
+    # an XOR 8-cycle with four XOR/EQ chords; the solver once stopped
+    # feasible at 0.916450, below the integral optimum 11/12 it must bound
+    rng, nv = random.Random(2), 8
+    xor, eq = CspType(2, [(0, 1), (1, 0)], 2), CspType(2, [(0, 0), (1, 1)], 2)
+    apps = [("xor", (f"x{i}", f"x{(i + 1) % nv}"), 1) for i in range(nv)]
+    pairs = [(i, j) for i in range(nv) for j in range(i + 2, nv) if (i, j) != (0, nv - 1)]
+    for i, j in rng.sample(pairs, 4):
+        apps.append((rng.choice(["xor", "eq"]), (f"x{i}", f"x{j}"), 1))
+    csp = WeightedCspInstance(2, [f"x{i}" for i in range(nv)], {"xor": xor, "eq": eq}, apps)
+    opt, _ = csp_brute_opt(csp)
+    assert opt / csp.abs_weight() == Fraction(11, 12)
+    inst = build_lc_relaxation(csp)
+    for seed in range(3):
+        assert solve_sdp_lowrank(inst, restarts=1, rng=seed).value >= 11 / 12 - 1e-4
 
 
 def test_lc_rejects_repeated_scope_variable():
@@ -538,6 +593,15 @@ def test_sdpa_diagonal_block_dimension():
     assert "1 -1" in text.splitlines()[3]
     back = parse_sdpa(text)
     assert back.blocks == (("s", 1), ("d", 1))
+
+
+def test_diagonal_block_entry_reaches_zero():
+    # max -mu_1 subject to mu_1 + mu_2 = 1 over one diagonal block: mu_1 = 0
+    inst = parse_sdpa("1\n1\n-2\n1.0\n0 1 1 1 -1.0\n1 1 1 1 1.0\n1 1 2 2 1.0\n")
+    assert inst.blocks == (("d", 2),)
+    sol = solve_sdp_lowrank(inst)
+    assert sol.value == pytest.approx(0.0, abs=1e-6)
+    assert sol.residual <= 1e-6
 
 
 # halving and doubling are exact away from the subnormal range
