@@ -86,6 +86,13 @@ def _typed(value, key: str, kind: type):
     return value
 
 
+def _hex_list(value, key: str) -> List[str]:
+    """A 'zmap' entry, checked to be a JSON array of (hex) strings."""
+    if not isinstance(value, list) or not all(isinstance(h, str) for h in value):
+        raise InvalidParameterError(f"sidecar 'zmap' entry {key!r} is not a JSON array of strings")
+    return value
+
+
 def _sidecar(sc, kind: str, made_by: str, keys: Sequence[str]) -> List:
     """The values of keys in a sidecar of this kind, written by `uglab <made_by>`."""
     got = sc.get("kind") if isinstance(sc, dict) else None
@@ -541,7 +548,7 @@ class InapproxPair:
         m = params.m
         base = _graph_from_json(graph)
         zmap = {
-            _key_edge(k): Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in basis], m)
+            _key_edge(k): Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in _hex_list(basis, k)], m)
             for k, basis in _typed(zraw, "zmap", dict).items()
         }
         bmap = {_key_edge(k): Gf2Vector.from_hex(h, m) for k, h in _typed(braw, "bmap", dict).items()}

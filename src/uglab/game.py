@@ -197,6 +197,21 @@ def spoiler_random(rng) -> RandomSpoiler:
     return RandomSpoiler(rng)
 
 
+def _diff_table(a: GroupUgInstance, b: GroupUgInstance) -> Dict:
+    """Per base vertex u, the triples (w, D_A(u, w), D_B(u, w)) for every w
+    joined to u by a bundle in either instance, with each bundle's
+    differences as a frozenset of int bits (empty where the instance has none)."""
+    pairs: Dict[Tuple, List[FrozenSet[int]]] = {}
+    for side, inst in enumerate((a, b)):
+        for u, w, diffs in inst.bundles:
+            pairs.setdefault((u, w), [frozenset(), frozenset()])[side] = frozenset(z.bits for z in diffs)
+    table: Dict = {}
+    for (u, w), (da, db) in pairs.items():
+        table.setdefault(u, []).append((w, da, db))
+        table.setdefault(w, []).append((u, da, db))
+    return table
+
+
 def find_winning_line(
     A: LiftedStructure,
     B: LiftedStructure,
@@ -214,10 +229,37 @@ def find_winning_line(
     fresh duplicator (answering may change its state) replays the prefix
     and answers once, and every placement is tested against that one map.
     Empty slots are interchangeable, so only the first empty slot is tried
-    alongside the occupied ones. The budget caps simulated placements.
+    alongside the occupied ones. The budget caps simulated placements and
+    is checked before the Duplicator is asked.
+
+    Placements are decided per base vertex. ``_answer`` checks that the
+    answer g* fixes every pair still placed, so each pair is (a, g*(a)),
+    and the new pebble (w, x) goes to (w, x + g*(w)). Against a pebble at
+    base vertex u != w, the lifted difference sets are D_A(w, u) + x + y and
+    D_B(w, u) + x + y + g*(w) + g*(u) for the pebble's label y, so they
+    agree iff D_A(w, u) = D_B(w, u) + g*(w) + g*(u): the label x drops out.
+    Against a pebble on w itself both sets are empty, and since g* is a
+    bijection the pairs stay well defined. The pairs still placed passed
+    the check when their node was reached, and a deterministic Duplicator
+    rebuilds them unchanged on replay. So a placement fails iff its base
+    vertex is one of the failing vertices, computed once per node and slot
+    from int bit tables; on the last level, where nothing recurses, the
+    first failing element in ``A.elements()`` order is the line.
     """
     els = A.elements()
+    if not els:  # nothing to place: the Duplicator is never asked
+        return None
+    first_at: Dict = {}
+    for i, (v, _) in enumerate(els):
+        first_at.setdefault(v, i)
+    diffs = _diff_table(A.base, B.base)
     moves_tried = 0
+
+    def spend(moves: int) -> None:
+        nonlocal moves_tried
+        moves_tried += moves
+        if moves_tried > budget:
+            raise SearchBudgetError(f"winning-line search exceeded {budget} moves")
 
     def replay(prefix: Sequence[Tuple]):
         """Fresh duplicator driven through the move prefix; prefixes recurse
@@ -239,24 +281,42 @@ def find_winning_line(
                 break
         return slots
 
+    def failing_vertices(pebbles: Sequence[Optional[Tuple]], g: GStarMap) -> set:
+        """Base vertices w where D_A(w, u) != D_B(w, u) + g*(w) + g*(u) for
+        the base vertex u of some placed pebble."""
+        shift = {v: s.bits for v, s in g.values.items()}
+        bad = set()
+        for u in {p[0][0] for p in pebbles if p is not None}:
+            su = shift.get(u, 0)
+            for w, da, db in diffs.get(u, ()):
+                t = su ^ shift.get(w, 0)
+                if da != (frozenset(z ^ t for z in db) if t else db):
+                    bad.add(w)
+        return bad
+
     def rec(prefix: List[Tuple], pebbles: Sequence[Optional[Tuple]]) -> Optional[List[Tuple]]:
-        nonlocal moves_tried
         if len(prefix) >= depth:
             return None
+        last = len(prefix) + 1 == depth
         for slot in candidate_slots(pebbles):
-            g = None
-            for a in els:
-                moves_tried += 1
-                if moves_tried > budget:
-                    raise SearchBudgetError(f"winning-line search exceeded {budget} moves")
-                if g is None:  # asked after the budget check: an exhausted budget comes first
-                    dup, lifted = replay(prefix)
-                    _, g = _answer(dup, A, B, k, len(prefix) + 1, lifted, slot)
+            spend(1)  # the first placement; an exhausted budget comes before the question
+            dup, lifted = replay(prefix)
+            _, g = _answer(dup, A, B, k, len(prefix) + 1, lifted, slot)
+            bad = failing_vertices(lifted, g)
+            if last:
+                hit = min((first_at[w] for w in bad if w in first_at), default=None)
+                spend(len(els) - 1 if hit is None else hit)
+                if hit is not None:
+                    return prefix + [(slot, els[hit])]
+                continue
+            for i, a in enumerate(els):
+                if i:
+                    spend(1)
+                line = prefix + [(slot, a)]
+                if a[0] in bad:
+                    return line
                 child = list(lifted)
                 child[slot] = (a, g.apply(a))
-                line = prefix + [(slot, a)]
-                if not check_partial_isomorphism(A, B, [p for p in child if p is not None]):
-                    return line
                 found = rec(line, child)
                 if found is not None:
                     return found
@@ -300,7 +360,6 @@ class K2Duplicator:
             raise PreconditionError("instances must share one base graph")
         self.u1 = u1
         self.u2 = u2
-        self.graph = u1.graph()
 
     def bijection(self, view: GameView) -> GStarMap:
         placed = [p for p in view.pebbles if p is not None]
@@ -314,10 +373,9 @@ class K2Duplicator:
                 "pebble pair spans two base vertices", side="duplicator"
             )
         vals = {v0: g1 + g2}
-        for v in self.graph.neighbors(v0):
-            z1 = self.u1.diffs_on(v0, v)[0]
-            z2 = self.u2.diffs_on(v0, v)[0]
-            vals[v] = g1 + g2 + z1 + z2
+        for a, b, diffs in self.u1.bundles:
+            if v0 in (a, b):
+                vals[b if a == v0 else a] = g1 + g2 + diffs[0] + self.u2.bundle_map[(a, b)][0]
         return GStarMap(self.u1.m, vals)
 
 
@@ -349,6 +407,11 @@ class CopsDuplicator:
         self.coloring = coloring
         self.robber = normalize_edge(*star_edge)
         self.gstar: Dict = {v: Gf2Vector.zero(2) for v in h.vertices}
+        # per edge: its diffs in u1 as a set and in u2 as a tuple, as int bits
+        self._edge_diffs = [
+            (e, frozenset(z.bits for z in u1.diffs_on(*e)), tuple(z.bits for z in u2.diffs_on(*e)))
+            for e in h.edges
+        ]
 
     def bijection(self, view: GameView) -> GStarMap:
         cops = {p[0][0] for p in view.pebbles if p is not None}
@@ -377,12 +440,12 @@ class CopsDuplicator:
         return GStarMap(2, dict(self.gstar))
 
     def _assert_invariant(self) -> None:
-        for e in self.h.edges:
-            s = self.gstar[e[0]] + self.gstar[e[1]]
-            d1 = set(self.u1.diffs_on(*e))
-            d2 = {z + s for z in self.u2.diffs_on(*e)}
+        gstar = self.gstar
+        for e, d1, diffs2 in self._edge_diffs:
+            s = gstar[e[0]].bits ^ gstar[e[1]].bits
+            d2 = {z ^ s for z in diffs2}
             if e == self.robber:
-                if d1 & d2:
+                if not d1.isdisjoint(d2):
                     raise StrategyViolationError(
                         "robber edge diff sets are not disjoint", side="duplicator",
                         detail={"edge": [str(x) for x in e]},

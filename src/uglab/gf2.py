@@ -55,7 +55,7 @@ class Gf2Vector:
     def from_hex(cls, text: str, dim: int) -> "Gf2Vector":
         try:
             bits = int(text, 16)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: not a string
             raise InvalidParameterError(f"bad hex vector {text!r}") from exc
         return cls(bits, dim)
 

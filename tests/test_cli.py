@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -208,6 +209,43 @@ def test_sidecar_value_of_wrong_json_type_exits_2(pairs, capsys, duplicator, sid
     # a value of the right type but empty fails later, on the edges it lacks
     if not isinstance(value, kind):
         assert err == f"error: sidecar {key!r} is not a JSON {'object' if kind is dict else 'array'}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("zmap", 5, "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
+    ("zmap", None, "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
+    ("zmap", [5], "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
+    ("zmap", "1", "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
+    ("bmap", 5, "bad hex vector 5"),
+    ("bmap", None, "bad hex vector None"),
+    ("bmap", ["1"], "bad hex vector ['1']"),
+], ids=["zmap-5", "zmap-null", "zmap-array-of-5", "zmap-str", "bmap-5", "bmap-null", "bmap-array"])
+def test_sidecar_entry_of_wrong_json_type_exits_2(pairs, capsys, key, value, message):
+    # the entries of 'zmap' and 'bmap', not only the maps themselves, are checked
+    sc = load(pairs["tree"])
+    edge = sorted(sc[key])[0]
+    sc[key][edge] = value
+    pairs["tree"].write_text(json.dumps(sc))
+    capsys.readouterr()
+    assert run("game", "--pair", pairs["tree"], "--duplicator", "tree", "--k", 2, "--rounds", 1) == 2
+    assert capsys.readouterr().err == f"error: {message.format(edge=edge)}\n"
+
+
+@pytest.mark.parametrize("gen, game, digest", [
+    (["klein"], ["--duplicator", "cops", "--k", 3, "--rounds", 200, "--seed", 1],
+     "0588223f18fdabadca25c8bcfc4b9b9cad8d58b2482a9c3a346a170525e90283"),
+    (["random-pair", "--seed", 4], ["--duplicator", "tree", "--k", 2, "--rounds", 100, "--seed", 2],
+     "2ec37b335404fe6cd908d89666369379b0dab86217aed00078361aa60505ad4b"),
+], ids=["cops", "tree"])
+def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, digest):
+    # the README game commands must keep writing these exact --no-timestamp
+    # transcripts; a faster Duplicator or search must not change one byte
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random-pair warns that the base's girth is small
+        assert run("gen", *gen, "--out-dir", tmp_path / "pair") == 0
+    out = tmp_path / "game.json"
+    assert run("game", "--pair", tmp_path / "pair" / "pair.json", *game, "--out", out, "--no-timestamp") == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_byte_identical_reruns(tmp_path):

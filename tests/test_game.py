@@ -219,6 +219,32 @@ def test_cops_duplicator_assert_levels_run():
     assert t["winner"] is None
 
 
+def test_cops_duplicator_raises_when_an_edge_away_from_the_robber_breaks():
+    u1, u2, A, B, g, coloring, star = klein_lifts()
+    dup = duplicator_cops(u1, u2, g, coloring, star)
+    view = GameView(A, B, 3, 1, (None, None, None), 0)
+    dup.bijection(view)  # holds before the tampering
+    off = next(v for v in g.vertices if v not in star)
+    dup.gstar[off] = dup.gstar[off] + Gf2Vector(1, 2)  # breaks every edge at off, none the robber's
+    with pytest.raises(StrategyViolationError, match="edge away from the robber lost consistency") as exc:
+        dup.bijection(view)
+    assert off in exc.value.detail["edge"] and exc.value.side == "duplicator"
+
+
+def test_cops_duplicator_raises_when_the_robber_edge_sets_meet():
+    u1, u2, A, B, g, coloring, star = klein_lifts()
+    dup = duplicator_cops(u1, u2, g, coloring, star)
+    view = GameView(A, B, 3, 1, (None, None, None), 0)
+    dup.bijection(view)
+    # with no cop down the robber stays put; on the first edge, which agrees
+    # in both instances, its two diff sets are equal rather than disjoint
+    dup.robber = g.edges[0]
+    assert g.edges[0] != normalize_edge(*star)
+    with pytest.raises(StrategyViolationError, match="robber edge diff sets are not disjoint") as exc:
+        dup.bijection(view)
+    assert exc.value.detail["edge"] == [str(x) for x in g.edges[0]]
+
+
 # -- path extension ------------------------------------------------------------------
 
 
@@ -507,12 +533,42 @@ class StatefulK2:
         return duplicator_identity(self.inner.u1.m).bijection(view)
 
 
+class PinningK2:
+    """The K2 answer around every placed pebble at once: each pebbled vertex
+    keeps its pair's shift, and each other neighbour takes the K2 shift from
+    the first pebbled vertex next to it, in slot order. Unlike K2 it answers
+    with two pebbles down, and can lose there, so three-pebble boards get
+    decided."""
+
+    def __init__(self, u1, u2):
+        self.u1, self.u2 = u1, u2
+
+    def bijection(self, view):
+        placed = [p for p in view.pebbles if p is not None]
+        vals = {a[0]: a[1] + b[1] for a, b in placed}
+        for (v0, _), _ in placed:
+            for a, b, diffs in self.u1.bundles:
+                if v0 in (a, b):
+                    vals.setdefault(b if a == v0 else a, vals[v0] + diffs[0] + self.u2.bundle_map[(a, b)][0])
+        return GStarMap(self.u1.m, vals)
+
+
+def twisted_path():
+    """The path 0-1-2 over F_2, twisted on (0, 1) only."""
+    zero, one = Gf2Vector(0, 1), Gf2Vector(1, 1)
+    p1 = GroupUgInstance(1, [0, 1, 2], [(0, 1, [zero]), (1, 2, [zero])])
+    p2 = GroupUgInstance(1, [0, 1, 2], [(0, 1, [one]), (1, 2, [zero])])
+    return p1, p2
+
+
 def search_cases():
     u1, u2, A, B, g, coloring, star = klein_lifts()
     t1, t2 = singleton_pair()
     C, D = LiftedStructure(t1), LiftedStructure(t2)
     r1, r2 = twisted_triangle()
     E, F = LiftedStructure(r1), LiftedStructure(r2)
+    p1, p2 = twisted_path()
+    P, Q = LiftedStructure(p1), LiftedStructure(p2)
     return [
         ("identity", A, B, 2, lambda: duplicator_identity(2), 3),
         ("identity-k3", C, D, 3, lambda: duplicator_identity(2), 2),
@@ -523,6 +579,9 @@ def search_cases():
         # loses only if one duplicator answers twice in a replay
         ("k2-once-per-round", E, F, 2, lambda: StatefulK2(r1, r2, lambda calls, rnd: calls == rnd), 3),
         ("cops", A, B, 3, lambda: duplicator_cops(u1, u2, g, coloring, star), 2),
+        # pebbles on 0 and 2, then on 1, which agrees with the pebble on 0
+        # and not with the one on 2: a placement is checked against every pebble
+        ("pinning-k3-path", P, Q, 3, lambda: PinningK2(p1, p2), 3),
     ]
 
 
@@ -537,6 +596,67 @@ def test_winning_line_matches_replay_reference(case):
     with pytest.raises(SearchBudgetError) as got:
         find_winning_line(A, B, k, factory, depth, budget=needed - 1)
     assert str(got.value) == str(ref.value)
+
+
+@st.composite
+def random_search_cases(draw):
+    """Two instances on one set of 2 to 5 base vertices over F_2^m, m in
+    {1, 2}, with k in {2, 3} and depth 2 or 3 (a lone pebble never breaks
+    the board, so depth 1 decides nothing). The identity duplicator
+    plays bundles of any size on edge sets drawn independently; K2,
+    StatefulK2 and PinningK2 play singleton bundles on one shared edge set."""
+    kind = draw(st.sampled_from(["identity", "k2", "stateful", "pinning"]))
+    n = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([1, 2]))
+    # with one pebble down PinningK2 is K2, which never loses
+    k = 3 if kind == "pinning" else draw(st.sampled_from([2, 3]))
+    depth = 3 if kind == "pinning" else draw(st.integers(2, 3))
+    vs = list(range(n))
+    pairs = [(a, b) for a in vs for b in vs if a < b]
+    vec = st.integers(0, (1 << m) - 1).map(lambda bits: Gf2Vector(bits, m))
+    edge_sets = st.lists(st.sampled_from(pairs), unique=True)
+
+    def instance(edges, singleton):
+        bundles = st.lists(vec, min_size=1, max_size=1 if singleton else 1 << m, unique=True)
+        return GroupUgInstance(m, vs, [(u, v, draw(bundles)) for u, v in edges])
+
+    if kind == "identity":
+        u1, u2 = instance(draw(edge_sets), False), instance(draw(edge_sets), False)
+        factory = lambda: duplicator_identity(m)
+    else:
+        edges = draw(edge_sets)
+        u1, u2 = instance(edges, True), instance(edges, True)
+        if kind == "k2":
+            factory = lambda: duplicator_k2(u1, u2)
+        elif kind == "pinning":
+            factory = lambda: PinningK2(u1, u2)
+        else:
+            calls_left = draw(st.integers(1, 4))
+            rule = draw(st.sampled_from([
+                lambda calls, rnd: calls <= calls_left,
+                lambda calls, rnd: calls == rnd,
+            ]))
+            factory = lambda: StatefulK2(u1, u2, rule)
+    return LiftedStructure(u1), LiftedStructure(u2), k, factory, depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_search_cases())
+def test_winning_line_matches_replay_reference_on_random_pairs(case):
+    # the per-base-vertex decision against the full check of every replayed
+    # board: same line, same exact budget, same error where a strategy breaks
+    A, B, k, factory, depth = case
+    cap = 3000
+    try:
+        want, needed = naive_winning_line(A, B, k, factory, depth, budget=cap)
+    except (SearchBudgetError, PreconditionError, StrategyViolationError) as ref:
+        with pytest.raises(type(ref)) as got:
+            find_winning_line(A, B, k, factory, depth, budget=cap)
+        assert str(got.value) == str(ref)
+        return
+    assert find_winning_line(A, B, k, factory, depth, budget=needed) == want
+    with pytest.raises(SearchBudgetError):
+        find_winning_line(A, B, k, factory, depth, budget=needed - 1)
 
 
 def test_winning_line_budget_before_strategy_check():
