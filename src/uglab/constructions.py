@@ -50,14 +50,15 @@ def _edge_key(e: Tuple) -> str:
     return f"{e[0]} {e[1]}"
 
 
-def _json_edge(e) -> Tuple:
-    if not isinstance(e, list) or len(e) != 2:
-        raise InvalidParameterError(f"sidecar edge {e!r} is not two vertex names")
+def _json_edge(e, key: str) -> Tuple:
+    """An edge read from the sidecar's key, checked to be two vertex names."""
+    if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+        raise InvalidParameterError(f"sidecar {key!r} edge {e!r} is not two vertex names")
     return normalize_edge(*e)
 
 
-def _key_edge(key: str) -> Tuple:
-    return _json_edge(key.split())
+def _key_edge(text: str, key: str) -> Tuple:
+    return _json_edge(text.split(), key)
 
 
 def _graph_json(g: SimpleGraph) -> Dict:
@@ -66,7 +67,8 @@ def _graph_json(g: SimpleGraph) -> Dict:
 
 def _graph_from_json(data) -> SimpleGraph:
     vertices, edges = _fields(data, "sidecar graph", ("vertices", "edges"))
-    return SimpleGraph(vertices, [_json_edge(e) for e in edges])
+    vertices = _str_list(vertices, "'vertices'")
+    return SimpleGraph(vertices, [_json_edge(e, "graph") for e in _typed(edges, "edges", list)])
 
 
 def _fields(data, what: str, keys: Sequence[str]) -> List:
@@ -86,10 +88,10 @@ def _typed(value, key: str, kind: type):
     return value
 
 
-def _hex_list(value, key: str) -> List[str]:
-    """A 'zmap' entry, checked to be a JSON array of (hex) strings."""
+def _str_list(value, what: str) -> List[str]:
+    """value, checked to be a JSON array of strings; what names it in the error."""
     if not isinstance(value, list) or not all(isinstance(h, str) for h in value):
-        raise InvalidParameterError(f"sidecar 'zmap' entry {key!r} is not a JSON array of strings")
+        raise InvalidParameterError(f"sidecar {what} is not a JSON array of strings")
     return value
 
 
@@ -182,8 +184,8 @@ def klein_from_json(sc: Dict) -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
     """The (graph, coloring, star edge) that klein_to_json wrote, checked
     as klein_pair checks its inputs."""
     graph, coloring, star = _sidecar(sc, "klein", "gen klein", ("graph", "coloring", "star"))
-    coloring = {_key_edge(k): c for k, c in _typed(coloring, "coloring", dict).items()}
-    inputs = (_graph_from_json(graph), coloring, _json_edge(star))
+    coloring = {_key_edge(k, "coloring"): c for k, c in _typed(coloring, "coloring", dict).items()}
+    inputs = (_graph_from_json(graph), coloring, _json_edge(star, "star"))
     klein_pair(*inputs)
     return inputs
 
@@ -548,11 +550,13 @@ class InapproxPair:
         m = params.m
         base = _graph_from_json(graph)
         zmap = {
-            _key_edge(k): Gf2Subspace.from_vectors([Gf2Vector.from_hex(h, m) for h in _hex_list(basis, k)], m)
+            _key_edge(k, "zmap"): Gf2Subspace.from_vectors(
+                [Gf2Vector.from_hex(h, m) for h in _str_list(basis, f"'zmap' entry {k!r}")], m
+            )
             for k, basis in _typed(zraw, "zmap", dict).items()
         }
-        bmap = {_key_edge(k): Gf2Vector.from_hex(h, m) for k, h in _typed(braw, "bmap", dict).items()}
-        good = frozenset(_json_edge(e) for e in _typed(good, "good", list))
+        bmap = {_key_edge(k, "bmap"): Gf2Vector.from_hex(h, m) for k, h in _typed(braw, "bmap", dict).items()}
+        good = frozenset(_json_edge(e, "good") for e in _typed(good, "good", list))
         pair = cls(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, bool(girth_ok))
         for name, given, built in (("u1", u1, pair.u1), ("u2", u2, pair.u2)):
             if (given.m, given.vertices, given.bundles) != (built.m, built.vertices, built.bundles):

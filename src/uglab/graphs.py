@@ -1,15 +1,14 @@
 """Simple undirected graphs with the structural queries the constructions need.
 
-Deliberately small: degree/regularity, bipartition, components, girth, and
-perfect-matching decomposition. Anything heavier (spanning tree enumeration)
-goes through networkx conversion.
+Deliberately small: degree/regularity, bipartition, components, girth,
+spanning-tree enumeration and perfect-matching decomposition.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError, PreconditionError
 
@@ -145,20 +144,33 @@ class SimpleGraph:
                     q.append(w)
         return dist
 
-    def subgraph(self, keep_vertices) -> "SimpleGraph":
-        keep = set(keep_vertices)
-        return SimpleGraph(
-            [v for v in self.vertices if v in keep],
-            [e for e in self.edges if e[0] in keep and e[1] in keep],
-        )
+    def spanning_trees(self) -> Iterator[Tuple[Tuple, ...]]:
+        """Every spanning tree once, as a tuple of edges in ``edges`` order.
 
-    def to_networkx(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        return g
+        An include/exclude search over ``edges`` in order, include first. An
+        edge is included only if it joins two components of the chosen edges,
+        and left out only if the chosen edges plus the later ones still
+        connect the graph, so every branch ends in a tree. A disconnected
+        graph has none; a graph with at most one vertex has the empty tree.
+        """
+        if not self.is_connected():
+            return
+        n = self.n
+        index = {v: i for i, v in enumerate(self.vertices)}
+        pairs = [(index[u], index[v]) for u, v in self.edges]
+        # comp labels each vertex with a representative r of its component
+        # under the chosen edges, and comp[r] == r; the stack pops include first
+        stack = [(0, tuple(range(n)), ())]
+        while stack:
+            i, comp, chosen = stack.pop()
+            if len(chosen) >= n - 1:
+                yield tuple(self.edges[j] for j in chosen)
+                continue
+            if _connects(comp, n - len(chosen), pairs[i + 1 :]):
+                stack.append((i + 1, comp, chosen))
+            a, b = comp[pairs[i][0]], comp[pairs[i][1]]
+            if a != b:
+                stack.append((i + 1, tuple(b if c == a else c for c in comp), chosen + (i,)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -172,6 +184,27 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"
+
+
+def _connects(comp: Tuple[int, ...], parts: int, pairs: Sequence[Tuple[int, int]]) -> bool:
+    """Whether the edges pairs join the parts components labelled by comp
+    (see SimpleGraph.spanning_trees) into one, by union-find."""
+    parent = list(comp)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            parts -= 1
+            if parts == 1:
+                return True
+    return parts <= 1
 
 
 def girth(g: SimpleGraph):

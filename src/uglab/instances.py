@@ -538,12 +538,12 @@ def spanning_tree_opt(
     of allowed difference, propagating from a zero root reproduces an optimal
     assignment up to a shift. The budget counts evaluations performed.
 
-    The witness is optimal but in general not the lex-least one: once an
-    assignment satisfies every bundle, the search stops and returns the
-    first such assignment in networkx's spanning-tree order.
+    The witness is optimal. It is the lex-least optimal tree assignment,
+    whatever the tree order, unless the search stops early: once an
+    assignment satisfies every bundle, the search returns the first such
+    assignment in ``SimpleGraph.spanning_trees`` order. An instance with no
+    vertices scores 1 vacuously, as under brute force.
     """
-    import networkx as nx
-
     if budget is None:
         budget = DEFAULT_TREE_BUDGET
     g = instance.graph()
@@ -551,12 +551,13 @@ def spanning_tree_opt(
         raise PreconditionError("spanning tree oracle requires a connected instance")
     early = len(instance.bundles)
     total = instance.constraint_count
+    if not g.vertices:
+        return 0, Fraction(1), {}
     root = g.vertices[0]
     zero = Gf2Vector.zero(instance.m)
     best_count, best_witness, best_key = -1, None, None
     evals = 0
-    for tree in nx.SpanningTreeIterator(g.to_networkx()):
-        tree_edges = [normalize_edge(u, v) for u, v in tree.edges()]
+    for tree_edges in g.spanning_trees():
         adj: Dict = {v: [] for v in g.vertices}
         for u, v in tree_edges:
             adj[u].append((v, (u, v)))

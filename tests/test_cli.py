@@ -211,24 +211,37 @@ def test_sidecar_value_of_wrong_json_type_exits_2(pairs, capsys, duplicator, sid
         assert err == f"error: sidecar {key!r} is not a JSON {'object' if kind is dict else 'array'}\n"
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("zmap", 5, "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
-    ("zmap", None, "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
-    ("zmap", [5], "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
-    ("zmap", "1", "sidecar 'zmap' entry {edge!r} is not a JSON array of strings"),
-    ("bmap", 5, "bad hex vector 5"),
-    ("bmap", None, "bad hex vector None"),
-    ("bmap", ["1"], "bad hex vector ['1']"),
-], ids=["zmap-5", "zmap-null", "zmap-array-of-5", "zmap-str", "bmap-5", "bmap-null", "bmap-array"])
-def test_sidecar_entry_of_wrong_json_type_exits_2(pairs, capsys, key, value, message):
-    # the entries of 'zmap' and 'bmap', not only the maps themselves, are checked
+@pytest.mark.parametrize("path, value, message", [
+    (("zmap", 0), 5, "sidecar 'zmap' entry {key!r} is not a JSON array of strings"),
+    (("zmap", 0), None, "sidecar 'zmap' entry {key!r} is not a JSON array of strings"),
+    (("zmap", 0), [5], "sidecar 'zmap' entry {key!r} is not a JSON array of strings"),
+    (("zmap", 0), "1", "sidecar 'zmap' entry {key!r} is not a JSON array of strings"),
+    (("bmap", 0), 5, "bad hex vector 5"),
+    (("bmap", 0), None, "bad hex vector None"),
+    (("bmap", 0), ["1"], "bad hex vector ['1']"),
+    (("graph", "vertices"), 5, "sidecar 'vertices' is not a JSON array of strings"),
+    (("graph", "vertices"), [[1, 2]], "sidecar 'vertices' is not a JSON array of strings"),
+    (("graph", "edges"), 5, "sidecar 'edges' is not a JSON array"),
+    (("graph", "edges", 0), [["a"], "b"], "sidecar 'graph' edge [['a'], 'b'] is not two vertex names"),
+    (("good",), [[[1], "x"]], "sidecar 'good' edge [[1], 'x'] is not two vertex names"),
+], ids=["zmap-5", "zmap-null", "zmap-array-of-5", "zmap-str", "bmap-5", "bmap-null", "bmap-array",
+        "vertices-5", "vertices-array-of-array", "edges-5", "graph-edge-of-array", "good-edge-of-array"])
+def test_sidecar_entry_of_wrong_json_type_exits_2(pairs, capsys, path, value, message):
+    # the entries of 'zmap', 'bmap', 'good' and the base graph, not only the
+    # maps and arrays themselves, are checked; an int after a map's name
+    # picks its entries in sorted key order
     sc = load(pairs["tree"])
-    edge = sorted(sc[key])[0]
-    sc[key][edge] = value
+    *parents, key = path
+    target = sc
+    for k in parents:
+        target = target[k]
+    if isinstance(target, dict) and isinstance(key, int):
+        key = sorted(target)[key]
+    target[key] = value
     pairs["tree"].write_text(json.dumps(sc))
     capsys.readouterr()
     assert run("game", "--pair", pairs["tree"], "--duplicator", "tree", "--k", 2, "--rounds", 1) == 2
-    assert capsys.readouterr().err == f"error: {message.format(edge=edge)}\n"
+    assert capsys.readouterr().err == f"error: {message.format(key=key)}\n"
 
 
 @pytest.mark.parametrize("gen, game, digest", [
@@ -437,13 +450,29 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 @pytest.mark.parametrize("argv", [
     ["sdp", "maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"],
     ["solve", "brute", "--in", "u4.gug", "--out", "r.json", "--no-timestamp"],
-], ids=["sdp-maxcut", "solve-brute"])
+    ["solve", "tree", "--in", "u5.gug", "--out", "r.json", "--no-timestamp"],
+], ids=["sdp-maxcut", "solve-brute", "solve-tree"])
 def test_commands_that_need_no_scipy_import_none(tmp_path, argv):
     # mixing, rounding, gw_alpha and the exact solvers are numpy-only; an
-    # eager scipy import would add its start-up time to every such run
+    # eager scipy import would add its start-up time to every such run, and
+    # the spanning-tree oracle enumerates its trees without networkx
     assert run("gen", "cops-graph", "--k", 3, "--out", tmp_path / "c3.graph") == 0
     assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0
+    assert run("gen", "unsat", "--delta", "1/2", "--out", tmp_path / "u5.gug") == 0
     err = _python("-X", "importtime", "-m", "uglab", *argv, cwd=tmp_path).stderr
     modules = [line.split("|")[-1].strip() for line in err.splitlines() if line.startswith("import time:")]
     assert "uglab.cli" in modules
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "networkx")] == []
+
+
+def test_readme_solve_tree_result_is_pinned(tmp_path, monkeypatch):
+    # the README "Solve exactly" tree command, run with relative paths because
+    # result.json records its input; the oracle's tree order must not change it
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "unsat", "--delta", "0.5", "--out", "u5.gug") == 0
+    assert run("solve", "tree", "--in", "u5.gug", "--out", "result.json", "--no-timestamp") == 0
+    for name, digest in (
+        ("u5.gug", "73120c25031cf87ff4f1319de0d75d973538bfcb6c5418fc58ec02aac8e03d22"),
+        ("result.json", "0b9f9a9185ee7136ef38502b92818228c05bbfa03d45ec365298d0589a3b9814"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

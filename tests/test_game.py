@@ -329,7 +329,7 @@ def _brute_steiner_size(g, terminals):
     for extra in range(len(others) + 1):
         for added in combinations(others, extra):
             verts = terms | set(added)
-            sub = g.subgraph(verts)
+            sub = SimpleGraph(verts, [e for e in g.edges if e[0] in verts and e[1] in verts])
             if len(sub.edges) >= len(verts) - 1:
                 comp = sub.components()
                 if len(comp) == 1:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uglab.errors import InvalidParameterError, PreconditionError
 from uglab.graphs import (
@@ -88,3 +91,66 @@ def test_cycle_decomposes_into_two_matchings():
     ms = matching_decomposition(cycle_graph(6))
     assert len(ms) == 2
     assert all(len(m) == 3 for m in ms)
+
+
+@pytest.mark.parametrize("g, count", [
+    (complete_graph(5), 125),
+    (complete_graph(6), 1296),
+    (petersen_graph(), 2000),
+    (SimpleGraph([0], []), 1),
+    (SimpleGraph([], []), 1),
+    (SimpleGraph([0, 1, 2], [(0, 1)]), 0),
+], ids=["K5", "K6", "petersen", "single-vertex", "no-vertex", "disconnected"])
+def test_spanning_tree_counts(g, count):
+    trees = list(g.spanning_trees())
+    assert len(trees) == len(set(trees)) == count
+
+
+def _matrix_tree_count(g):
+    """Determinant of the Laplacian with the first row and column removed,
+    by exact Gaussian elimination."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a, b = pos[u], pos[v]
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    rows = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            for k in range(c, len(rows)):
+                rows[r][k] -= f * rows[c][k]
+    return det
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree on 1-7 vertices plus any set of further edges."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return SimpleGraph(range(n), edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_spanning_trees_are_distinct_trees_counted_by_the_matrix_tree_theorem(g):
+    trees = list(g.spanning_trees())
+    for tree in trees:
+        assert len(tree) == g.n - 1
+        assert SimpleGraph(g.vertices, tree).is_connected()  # so acyclic
+        assert list(tree) == sorted(tree, key=g.edges.index)
+    assert len(set(trees)) == len(trees) == _matrix_tree_count(g)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uglab import cli
 from uglab.errors import (
     IncompleteAssignmentError,
     InvalidParameterError,
@@ -16,6 +17,7 @@ from uglab.errors import (
     SearchBudgetError,
 )
 from uglab import instances
+from uglab.formats import write_gug
 from uglab.gf2 import Gf2Vector
 from uglab.instances import (
     CspType,
@@ -398,6 +400,16 @@ def test_spanning_tree_budget():
     inst = random_group_instance(rng, 5, 2, 10, connected=True)
     with pytest.raises(SearchBudgetError):
         spanning_tree_opt(inst, budget=1)
+
+
+def test_oracles_agree_on_an_instance_with_no_vertices(tmp_path, capsys):
+    inst = GroupUgInstance(2, [], [])
+    assert spanning_tree_opt(inst) == brute_force_opt(inst) == (0, Fraction(1), {})
+    path = tmp_path / "empty.gug"
+    path.write_text(write_gug(inst))
+    for mode in ("tree", "brute"):
+        assert cli.main(["solve", mode, "--in", str(path), "--out", str(tmp_path / f"{mode}.json")]) == 0
+        assert capsys.readouterr().out == "optimum 0 of 0 (1)\n"
 
 
 def test_spanning_tree_matches_brute_force():
