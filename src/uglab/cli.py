@@ -309,7 +309,7 @@ def cmd_sdp_lc(args) -> int:
     csp = formats.parse_csp(_read(args.csp))
     inst = build_lc_relaxation(csp, normalization=args.normalization)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
-    out = {**sol.result_json(), "scale": inst.meta["scale"], "normalization": args.normalization}
+    out = {**sol.result_json(), "scale": float(inst.meta["scale"]), "normalization": args.normalization}
     if args.sdpa:
         formats.atomic_write_text(args.sdpa, to_sdpa(inst))
     formats.atomic_write_json(args.out, _stamp(args, out))

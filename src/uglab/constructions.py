@@ -26,7 +26,6 @@ from .instances import GroupUgInstance
 
 # Klein four-group as F_2^2; e is the identity
 KLEIN = {"e": 0, "a": 1, "b": 2, "c": 3}
-KLEIN_NAMES = {bits: name for name, bits in KLEIN.items()}
 
 
 def klein_vec(name: str) -> Gf2Vector:
@@ -590,6 +589,8 @@ def random_inapprox_pair(
     """Draw b(e) uniform in F_2^m and Z(e) a uniform rank-ell subspace per
     edge; bundle Z(e) on the first instance and the coset Z(e)+b(e) on the
     second, then restrict both to good edges (vertices are kept)."""
+    if k < 1:
+        raise InvalidParameterError("need k >= 1")
     d = base.regular_degree()
     if d != params.d:
         raise PreconditionError(f"base is {d}-regular, params want d={params.d}")
@@ -613,7 +614,6 @@ def random_inapprox_pair(
 
 __all__ = [
     "KLEIN",
-    "KLEIN_NAMES",
     "klein_vec",
     "unsat_complete_graph",
     "klein_pair",

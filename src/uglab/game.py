@@ -8,6 +8,7 @@ and rule compliance reduces to checks on g*.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -559,35 +560,26 @@ def _smaller(a: int, b: Optional[int]) -> bool:
     return bool(x & -x & a)
 
 
-def steiner_tree(g: SimpleGraph, terminals: Sequence) -> FrozenSet:
-    """Edge set of a minimum Steiner tree, deterministic under ties.
+def steiner_tree(g: SimpleGraph, terminals: Sequence) -> Dict:
+    """Map each vertex v joined to the terminals to the edge set of a minimum
+    tree spanning the terminals and v, deterministic under ties; no terminals
+    map every vertex to the empty tree.
 
-    Paths come from a per-graph table of lex-least shortest paths (cached
-    for each ``SimpleGraph``) and feed the classic subset-merge dynamic
-    program with (size, sorted edges) as the order, so equal-size trees
-    resolve lexicographically; two terminals get their table path. Edge
-    sets are bitmasks over ``g.edges`` throughout and become vertex pairs
-    on return.
+    One Dreyfus-Wagner subset DP over the terminals in rank order merges
+    lex-least shortest paths from a per-graph table, ordering trees by (size,
+    sorted edges); v's tree is the last layer read at v. Edge sets are
+    bitmasks over ``g.edges`` until the return.
     """
     terms = sorted(set(terminals), key=vertex_sort_key)
-    if len(terms) <= 1:
-        return frozenset()
     rank, table = _path_table(g)
     for t in terms:
         if t not in rank:
             raise PreconditionError(f"terminal {t!r} is not a vertex of the graph")
     ids = [rank[t] for t in terms]
-    result = _steiner_dp(table, ids[:-1])[ids[-1]]
-    if result is None:
-        raise PreconditionError(f"terminals are not all connected: {terms!r} span disconnected components")
-    return frozenset(e for i, e in enumerate(g.edges) if result >> i & 1)
-
-
-def _steiner_dp(table: Sequence[Sequence[Optional[int]]], base: List[int]) -> List[Optional[int]]:
-    """Best tree spanning the ``base`` terminals plus each vertex, by rank."""
     n = len(table)
-    dp: Dict[int, Sequence[Optional[int]]] = {1 << i: table[t] for i, t in enumerate(base)}
-    full = (1 << len(base)) - 1
+    dp: Dict[int, Sequence[Optional[int]]] = {0: [0] * n}
+    dp.update((1 << i, table[t]) for i, t in enumerate(ids))
+    full = (1 << len(ids)) - 1
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue
@@ -595,7 +587,7 @@ def _steiner_dp(table: Sequence[Sequence[Optional[int]]], base: List[int]) -> Li
         sub = (mask - 1) & mask
         while sub:
             rest = mask ^ sub
-            if rest and sub < rest:  # each split once
+            if sub < rest:  # each split once
                 for v, (a, b) in enumerate(zip(dp[sub], dp[rest])):
                     if a is not None and b is not None and _smaller(a | b, layer[v]):
                         layer[v] = a | b
@@ -615,15 +607,28 @@ def _steiner_dp(table: Sequence[Sequence[Optional[int]]], base: List[int]) -> Li
                         layer[v] = cand
                         changed = True
         dp[mask] = layer
-    return dp[full]
+    if any(dp[full][t] is None for t in ids):
+        raise PreconditionError(f"terminals are not all connected: {terms!r} span disconnected components")
+    return {v: _edge_set(g, tree) for v, tree in zip(g.vertices, dp[full]) if tree is not None}
+
+
+def _edge_set(g: SimpleGraph, mask: int) -> FrozenSet:
+    """The edges of ``g`` whose indices are the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(g.edges[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 class TreeDuplicator:
-    """Strategy for the random pair: per candidate placement u, rebuild the
-    minimal tree spanning u and the pebbled vertices of its component, reuse
-    last round's values where the trees overlap, propagate across short new
-    segments, and solve long ones exactly; the bijection reads each vertex's
-    value from its own tree."""
+    """Strategy for the random pair: per candidate placement u, take the
+    minimal tree spanning u and the pebbled vertices of its component (one
+    ``steiner_tree`` call per component and round yields every u's tree),
+    reuse last round's values where the trees overlap, propagate across short
+    new segments, and solve long ones exactly; the bijection reads each
+    vertex's value from its own tree."""
 
     def __init__(
         self,
@@ -663,10 +668,14 @@ class TreeDuplicator:
                     "pebble pair spans two base vertices", side="duplicator"
                 )
             pebbled[v] = ga + gb
+        trees = {
+            root: steiner_tree(self.graph, [v for v in pebbled if self.comp_of[v] == root])
+            for root in dict.fromkeys(self.comp_of.values())
+        }
         self._round_trees = {}
         values: Dict = {}
         for u in self.graph.vertices:
-            tree_edges, vals = self._tree_for(u, pebbled)
+            tree_edges, vals = self._tree_for(u, trees[self.comp_of[u]][u], pebbled)
             self._round_trees[u] = (tree_edges, vals)
             values[u] = vals[u]
             self._assert_tree(u, tree_edges, vals, pebbled)
@@ -679,21 +688,13 @@ class TreeDuplicator:
         u_star = pair[0][0]
         self.state[self.comp_of[u_star]] = self._round_trees[u_star]
 
-    def _tree_for(self, u, pebbled: Dict) -> Tuple[FrozenSet, Dict]:
+    def _tree_for(self, u, tree_edges: FrozenSet, pebbled: Dict) -> Tuple[FrozenSet, Dict]:
         comp = self.comp_of[u]
-        terminals = [u] + [v for v in pebbled if self.comp_of[v] == comp and v != u]
-        tree_edges = steiner_tree(self.graph, terminals)
         prev_edges, prev_vals = self.state.get(comp, (frozenset(), {}))
-        tree_vertices = {u}
-        for a, b in tree_edges:
-            tree_vertices.add(a)
-            tree_vertices.add(b)
+        deg = Counter(v for e in tree_edges for v in e)
+        tree_vertices = {u, *deg}
         vals = {v: prev_vals[v] for v in tree_vertices if v in prev_vals}
-        deg: Dict = {}
-        for a, b in tree_edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        marked = set(terminals)
+        marked = {v for v in pebbled if self.comp_of[v] == comp} | {u}
         marked.update(v for v, d in deg.items() if d >= 3)
         marked.update(v for v in tree_vertices if v in prev_vals)
         new_edges = tree_edges - prev_edges
@@ -702,13 +703,10 @@ class TreeDuplicator:
         long_segs = [s for s in segments if len(s) - 1 >= self.r]
         self._fill_short(short, vals)
         for seg in long_segs:
-            if seg[0] not in vals:
-                vals[seg[0]] = Gf2Vector.zero(self.m)
-            if seg[-1] not in vals:
-                vals[seg[-1]] = Gf2Vector.zero(self.m)
+            for end in (seg[0], seg[-1]):
+                vals.setdefault(end, Gf2Vector.zero(self.m))
             vals.update(extend_along_path(seg, vals[seg[0]], vals[seg[-1]], self.zmap, self.bmap))
-        if u not in vals:
-            vals[u] = Gf2Vector.zero(self.m)
+        vals.setdefault(u, Gf2Vector.zero(self.m))
         for v in tree_vertices:
             if v not in vals:
                 raise StrategyViolationError(

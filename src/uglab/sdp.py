@@ -592,7 +592,7 @@ def build_lc_relaxation(
     if len(constraints) > 40000:
         raise SearchBudgetError(f"{len(constraints)} constraints exceed the desk budget")
     blocks = ([("s", n1)] if n1 else []) + ([("d", n2)] if n2 else [])
-    meta = {"kind": "lc", "scale": float(scale)}
+    meta = {"kind": "lc", "scale": scale}
     return SdpInstance(n, objective, constraints, blocks=blocks, constant=0.0, meta=meta)
 
 
@@ -637,8 +637,7 @@ def gap_curve_estimate(
         gen = child if isinstance(child, np.random.Generator) else np.random.default_rng(child)
         sol = solve_sdp_lowrank(relax, tol=tol, restarts=restarts, rng=gen)
         opt, _ = csp_brute_opt(csp)
-        scale = Fraction(relax.meta["scale"]).limit_denominator(10**9)
-        points.append((sol.value, float(opt / scale)))
+        points.append((sol.value, float(opt / relax.meta["scale"])))
     table = GapTable(points=tuple(sorted(points)), eta=float(eta))
     if grid is not None:
         samples = tuple((float(c), table.lookup(float(c))) for c in grid)

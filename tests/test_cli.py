@@ -424,7 +424,9 @@ def _bad_bytes(path):
     (lambda p: _bad_bytes(p["klein"]), "error: line 2: "),
     (lambda p: ["gen", "random-pair", "--m", -1, "--out-dir", p["tree"].parent / "x"],
      "error: dimension must be in 1..64, got -1"),
-], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m"])
+    (lambda p: ["gen", "random-pair", "--k", 0, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
+    (lambda p: ["gen", "random-pair", "--k", -1, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
+], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)

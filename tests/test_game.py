@@ -39,7 +39,7 @@ from uglab.game import (
     steiner_tree,
 )
 from uglab.gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
-from uglab.graphs import SimpleGraph, cycle_graph, normalize_edge, path_graph, petersen_graph
+from uglab.graphs import SimpleGraph, cycle_graph, normalize_edge, path_graph, petersen_graph, vertex_sort_key
 from uglab.instances import GroupUgInstance, lifted_allowed_diffs
 
 from fractions import Fraction
@@ -291,12 +291,34 @@ def test_extend_along_path_single_edge():
 # -- minimal trees ------------------------------------------------------------------
 
 
+def _one_tree(g, terminals):
+    """The tree for one terminal set: the DP over all terminals but the last
+    (in vertex order), read at the last."""
+    terms = sorted(set(terminals), key=vertex_sort_key)
+    return steiner_tree(g, terms[:-1])[terms[-1]]
+
+
 def test_steiner_tree_two_terminals():
     g = path_graph(5)
-    assert steiner_tree(g, [0, 4]) == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+    assert _one_tree(g, [0, 4]) == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     c = cycle_graph(6)
-    assert steiner_tree(c, [0, 3]) == frozenset({(0, 1), (1, 2), (2, 3)})
-    assert steiner_tree(g, [2]) == frozenset()
+    assert _one_tree(c, [0, 3]) == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert _one_tree(g, [2]) == frozenset()
+
+
+def test_steiner_tree_maps_every_vertex_of_the_terminals_component():
+    g = path_graph(5)
+    assert steiner_tree(g, []) == {v: frozenset() for v in g.vertices}
+    assert steiner_tree(g, [1, 3]) == {
+        0: frozenset({(0, 1), (1, 2), (2, 3)}),
+        1: frozenset({(1, 2), (2, 3)}),
+        2: frozenset({(1, 2), (2, 3)}),
+        3: frozenset({(1, 2), (2, 3)}),
+        4: frozenset({(1, 2), (2, 3), (3, 4)}),
+    }
+    split = SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)])
+    assert steiner_tree(split, [0]) == {0: frozenset(), 1: frozenset({(0, 1)})}
+    assert steiner_tree(split, [3, 2]) == {2: frozenset({(2, 3)}), 3: frozenset({(2, 3)})}
 
 
 def _tree_is_connected_cover(g, edges, terminals):
@@ -340,7 +362,7 @@ def _brute_steiner_size(g, terminals):
 @pytest.mark.parametrize("terminals", [[0, 5, 7], [1, 3, 8], [0, 2, 6, 9]])
 def test_steiner_tree_matches_brute_minimum(terminals):
     g = petersen_graph()
-    edges = steiner_tree(g, terminals)
+    edges = _one_tree(g, terminals)
     assert _tree_is_connected_cover(g, edges, terminals)
     assert len(edges) == _brute_steiner_size(g, terminals)
 
@@ -348,7 +370,7 @@ def test_steiner_tree_matches_brute_minimum(terminals):
 def test_steiner_tree_is_deterministic():
     g = petersen_graph()
     a = steiner_tree(g, [0, 5, 7])
-    b = steiner_tree(g, [7, 0, 5])
+    b = steiner_tree(g, [7, 0, 5, 0])
     assert a == b
 
 
@@ -371,10 +393,16 @@ def graphs_with_cycles(draw):
 @given(graphs_with_cycles())
 def test_steiner_tree_minimum_on_random_graphs(case):
     g, terminals = case
-    edges = steiner_tree(g, terminals)
+    edges = _one_tree(g, terminals)
     assert edges <= set(g.edges)
     assert _tree_is_connected_cover(g, edges, terminals)
     assert len(edges) == _brute_steiner_size(g, terminals)
+    trees = steiner_tree(g, terminals)
+    assert set(trees) == set(g.vertices)
+    for v, edges in trees.items():
+        assert edges <= set(g.edges)
+        assert _tree_is_connected_cover(g, edges, terminals + [v])
+        assert len(edges) == _brute_steiner_size(g, terminals + [v])
 
 
 def c6_with_chords(name=lambda i: i):
@@ -399,12 +427,12 @@ def c6_with_chords(name=lambda i: i):
     ],
 )
 def test_steiner_tree_tie_breaks_pinned(g, terminals, expected):
-    assert steiner_tree(g, terminals) == frozenset(expected)
+    assert _one_tree(g, terminals) == frozenset(expected)
 
 
 def test_steiner_tree_mixed_labels_and_errors():
     g = c6_with_chords(lambda i: i if i % 2 else f"s{i}")
-    edges = steiner_tree(g, ["s0", 3, "s4"])
+    edges = _one_tree(g, ["s0", 3, "s4"])
     assert _tree_is_connected_cover(g, edges, ["s0", 3, "s4"]) and len(edges) == 2
     split = SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)])
     with pytest.raises(PreconditionError, match="disconnected"):
@@ -444,6 +472,28 @@ def test_tree_duplicator_survives_random_rounds(seed):
     t = play_game(A, B, 2, dup, spoiler_random(random.Random(100 + seed)), 100)
     assert t["winner"] is None
     assert t["survived"] == 100
+
+
+def test_tree_duplicator_solves_once_per_component_per_round(monkeypatch):
+    import uglab.game as game_module
+
+    calls = []
+
+    def counting(g, terminals):
+        calls.append(list(terminals))
+        return steiner_tree(g, terminals)
+
+    monkeypatch.setattr(game_module, "steiner_tree", counting)
+    pair = desk_pair(0)
+    A, B = LiftedStructure(pair.u1), LiftedStructure(pair.u2)
+    dup = duplicator_tree(pair)
+    t = play_game(A, B, 3, dup, spoiler_random(random.Random(7)), 12)
+    assert t["winner"] is None
+    components = dup.graph.components()
+    assert len(calls) == 12 * len(components)
+    # the terminals are the pebbled vertices of one component: at most k - 1,
+    # since one pair is lifted when the Duplicator answers
+    assert max(len(c) for c in calls) == 2
 
 
 def test_tree_duplicator_respects_pebbles_under_search():

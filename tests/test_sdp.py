@@ -499,6 +499,19 @@ def test_gap_curve_singleton_family():
     assert table.samples[0][1] == -math.inf
 
 
+def test_gap_curve_optimum_is_exact():
+    # fully satisfiable; a float round trip of the weight scale read 0.9999999999999999
+    ct_eq = CspType(2, [(0, 0), (1, 1)], 2)
+    apps = [
+        ("eq", ("a", "b"), Fraction(44, 999961)),
+        ("eq", ("b", "c"), Fraction(10, 999983)),
+        ("eq", ("a", "c"), Fraction(38, 9973)),
+    ]
+    csp = WeightedCspInstance(2, ["a", "b", "c"], {"eq": ct_eq}, apps)
+    (_, opt_val), = gap_curve_estimate([csp], eta=0.05, restarts=1).points
+    assert opt_val == 1.0
+
+
 def test_gap_lookup_monotone():
     ct_and = CspType(2, [(1, 1)], 2)
     ct_or = CspType(2, [(0, 1), (1, 0), (1, 1)], 2)
