@@ -107,8 +107,7 @@ def _load_instance(path: str):
 
 def _witness_json(witness: Dict) -> Dict:
     out = {}
-    for v in sorted(witness, key=str):
-        label = witness[v]
+    for v, label in witness.items():
         out[str(v)] = label.to_hex() if isinstance(label, Gf2Vector) else int(label)
     return out
 

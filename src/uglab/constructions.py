@@ -174,7 +174,7 @@ def klein_to_json(h: SimpleGraph, coloring: Dict[Tuple, str], star_edge: Tuple) 
         "kind": "klein",
         "m": 2,
         "graph": _graph_json(h),
-        "coloring": {_edge_key(e): c for e, c in sorted(coloring.items())},
+        "coloring": {_edge_key(e): c for e, c in coloring.items()},
         "star": _edge_json(star_edge),
     }
 
@@ -291,7 +291,7 @@ def _escape_paths(h: SimpleGraph, p0, p1, cops: FrozenSet, target_ok) -> Optiona
         trail.append(p0)
         trail.reverse()
         used = set(trail)
-        for y in sorted(h.neighbors(x), key=vertex_sort_key):
+        for y in h.neighbors(x):
             if y in cops or y in used:
                 continue
             if target_ok(x, y):
@@ -343,7 +343,7 @@ def robber_move(h: SimpleGraph, cops, robber: Tuple) -> List:
             return edge != e and x not in cops and y not in cops
 
     candidates = []
-    for p1 in sorted((p for p in e if p not in cops), key=vertex_sort_key):
+    for p1 in (p for p in e if p not in cops):
         p0 = e[0] if p1 == e[1] else e[1]
         path = _escape_paths(h, p0, p1, cops, target_ok)
         if path is not None:
@@ -532,8 +532,8 @@ class InapproxPair:
             "kind": "tree",
             "graph": _graph_json(self.base),
             "params": self.params.to_dict(),
-            "zmap": {_edge_key(e): [v.to_hex() for v in z.basis] for e, z in sorted(self.zmap.items())},
-            "bmap": {_edge_key(e): v.to_hex() for e, v in sorted(self.bmap.items())},
+            "zmap": {_edge_key(e): [v.to_hex() for v in z.basis] for e, z in self.zmap.items()},
+            "bmap": {_edge_key(e): v.to_hex() for e, v in self.bmap.items()},
             "good": [_edge_json(e) for e in sorted(self.good)],
             "girth_ok": self.girth_ok,
         }

@@ -4,6 +4,11 @@ Universe elements are pairs (base vertex, group element). Every Duplicator
 here answers with a map g*: V -> F_2^m inducing the bijection
 f(v, g) = (v, g + g*(v)), so bijections are permutations by construction
 and rule compliance reduces to checks on g*.
+
+Inside this layer, difference labels and edge sets are int bitmasks (a tree
+is a mask over ``graph.edges``); ``Gf2Vector`` values and edge tuples appear
+only at the API. Canonical order comes from ``SimpleGraph``,
+``GroupUgInstance`` and the JSON writer; nothing here sorts it again.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import klein_vec, robber_move
 from .errors import (
@@ -23,7 +28,7 @@ from .errors import (
 )
 from .gf2 import Gf2Subspace, Gf2Vector, coefficients_in_basis, span_of
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
-from .instances import GroupUgInstance, lifted_allowed_diffs
+from .instances import GroupUgInstance
 
 
 class LiftedStructure:
@@ -32,23 +37,24 @@ class LiftedStructure:
     def __init__(self, base: GroupUgInstance) -> None:
         self.base = base
         self.m = base.m
-        self._elements = [
-            (v, Gf2Vector(g, base.m)) for v in base.vertices for g in range(base.q)
-        ]
-        self._vertex_set = frozenset(base.vertices)
+        self._elements = tuple((v, Gf2Vector(g, base.m)) for v in base.vertices for g in range(base.q))
 
     def universe_size(self) -> int:
         return len(self._elements)
 
-    def elements(self) -> List[Tuple]:
-        return list(self._elements)
+    def elements(self) -> Tuple[Tuple, ...]:
+        return self._elements
 
-    def has_element(self, elem: Tuple) -> bool:
-        v, g = elem
-        return isinstance(g, Gf2Vector) and g.dim == self.m and v in self._vertex_set
-
-    def allowed_diffs(self, a: Tuple, b: Tuple) -> FrozenSet:
-        return lifted_allowed_diffs(self.base, a, b)
+    def allowed_diffs(self, a: Tuple, b: Tuple) -> FrozenSet[int]:
+        """Allowed differences between the lifted vertices a = (u, x) and
+        b = (w, y), as int bits: z + x + y for each z in the base bundle on
+        (u, w). Empty for two clones of one base vertex and where the base
+        has no bundle."""
+        (u, x), (w, y) = a, b
+        if u == w:
+            return frozenset()
+        shift = x.bits ^ y.bits
+        return frozenset(z.bits ^ shift for z in self.base.diffs_on(u, w))
 
 
 class GStarMap:
@@ -67,7 +73,7 @@ class GStarMap:
         return (v, g + self.shift(v))
 
     def to_hex(self) -> Dict[str, str]:
-        return {str(v): g.to_hex() for v, g in sorted(self.values.items(), key=lambda kv: vertex_sort_key(kv[0]))}
+        return {str(v): g.to_hex() for v, g in self.values.items()}
 
 
 @dataclass
@@ -136,6 +142,10 @@ def play_game(
         raise PreconditionError("universes differ in size; no bijection exists")
     if k < 1:
         raise InvalidParameterError("need k >= 1")
+    if max_rounds < 0:
+        raise InvalidParameterError(f"need max_rounds >= 0, got {max_rounds}")
+    if not A.universe_size():
+        raise PreconditionError("the universe is empty; there is no element to place")
     pebbles: List[Optional[Tuple]] = [None] * k
     rounds = []
     winner = None
@@ -565,10 +575,10 @@ def steiner_tree(g: SimpleGraph, terminals: Sequence) -> Dict:
     tree spanning the terminals and v, deterministic under ties; no terminals
     map every vertex to the empty tree.
 
-    One Dreyfus-Wagner subset DP over the terminals in rank order merges
-    lex-least shortest paths from a per-graph table, ordering trees by (size,
-    sorted edges); v's tree is the last layer read at v. Edge sets are
-    bitmasks over ``g.edges`` until the return.
+    Each edge set is an int bitmask over ``g.edges``: bit i stands for
+    ``g.edges[i]``. One Dreyfus-Wagner subset DP over the terminals in rank
+    order merges lex-least shortest paths from a per-graph table, ordering
+    trees by (size, sorted edges); v's tree is the last layer read at v.
     """
     terms = sorted(set(terminals), key=vertex_sort_key)
     rank, table = _path_table(g)
@@ -609,17 +619,15 @@ def steiner_tree(g: SimpleGraph, terminals: Sequence) -> Dict:
         dp[mask] = layer
     if any(dp[full][t] is None for t in ids):
         raise PreconditionError(f"terminals are not all connected: {terms!r} span disconnected components")
-    return {v: _edge_set(g, tree) for v, tree in zip(g.vertices, dp[full]) if tree is not None}
+    return {v: tree for v, tree in zip(g.vertices, dp[full]) if tree is not None}
 
 
-def _edge_set(g: SimpleGraph, mask: int) -> FrozenSet:
-    """The edges of ``g`` whose indices are the set bits of ``mask``."""
-    out = []
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
-        out.append(g.edges[low.bit_length() - 1])
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(out)
 
 
 class TreeDuplicator:
@@ -651,7 +659,7 @@ class TreeDuplicator:
         for comp in self.graph.components():
             for v in comp:
                 self.comp_of[v] = comp[0]
-        # per component: (edge set of the stored tree, values on its vertices)
+        # per component: (edge mask of the stored tree, values on its vertices)
         self.state: Dict = {}
         self._round_trees: Dict = {}
 
@@ -672,13 +680,14 @@ class TreeDuplicator:
             root: steiner_tree(self.graph, [v for v in pebbled if self.comp_of[v] == root])
             for root in dict.fromkeys(self.comp_of.values())
         }
+        rank = _path_table(self.graph)[0]
         self._round_trees = {}
         values: Dict = {}
         for u in self.graph.vertices:
-            tree_edges, vals = self._tree_for(u, trees[self.comp_of[u]][u], pebbled)
-            self._round_trees[u] = (tree_edges, vals)
+            tree, vals = self._tree_for(u, trees[self.comp_of[u]][u], pebbled, rank)
+            self._round_trees[u] = (tree, vals)
             values[u] = vals[u]
-            self._assert_tree(u, tree_edges, vals, pebbled)
+            self._assert_tree(u, tree, vals, pebbled)
         return GStarMap(self.m, values)
 
     def observe_placement(self, view: GameView) -> None:
@@ -688,20 +697,23 @@ class TreeDuplicator:
         u_star = pair[0][0]
         self.state[self.comp_of[u_star]] = self._round_trees[u_star]
 
-    def _tree_for(self, u, tree_edges: FrozenSet, pebbled: Dict) -> Tuple[FrozenSet, Dict]:
+    def _tree_for(self, u, tree: int, pebbled: Dict, rank: Dict) -> Tuple[int, Dict]:
         comp = self.comp_of[u]
-        prev_edges, prev_vals = self.state.get(comp, (frozenset(), {}))
-        deg = Counter(v for e in tree_edges for v in e)
+        prev, prev_vals = self.state.get(comp, (0, {}))
+        edges = self.graph.edges
+        deg = Counter(v for i in _bit_indices(tree) for v in edges[i])
         tree_vertices = {u, *deg}
         vals = {v: prev_vals[v] for v in tree_vertices if v in prev_vals}
         marked = {v for v in pebbled if self.comp_of[v] == comp} | {u}
         marked.update(v for v, d in deg.items() if d >= 3)
-        marked.update(v for v in tree_vertices if v in prev_vals)
-        new_edges = tree_edges - prev_edges
-        segments = _split_segments(new_edges, marked)
-        short = [s for s in segments if len(s) - 1 < self.r]
-        long_segs = [s for s in segments if len(s) - 1 >= self.r]
-        self._fill_short(short, vals)
+        marked.update(vals)
+        short, long_segs = 0, []
+        for seg, seg_mask in _split_segments(edges, tree & ~prev, marked, rank):
+            if len(seg) - 1 < self.r:
+                short |= seg_mask
+            else:
+                long_segs.append(seg)
+        self._fill_short(short, vals, rank)
         for seg in long_segs:
             for end in (seg[0], seg[-1]):
                 vals.setdefault(end, Gf2Vector.zero(self.m))
@@ -712,18 +724,16 @@ class TreeDuplicator:
                 raise StrategyViolationError(
                     "tree vertex left undefined", side="duplicator", detail={"vertex": str(v)}
                 )
-        return tree_edges, vals
+        return tree, vals
 
-    def _fill_short(self, segments: List[List], vals: Dict) -> None:
-        """The proof's while-loop: propagate across one-defined edges, else
-        seed the least undefined vertex with zero; afterwards check every
-        closed edge (a short segment both of whose ends arrived with values
-        can only close consistently at theorem-scale girth)."""
-        edges = []
-        for seg in segments:
-            edges.extend(normalize_edge(a, b) for a, b in zip(seg, seg[1:]))
-        edges = sorted(set(edges), key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))
-        vertices = sorted({v for e in edges for v in e}, key=vertex_sort_key)
+    def _fill_short(self, mask: int, vals: Dict, rank: Dict) -> None:
+        """The proof's while-loop over the short segments' edges ``mask``:
+        propagate across one-defined edges, else seed the least undefined
+        vertex with zero; afterwards check every closed edge (a short segment
+        both of whose ends arrived with values can only close consistently at
+        theorem-scale girth)."""
+        edges = [self.graph.edges[i] for i in _bit_indices(mask)]
+        vertices = sorted({v for e in edges for v in e}, key=rank.__getitem__)
         pending = set(edges)
         while True:
             progressed = False
@@ -745,23 +755,23 @@ class TreeDuplicator:
             if not undefined:
                 break
             vals[undefined[0]] = Gf2Vector.zero(self.m)
-        for e in pending:  # edges that closed with both ends already valued
-            s = vals[e[0]] + vals[e[1]]
-            if (self.bmap[e] + s) not in self.zmap[e]:
+        for e in edges:  # edges that closed with both ends already valued
+            if e in pending and (self.bmap[e] + vals[e[0]] + vals[e[1]]) not in self.zmap[e]:
                 raise StrategyViolationError(
                     "a short segment closed inconsistently (girth too small for the bound)",
                     side="duplicator",
                     detail={"edge": [str(x) for x in e]},
                 )
 
-    def _assert_tree(self, u, tree_edges: FrozenSet, vals: Dict, pebbled: Dict) -> None:
+    def _assert_tree(self, u, tree: int, vals: Dict, pebbled: Dict) -> None:
         for v, s in pebbled.items():
             if self.comp_of[v] == self.comp_of[u] and vals.get(v) != s:
                 raise StrategyViolationError(
                     "pebbled vertex value drifted", side="duplicator",
                     detail={"vertex": str(v), "anchor": str(u)},
                 )
-        for e in tree_edges:
+        for i in _bit_indices(tree):
+            e = self.graph.edges[i]
             s = vals[e[0]] + vals[e[1]]
             if (self.bmap[e] + s) not in self.zmap[e]:
                 raise StrategyViolationError(
@@ -770,34 +780,36 @@ class TreeDuplicator:
                 )
 
 
-def _split_segments(new_edges: FrozenSet, marked: set) -> List[List]:
-    """Decompose a forest of fresh tree edges into paths whose interiors are
-    unmarked; every leaf of the forest is marked, so the walk always ends."""
+def _split_segments(edges: Sequence[Tuple], new: int, marked: set, rank: Dict) -> List[Tuple[List, int]]:
+    """Decompose a forest of fresh tree edges, a bitmask over a graph's
+    ``edges``, into paths with unmarked interiors, each with its edge mask;
+    every leaf of the forest is marked, so the walk always ends. Adjacency is
+    filled in edge order, hence vertex order; marked vertices go by ``rank``."""
     adj: Dict = {}
-    for a, b in new_edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for v in adj:
-        adj[v].sort(key=vertex_sort_key)
-    seen_edges = set()
+    for i in _bit_indices(new):
+        a, b = edges[i]
+        adj.setdefault(a, []).append((b, 1 << i))
+        adj.setdefault(b, []).append((a, 1 << i))
+    seen = 0
     segments = []
-    for mv in sorted((v for v in adj if v in marked), key=vertex_sort_key):
-        for w in adj[mv]:
-            e = normalize_edge(mv, w)
-            if e in seen_edges:
+    for mv in sorted((v for v in adj if v in marked), key=rank.__getitem__):
+        for w, bit in adj[mv]:
+            if seen & bit:
                 continue
-            seen_edges.add(e)
-            seg = [mv, w]
+            seen |= bit
+            seg, seg_mask = [mv, w], bit
             while seg[-1] not in marked:
-                nxt = [x for x in adj[seg[-1]] if normalize_edge(seg[-1], x) not in seen_edges]
+                nxt = [(x, b) for x, b in adj[seg[-1]] if not seen & b]
                 if len(nxt) != 1:
                     raise StrategyViolationError(
                         "segment interior is not a simple chain", side="duplicator"
                     )
-                seen_edges.add(normalize_edge(seg[-1], nxt[0]))
-                seg.append(nxt[0])
-            segments.append(seg)
-    if len(seen_edges) != len(new_edges):
+                x, step = nxt[0]
+                seen |= step
+                seg_mask |= step
+                seg.append(x)
+            segments.append((seg, seg_mask))
+    if seen != new:
         raise StrategyViolationError("new tree edges contain an unmarked cycle", side="duplicator")
     return segments
 

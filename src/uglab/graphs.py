@@ -53,12 +53,11 @@ class SimpleGraph:
         self.edges: Tuple[Tuple, ...] = tuple(
             sorted(es, key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))
         )
+        # filled in edge order, so every neighbour list is in vertex order
         self._adj: Dict = {v: [] for v in self.vertices}
         for u, v in self.edges:
             self._adj[u].append(v)
             self._adj[v].append(u)
-        for v in self._adj:
-            self._adj[v].sort(key=vertex_sort_key)
         self._edge_set = frozenset(self.edges)
 
     # -- basic queries -------------------------------------------------
@@ -276,7 +275,8 @@ def complete_bipartite_graph(a: int, b: int) -> SimpleGraph:
 
 
 def _kuhn_perfect_matching(g: SimpleGraph, avail_edges: set, left: Sequence) -> Dict:
-    """Perfect matching of a regular bipartite (sub)graph by augmenting paths."""
+    """Perfect matching of a regular bipartite (sub)graph by augmenting paths
+    from the ``left`` vertices, tried in the order given."""
     adj = {u: [] for u in left}
     for u, v in avail_edges:
         if u in adj:
@@ -297,7 +297,7 @@ def _kuhn_perfect_matching(g: SimpleGraph, avail_edges: set, left: Sequence) -> 
                 return True
         return False
 
-    for u in sorted(left, key=vertex_sort_key):
+    for u in left:
         if not try_augment(u, set()):
             raise PreconditionError("no perfect matching in bipartite layer")
     return {u: w for w, u in match_r.items()}

@@ -120,7 +120,7 @@ class PermUgInstance:
 
     def graph(self) -> SimpleGraph:
         edges = {normalize_edge(u, v) for u, v, _ in self.constraints}
-        return SimpleGraph(self.vertices, sorted(edges, key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1]))))
+        return SimpleGraph(self.vertices, edges)
 
     def __repr__(self) -> str:
         return f"PermUgInstance(q={self.q}, |V|={len(self.vertices)}, constraints={len(self.constraints)})"
@@ -303,13 +303,13 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
 
 
 def _brute_group_component(instance: GroupUgInstance, comp, budget: int) -> Tuple[int, Dict]:
-    """Exact optimum on one connected component; lex-least witness.
+    """Exact optimum on one connected component, in vertex order as
+    ``SimpleGraph.components`` returns it; lex-least witness.
 
     The first vertex is fixed to zero as a radix-1 variable (every assignment
     family is closed under a global shift); each bundle is the table
     T[a, b] = (a + b in diffs).
     """
-    comp = sorted(comp, key=vertex_sort_key)
     space = instance.q ** (len(comp) - 1)
     if space > budget:
         raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
@@ -459,17 +459,6 @@ def label_lift(instance: GroupUgInstance, max_vertices: int = DEFAULT_LIFT_VERTE
     return GroupUgInstance(instance.m, lifted_vertices, bundles)
 
 
-def lifted_allowed_diffs(base: GroupUgInstance, a: Tuple, b: Tuple) -> frozenset:
-    """Allowed differences between lifted vertices a = (u, g1), b = (v, g2),
-    without materializing the lift; empty when the base has no bundle."""
-    (u, g1), (v, g2) = a, b
-    if u == v:
-        return frozenset()  # clones of one base vertex share no edge
-    diffs = base.diffs_on(u, v)
-    shift = g1.bits ^ g2.bits
-    return frozenset(Gf2Vector(z.bits ^ shift, base.m) for z in diffs)
-
-
 def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
     """Exact optimum of the lifted instance without materializing it.
 
@@ -606,7 +595,6 @@ __all__ = [
     "csp_brute_opt",
     "propagate_complete_sat",
     "label_lift",
-    "lifted_allowed_diffs",
     "lifted_opt",
     "spanning_tree_opt",
     "DEFAULT_BRUTE_BUDGET",

@@ -407,6 +407,12 @@ def _bad_params(path):
     return ["game", "--pair", path, "--duplicator", "tree", "--rounds", 1]
 
 
+def _empty_pair(path):
+    for name in ("u1.gug", "u2.gug"):
+        (path.parent / name).write_text("gug m=2\n")
+    return ["game", "--pair", path, "--duplicator", "identity", "--rounds", 3]
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -426,7 +432,11 @@ def _bad_bytes(path):
      "error: dimension must be in 1..64, got -1"),
     (lambda p: ["gen", "random-pair", "--k", 0, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
     (lambda p: ["gen", "random-pair", "--k", -1, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
-], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative"])
+    (lambda p: _empty_pair(p["klein"]), "error: the universe is empty"),
+    (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", -4, "--out", p["klein"].parent / "g.json"],
+     "error: need max_rounds >= 0, got -4"),
+], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
+        "empty-universe", "rounds-negative"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -18,6 +19,7 @@ from uglab.constructions import (
     random_inapprox_pair,
 )
 from uglab.errors import (
+    InvalidParameterError,
     NotInSpanError,
     PreconditionError,
     SearchBudgetError,
@@ -27,6 +29,7 @@ from uglab.game import (
     GameView,
     GStarMap,
     LiftedStructure,
+    RandomSpoiler,
     check_partial_isomorphism,
     duplicator_cops,
     duplicator_identity,
@@ -40,7 +43,7 @@ from uglab.game import (
 )
 from uglab.gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
 from uglab.graphs import SimpleGraph, cycle_graph, normalize_edge, path_graph, petersen_graph, vertex_sort_key
-from uglab.instances import GroupUgInstance, lifted_allowed_diffs
+from uglab.instances import GroupUgInstance
 
 from fractions import Fraction
 
@@ -56,11 +59,13 @@ def test_lifted_structure_basics():
     assert A.universe_size() == 16
     els = A.elements()
     assert len(set(els)) == 16
-    assert A.has_element(("v1", Gf2Vector(3, 2)))
-    assert not A.has_element(("v9", Gf2Vector(0, 2)))
+    assert ("v1", Gf2Vector(3, 2)) in els
+    assert ("v9", Gf2Vector(0, 2)) not in els
     a = ("v1", Gf2Vector(1, 2))
     b = ("v2", Gf2Vector(2, 2))
-    assert A.allowed_diffs(a, b) == lifted_allowed_diffs(u1, a, b)
+    assert A.allowed_diffs(a, b) == {z.bits ^ 1 ^ 2 for z in u1.diffs_on("v1", "v2")} != set()
+    assert A.allowed_diffs(a, ("v1", Gf2Vector(2, 2))) == frozenset()  # clones of one vertex
+    assert A.allowed_diffs(a, ("v9", Gf2Vector(2, 2))) == frozenset()  # a vertex the base lacks
 
 
 def test_gstar_map():
@@ -111,6 +116,16 @@ def test_play_game_size_mismatch():
     small = LiftedStructure(GroupUgInstance(2, ["w"], []))
     with pytest.raises(PreconditionError):
         play_game(A, small, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 5)
+
+
+def test_play_game_rejects_an_empty_universe_and_negative_rounds():
+    empty = LiftedStructure(GroupUgInstance(2, [], []))
+    with pytest.raises(PreconditionError, match="universe is empty"):
+        play_game(empty, empty, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 5)
+    _, _, A, _, _, _, _ = klein_lifts()
+    with pytest.raises(InvalidParameterError, match="max_rounds >= 0"):
+        play_game(A, A, 2, duplicator_identity(2), spoiler_random(random.Random(0)), -4)
+    assert play_game(A, A, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 0)["rounds"] == []
 
 
 def test_identity_duplicator_loses_on_the_pair():
@@ -291,11 +306,19 @@ def test_extend_along_path_single_edge():
 # -- minimal trees ------------------------------------------------------------------
 
 
+def steiner_edge_sets(g, terminals):
+    """``steiner_tree`` with each vertex's bitmask turned into its edge set:
+    bit i stands for ``g.edges[i]``, and no bit lies past the last edge."""
+    trees = steiner_tree(g, terminals)
+    assert all(mask >> len(g.edges) == 0 for mask in trees.values())
+    return {v: frozenset(e for i, e in enumerate(g.edges) if mask >> i & 1) for v, mask in trees.items()}
+
+
 def _one_tree(g, terminals):
     """The tree for one terminal set: the DP over all terminals but the last
     (in vertex order), read at the last."""
     terms = sorted(set(terminals), key=vertex_sort_key)
-    return steiner_tree(g, terms[:-1])[terms[-1]]
+    return steiner_edge_sets(g, terms[:-1])[terms[-1]]
 
 
 def test_steiner_tree_two_terminals():
@@ -308,8 +331,8 @@ def test_steiner_tree_two_terminals():
 
 def test_steiner_tree_maps_every_vertex_of_the_terminals_component():
     g = path_graph(5)
-    assert steiner_tree(g, []) == {v: frozenset() for v in g.vertices}
-    assert steiner_tree(g, [1, 3]) == {
+    assert steiner_edge_sets(g, []) == {v: frozenset() for v in g.vertices}
+    assert steiner_edge_sets(g, [1, 3]) == {
         0: frozenset({(0, 1), (1, 2), (2, 3)}),
         1: frozenset({(1, 2), (2, 3)}),
         2: frozenset({(1, 2), (2, 3)}),
@@ -317,8 +340,8 @@ def test_steiner_tree_maps_every_vertex_of_the_terminals_component():
         4: frozenset({(1, 2), (2, 3), (3, 4)}),
     }
     split = SimpleGraph([0, 1, 2, 3], [(0, 1), (2, 3)])
-    assert steiner_tree(split, [0]) == {0: frozenset(), 1: frozenset({(0, 1)})}
-    assert steiner_tree(split, [3, 2]) == {2: frozenset({(2, 3)}), 3: frozenset({(2, 3)})}
+    assert steiner_edge_sets(split, [0]) == {0: frozenset(), 1: frozenset({(0, 1)})}
+    assert steiner_edge_sets(split, [3, 2]) == {2: frozenset({(2, 3)}), 3: frozenset({(2, 3)})}
 
 
 def _tree_is_connected_cover(g, edges, terminals):
@@ -397,7 +420,7 @@ def test_steiner_tree_minimum_on_random_graphs(case):
     assert edges <= set(g.edges)
     assert _tree_is_connected_cover(g, edges, terminals)
     assert len(edges) == _brute_steiner_size(g, terminals)
-    trees = steiner_tree(g, terminals)
+    trees = steiner_edge_sets(g, terminals)
     assert set(trees) == set(g.vertices)
     for v, edges in trees.items():
         assert edges <= set(g.edges)
@@ -472,6 +495,47 @@ def test_tree_duplicator_survives_random_rounds(seed):
     t = play_game(A, B, 2, dup, spoiler_random(random.Random(100 + seed)), 100)
     assert t["winner"] is None
     assert t["survived"] == 100
+
+
+class _RecordingSpoiler(RandomSpoiler):
+    """Random Spoiler that records each round's answer and placement, so a
+    game that raises still leaves the rounds before the raise."""
+
+    def __init__(self, rng) -> None:
+        super().__init__(rng)
+        self.rounds = []
+
+    def place(self, view, gstar):
+        a = super().place(view, gstar)
+        self.rounds.append([view.round_no, gstar.to_hex(), [str(a[0]), a[1].to_hex()]])
+        return a
+
+
+def k3_tree_record(seed):
+    """The transcript of a 30-round k=3 tree game on the Petersen desk pair of
+    ``seed``, or, where the strategy raises, its error line, detail and the
+    rounds played before the raise."""
+    pair = desk_pair(seed)
+    spoiler = _RecordingSpoiler(random.Random(seed))
+    try:
+        return play_game(LiftedStructure(pair.u1), LiftedStructure(pair.u2), 3, duplicator_tree(pair), spoiler, 30)
+    except StrategyViolationError as exc:
+        return {"error": f"strategy violation: {exc}", "detail": exc.detail, "rounds": spoiler.rounds}
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "55b05d15487528ebd6c42cd4749dcb262e77d5d4c50da0b7016349663fb4c489"),
+    (1, "590eddd47bd2511b97f72be3e5bd363cf8ed87a8e1b13b7b0048e8cc50ba5c69"),
+    (2, "4fc00aedb50eaa7a3b67c662a137f0deb942d7a8d1592e7800822a36e307d18a"),
+    (8, "47fd3f0be506aefa049bc9f0d1d3f34172b2fe10ef03cd6f4e7c06e7c4bb1256"),
+    (9, "beec388468c8c99ba626f157a754a096983ccdbb70b3c485550f87084d147ccb"),
+    (11, "a53a7213a1f709ce3a632c95b0356a1c30e33446561efc58189353d312ea1637"),
+])
+def test_tree_duplicator_k3_transcripts_are_pinned(seed, digest):
+    # k=3 games merge two terminals per component, which the k=2 README pin
+    # never does; the tree strategy's bookkeeping must not change one answer
+    record = json.dumps(k3_tree_record(seed), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
 def test_tree_duplicator_solves_once_per_component_per_round(monkeypatch):

@@ -18,6 +18,7 @@ from uglab.errors import (
 )
 from uglab import instances
 from uglab.formats import write_gug
+from uglab.game import LiftedStructure
 from uglab.gf2 import Gf2Vector
 from uglab.instances import (
     CspType,
@@ -30,7 +31,6 @@ from uglab.instances import (
     csp_value,
     evaluate,
     label_lift,
-    lifted_allowed_diffs,
     lifted_opt,
     propagate_complete_sat,
     spanning_tree_opt,
@@ -343,6 +343,7 @@ def test_lifted_allowed_diffs_matches_materialized():
     for _ in range(20):
         inst = random_group_instance(rng, rng.randrange(2, 5), rng.randrange(1, 3), 6)
         lifted = label_lift(inst)
+        structure = LiftedStructure(inst)
         for _ in range(50):
             u = rng.choice(inst.vertices)
             w = rng.choice(inst.vertices)
@@ -350,8 +351,8 @@ def test_lifted_allowed_diffs_matches_materialized():
                 continue
             g1 = v(rng.randrange(inst.q), inst.m)
             g2 = v(rng.randrange(inst.q), inst.m)
-            virtual = lifted_allowed_diffs(inst, (u, g1), (w, g2))
-            materialized = set(lifted.diffs_on((u, g1.bits), (w, g2.bits)))
+            virtual = structure.allowed_diffs((u, g1), (w, g2))
+            materialized = {z.bits for z in lifted.diffs_on((u, g1.bits), (w, g2.bits))}
             assert virtual == materialized
 
 
