@@ -32,15 +32,6 @@ from .constructions import (
     unsat_complete_graph,
 )
 from .errors import InvalidParameterError, PreconditionError, StrategyViolationError, UglabError
-from .game import (
-    LiftedStructure,
-    duplicator_cops,
-    duplicator_identity,
-    duplicator_k2,
-    duplicator_tree,
-    play_game,
-    spoiler_random,
-)
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, petersen_graph
 from .instances import (
@@ -50,16 +41,6 @@ from .instances import (
     label_lift,
     propagate_complete_sat,
     spanning_tree_opt,
-)
-from .sdp import (
-    build_lc_relaxation,
-    build_maxcut_sdp,
-    gap_curve_estimate,
-    gw_alpha,
-    gw_symmetric_value,
-    hyperplane_round,
-    solve_sdp_lowrank,
-    to_sdpa,
 )
 
 
@@ -143,7 +124,7 @@ def _read_pair(path: str) -> Tuple[Dict, GroupUgInstance, GroupUgInstance]:
 
 
 def cmd_gen_klein(args) -> int:
-    if args.cops:
+    if args.cops is not None:
         h = cops_robbers_graph(args.cops)
         coloring = cubic_edge_coloring(h)
         star = h.edges[0]
@@ -257,6 +238,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_game(args) -> int:
+    from .game import (
+        LiftedStructure,
+        duplicator_cops,
+        duplicator_identity,
+        duplicator_k2,
+        duplicator_tree,
+        play_game,
+        spoiler_random,
+    )
+
     sc, u1, u2 = _read_pair(args.pair)
     a = LiftedStructure(u1)
     b = LiftedStructure(u2)
@@ -288,6 +279,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_sdp_maxcut(args) -> int:
+    from .sdp import build_maxcut_sdp, gw_alpha, gw_symmetric_value, hyperplane_round, solve_sdp_lowrank, to_sdpa
+
     g = formats.parse_graph(_read(args.graph))
     inst = build_maxcut_sdp(g)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
@@ -305,6 +298,8 @@ def cmd_sdp_maxcut(args) -> int:
 
 
 def cmd_sdp_lc(args) -> int:
+    from .sdp import build_lc_relaxation, solve_sdp_lowrank, to_sdpa
+
     csp = formats.parse_csp(_read(args.csp))
     inst = build_lc_relaxation(csp, normalization=args.normalization)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
@@ -317,6 +312,8 @@ def cmd_sdp_lc(args) -> int:
 
 
 def cmd_sdp_gap(args) -> int:
+    from .sdp import gap_curve_estimate
+
     grid = None
     if args.grid:
         try:
@@ -366,6 +363,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.dir):
+        raise InvalidParameterError(f"--dir {args.dir!r} is not a directory")
     runs: Dict[str, object] = {}
     out_abs = os.path.abspath(args.out)
     for root, _, names in os.walk(args.dir):
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_unsat.set_defaults(func=cmd_gen_unsat)
 
     g_klein = gsub.add_parser("klein", help="two-instance pair from an edge 3-coloring")
-    g_klein.add_argument("--cops", type=int, default=0, help="use this cops graph instead of K_4")
+    g_klein.add_argument("--cops", type=int, default=None, help="use this cops graph instead of K_4")
     g_klein.add_argument("--out-dir", required=True)
     _add_no_timestamp(g_klein)
     g_klein.set_defaults(func=cmd_gen_klein)

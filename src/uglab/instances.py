@@ -3,7 +3,9 @@
 Three instance kinds: group instances over F_2^m (per-edge bundles of
 allowed differences, x_u + x_v = z), permutation unique games (a(u) =
 pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
-fractions are fractions.Fraction throughout; no floats on this path.
+fractions are fractions.Fraction throughout; no floats on this path. numpy
+is imported inside the solvers that enumerate, so the commands that never call
+them start without it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from collections import deque
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (
     IncompleteAssignmentError,
@@ -260,6 +260,8 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     occurrence in a block, so the witness is lex-least. The search stops once
     the best score reaches `stop`, which must be an upper bound.
     """
+    import numpy as np
+
     k = len(radices)
     split, size = k, 1
     while split and (size == 1 or size * radices[split - 1] <= _BLOCK):
@@ -310,6 +312,8 @@ def _brute_group_component(instance: GroupUgInstance, comp, budget: int) -> Tupl
     family is closed under a global shift); each bundle is the table
     T[a, b] = (a + b in diffs).
     """
+    import numpy as np
+
     space = instance.q ** (len(comp) - 1)
     if space > budget:
         raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
@@ -346,6 +350,8 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
             witness.update(w)
         return count, _fraction(count, instance.constraint_count), witness
     if isinstance(instance, PermUgInstance):
+        import numpy as np
+
         q, vs = instance.q, instance.vertices
         space = q ** len(vs)
         if space > budget:
@@ -373,6 +379,8 @@ def csp_brute_opt(
     sum of the positive weights. Raises SearchBudgetError when the space
     exceeds the budget or the scaled absolute weights do not sum below 2^63.
     """
+    import numpy as np
+
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     vs = instance.variables
@@ -468,6 +476,8 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
     (how many of its q copies take each label), so we maximize over profile
     tuples instead of the q^(q|V|) raw assignments.
     """
+    import numpy as np
+
     q = instance.q
     n = len(instance.vertices)
     profiles = [p for p in _compositions(q, q)]

@@ -338,7 +338,9 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
     replaced by its Gram P^T P, x becomes z, and one sparse map A (row k:
     matrix k's coefficients at z's positions) gives every matrix value as A z.
     """
-    from scipy.optimize import minimize  # imported here: it costs most of `import uglab.cli`
+    # imported here: only this path needs scipy, whose import would otherwise
+    # slow every run of the mixing method and of the exact solvers
+    from scipy.optimize import minimize
     from scipy.sparse import csr_matrix
 
     n, kcount = instance.n, len(instance.constraints)

@@ -381,7 +381,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     def boom(*a, **kw):
         raise StrategyViolationError("synthetic break")
 
-    monkeypatch.setattr(cli, "play_game", boom)
+    monkeypatch.setattr("uglab.game.play_game", boom)
     code = run("game", "--pair", pdir / "pair.json", "--duplicator", "cops", "--k", 3)
     assert code == 3
     assert "strategy violation" in capsys.readouterr().err
@@ -390,7 +390,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         raise KeyError("lost")
 
     # a fault of the program is not reported as invalid input
-    monkeypatch.setattr(cli, "play_game", bug)
+    monkeypatch.setattr("uglab.game.play_game", bug)
     assert run("game", "--pair", pdir / "pair.json", "--duplicator", "cops", "--k", 3) == 4
     assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
@@ -435,14 +435,19 @@ def _bad_bytes(path):
     (lambda p: _empty_pair(p["klein"]), "error: the universe is empty"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", -4, "--out", p["klein"].parent / "g.json"],
      "error: need max_rounds >= 0, got -4"),
+    (lambda p: ["gen", "klein", "--cops", 0, "--out-dir", p["klein"].parent / "x"], "error: need k >= 2"),
+    (lambda p: ["report", "--dir", p["klein"].parent / "missing", "--out", p["klein"].parent / "r.json"],
+     lambda p: f"error: --dir '{p['klein'].parent / 'missing'}' is not a directory"),
+    (lambda p: ["report", "--dir", p["klein"], "--out", p["klein"].parent / "r.json"],
+     lambda p: f"error: --dir '{p['klein']}' is not a directory"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
-        "empty-universe", "rounds-negative"])
+        "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)
     capsys.readouterr()
     assert run(*args) == 2
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err.startswith(message(pairs) if callable(message) else message)
 
 
 def _python(*args, cwd=None):
@@ -453,28 +458,46 @@ def _python(*args, cwd=None):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the solvers import scipy.optimize when they run; commands such as
-    # `params` and `gen` should not pay for it at start-up
-    out = _python("-c", "import sys, uglab.cli; print('scipy.optimize' in sys.modules)")
-    assert out.stdout.strip() == "False"
+    # each command imports the layers it runs; commands such as `params` and
+    # `gen` should pay at start-up for neither the solvers' scipy.optimize nor
+    # numpy, the SDP layer or the game layer
+    names = ["scipy.optimize", "numpy", "uglab.sdp", "uglab.game"]
+    out = _python("-c", f"import sys, uglab.cli; print([m for m in {names!r} if m in sys.modules])")
+    assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["sdp", "maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"],
-    ["solve", "brute", "--in", "u4.gug", "--out", "r.json", "--no-timestamp"],
-    ["solve", "tree", "--in", "u5.gug", "--out", "r.json", "--no-timestamp"],
-], ids=["sdp-maxcut", "solve-brute", "solve-tree"])
-def test_commands_that_need_no_scipy_import_none(tmp_path, argv):
+@pytest.mark.parametrize("argv, numpy", [
+    (["sdp", "maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"], True),
+    (["solve", "brute", "--in", "u4.gug", "--out", "r.json", "--no-timestamp"], True),
+    (["solve", "tree", "--in", "u5.gug", "--out", "r.json", "--no-timestamp"], False),
+    (["gen", "unsat", "--delta", "1/2", "--out", "x.gug"], False),
+    (["gen", "klein", "--out-dir", "x", "--no-timestamp"], False),
+    (["gen", "cops-graph", "--k", "3", "--out", "x.graph"], False),
+    (["gen", "random-pair", "--seed", "4", "--out-dir", "x", "--no-timestamp"], False),
+    (["lift", "--in", "klein/u1.gug", "--out", "lifted.gug"], False),
+    (["game", "--pair", "klein/pair.json", "--duplicator", "cops", "--k", "3", "--rounds", "5", "--no-timestamp"], False),
+    (["game", "--pair", "rp/pair.json", "--duplicator", "tree", "--k", "2", "--rounds", "5", "--no-timestamp"], False),
+    (["params", "--alpha", "1"], False),
+    (["report", "--dir", ".", "--out", "report.json", "--no-timestamp"], False),
+], ids=["sdp-maxcut", "solve-brute", "solve-tree", "gen-unsat", "gen-klein", "gen-cops-graph", "gen-random-pair", "lift",
+        "game-cops", "game-tree", "params", "report"])
+def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
     # mixing, rounding, gw_alpha and the exact solvers are numpy-only; an
     # eager scipy import would add its start-up time to every such run, and
-    # the spanning-tree oracle enumerates its trees without networkx
+    # the spanning-tree oracle enumerates its trees without networkx. Only
+    # brute force and the relaxations need numpy, so no other command loads it.
     assert run("gen", "cops-graph", "--k", 3, "--out", tmp_path / "c3.graph") == 0
     assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0
     assert run("gen", "unsat", "--delta", "1/2", "--out", tmp_path / "u5.gug") == 0
+    assert run("gen", "klein", "--out-dir", tmp_path / "klein", "--no-timestamp") == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("gen", "random-pair", "--out-dir", tmp_path / "rp", "--seed", 4, "--no-timestamp") == 0
     err = _python("-X", "importtime", "-m", "uglab", *argv, cwd=tmp_path).stderr
     modules = [line.split("|")[-1].strip() for line in err.splitlines() if line.startswith("import time:")]
     assert "uglab.cli" in modules
     assert [m for m in modules if m.split(".")[0] in ("scipy", "networkx")] == []
+    assert ("numpy" in modules) == numpy
 
 
 def test_readme_solve_tree_result_is_pinned(tmp_path, monkeypatch):
