@@ -5,9 +5,11 @@ here answers with a map g*: V -> F_2^m inducing the bijection
 f(v, g) = (v, g + g*(v)), so bijections are permutations by construction
 and rule compliance reduces to checks on g*.
 
-Inside this layer, difference labels and edge sets are int bitmasks (a tree
-is a mask over ``graph.edges``); ``Gf2Vector`` values and edge tuples appear
-only at the API. Canonical order comes from ``SimpleGraph``,
+Inside this layer, differences, g* shifts and edge sets are int bitmasks
+(a tree is a mask over ``graph.edges``); bundles are read from the int table
+each instance builds once, ``GroupUgInstance.diff_bits``. ``Gf2Vector`` stays
+at the API: lifted elements, what ``GStarMap.shift`` and ``apply`` return,
+and transcripts. Canonical order comes from ``SimpleGraph``,
 ``GroupUgInstance`` and the JSON writer; nothing here sorts it again.
 """
 
@@ -36,7 +38,6 @@ class LiftedStructure:
 
     def __init__(self, base: GroupUgInstance) -> None:
         self.base = base
-        self.m = base.m
         self._elements = tuple((v, Gf2Vector(g, base.m)) for v in base.vertices for g in range(base.q))
 
     def universe_size(self) -> int:
@@ -51,29 +52,29 @@ class LiftedStructure:
         (u, w). Empty for two clones of one base vertex and where the base
         has no bundle."""
         (u, x), (w, y) = a, b
-        if u == w:
-            return frozenset()
+        diffs = self.base.diff_bits.get(u, {}).get(w, frozenset())  # no bundle joins u to itself
         shift = x.bits ^ y.bits
-        return frozenset(z.bits ^ shift for z in self.base.diffs_on(u, w))
+        return frozenset(z ^ shift for z in diffs) if shift else diffs
 
 
 class GStarMap:
-    """Map base vertex -> shift; vertices not mentioned shift by zero."""
+    """Map base vertex -> shift as int bits; vertices not mentioned shift by zero."""
 
-    def __init__(self, m: int, values: Dict) -> None:
+    def __init__(self, m: int, values: Dict[object, int]) -> None:
         self.m = m
         self.values = dict(values)
 
     def shift(self, v) -> Gf2Vector:
-        g = self.values.get(v)
-        return Gf2Vector.zero(self.m) if g is None else g
+        return Gf2Vector(self.values.get(v, 0), self.m)
 
     def apply(self, elem: Tuple) -> Tuple:
         v, g = elem
-        return (v, g + self.shift(v))
+        s = self.values.get(v, 0)
+        return (v, Gf2Vector(g.bits ^ s, self.m)) if s else elem
 
     def to_hex(self) -> Dict[str, str]:
-        return {str(v): g.to_hex() for v, g in self.values.items()}
+        width = (self.m + 3) // 4
+        return {str(v): format(g, f"0{width}x") for v, g in self.values.items()}
 
 
 @dataclass
@@ -210,16 +211,13 @@ def spoiler_random(rng) -> RandomSpoiler:
 
 def _diff_table(a: GroupUgInstance, b: GroupUgInstance) -> Dict:
     """Per base vertex u, the triples (w, D_A(u, w), D_B(u, w)) for every w
-    joined to u by a bundle in either instance, with each bundle's
-    differences as a frozenset of int bits (empty where the instance has none)."""
-    pairs: Dict[Tuple, List[FrozenSet[int]]] = {}
-    for side, inst in enumerate((a, b)):
-        for u, w, diffs in inst.bundles:
-            pairs.setdefault((u, w), [frozenset(), frozenset()])[side] = frozenset(z.bits for z in diffs)
+    joined to u by a bundle in either instance, read from the instances'
+    ``diff_bits`` (a set is empty where the instance has no bundle)."""
+    ta, tb, none = a.diff_bits, b.diff_bits, frozenset()
     table: Dict = {}
-    for (u, w), (da, db) in pairs.items():
-        table.setdefault(u, []).append((w, da, db))
-        table.setdefault(w, []).append((u, da, db))
+    for u in dict.fromkeys([*ta, *tb]):
+        ra, rb = ta.get(u, {}), tb.get(u, {})
+        table[u] = [(w, ra.get(w, none), rb.get(w, none)) for w in dict.fromkeys([*ra, *rb])]
     return table
 
 
@@ -295,12 +293,11 @@ def find_winning_line(
     def failing_vertices(pebbles: Sequence[Optional[Tuple]], g: GStarMap) -> set:
         """Base vertices w where D_A(w, u) != D_B(w, u) + g*(w) + g*(u) for
         the base vertex u of some placed pebble."""
-        shift = {v: s.bits for v, s in g.values.items()}
         bad = set()
         for u in {p[0][0] for p in pebbles if p is not None}:
-            su = shift.get(u, 0)
+            su = g.values.get(u, 0)
             for w, da, db in diffs.get(u, ()):
-                t = su ^ shift.get(w, 0)
+                t = su ^ g.values.get(w, 0)
                 if da != (frozenset(z ^ t for z in db) if t else db):
                     bad.add(w)
         return bad
@@ -360,14 +357,14 @@ class K2Duplicator:
     """Stateless 2-pebble strategy for singleton-bundle pairs on one graph.
 
     With the single surviving pebble on (x_v0^{g1}, x_v0^{g2}): shift v0 by
-    g1+g2; shift each neighbor v by g1+g2+z2+z1, where z1, z2 are the diffs
-    on (v0, v) in the two instances; everything else shifts by zero.
+    g1+g2; shift each neighbor v by g1+g2+z2+z1, where z1, z2 are the least
+    diffs on (v0, v) in the two instances; everything else shifts by zero.
     """
 
     def __init__(self, u1: GroupUgInstance, u2: GroupUgInstance) -> None:
         if u1.m != u2.m:
             raise PreconditionError("instances over different groups")
-        if u1.vertices != u2.vertices or set(u1.bundle_map) != set(u2.bundle_map):
+        if u1.vertices != u2.vertices or u1.bundle_map.keys() != u2.bundle_map.keys():
             raise PreconditionError("instances must share one base graph")
         self.u1 = u1
         self.u2 = u2
@@ -383,10 +380,8 @@ class K2Duplicator:
             raise StrategyViolationError(
                 "pebble pair spans two base vertices", side="duplicator"
             )
-        vals = {v0: g1 + g2}
-        for a, b, diffs in self.u1.bundles:
-            if v0 in (a, b):
-                vals[b if a == v0 else a] = g1 + g2 + diffs[0] + self.u2.bundle_map[(a, b)][0]
+        s, row1, row2 = g1.bits ^ g2.bits, self.u1.diff_bits.get(v0, {}), self.u2.diff_bits.get(v0, {})
+        vals = {v0: s, **{w: s ^ min(d) ^ min(row2[w]) for w, d in row1.items()}}
         return GStarMap(self.u1.m, vals)
 
 
@@ -410,17 +405,16 @@ class CopsDuplicator:
         coloring: Dict[Tuple, str],
         star_edge: Tuple,
     ) -> None:
-        if u1.vertices != u2.vertices or set(u1.bundle_map) != set(h.edges):
+        if u1.vertices != u2.vertices or not set(u1.bundle_map) == set(u2.bundle_map) == set(h.edges):
             raise PreconditionError("instances do not match the coloring graph")
-        self.u1 = u1
-        self.u2 = u2
         self.h = h
         self.coloring = coloring
         self.robber = normalize_edge(*star_edge)
-        self.gstar: Dict = {v: Gf2Vector.zero(2) for v in h.vertices}
-        # per edge: its diffs in u1 as a set and in u2 as a tuple, as int bits
+        self.gstar: Dict = {v: 0 for v in h.vertices}  # int bits in the Klein group F_2^2
+        # per edge: its diffs in u1, and in u2 shifted by each of the four values of g*(u) + g*(v)
+        d1, d2 = u1.diff_bits, u2.diff_bits
         self._edge_diffs = [
-            (e, frozenset(z.bits for z in u1.diffs_on(*e)), tuple(z.bits for z in u2.diffs_on(*e)))
+            (e, d1[e[0]][e[1]], tuple(frozenset(z ^ s for z in d2[e[0]][e[1]]) for s in range(4)))
             for e in h.edges
         ]
 
@@ -434,27 +428,22 @@ class CopsDuplicator:
         path = robber_move(self.h, cops, self.robber)
         if path:
             for j in range(1, len(path) - 1):
-                others = [
-                    w
-                    for w in self.h.neighbors(path[j])
-                    if w != path[j - 1] and w != path[j + 1]
-                ]
+                others = [w for w in self.h.neighbors(path[j]) if w not in (path[j - 1], path[j + 1])]
                 if len(others) != 1:
                     raise StrategyViolationError(
                         "interior path vertex is not cubic", side="duplicator",
                         detail={"vertex": str(path[j])},
                     )
                 e_j = normalize_edge(path[j], others[0])
-                self.gstar[path[j]] = self.gstar[path[j]] + klein_vec(self.coloring[e_j])
+                self.gstar[path[j]] ^= klein_vec(self.coloring[e_j]).bits
             self.robber = normalize_edge(path[-2], path[-1])
         self._assert_invariant()
-        return GStarMap(2, dict(self.gstar))
+        return GStarMap(2, self.gstar)
 
     def _assert_invariant(self) -> None:
         gstar = self.gstar
-        for e, d1, diffs2 in self._edge_diffs:
-            s = gstar[e[0]].bits ^ gstar[e[1]].bits
-            d2 = {z ^ s for z in diffs2}
+        for e, d1, shifted in self._edge_diffs:
+            d2 = shifted[gstar[e[0]] ^ gstar[e[1]]]
             if e == self.robber:
                 if not d1.isdisjoint(d2):
                     raise StrategyViolationError(
@@ -500,29 +489,24 @@ def extend_along_path(
         raise InvalidParameterError("path needs at least one edge")
     m = g_start.dim
     edges = [normalize_edge(a, b) for a, b in zip(path, path[1:])]
-    tagged: List[Tuple[int, Gf2Vector]] = []
-    for i, e in enumerate(edges):
-        for z in zmap[e].basis:
-            tagged.append((i, z))
+    tagged = [(i, z) for i, e in enumerate(edges) for z in zmap[e].basis]
     pool = [z for _, z in tagged]
     if span_of(pool, m).rank < m:
         raise NotInSpanError("edge subspaces along the path do not span")
-    total_b = Gf2Vector.zero(m)
-    for e in edges:
-        total_b = total_b + bmap[e]
-    target = g_start + g_end + total_b
-    coeffs = coefficients_in_basis(target, pool)
-    deltas = [bmap[e] for e in edges]
-    for (i, z), c in zip(tagged, coeffs):
+    deltas = [bmap[e].bits for e in edges]
+    target = g_start.bits ^ g_end.bits
+    for d in deltas:
+        target ^= d
+    for (i, z), c in zip(tagged, coefficients_in_basis(Gf2Vector(target, m), pool)):
         if c:
-            deltas[i] = deltas[i] + z
+            deltas[i] ^= z.bits
     out: Dict = {}
-    cur = g_start
-    for i in range(len(edges)):
-        cur = cur + deltas[i]
+    cur = g_start.bits
+    for i, d in enumerate(deltas):
+        cur ^= d
         if i < len(edges) - 1:
-            out[path[i + 1]] = cur
-    if cur != g_end:
+            out[path[i + 1]] = Gf2Vector(cur, m)
+    if cur != g_end.bits:
         raise StrategyViolationError("path extension missed its endpoint", side="duplicator")
     return out
 
@@ -648,20 +632,22 @@ class TreeDuplicator:
     ) -> None:
         if u1.vertices != u2.vertices or set(u1.bundle_map) != set(u2.bundle_map):
             raise PreconditionError("instances must share one base graph")
-        self.u1 = u1
-        self.u2 = u2
         self.m = u1.m
         self.r = r
         self.graph = u1.graph()
         self.zmap = {e: zmap[e] for e in self.graph.edges}
         self.bmap = {e: bmap[e] for e in self.graph.edges}
+        # the same edge data as int bits: each subspace's members, each offset
+        self.zbits = {e: frozenset(z.element_bits()) for e, z in self.zmap.items()}
+        self.bbits = {e: b.bits for e, b in self.bmap.items()}
         self.comp_of: Dict = {}
         for comp in self.graph.components():
             for v in comp:
                 self.comp_of[v] = comp[0]
-        # per component: (edge mask of the stored tree, values on its vertices)
+        # per component: (edge mask of the stored tree, int values on its vertices)
         self.state: Dict = {}
         self._round_trees: Dict = {}
+        self._extended: Dict = {}  # this round's long-segment solutions, by (segment, start, end)
 
     # ---- per-round construction
 
@@ -675,13 +661,14 @@ class TreeDuplicator:
                 raise StrategyViolationError(
                     "pebble pair spans two base vertices", side="duplicator"
                 )
-            pebbled[v] = ga + gb
+            pebbled[v] = ga.bits ^ gb.bits
         trees = {
             root: steiner_tree(self.graph, [v for v in pebbled if self.comp_of[v] == root])
             for root in dict.fromkeys(self.comp_of.values())
         }
         rank = _path_table(self.graph)[0]
         self._round_trees = {}
+        self._extended = {}
         values: Dict = {}
         for u in self.graph.vertices:
             tree, vals = self._tree_for(u, trees[self.comp_of[u]][u], pebbled, rank)
@@ -715,10 +702,13 @@ class TreeDuplicator:
                 long_segs.append(seg)
         self._fill_short(short, vals, rank)
         for seg in long_segs:
-            for end in (seg[0], seg[-1]):
-                vals.setdefault(end, Gf2Vector.zero(self.m))
-            vals.update(extend_along_path(seg, vals[seg[0]], vals[seg[-1]], self.zmap, self.bmap))
-        vals.setdefault(u, Gf2Vector.zero(self.m))
+            key = (tuple(seg), vals.setdefault(seg[0], 0), vals.setdefault(seg[-1], 0))
+            if key not in self._extended:
+                ends = (Gf2Vector(g, self.m) for g in key[1:])
+                got = extend_along_path(seg, *ends, self.zmap, self.bmap)
+                self._extended[key] = {v: g.bits for v, g in got.items()}
+            vals.update(self._extended[key])
+        vals.setdefault(u, 0)
         for v in tree_vertices:
             if v not in vals:
                 raise StrategyViolationError(
@@ -745,7 +735,7 @@ class TreeDuplicator:
                     continue
                 if d0 or d1:
                     src, dst = (e[0], e[1]) if d0 else (e[1], e[0])
-                    vals[dst] = vals[src] + self.bmap[e]
+                    vals[dst] = vals[src] ^ self.bbits[e]
                     pending.discard(e)
                     progressed = True
                     break
@@ -754,9 +744,9 @@ class TreeDuplicator:
             undefined = [v for v in vertices if v not in vals]
             if not undefined:
                 break
-            vals[undefined[0]] = Gf2Vector.zero(self.m)
+            vals[undefined[0]] = 0
         for e in edges:  # edges that closed with both ends already valued
-            if e in pending and (self.bmap[e] + vals[e[0]] + vals[e[1]]) not in self.zmap[e]:
+            if e in pending and self.bbits[e] ^ vals[e[0]] ^ vals[e[1]] not in self.zbits[e]:
                 raise StrategyViolationError(
                     "a short segment closed inconsistently (girth too small for the bound)",
                     side="duplicator",
@@ -772,8 +762,7 @@ class TreeDuplicator:
                 )
         for i in _bit_indices(tree):
             e = self.graph.edges[i]
-            s = vals[e[0]] + vals[e[1]]
-            if (self.bmap[e] + s) not in self.zmap[e]:
+            if self.bbits[e] ^ vals[e[0]] ^ vals[e[1]] not in self.zbits[e]:
                 raise StrategyViolationError(
                     "tree edge inconsistent with its bundle", side="duplicator",
                     detail={"edge": [str(x) for x in e], "anchor": str(u)},

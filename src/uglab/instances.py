@@ -14,6 +14,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -82,6 +83,16 @@ class GroupUgInstance:
 
     def diffs_on(self, u, v) -> Tuple[Gf2Vector, ...]:
         return self.bundle_map.get(normalize_edge(u, v), ())
+
+    @cached_property
+    def diff_bits(self) -> Dict:
+        """Per vertex u, per neighbour w in bundle order, the differences on (u, w)
+        as a frozenset of int bits; built on first use, by the game layer."""
+        table: Dict = {v: {} for v in self.vertices}
+        sets: Dict = {}  # equal bundles share one frozenset
+        for u, w, diffs in self.bundles:
+            table[u][w] = table[w][u] = sets.setdefault(diffs, frozenset(z.bits for z in diffs))
+        return table
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph(self.vertices, [(u, v) for u, v, _ in self.bundles])

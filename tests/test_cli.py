@@ -249,7 +249,11 @@ def test_sidecar_entry_of_wrong_json_type_exits_2(pairs, capsys, path, value, me
      "0588223f18fdabadca25c8bcfc4b9b9cad8d58b2482a9c3a346a170525e90283"),
     (["random-pair", "--seed", 4], ["--duplicator", "tree", "--k", 2, "--rounds", 100, "--seed", 2],
      "2ec37b335404fe6cd908d89666369379b0dab86217aed00078361aa60505ad4b"),
-], ids=["cops", "tree"])
+    (["klein"], ["--duplicator", "k2", "--k", 2, "--rounds", 200, "--seed", 1],
+     "8d588c24f6d40aade442e28fa5b3acabb0375b24f5182b62f0f014be81bcb26b"),
+    (["klein"], ["--duplicator", "identity", "--k", 2, "--rounds", 50, "--seed", 1],
+     "5a738a7bbc913e7fda51db5a6564d060d99eb2488441ece4011325405e72b6f2"),
+], ids=["cops", "tree", "k2", "identity"])
 def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, digest):
     # the README game commands must keep writing these exact --no-timestamp
     # transcripts; a faster Duplicator or search must not change one byte
@@ -413,6 +417,12 @@ def _empty_pair(path):
     return ["game", "--pair", path, "--duplicator", "identity", "--rounds", 3]
 
 
+def _u2_missing_an_edge(path):
+    u2 = path.parent / "u2.gug"
+    u2.write_text("".join(u2.read_text().splitlines(keepends=True)[:-1]))  # the last bundle line
+    return ["game", "--pair", path, "--duplicator", "cops", "--k", 3, "--rounds", 5]
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -440,8 +450,10 @@ def _bad_bytes(path):
      lambda p: f"error: --dir '{p['klein'].parent / 'missing'}' is not a directory"),
     (lambda p: ["report", "--dir", p["klein"], "--out", p["klein"].parent / "r.json"],
      lambda p: f"error: --dir '{p['klein']}' is not a directory"),
+    (lambda p: _u2_missing_an_edge(p["klein"]), "error: instances do not match the coloring graph"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
-        "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file"])
+        "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file",
+        "cops-u2-missing-edge"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)
