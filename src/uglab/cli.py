@@ -240,12 +240,12 @@ def cmd_solve(args) -> int:
 def cmd_game(args) -> int:
     from .game import (
         LiftedStructure,
+        RandomSpoiler,
         duplicator_cops,
         duplicator_identity,
         duplicator_k2,
         duplicator_tree,
         play_game,
-        spoiler_random,
     )
 
     sc, u1, u2 = _read_pair(args.pair)
@@ -259,9 +259,7 @@ def cmd_game(args) -> int:
         dup = duplicator_cops(u1, u2, *klein_from_json(sc))
     else:
         dup = duplicator_tree(InapproxPair.from_json(sc, u1, u2))
-    transcript = play_game(
-        a, b, args.k, dup, spoiler_random(random.Random(args.seed)), max_rounds=args.rounds
-    )
+    transcript = play_game(a, b, args.k, dup, RandomSpoiler(random.Random(args.seed)), max_rounds=args.rounds)
     out = _stamp(args, {
         "seed": args.seed,
         "duplicator": args.duplicator,

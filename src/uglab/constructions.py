@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -218,45 +220,25 @@ def cubic_edge_coloring(h: SimpleGraph) -> Dict[Tuple, str]:
 # -- cycle-replacement pursuit graph -----------------------------------------
 
 
-class CopsRobbersGraph(SimpleGraph):
-    """Cubic bipartite graph of k cycles joined by paired bridges, with the
-    cycle structure kept for the pursuit strategy."""
-
-    def __init__(self, k: int, vertices, edges, cycles: Sequence[Tuple]) -> None:
-        super().__init__(vertices, edges)
-        self.k = k
-        self.cycles: Tuple[Tuple, ...] = tuple(tuple(c) for c in cycles)
-        self.cycle_of: Dict = {}
-        for i, cyc in enumerate(self.cycles):
-            for v in cyc:
-                self.cycle_of[v] = i
-        cyc_edges = set()
-        for cyc in self.cycles:
-            for t in range(len(cyc)):
-                cyc_edges.add(normalize_edge(cyc[t], cyc[(t + 1) % len(cyc)]))
-        self.cycle_edge_set: FrozenSet = frozenset(cyc_edges)
-        self.bridge_edge_set: FrozenSet = frozenset(set(self.edges) - cyc_edges)
-
-
-def cops_robbers_graph(k: int) -> CopsRobbersGraph:
+def cops_robbers_graph(k: int) -> SimpleGraph:
     """Replace each vertex of K_k by a cycle of 2(k-1) vertices; every K_k
     edge becomes two bridges joining even-indexed to odd-indexed cycle
     vertices, which keeps the result bipartite.
 
     k = 2 would need 2-vertex cycles (a multigraph), so the k = 3 graph is
-    returned for it instead.
+    returned for it instead. Each k's graph is built once and shared.
     """
     if k < 2:
         raise InvalidParameterError("need k >= 2")
-    if k == 2:
-        k = 3
+    return _cops_graph(max(k, 3))[0]
+
+
+@lru_cache(maxsize=None)
+def _cops_graph(k: int) -> Tuple[SimpleGraph, Dict, Tuple[Tuple, ...]]:
+    """cops_robbers_graph(k) with each vertex's cycle index and the cycles."""
     L = 2 * (k - 1)
-    vertices = [f"c{i}n{j}" for i in range(k) for j in range(L)]
-    cycles = [tuple(f"c{i}n{j}" for j in range(L)) for i in range(k)]
-    edges = []
-    for i in range(k):
-        for j in range(L):
-            edges.append((f"c{i}n{j}", f"c{i}n{(j + 1) % L}"))
+    cycles = tuple(tuple(f"c{i}n{j}" for j in range(L)) for i in range(k))
+    edges = [(cyc[j], cyc[(j + 1) % L]) for cyc in cycles for j in range(L)]
     # cycle i's neighbor ranks: the t-th smallest other index owns slot (2t, 2t+1)
     def slot(i: int, j: int) -> int:
         others = [x for x in range(k) if x != i]
@@ -265,40 +247,36 @@ def cops_robbers_graph(k: int) -> CopsRobbersGraph:
     for i in range(k):
         for j in range(i + 1, k):
             si, sj = slot(i, j), slot(j, i)
-            edges.append((f"c{i}n{si}", f"c{j}n{sj + 1}"))
-            edges.append((f"c{i}n{si + 1}", f"c{j}n{sj}"))
-    return CopsRobbersGraph(k, vertices, edges, cycles)
+            edges.append((cycles[i][si], cycles[j][sj + 1]))
+            edges.append((cycles[i][si + 1], cycles[j][sj]))
+    cycle_of = {v: i for i, cyc in enumerate(cycles) for v in cyc}
+    return SimpleGraph(cycle_of, edges), cycle_of, cycles
 
 
-def _cycle_cop_free(h: CopsRobbersGraph, i: int, cops: FrozenSet) -> bool:
-    return all(v not in cops for v in h.cycles[i])
+def _cycle_structure(h: SimpleGraph) -> Optional[Tuple[Dict, Tuple[Tuple, ...]]]:
+    """(cycle index per vertex, cycles) when h equals cops_robbers_graph(k)
+    for the one k with 2k(k-1) vertices, else None."""
+    k = (1 + math.isqrt(1 + 2 * h.n)) // 2
+    if k < 3 or h.n != 2 * k * (k - 1) or h.m != 3 * k * (k - 1):
+        return None
+    g, cycle_of, cycles = _cops_graph(k)
+    return (cycle_of, cycles) if h is g or h == g else None
 
 
 def _escape_paths(h: SimpleGraph, p0, p1, cops: FrozenSet, target_ok) -> Optional[List]:
     """Shortest cop-free simple path [p0, p1, ..., x, y] whose last edge
     satisfies target_ok(x, y); BFS from p1 with p0 already used."""
-    from collections import deque
-
-    parent = {p1: None}
+    trails = {p1: (p0, p1)}
     queue = deque([p1])
     while queue:
         x = queue.popleft()
-        trail = []
-        t = x
-        while t is not None:
-            trail.append(t)
-            t = parent[t]
-        trail.append(p0)
-        trail.reverse()
-        used = set(trail)
+        trail = trails[x]
         for y in h.neighbors(x):
-            if y in cops or y in used:
-                continue
-            if target_ok(x, y):
-                return trail + [y]
+            if y not in cops and y not in trail and target_ok(x, y):
+                return [*trail, y]
         for y in h.neighbors(x):
-            if y not in cops and y != p0 and y not in parent:
-                parent[y] = x
+            if y not in cops and y != p0 and y not in trails:
+                trails[y] = trail + (y,)
                 queue.append(y)
     return None
 
@@ -310,9 +288,11 @@ def robber_move(h: SimpleGraph, cops, robber: Tuple) -> List:
     edge, interior vertices are cop-free, and the last two vertices span the
     new edge. An empty path means the robber stays put.
 
-    On a cycle-replacement graph the robber keeps to a cycle edge of a
-    cop-free cycle and relocates the moment that fails; on other cubic
-    graphs it moves only when a cop reaches an endpoint.
+    The strategy depends only on the graph's vertices and edges. On a graph
+    equal to some cops_robbers_graph(k), however it was built or read, the
+    robber keeps to a cycle edge of a cop-free cycle and relocates the
+    moment that fails. On any other cubic graph, such as the K_4 of the
+    Klein pair, it moves only when a cop reaches an endpoint.
     """
     cops = frozenset(cops)
     e = normalize_edge(*robber)
@@ -321,26 +301,29 @@ def robber_move(h: SimpleGraph, cops, robber: Tuple) -> List:
     if e[0] in cops and e[1] in cops:
         raise PreconditionError("robber edge is captured")
 
-    if isinstance(h, CopsRobbersGraph):
-        if e in h.cycle_edge_set:
-            if _cycle_cop_free(h, h.cycle_of[e[0]], cops):
+    # the BFS trail holds both robber endpoints and never a cop, so every
+    # edge target_ok sees is cop-free and differs from the robber's
+    structure = _cycle_structure(h)
+    if structure is not None:
+        cycle_of = structure[0]
+        busy = {cycle_of.get(c) for c in cops}
+        i = cycle_of[e[0]]
+        if i == cycle_of[e[1]]:  # bridges join two different cycles
+            if i not in busy:
                 return []
         elif not cops:
             return []  # on a bridge but unthreatened
 
         def target_ok(x, y):
-            edge = normalize_edge(x, y)
-            if edge not in h.cycle_edge_set or edge == e:
-                return False
-            return _cycle_cop_free(h, h.cycle_of[x], cops)
+            j = cycle_of[x]
+            return j == cycle_of[y] and j not in busy
 
     else:
         if e[0] not in cops and e[1] not in cops:
             return []
 
         def target_ok(x, y):
-            edge = normalize_edge(x, y)
-            return edge != e and x not in cops and y not in cops
+            return True
 
     candidates = []
     for p1 in (p for p in e if p not in cops):
@@ -621,7 +604,6 @@ __all__ = [
     "klein_from_json",
     "k4_klein_inputs",
     "cubic_edge_coloring",
-    "CopsRobbersGraph",
     "cops_robbers_graph",
     "robber_move",
     "paths_through_edge",

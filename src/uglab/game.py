@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .constructions import klein_vec, robber_move
+from .constructions import KLEIN, robber_move
 from .errors import (
     InvalidParameterError,
     NotInSpanError,
@@ -203,10 +203,6 @@ class RandomSpoiler:
     def place(self, view: GameView, gstar: GStarMap) -> Tuple:
         els = view.A.elements()
         return els[self.rng.randrange(len(els))]
-
-
-def spoiler_random(rng) -> RandomSpoiler:
-    return RandomSpoiler(rng)
 
 
 def _diff_table(a: GroupUgInstance, b: GroupUgInstance) -> Dict:
@@ -435,7 +431,7 @@ class CopsDuplicator:
                         detail={"vertex": str(path[j])},
                     )
                 e_j = normalize_edge(path[j], others[0])
-                self.gstar[path[j]] ^= klein_vec(self.coloring[e_j]).bits
+                self.gstar[path[j]] ^= KLEIN[self.coloring[e_j]]
             self.robber = normalize_edge(path[-2], path[-1])
         self._assert_invariant()
         return GStarMap(2, self.gstar)
@@ -815,7 +811,6 @@ __all__ = [
     "check_partial_isomorphism",
     "play_game",
     "RandomSpoiler",
-    "spoiler_random",
     "find_winning_line",
     "IdentityDuplicator",
     "duplicator_identity",

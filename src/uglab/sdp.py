@@ -626,7 +626,12 @@ def gap_curve_estimate(
     restarts: int = 5,
     rng=0,
 ) -> GapTable:
-    """Relaxation-versus-optimum table over a family, one point per instance."""
+    """Relaxation-versus-optimum table over a family, one point per instance.
+
+    eta must be >= 0: lookup discounts the optimum by it, and a negative eta
+    would report more than every measured optimum."""
+    if not eta >= 0:  # NaN too
+        raise InvalidParameterError(f"eta must be >= 0, got {eta}")
     seed = 0 if rng is None else rng
     children = (
         np.random.SeedSequence(int(seed)).spawn(len(family))

@@ -29,13 +29,13 @@ from uglab.constructions import (
 )
 from uglab.game import (
     LiftedStructure,
+    RandomSpoiler,
     duplicator_cops,
     duplicator_identity,
     duplicator_k2,
     duplicator_tree,
     find_winning_line,
     play_game,
-    spoiler_random,
 )
 from uglab.gf2 import Gf2Subspace, Gf2Vector, random_vector, span_of
 from uglab.graphs import SimpleGraph, cycle_graph, normalize_edge, petersen_graph
@@ -208,7 +208,7 @@ def test_criterion_05_cops_strategy_random_rounds(capsys):
         dup = duplicator_cops(u1, u2, h, coloring, star)
         t1 = play_game(
             LiftedStructure(u1), LiftedStructure(u2), 3, dup,
-            spoiler_random(random.Random(505)), max_rounds=200,
+            RandomSpoiler(random.Random(505)), max_rounds=200,
         )
         assert t1["winner"] is None and t1["survived"] == 200
 
@@ -219,7 +219,7 @@ def test_criterion_05_cops_strategy_random_rounds(capsys):
         dup3 = duplicator_cops(v1, v2, h3, col3, star3)
         t2 = play_game(
             LiftedStructure(v1), LiftedStructure(v2), 3, dup3,
-            spoiler_random(random.Random(506)), max_rounds=200,
+            RandomSpoiler(random.Random(506)), max_rounds=200,
         )
         assert t2["winner"] is None and t2["survived"] == 200
         c.detail = "200 random rounds, k=3, full asserts: K_4 pair and 3-cycle pursuit pair both clean"
@@ -279,7 +279,7 @@ def test_criterion_08_desk_parameters_construction(capsys):
         game = play_game(
             LiftedStructure(pair.u1), LiftedStructure(pair.u2), 2,
             duplicator_tree(pair),
-            spoiler_random(random.Random(89)), max_rounds=100,
+            RandomSpoiler(random.Random(89)), max_rounds=100,
         )
         assert game["winner"] is None and game["survived"] == 100
 

@@ -265,6 +265,20 @@ def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("k, seed", [(4, 11), (5, 10)])
+def test_cops_game_on_a_generated_pursuit_pair_survives(tmp_path, k, seed):
+    # pair.json rebuilds a plain graph; the robber must still play the cycle
+    # strategy on it, which the endpoint strategy loses within the cop bound
+    assert run("gen", "klein", "--cops", k, "--out-dir", tmp_path / "pair", "--no-timestamp") == 0
+    out = tmp_path / "game.json"
+    assert run(
+        "game", "--pair", tmp_path / "pair" / "pair.json", "--duplicator", "cops", "--k", k,
+        "--rounds", 200, "--seed", seed, "--out", out, "--no-timestamp",
+    ) == 0
+    data = load(out)
+    assert data["winner"] is None and data["survived"] == 200
+
+
 def test_byte_identical_reruns(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -451,9 +465,11 @@ def _bad_bytes(path):
     (lambda p: ["report", "--dir", p["klein"], "--out", p["klein"].parent / "r.json"],
      lambda p: f"error: --dir '{p['klein']}' is not a directory"),
     (lambda p: _u2_missing_an_edge(p["klein"]), "error: instances do not match the coloring graph"),
+    (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "-1",
+                "--out", p["klein"].parent / "g.json"], "error: eta must be >= 0, got -1.0"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
         "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file",
-        "cops-u2-missing-edge"])
+        "cops-u2-missing-edge", "gap-eta-negative"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)

@@ -12,7 +12,6 @@ import pytest
 
 from uglab import formats
 from uglab.constructions import (
-    CopsRobbersGraph,
     InapproxPair,
     KLEIN,
     ParamSet,
@@ -29,6 +28,7 @@ from uglab.constructions import (
     random_inapprox_pair,
     robber_move,
     unsat_complete_graph,
+    _cycle_structure,
 )
 from uglab.errors import InvalidParameterError, PreconditionError, StrategyViolationError
 from uglab.gf2 import Gf2Subspace, Gf2Vector, span_of
@@ -173,7 +173,13 @@ def test_klein_sidecar_round_trip(cops):
         inputs = (h, cubic_edge_coloring(h), h.edges[0])
     else:
         inputs = k4_klein_inputs()
-    assert klein_from_json(_through_json(klein_to_json(*inputs))) == inputs
+    back = klein_from_json(_through_json(klein_to_json(*inputs)))
+    assert back == inputs
+    # the pursuit strategy reads the cycles from the graph's data, so the
+    # graph read back plays the cycle strategy exactly when the built one does
+    assert back[0] is not inputs[0]
+    assert _cycle_structure(back[0]) == _cycle_structure(inputs[0])
+    assert (_cycle_structure(back[0]) is None) == (not cops)
 
 
 def test_klein_sidecar_rejects_malformed_fields():
@@ -200,22 +206,42 @@ def test_cubic_edge_coloring_is_proper():
 # -- pursuit graph ------------------------------------------------------------------
 
 
+def _cycle_and_bridge_edges(h):
+    cycle_of, _ = _cycle_structure(h)
+    cycle_edges = {e for e in h.edges if cycle_of[e[0]] == cycle_of[e[1]]}
+    return cycle_edges, set(h.edges) - cycle_edges
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_cops_robbers_graph_structure(k):
     h = cops_robbers_graph(k)
     kk = max(k, 3)
-    assert h.k == kk
     assert len(h.vertices) == 2 * kk * (kk - 1)
     assert len(h.edges) == 3 * kk * (kk - 1)
     assert h.regular_degree() == 3
     assert h.is_connected()
     assert h.bipartition() is not None
-    assert len(h.cycles) == kk
-    assert all(len(c) == 2 * (kk - 1) for c in h.cycles)
-    assert h.cycle_edge_set | h.bridge_edge_set == set(h.edges)
-    assert not h.cycle_edge_set & h.bridge_edge_set
-    assert len(h.bridge_edge_set) == kk * (kk - 1)
-    assert set(h.cycle_of) == set(h.vertices)
+    cycle_of, cycles = _cycle_structure(h)
+    assert len(cycles) == kk
+    assert all(len(c) == 2 * (kk - 1) for c in cycles)
+    assert {v: i for i, c in enumerate(cycles) for v in c} == cycle_of
+    assert set(cycle_of) == set(h.vertices)
+    # the edges inside a cycle are exactly its consecutive pairs; the rest are bridges
+    cycle_edges, bridges = _cycle_and_bridge_edges(h)
+    assert cycle_edges == {normalize_edge(c[t], c[(t + 1) % len(c)]) for c in cycles for t in range(len(c))}
+    assert len(bridges) == kk * (kk - 1)
+
+
+def test_cycle_structure_depends_only_on_the_graphs_data():
+    h = cops_robbers_graph(4)
+    assert cops_robbers_graph(4) is h  # built once per k
+    assert _cycle_structure(SimpleGraph(h.vertices, h.edges)) == _cycle_structure(h)
+    # the same vertices and edge count with two names swapped is another graph
+    swap = {"c0n0": "c1n1", "c1n1": "c0n0"}
+    relabelled = SimpleGraph(h.vertices, [(swap.get(u, u), swap.get(v, v)) for u, v in h.edges])
+    assert relabelled != h and _cycle_structure(relabelled) is None
+    for g in (k4_klein_inputs()[0], petersen_graph(), complete_graph(12), SimpleGraph([], [])):
+        assert _cycle_structure(g) is None
 
 
 def test_cops_robbers_graph_k3_girth():
@@ -254,26 +280,29 @@ def test_robber_capture_is_an_error():
 
 def test_robber_cycle_rules():
     h = cops_robbers_graph(3)
-    cyc = h.cycles[0]
+    cycle_of, cycles = _cycle_structure(h)
+    cyc = cycles[0]
     edge = (cyc[0], cyc[1])
     # cop on another cycle: the robber's cycle is clean, stay put
-    assert robber_move(h, {h.cycles[1][0]}, edge) == []
+    assert robber_move(h, {cycles[1][0]}, edge) == []
     # cop lands on the robber's own cycle (not on the edge): relocate
     path = robber_move(h, {cyc[2]}, edge)
     assert path != []
     new_edge = normalize_edge(path[-2], path[-1])
-    assert new_edge in h.cycle_edge_set
-    target_cycle = h.cycle_of[path[-1]]
-    assert all(v not in {cyc[2]} for v in h.cycles[target_cycle])
+    assert new_edge in _cycle_and_bridge_edges(h)[0]
+    target_cycle = cycle_of[path[-1]]
+    assert all(v not in {cyc[2]} for v in cycles[target_cycle])
 
 
 def test_robber_bridge_rules():
     h = cops_robbers_graph(3)
-    bridge = sorted(h.bridge_edge_set)[0]
+    cycle_edges, bridges = _cycle_and_bridge_edges(h)
+    bridge = sorted(bridges)[0]
     assert robber_move(h, set(), bridge) == []
-    path = robber_move(h, {h.cycles[2][2]}, bridge)
+    cycles = _cycle_structure(h)[1]
+    path = robber_move(h, {cycles[2][2]}, bridge)
     assert path != []
-    assert normalize_edge(path[-2], path[-1]) in h.cycle_edge_set
+    assert normalize_edge(path[-2], path[-1]) in cycle_edges
 
 
 def _path_postconditions(h, cops, old_edge, path):
@@ -288,10 +317,11 @@ def _path_postconditions(h, cops, old_edge, path):
         assert v not in cops
     new_edge = normalize_edge(path[-2], path[-1])
     assert new_edge != old_edge
-    if isinstance(h, CopsRobbersGraph):
-        assert new_edge in h.cycle_edge_set
-        i = h.cycle_of[path[-1]]
-        assert all(v not in cops for v in h.cycles[i])
+    structure = _cycle_structure(h)
+    if structure is not None:
+        cycle_of, cycles = structure
+        assert cycle_of[new_edge[0]] == cycle_of[new_edge[1]]  # a cycle edge
+        assert all(v not in cops for v in cycles[cycle_of[new_edge[0]]])
     else:
         assert path[-2] not in cops and path[-1] not in cops
     return new_edge
@@ -301,7 +331,8 @@ def _path_postconditions(h, cops, old_edge, path):
 def test_robber_random_schedules(k):
     h = cops_robbers_graph(k)
     rng = random.Random(1000 + k)
-    robber = normalize_edge(h.cycles[0][0], h.cycles[0][1])
+    cyc = _cycle_structure(h)[1][0]
+    robber = normalize_edge(cyc[0], cyc[1])
     cops = []
     for _ in range(5000):
         if cops and (len(cops) == k - 1 or rng.random() < 0.3):
@@ -326,6 +357,28 @@ def test_robber_random_schedules_k4_generic():
             cops.append(v)
         path = robber_move(g, frozenset(cops), robber)
         robber = _path_postconditions(g, frozenset(cops), robber, path)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_robber_move_on_a_rebuilt_graph_matches_the_built_one(k):
+    # a graph read back from a sidecar is a new SimpleGraph with the same
+    # data; the robber must answer on it exactly as on the built graph
+    h = cops_robbers_graph(k)
+    rebuilt = SimpleGraph(h.vertices, h.edges)
+    rng = random.Random(2000 + k)
+    moved = 0
+    for _ in range(600):
+        cops = rng.sample(h.vertices, rng.randrange(k))
+        robber = h.edges[rng.randrange(len(h.edges))]
+        try:
+            want = robber_move(h, cops, robber)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                robber_move(rebuilt, cops, robber)
+            continue
+        assert robber_move(rebuilt, cops, robber) == want
+        moved += bool(want)
+    assert moved > 100
 
 
 # -- paths through an edge ----------------------------------------------------------

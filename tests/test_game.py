@@ -40,7 +40,6 @@ from uglab.game import (
     extend_along_path,
     find_winning_line,
     play_game,
-    spoiler_random,
     steiner_tree,
 )
 from uglab.gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
@@ -107,7 +106,7 @@ def test_partial_isomorphism_well_defined():
 
 def test_play_game_identity_on_self():
     u1, _, A, _, _, _, _ = klein_lifts()
-    t = play_game(A, A, 3, duplicator_identity(2), spoiler_random(random.Random(5)), 40)
+    t = play_game(A, A, 3, duplicator_identity(2), RandomSpoiler(random.Random(5)), 40)
     assert t["winner"] is None
     assert t["survived"] == 40
     assert len(t["rounds"]) == 40
@@ -120,17 +119,17 @@ def test_play_game_size_mismatch():
     _, _, A, _, _, _, _ = klein_lifts()
     small = LiftedStructure(GroupUgInstance(2, ["w"], []))
     with pytest.raises(PreconditionError):
-        play_game(A, small, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 5)
+        play_game(A, small, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 5)
 
 
 def test_play_game_rejects_an_empty_universe_and_negative_rounds():
     empty = LiftedStructure(GroupUgInstance(2, [], []))
     with pytest.raises(PreconditionError, match="universe is empty"):
-        play_game(empty, empty, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 5)
+        play_game(empty, empty, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 5)
     _, _, A, _, _, _, _ = klein_lifts()
     with pytest.raises(InvalidParameterError, match="max_rounds >= 0"):
-        play_game(A, A, 2, duplicator_identity(2), spoiler_random(random.Random(0)), -4)
-    assert play_game(A, A, 2, duplicator_identity(2), spoiler_random(random.Random(0)), 0)["rounds"] == []
+        play_game(A, A, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), -4)
+    assert play_game(A, A, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 0)["rounds"] == []
 
 
 def test_identity_duplicator_loses_on_the_pair():
@@ -293,7 +292,7 @@ def test_play_game_rejects_moving_placed_pairs():
 def test_cops_duplicator_k4_random_rounds():
     u1, u2, A, B, g, coloring, star = klein_lifts()
     dup = duplicator_cops(u1, u2, g, coloring, star)
-    t = play_game(A, B, 3, dup, spoiler_random(random.Random(11)), 200)
+    t = play_game(A, B, 3, dup, RandomSpoiler(random.Random(11)), 200)
     assert t["winner"] is None
     assert t["survived"] == 200
 
@@ -305,7 +304,7 @@ def test_cops_duplicator_cycle_graph_random_rounds():
     u1, u2 = klein_pair(h, coloring, star)
     A, B = LiftedStructure(u1), LiftedStructure(u2)
     dup = duplicator_cops(u1, u2, h, coloring, star)
-    t = play_game(A, B, 3, dup, spoiler_random(random.Random(12)), 200)
+    t = play_game(A, B, 3, dup, RandomSpoiler(random.Random(12)), 200)
     assert t["winner"] is None
     assert t["survived"] == 200
 
@@ -314,7 +313,7 @@ def test_cops_duplicator_assert_levels_run():
     """The invariant checks run on every edge each round and hold for 30 rounds."""
     u1, u2, A, B, g, coloring, star = klein_lifts()
     dup = duplicator_cops(u1, u2, g, coloring, star)
-    t = play_game(A, B, 3, dup, spoiler_random(random.Random(13)), 30)
+    t = play_game(A, B, 3, dup, RandomSpoiler(random.Random(13)), 30)
     assert t["winner"] is None
 
 
@@ -342,6 +341,23 @@ def test_cops_duplicator_raises_when_the_robber_edge_sets_meet():
     with pytest.raises(StrategyViolationError, match="robber edge diff sets are not disjoint") as exc:
         dup.bijection(view)
     assert exc.value.detail["edge"] == [str(x) for x in g.edges[0]]
+
+
+@pytest.mark.parametrize("k, digest", [
+    (3, "bac2d50d849846a854b7c322627e6bee2a66e5c62e4a021d82debf9a1f599100"),
+    (4, "c1627cc0c3c1582680cc5bdc4a0f0133fb6563906ec6372ea8ce5e19ddb5e552"),
+    (5, "3feb554e662a00325fd2866017bbb20a6b0ebbe241688c0becb9653bc01529c3"),
+])
+def test_cops_duplicator_cycle_graph_transcripts_are_pinned(k, digest):
+    # the cycle strategy on the built pursuit graphs must not change one answer
+    h = cops_robbers_graph(k)
+    coloring = cubic_edge_coloring(h)
+    star = h.edges[0]
+    u1, u2 = klein_pair(h, coloring, star)
+    dup = duplicator_cops(u1, u2, h, coloring, star)
+    t = play_game(LiftedStructure(u1), LiftedStructure(u2), k, dup, RandomSpoiler(random.Random(1)), 200)
+    assert t["survived"] == 200
+    assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("side", ["u1", "u2"])
@@ -591,7 +607,7 @@ def test_tree_duplicator_survives_random_rounds(seed):
     pair = desk_pair(seed)
     A, B = LiftedStructure(pair.u1), LiftedStructure(pair.u2)
     dup = duplicator_tree(pair)
-    t = play_game(A, B, 2, dup, spoiler_random(random.Random(100 + seed)), 100)
+    t = play_game(A, B, 2, dup, RandomSpoiler(random.Random(100 + seed)), 100)
     assert t["winner"] is None
     assert t["survived"] == 100
 
@@ -650,7 +666,7 @@ def test_tree_duplicator_solves_once_per_component_per_round(monkeypatch):
     pair = desk_pair(0)
     A, B = LiftedStructure(pair.u1), LiftedStructure(pair.u2)
     dup = duplicator_tree(pair)
-    t = play_game(A, B, 3, dup, spoiler_random(random.Random(7)), 12)
+    t = play_game(A, B, 3, dup, RandomSpoiler(random.Random(7)), 12)
     assert t["winner"] is None
     components = dup.graph.components()
     assert len(calls) == 12 * len(components)
@@ -687,7 +703,7 @@ def test_tree_duplicator_solves_each_long_segment_once_per_round(monkeypatch, se
     dup = duplicator_tree(pair)
     answer = dup.bijection
     dup.bijection = lambda view: asked.append([]) or answer(view)
-    t = play_game(LiftedStructure(pair.u1), LiftedStructure(pair.u2), 3, dup, spoiler_random(random.Random(seed)), 12)
+    t = play_game(LiftedStructure(pair.u1), LiftedStructure(pair.u2), 3, dup, RandomSpoiler(random.Random(seed)), 12)
     assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == digest
     assert len(asked) == 12 and sum(map(len, asked)) > 100
     assert all(len(set(r)) == len(r) for r in asked)
