@@ -299,9 +299,9 @@ def cmd_sdp_lc(args) -> int:
     from .sdp import build_lc_relaxation, solve_sdp_lowrank, to_sdpa
 
     csp = formats.parse_csp(_read(args.csp))
-    inst = build_lc_relaxation(csp, normalization=args.normalization)
+    inst = build_lc_relaxation(csp)
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
-    out = {**sol.result_json(), "scale": float(inst.meta["scale"]), "normalization": args.normalization}
+    out = {**sol.result_json(), "scale": float(inst.meta["scale"])}
     if args.sdpa:
         formats.atomic_write_text(args.sdpa, to_sdpa(inst))
     formats.atomic_write_json(args.out, _stamp(args, out))
@@ -330,7 +330,6 @@ def cmd_sdp_gap(args) -> int:
         family,
         eta=float(args.eta),
         grid=grid,
-        normalization=args.normalization,
         tol=args.tol,
         restarts=args.restarts,
         rng=args.seed,
@@ -472,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_lc.add_argument("--csp", required=True)
     s_lc.add_argument("--out", required=True)
     s_lc.add_argument("--sdpa", default=None)
-    s_lc.add_argument("--normalization", choices=["weight", "count", "none"], default="weight")
     _add_sdp_common(s_lc)
     s_lc.set_defaults(func=cmd_sdp_lc)
 
@@ -481,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_gap.add_argument("--eta", type=_rational, required=True)
     s_gap.add_argument("--grid", default=None, help="comma-separated lookup points")
     s_gap.add_argument("--out", required=True)
-    s_gap.add_argument("--normalization", choices=["weight", "count", "none"], default="weight")
     _add_sdp_common(s_gap)
     s_gap.set_defaults(func=cmd_sdp_gap)
 

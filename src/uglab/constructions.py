@@ -263,6 +263,13 @@ def _cycle_structure(h: SimpleGraph) -> Optional[Tuple[Dict, Tuple[Tuple, ...]]]
     return (cycle_of, cycles) if h is g or h == g else None
 
 
+def shared_pursuit_graph(h: SimpleGraph) -> SimpleGraph:
+    """The shared cops_robbers_graph(k) object when h equals it, else h.
+    Keeping the result makes robber_move's structure check an identity hit."""
+    structure = _cycle_structure(h)
+    return h if structure is None else _cops_graph(len(structure[1]))[0]
+
+
 def _escape_paths(h: SimpleGraph, p0, p1, cops: FrozenSet, target_ok) -> Optional[List]:
     """Shortest cop-free simple path [p0, p1, ..., x, y] whose last edge
     satisfies target_ok(x, y); BFS from p1 with p0 already used."""
@@ -606,6 +613,7 @@ __all__ = [
     "cubic_edge_coloring",
     "cops_robbers_graph",
     "robber_move",
+    "shared_pursuit_graph",
     "paths_through_edge",
     "good_edges",
     "ParamSet",

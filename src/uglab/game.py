@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .constructions import KLEIN, robber_move
+from .constructions import KLEIN, robber_move, shared_pursuit_graph
 from .errors import (
     InvalidParameterError,
     NotInSpanError,
@@ -403,7 +403,9 @@ class CopsDuplicator:
     ) -> None:
         if u1.vertices != u2.vertices or not set(u1.bundle_map) == set(u2.bundle_map) == set(h.edges):
             raise PreconditionError("instances do not match the coloring graph")
-        self.h = h
+        # a copy of a built pursuit graph, such as one read from pair.json,
+        # gives way to the shared built object once, not in every round
+        self.h = shared_pursuit_graph(h)
         self.coloring = coloring
         self.robber = normalize_edge(*star_edge)
         self.gstar: Dict = {v: 0 for v in h.vertices}  # int bits in the Klein group F_2^2

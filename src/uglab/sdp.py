@@ -6,7 +6,8 @@ a dense block (and in SDPA text, whose inner products run over both
 triangles) an off-diagonal c is halved and mirrored; ``_halved`` is the one
 place that does it.  An instance flattens its objective and constraints into
 one coefficient table of parallel arrays (matrix number, i, j, coefficient)
-that its checks, both solvers and the SDPA export read.
+that its checks, both solvers and the SDPA export read.  Every constraint
+is an equality <A_k, X> = b_k.
 
 Solving always happens on an explicit factorization X = V^T V, never on a
 full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
@@ -72,11 +73,10 @@ class SymMatrix:
 
 # -- instances ---------------------------------------------------------------
 
-SENSES = ("==", "<=")
-
 
 class SdpInstance:
-    """Maximization SDP over a block-diagonal PSD variable.
+    """Maximization SDP over a block-diagonal PSD variable, subject to
+    equalities <A_k, X> = b_k given as (A_k, b_k) pairs in ``constraints``.
 
     ``blocks`` lists (kind, size) pairs, kind "s" for a full symmetric block
     and "d" for a diagonal one.  Indices are global across blocks; entries
@@ -91,7 +91,7 @@ class SdpInstance:
         self,
         n: int,
         objective: SymMatrix,
-        constraints: Iterable[Tuple[SymMatrix, float, str]] = (),
+        constraints: Iterable[Tuple[SymMatrix, float]] = (),
         blocks: Optional[Sequence[Tuple[str, int]]] = None,
         constant: float = 0.0,
         meta: Optional[Dict] = None,
@@ -114,24 +114,23 @@ class SdpInstance:
         self.block_offsets: Tuple[int, ...] = tuple(itertools.accumulate(sizes, initial=0))[:-1]
         self._block_of = np.repeat(np.arange(len(blocks)), sizes)
         cons = []
-        for a, bound, sense in constraints:
-            if sense not in SENSES:
-                raise InvalidParameterError(f"constraint sense must be one of {SENSES}, got {sense!r}")
-            cons.append((a, float(bound), sense))
+        for con in constraints:
+            if not (isinstance(con, tuple) and len(con) == 2 and isinstance(con[0], SymMatrix)):
+                raise InvalidParameterError(f"a constraint must be a (matrix, bound) pair, got {con!r}")
+            cons.append((con[0], float(con[1])))
         self.objective = objective
-        self.constraints: Tuple[Tuple[SymMatrix, float, str], ...] = tuple(cons)
+        self.constraints: Tuple[Tuple[SymMatrix, float], ...] = tuple(cons)
         self.constant = float(constant)
         self.meta: Dict = dict(meta or {})
         # the coefficient table: row r is entry (_i[r], _j[r]), i <= j, of
         # matrix _mat[r] (0 the objective, k constraint k) with full
-        # coefficient _coef[r]; constraint k reads _bounds[k-1], _is_le[k-1]
-        mats = [objective] + [a for a, _, _ in cons]
+        # coefficient _coef[r]; constraint k reads _bounds[k-1]
+        mats = [objective] + [a for a, _ in cons]
         self._mat = np.repeat(np.arange(len(mats)), [len(a.entries) for a in mats])
         ij = np.array([key for a in mats for key in a.entries], dtype=int).reshape(-1, 2)
         self._i, self._j = ij[:, 0], ij[:, 1]
         self._coef = np.array([c for a in mats for c in a.entries.values()], dtype=float)
-        self._bounds = np.array([bound for _, bound, _ in cons], dtype=float)
-        self._is_le = np.array([sense == "<=" for _, _, sense in cons], dtype=bool)
+        self._bounds = np.array([bound for _, bound in cons], dtype=float)
         self._check_table()
 
     def _check_table(self) -> None:
@@ -217,11 +216,7 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
         c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, ws) if w}
         constant = float(sum(ws) / 2)
     n = len(graph.vertices)
-    cons = []
-    for i in range(n):
-        a = SymMatrix()
-        a.entries[(i, i)] = 1.0
-        cons.append((a, 1.0, "=="))
+    cons = [(SymMatrix({(i, i): 1.0}), 1.0) for i in range(n)]
     meta = {"kind": "maxcut", "weights": dict(sorted(wmap.items()))}
     return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=constant, meta=meta)
 
@@ -246,7 +241,6 @@ def _unit_diagonal_form(instance: SdpInstance) -> bool:
         instance.blocks == (("s", n),)
         and len(instance.constraints) == n
         and np.array_equal(instance._mat[rows], np.arange(1, n + 1))
-        and not instance._is_le.any()
         and np.array_equal(instance._bounds, ones)
         and np.array_equal(i, instance._j[rows])
         and np.array_equal(instance._coef[rows], ones)
@@ -259,23 +253,13 @@ def _halved(instance: SdpInstance) -> np.ndarray:
     return np.where(instance._i == instance._j, instance._coef, instance._coef / 2.0)
 
 
-def _dense(instance: SdpInstance, b: int, stop: int) -> np.ndarray:
-    """Block b of matrices 0..stop-1 (0 the objective), dense.
-
-    Shape (stop, size) for a "d" block and (stop, size, size), pairs mirrored,
-    for an "s" block, so a Frobenius product gives the sum of c * X_ij.
-    """
-    kind, size = instance.blocks[b]
-    off = instance.block_offsets[b]
-    rows = (instance._mat < stop) & (instance._block_of[instance._i] == b)
-    k, i, j = instance._mat[rows], instance._i[rows] - off, instance._j[rows] - off
-    c = _halved(instance)[rows]
-    out = np.zeros((stop,) + (size,) * (1 if kind == "d" else 2))
-    if kind == "d":
-        out[k, i] = c
-    else:
-        out[k, i, j] = c
-        out[k, j, i] = c
+def _dense(instance: SdpInstance) -> np.ndarray:
+    """The objective of a one-"s"-block instance, dense with pairs mirrored."""
+    rows = instance._mat == 0
+    i, j, c = instance._i[rows], instance._j[rows], _halved(instance)[rows]
+    out = np.zeros((instance.n, instance.n))
+    out[i, j] = c
+    out[j, i] = c
     return out
 
 
@@ -303,7 +287,7 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
     """
     n = instance.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    cd = _dense(instance, 0, 1)[0]
+    cd = _dense(instance)
     steps = [(s, cd[:, s], np.diag(cd)[s]) for s in _colour_classes(instance)]
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
@@ -344,7 +328,6 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
     from scipy.sparse import csr_matrix
 
     n, kcount = instance.n, len(instance.constraints)
-    bvec, is_le = instance._bounds, instance._is_le
     diagonal = np.array([kind == "d" for kind, _ in instance.blocks], dtype=bool)
     sizes = np.array([size for _, size in instance.blocks], dtype=int)
     lengths = np.where(diagonal, sizes, sizes * sizes)
@@ -366,7 +349,7 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
             p = x[lo:hi].reshape(size, size)
             z[lo:hi] = (p.T @ p).ravel()
         v = amap @ z
-        v[1:] -= bvec
+        v[1:] -= instance._bounds
         return v
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
@@ -386,11 +369,7 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
                 v = values(xv)
                 c = v[1:]
                 w = lam + rho * c
-                if is_le.any():
-                    w = np.where(is_le, np.maximum(0.0, w), w)
-                pen_eq = lam * c + 0.5 * rho * c * c
-                pen_le = (np.maximum(0.0, lam + rho * c) ** 2 - lam * lam) / (2 * rho)
-                val = v[0] - float(np.where(is_le, pen_le, pen_eq).sum())
+                val = v[0] - float((lam * c + 0.5 * rho * c * c).sum())
                 # d val / d z, then through each Gram: d <M, P^T P> / d P = P (M + M^T)
                 g = amap_t @ np.concatenate(([1.0], -w))
                 for lo, hi, size in squares:
@@ -404,9 +383,8 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
                 x, evaluations = res.x, evaluations + int(res.nfev)
             v = values(x)
             c = v[1:]
-            viol = np.where(is_le, np.maximum(0.0, c), np.abs(c))
-            infeas = float(viol.max()) if kcount else 0.0
-            lam = np.where(is_le, np.maximum(0.0, lam + rho * c), lam + rho * c)
+            infeas = float(np.abs(c).max()) if kcount else 0.0
+            lam = lam + rho * c
             if infeas <= tol:
                 break
             if infeas > 0.25 * infeas_prev:
@@ -443,8 +421,8 @@ def solve_sdp_lowrank(
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
-    if not tol > 0:  # NaN too
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # NaN too; an infinite tol would accept any iterate
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     gens, seed = _restart_generators(rng, restarts)
     path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
     restart, failure = path(instance, tol)
@@ -524,20 +502,16 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
 LC_SIZE_BUDGET = 2048
 
 
-def build_lc_relaxation(
-    instance: WeightedCspInstance, normalization: str = "weight"
-) -> SdpInstance:
+def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
     """Vector relaxation of a weighted CSP over label vectors and distributions.
 
     The first block holds one vector per (variable, label); the second is
     declared diagonal ("d") and holds one nonnegative entry per (application,
     local assignment).  Gram entries of the first block are tied to marginals
-    of the per-application distributions, and each distribution sums to one.
-    Weights are scaled by a recorded normalization factor so objective values
-    land in [-1, 1].
+    of the per-application distributions, and each distribution sums to one,
+    all by equalities.  Weights are divided by the total absolute weight,
+    recorded as meta["scale"], so objective values land in [-1, 1].
     """
-    if normalization not in ("weight", "count", "none"):
-        raise InvalidParameterError(f"unknown normalization {normalization!r}")
     q = instance.q
     variables = instance.variables
     var_pos = {v: i for i, v in enumerate(variables)}
@@ -554,19 +528,13 @@ def build_lc_relaxation(
     if n > LC_SIZE_BUDGET:
         raise SearchBudgetError(f"index set size {n} exceeds the desk budget {LC_SIZE_BUDGET}")
     mu_offsets = list(itertools.accumulate(sizes, initial=n1))[:-1] if sizes else []
-
-    if normalization == "weight":
-        scale = instance.abs_weight() or Fraction(1)
-    elif normalization == "count":
-        scale = Fraction(len(instance.applications) or 1)
-    else:
-        scale = Fraction(1)
+    scale = instance.abs_weight() or Fraction(1)
 
     def vec_idx(var, label: int) -> int:
         return var_pos[var] * q + label
 
     objective = SymMatrix()
-    constraints: List[Tuple[SymMatrix, float, str]] = []
+    constraints: List[Tuple[SymMatrix, float]] = []
     for t, (tname, var_tuple, w) in enumerate(instance.applications):
         ct = instance.constraint_types[tname]
         arity = len(var_tuple)
@@ -578,7 +546,7 @@ def build_lc_relaxation(
             norm_row.add(mu, mu, 1.0)
             if f in ct.satisfying and wn:
                 objective.add(mu, mu, wn)
-        constraints.append((norm_row, 1.0, "=="))
+        constraints.append((norm_row, 1.0))
         # marginal ties: Gram entry equals the matching distribution mass
         for p1 in range(arity):
             for p2 in range(p1, arity):
@@ -590,7 +558,7 @@ def build_lc_relaxation(
                         for r, f in enumerate(locals_):
                             if f[p1] == a and f[p2] == bl:
                                 row.add(mu_offsets[t] + r, mu_offsets[t] + r, -1.0)
-                        constraints.append((row, 0.0, "=="))
+                        constraints.append((row, 0.0))
     if len(constraints) > 40000:
         raise SearchBudgetError(f"{len(constraints)} constraints exceed the desk budget")
     blocks = ([("s", n1)] if n1 else []) + ([("d", n2)] if n2 else [])
@@ -621,27 +589,24 @@ def gap_curve_estimate(
     family: Sequence[WeightedCspInstance],
     eta: float,
     grid: Optional[Sequence[float]] = None,
-    normalization: str = "weight",
     tol: float = 1e-6,
     restarts: int = 5,
     rng=0,
 ) -> GapTable:
-    """Relaxation-versus-optimum table over a family, one point per instance.
-
-    eta must be >= 0: lookup discounts the optimum by it, and a negative eta
-    would report more than every measured optimum."""
+    """Weight-normalized relaxation-versus-optimum table over a family, one
+    point per instance, instance i solved with generator i of
+    _restart_generators(rng, len(family)).  eta must be >= 0: lookup
+    discounts the optimum by it, and a negative eta would report more than
+    every measured optimum.  Grid points must be finite, as JSON needs."""
     if not eta >= 0:  # NaN too
         raise InvalidParameterError(f"eta must be >= 0, got {eta}")
-    seed = 0 if rng is None else rng
-    children = (
-        np.random.SeedSequence(int(seed)).spawn(len(family))
-        if not isinstance(seed, np.random.Generator)
-        else [seed] * len(family)
-    )
+    for c in grid or ():
+        if not math.isfinite(c):
+            raise InvalidParameterError(f"grid points must be finite, got {c}")
+    gens, _ = _restart_generators(rng, len(family))
     points = []
-    for csp, child in zip(family, children):
-        relax = build_lc_relaxation(csp, normalization=normalization)
-        gen = child if isinstance(child, np.random.Generator) else np.random.default_rng(child)
+    for csp, gen in zip(family, gens):
+        relax = build_lc_relaxation(csp)
         sol = solve_sdp_lowrank(relax, tol=tol, restarts=restarts, rng=gen)
         opt, _ = csp_brute_opt(csp)
         points.append((sol.value, float(opt / relax.meta["scale"])))
@@ -662,8 +627,6 @@ def to_sdpa(instance: SdpInstance) -> str:
     external solver reproduce this module's values.  The objective constant
     travels in a comment since the format has no slot for it.
     """
-    if instance._is_le.any():
-        raise InvalidParameterError("SDPA export supports equality constraints only")
     lines = [f"*constant {instance.constant!r}"]
     lines.append(f"{len(instance._bounds)}")
     lines.append(f"{len(instance.blocks)}")
@@ -752,7 +715,7 @@ def parse_sdpa(text: str) -> SdpInstance:
         gj = offsets[blk - 1] + j - 1
         mats[matno].add(gi, gj, v if gi == gj else 2.0 * v)
     n = offsets[-1]
-    cons = [(mats[k], bvals[k - 1], "==") for k in range(1, m + 1)]
+    cons = [(mats[k], bvals[k - 1]) for k in range(1, m + 1)]
     return SdpInstance(n, mats[0], cons, blocks=blocks, constant=constant, meta={"kind": "sdpa"})
 
 

@@ -467,15 +467,21 @@ def _bad_bytes(path):
     (lambda p: _u2_missing_an_edge(p["klein"]), "error: instances do not match the coloring graph"),
     (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "-1",
                 "--out", p["klein"].parent / "g.json"], "error: eta must be >= 0, got -1.0"),
+    (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1",
+                "--grid", "nan,inf,-inf", "--out", p["klein"].parent / "g.json"],
+     "error: grid points must be finite, got nan"),
+    (lambda p: ["sdp", "lc", "--csp", write_family(p["klein"].parent.parent) / "f0.csp", "--tol", "inf",
+                "--out", p["klein"].parent / "lc.json"], "error: tol must be positive and finite, got inf"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
         "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file",
-        "cops-u2-missing-edge", "gap-eta-negative"])
+        "cops-u2-missing-edge", "gap-eta-negative", "gap-grid-non-finite", "lc-tol-inf"])
 @pytest.mark.filterwarnings("ignore:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)
     capsys.readouterr()
     assert run(*args) == 2
-    assert capsys.readouterr().err.startswith(message(pairs) if callable(message) else message)
+    err = capsys.readouterr().err
+    assert err.startswith(message(pairs) if callable(message) else message) and err.count("\n") == 1
 
 
 def _python(*args, cwd=None):

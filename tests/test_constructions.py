@@ -27,6 +27,7 @@ from uglab.constructions import (
     paths_through_edge,
     random_inapprox_pair,
     robber_move,
+    shared_pursuit_graph,
     unsat_complete_graph,
     _cycle_structure,
 )
@@ -236,12 +237,14 @@ def test_cycle_structure_depends_only_on_the_graphs_data():
     h = cops_robbers_graph(4)
     assert cops_robbers_graph(4) is h  # built once per k
     assert _cycle_structure(SimpleGraph(h.vertices, h.edges)) == _cycle_structure(h)
+    assert shared_pursuit_graph(SimpleGraph(h.vertices, h.edges)) is h
     # the same vertices and edge count with two names swapped is another graph
     swap = {"c0n0": "c1n1", "c1n1": "c0n0"}
     relabelled = SimpleGraph(h.vertices, [(swap.get(u, u), swap.get(v, v)) for u, v in h.edges])
     assert relabelled != h and _cycle_structure(relabelled) is None
+    assert shared_pursuit_graph(relabelled) is relabelled
     for g in (k4_klein_inputs()[0], petersen_graph(), complete_graph(12), SimpleGraph([], [])):
-        assert _cycle_structure(g) is None
+        assert _cycle_structure(g) is None and shared_pursuit_graph(g) is g
 
 
 def test_cops_robbers_graph_k3_girth():

@@ -343,11 +343,14 @@ def test_cops_duplicator_raises_when_the_robber_edge_sets_meet():
     assert exc.value.detail["edge"] == [str(x) for x in g.edges[0]]
 
 
-@pytest.mark.parametrize("k, digest", [
-    (3, "bac2d50d849846a854b7c322627e6bee2a66e5c62e4a021d82debf9a1f599100"),
-    (4, "c1627cc0c3c1582680cc5bdc4a0f0133fb6563906ec6372ea8ce5e19ddb5e552"),
-    (5, "3feb554e662a00325fd2866017bbb20a6b0ebbe241688c0becb9653bc01529c3"),
-])
+COPS_TRANSCRIPTS = {
+    3: "bac2d50d849846a854b7c322627e6bee2a66e5c62e4a021d82debf9a1f599100",
+    4: "c1627cc0c3c1582680cc5bdc4a0f0133fb6563906ec6372ea8ce5e19ddb5e552",
+    5: "3feb554e662a00325fd2866017bbb20a6b0ebbe241688c0becb9653bc01529c3",
+}
+
+
+@pytest.mark.parametrize("k, digest", sorted(COPS_TRANSCRIPTS.items()))
 def test_cops_duplicator_cycle_graph_transcripts_are_pinned(k, digest):
     # the cycle strategy on the built pursuit graphs must not change one answer
     h = cops_robbers_graph(k)
@@ -358,6 +361,21 @@ def test_cops_duplicator_cycle_graph_transcripts_are_pinned(k, digest):
     t = play_game(LiftedStructure(u1), LiftedStructure(u2), k, dup, RandomSpoiler(random.Random(1)), 200)
     assert t["survived"] == 200
     assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_cops_duplicator_on_a_rebuilt_pursuit_graph_holds_the_built_one():
+    # a pair.json sidecar is read back as a new SimpleGraph; the duplicator
+    # swaps it for the shared built graph once and plays the same game
+    h = cops_robbers_graph(3)
+    coloring = cubic_edge_coloring(h)
+    star = h.edges[0]
+    u1, u2 = klein_pair(h, coloring, star)
+    copy = SimpleGraph(h.vertices, h.edges)
+    assert copy is not h
+    dup = duplicator_cops(u1, u2, copy, coloring, star)
+    assert dup.h is h
+    t = play_game(LiftedStructure(u1), LiftedStructure(u2), 3, dup, RandomSpoiler(random.Random(1)), 200)
+    assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == COPS_TRANSCRIPTS[3]
 
 
 @pytest.mark.parametrize("side", ["u1", "u2"])

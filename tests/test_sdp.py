@@ -80,15 +80,7 @@ def test_symmatrix_dense_reproduces_value():
     inst = SdpInstance(2, a)
     pairs_once = sum(c * x[i, j] for i, j, c in zip(inst._i, inst._j, inst._coef))
     assert pairs_once == pytest.approx(4.0 * 0.5 + 2.0 * 3.0)
-    assert np.sum(_dense(inst, 0, 1)[0] * x) == pytest.approx(pairs_once)
-    # one scatter per block: matrix k of an "s" block mirrors its pairs, a
-    # "d" block keeps its diagonal as a vector
-    cons = [(SymMatrix({(0, 1): 4.0, (2, 2): -1.0}), 1.0, "==")]
-    two = SdpInstance(3, a, cons, blocks=[("s", 2), ("d", 1)])
-    s_block, d_block = _dense(two, 0, 2), _dense(two, 1, 2)
-    assert s_block.shape == (2, 2, 2) and d_block.shape == (2, 1)
-    assert np.sum(s_block[1] * x) == pytest.approx(4.0 * 0.5)
-    assert d_block.tolist() == [[0.0], [-1.0]]
+    assert np.sum(_dense(inst) * x) == pytest.approx(pairs_once)
 
 
 def test_instance_validation():
@@ -100,8 +92,10 @@ def test_instance_validation():
         SdpInstance(4, SymMatrix({(0, 3): 1.0}), blocks=[("s", 2), ("s", 2)])
     with pytest.raises(InvalidParameterError):
         SdpInstance(2, SymMatrix({(0, 1): 1.0}), blocks=[("d", 2)])
-    with pytest.raises(InvalidParameterError):
-        SdpInstance(1, SymMatrix(), [(SymMatrix({(0, 0): 1.0}), 1.0, ">=")])
+    one = SymMatrix({(0, 0): 1.0})
+    for con in [(one, 1.0, "<="), (one, 1.0, ">="), (one,), (1.0, one), one]:
+        with pytest.raises(InvalidParameterError, match=r"a constraint must be a \(matrix, bound\) pair"):
+            SdpInstance(1, SymMatrix(), [con])
 
 
 # -- cut relaxation -----------------------------------------------------------
@@ -113,8 +107,8 @@ def test_maxcut_builder_fields():
     assert inst.constant == 1.5
     assert inst.objective.entries == {(0, 1): -0.5, (1, 2): -0.5, (0, 2): -0.5}
     assert len(inst.constraints) == 3
-    for a, b, sense in inst.constraints:
-        assert b == 1.0 and sense == "=="
+    for a, b in inst.constraints:
+        assert b == 1.0
         ((i, j),) = a.entries
         assert i == j
 
@@ -131,7 +125,7 @@ def test_maxcut_no_vertices():
     assert sol.value == 0.0 and sol.residual == 0.0
 
 
-@pytest.mark.parametrize("cons", [[], [(SymMatrix(), 0.0, "==")]])
+@pytest.mark.parametrize("cons", [[], [(SymMatrix(), 0.0)]])
 def test_zero_dimensional_solve_returns_the_constant(cons):
     sol = solve_sdp_lowrank(SdpInstance(0, SymMatrix(), cons, constant=2.5), restarts=3, rng=7)
     assert (sol.value, sol.residual, sol.spread) == (2.5, 0.0, 0.0)
@@ -140,7 +134,7 @@ def test_zero_dimensional_solve_returns_the_constant(cons):
 
 def test_zero_dimensional_solve_checks_its_constraints():
     """With no variables, 0 == 1 can never hold."""
-    inst = SdpInstance(0, SymMatrix(), [(SymMatrix(), 1.0, "==")], constant=2.5)
+    inst = SdpInstance(0, SymMatrix(), [(SymMatrix(), 1.0)], constant=2.5)
     with pytest.raises(ConvergenceError, match="feasibility residual 1 above tolerance") as err:
         solve_sdp_lowrank(inst)
     assert err.value.best.residual == 1.0
@@ -211,7 +205,7 @@ def mixing_reference(inst, order, gen, sweeps):
     """Per-column coordinate ascent over the indices in the given order."""
     n = inst.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    c = _dense(inst, 0, 1)[0]
+    c = _dense(inst)
     v = gen.standard_normal((p, n))
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0] = 1.0
@@ -314,7 +308,7 @@ def test_rounding_matches_expectation_formula():
 
 
 def test_rounding_needs_recorded_weights():
-    inst = SdpInstance(1, SymMatrix({(0, 0): 1.0}), [(SymMatrix({(0, 0): 1.0}), 1.0, "==")])
+    inst = SdpInstance(1, SymMatrix({(0, 0): 1.0}), [(SymMatrix({(0, 0): 1.0}), 1.0)])
     sol = solve_sdp_lowrank(inst)
     with pytest.raises(PreconditionError):
         hyperplane_round(sol, rng=0, trials=4)
@@ -323,32 +317,26 @@ def test_rounding_needs_recorded_weights():
 # -- general solver paths ------------------------------------------------------
 
 
-def test_inequality_sense_binds():
-    a = SymMatrix({(0, 0): 1.0})
-    inst = SdpInstance(1, SymMatrix({(0, 0): 1.0}), [(a, 2.0, "<=")])
-    sol = solve_sdp_lowrank(inst)
-    assert sol.value == pytest.approx(2.0, abs=1e-5)
-
-
 @pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
 def test_only_unit_diagonal_instances_take_the_mixing_path(coeff, bound, value):
     # max -X_01 subject to coeff * X_ii == bound is bound / coeff; the mixing
     # path holds X_ii at 1 and would report 1.0 for every row
-    cons = [(SymMatrix({(i, i): coeff}), bound, "==") for i in range(2)]
+    cons = [(SymMatrix({(i, i): coeff}), bound) for i in range(2)]
     sol = solve_sdp_lowrank(SdpInstance(2, SymMatrix({(0, 1): -1.0}), cons), restarts=1)
     assert sol.value == pytest.approx(value, abs=1e-5)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
 def test_tolerance_must_be_positive(tol):
-    # a NaN tolerance would run every restart to its budget and then fail
+    # a NaN tolerance would run every restart to its budget and then fail;
+    # an infinite one would accept the first iterate as feasible
     with pytest.raises(InvalidParameterError, match="tol must be positive"):
         solve_sdp_lowrank(build_maxcut_sdp(cycle(5)), tol=tol)
 
 
 def test_infeasible_instance_raises_with_best():
     a = SymMatrix({(0, 0): 1.0})
-    inst = SdpInstance(1, SymMatrix(), [(a, 1.0, "=="), (a, 2.0, "==")])
+    inst = SdpInstance(1, SymMatrix(), [(a, 1.0), (a, 2.0)])
     with pytest.raises(ConvergenceError) as err:
         solve_sdp_lowrank(inst)
     assert isinstance(err.value.best, SdpSolution)
@@ -386,7 +374,7 @@ def test_lc_second_block_declared_diagonal():
     inst = build_lc_relaxation(xor_cycle_csp(4))
     n1 = 4 * 2
     assert inst.blocks == (("s", n1), ("d", inst.n - n1))
-    for a, _, _ in [(inst.objective, 0.0, "==")] + list(inst.constraints):
+    for a in [inst.objective] + [a for a, _ in inst.constraints]:
         assert all(i == j for i, j in a.entries if j >= n1)
     x = solve_sdp_lowrank(inst).gram()
     assert np.abs(x[n1:, n1:] - np.diag(np.diag(x[n1:, n1:]))).max() <= 1e-6
@@ -473,13 +461,6 @@ def test_lc_size_budget():
         build_lc_relaxation(csp)
 
 
-def test_lc_count_normalization():
-    inst = build_lc_relaxation(xor_cycle_csp(4, w=Fraction(1, 2)), normalization="count")
-    assert inst.meta["scale"] == 4.0
-    sol = solve_sdp_lowrank(inst)
-    assert sol.value == pytest.approx(0.5, abs=1e-4)
-
-
 # -- gap tables ------------------------------------------------------------------
 
 
@@ -512,6 +493,26 @@ def test_gap_curve_optimum_is_exact():
     assert opt_val == 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gap_curve_seeds_instance_i_with_spawned_child_i(seed):
+    ct_and = CspType(2, [(1, 1)], 2)
+    family = [xor_cycle_csp(3), xor_cycle_csp(4, w=Fraction(1, 3)),
+              WeightedCspInstance(2, ["x", "y"], {"and": ct_and}, [("and", ("x", "y"), 2)])]
+    table = gap_curve_estimate(family, eta=0.1, restarts=1, rng=seed)
+    children = np.random.SeedSequence(seed).spawn(len(family))
+    expected = []
+    for csp, child in zip(family, children):
+        sol = solve_sdp_lowrank(build_lc_relaxation(csp), restarts=1, rng=np.random.default_rng(child))
+        expected.append((sol.value, float(csp_brute_opt(csp)[0] / csp.abs_weight())))
+    assert table.points == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_gap_curve_rejects_a_non_finite_grid_point(point):
+    with pytest.raises(InvalidParameterError, match="grid points must be finite"):
+        gap_curve_estimate([xor_cycle_csp(4)], eta=0.1, grid=[0.5, point])
+
+
 def test_gap_lookup_monotone():
     ct_and = CspType(2, [(1, 1)], 2)
     ct_or = CspType(2, [(0, 1), (1, 0), (1, 1)], 2)
@@ -539,9 +540,7 @@ def test_sdpa_round_trip_maxcut():
     assert back.blocks == inst.blocks
     assert back.constant == inst.constant
     assert back.objective == inst.objective
-    assert [(a.entries, b) for a, b, _ in back.constraints] == [
-        (a.entries, b) for a, b, _ in inst.constraints
-    ]
+    assert [(a.entries, b) for a, b in back.constraints] == [(a.entries, b) for a, b in inst.constraints]
     assert solve_sdp_lowrank(back).value == pytest.approx(solve_sdp_lowrank(inst).value, abs=1e-9)
 
 
@@ -560,13 +559,6 @@ def test_sdpa_round_trip_without_constraints():
     assert text.splitlines()[1:5] == ["0", "1", "1", "{}"]
     back = parse_sdpa(text)
     assert back.objective == inst.objective and back.constraints == () and back.constant == 0.5
-
-
-def test_sdpa_rejects_inequalities():
-    a = SymMatrix({(0, 0): 1.0})
-    inst = SdpInstance(1, SymMatrix(), [(a, 1.0, "<=")])
-    with pytest.raises(InvalidParameterError):
-        to_sdpa(inst)
 
 
 def test_sdpa_parse_errors():
@@ -601,7 +593,7 @@ def test_sdpa_parse_errors_carry_line(text, lineno):
 
 def test_sdpa_diagonal_block_dimension():
     a = SymMatrix({(1, 1): 1.0})
-    inst = SdpInstance(2, SymMatrix({(0, 0): 1.0}), [(a, 1.0, "==")], blocks=[("s", 1), ("d", 1)])
+    inst = SdpInstance(2, SymMatrix({(0, 0): 1.0}), [(a, 1.0)], blocks=[("s", 1), ("d", 1)])
     text = to_sdpa(inst)
     assert "1 -1" in text.splitlines()[3]
     back = parse_sdpa(text)
@@ -641,7 +633,7 @@ def sdpa_instances(draw):
             a.add(*((j, i) if draw(st.booleans()) else (i, j)), c)
         return a
 
-    cons = [(matrix(), draw(COEFFS), "==") for _ in range(draw(st.integers(0, 4)))]
+    cons = [(matrix(), draw(COEFFS)) for _ in range(draw(st.integers(0, 4)))]
     constant = draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0))
     n = sum(size for _, size in blocks)
     return SdpInstance(n, matrix(), cons, blocks=blocks, constant=constant)
@@ -653,7 +645,7 @@ def test_sdpa_round_trip_property(inst):
     back = parse_sdpa(to_sdpa(inst))
     assert (back.n, back.blocks, back.constant) == (inst.n, inst.blocks, inst.constant)
     assert back.objective.entries == inst.objective.entries
-    assert [(a.entries, b) for a, b, _ in back.constraints] == [(a.entries, b) for a, b, _ in inst.constraints]
+    assert [(a.entries, b) for a, b in back.constraints] == [(a.entries, b) for a, b in inst.constraints]
 
 
 SDPA_TOKENS = ["0", "1", "2", "3", "-1", "-2", "1.5", "-0.5", "x", "{", "}", ",", "*", '"constant', "nan", "1e3"]
