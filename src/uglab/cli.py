@@ -35,6 +35,7 @@ from .errors import InvalidParameterError, PreconditionError, StrategyViolationE
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, petersen_graph
 from .instances import (
+    DEFAULT_LIFT_VERTEX_CAP,
     GroupUgInstance,
     brute_force_opt,
     csp_brute_opt,
@@ -256,7 +257,7 @@ def cmd_game(args) -> int:
     elif args.duplicator == "k2":
         dup = duplicator_k2(u1, u2)
     elif args.duplicator == "cops":
-        dup = duplicator_cops(u1, u2, *klein_from_json(sc))
+        dup = duplicator_cops(u1, u2, *klein_from_json(sc, u1, u2))
     else:
         dup = duplicator_tree(InapproxPair.from_json(sc, u1, u2))
     transcript = play_game(a, b, args.k, dup, RandomSpoiler(random.Random(args.seed)), max_rounds=args.rounds)
@@ -326,9 +327,13 @@ def cmd_sdp_gap(args) -> int:
     if not paths:
         raise PreconditionError(f"no .csp files in {args.family!r}")
     family = [formats.parse_csp(_read(p)) for p in paths]
+    try:
+        eta = float(args.eta)
+    except OverflowError:  # a rational beyond the float range; gap_curve_estimate rejects it
+        eta = math.inf if args.eta > 0 else -math.inf
     table = gap_curve_estimate(
         family,
-        eta=float(args.eta),
+        eta=eta,
         grid=grid,
         tol=args.tol,
         restarts=args.restarts,
@@ -336,7 +341,7 @@ def cmd_sdp_gap(args) -> int:
     )
     out = _stamp(args, {
         "kind": "gap",
-        "eta": float(args.eta),
+        "eta": eta,
         "seed": args.seed,
         "files": [os.path.basename(p) for p in paths],
         "points": [[s, o] for s, o in table.points],
@@ -434,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift = sub.add_parser("lift", help="materialize the label lift of a group instance")
     lift.add_argument("--in", dest="infile", required=True)
     lift.add_argument("--out", required=True)
-    lift.add_argument("--max-vertices", type=int, default=4096)
+    lift.add_argument("--max-vertices", type=int, default=DEFAULT_LIFT_VERTEX_CAP)
     lift.set_defaults(func=cmd_lift)
 
     solve = sub.add_parser("solve", help="exact solvers")

@@ -16,7 +16,7 @@ from .errors import (
     PreconditionError,
     StrategyViolationError,
 )
-from .gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
+from .gf2 import MAX_DIM, Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
 from .graphs import (
     SimpleGraph,
     girth,
@@ -181,14 +181,25 @@ def klein_to_json(h: SimpleGraph, coloring: Dict[Tuple, str], star_edge: Tuple) 
     }
 
 
-def klein_from_json(sc: Dict) -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
+def klein_from_json(
+    sc: Dict, u1: GroupUgInstance, u2: GroupUgInstance
+) -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
     """The (graph, coloring, star edge) that klein_to_json wrote, checked
-    as klein_pair checks its inputs."""
+    as klein_pair checks its inputs, with u1 and u2 the pair's instances as
+    read from their files; they must be the pair klein_pair builds."""
     graph, coloring, star = _sidecar(sc, "klein", "gen klein", ("graph", "coloring", "star"))
     coloring = {_key_edge(k, "coloring"): c for k, c in _typed(coloring, "coloring", dict).items()}
     inputs = (_graph_from_json(graph), coloring, _json_edge(star, "star"))
-    klein_pair(*inputs)
+    _match_files((u1, u2), klein_pair(*inputs), "the sidecar's coloring and star edge")
     return inputs
+
+
+def _match_files(given: Sequence[GroupUgInstance], built: Sequence[GroupUgInstance], what: str) -> None:
+    """Raise unless the pair's instances read from their files equal the two
+    built from the sidecar; the error names the first that differs."""
+    for name, a, b in zip(("u1", "u2"), given, built):
+        if (a.m, a.vertices, a.bundles) != (b.m, b.vertices, b.bundles):
+            raise InvalidParameterError(f"{name} instance does not match {what}")
 
 
 def k4_klein_inputs() -> Tuple[SimpleGraph, Dict[Tuple, str], Tuple]:
@@ -547,9 +558,7 @@ class InapproxPair:
         bmap = {_key_edge(k, "bmap"): Gf2Vector.from_hex(h, m) for k, h in _typed(braw, "bmap", dict).items()}
         good = frozenset(_json_edge(e, "good") for e in _typed(good, "good", list))
         pair = cls(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, bool(girth_ok))
-        for name, given, built in (("u1", u1, pair.u1), ("u2", u2, pair.u2)):
-            if (given.m, given.vertices, given.bundles) != (built.m, built.vertices, built.bundles):
-                raise InvalidParameterError(f"{name} instance does not match the sidecar's good edges")
+        _match_files((u1, u2), (pair.u1, pair.u2), "the sidecar's good edges")
         return pair
 
 
@@ -581,10 +590,14 @@ def random_inapprox_pair(
     second, then restrict both to good edges (vertices are kept)."""
     if k < 1:
         raise InvalidParameterError("need k >= 1")
+    m, ell, r = params.m, params.ell, params.r
+    if not 1 <= m <= MAX_DIM:
+        raise InvalidParameterError(f"dimension must be in 1..{MAX_DIM}, got {m}")
+    if not 0 <= ell <= m:
+        raise InvalidParameterError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
     d = base.regular_degree()
     if d != params.d:
         raise PreconditionError(f"base is {d}-regular, params want d={params.d}")
-    m, ell, r = params.m, params.ell, params.r
     need = (k + 1) ** 2 * r
     g = girth(base)
     girth_ok = g >= need

@@ -3,8 +3,13 @@
 Three instance kinds: group instances over F_2^m (per-edge bundles of
 allowed differences, x_u + x_v = z), permutation unique games (a(u) =
 pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
-fractions are fractions.Fraction throughout; no floats on this path. numpy
-is imported inside the solvers that enumerate, so the commands that never call
+fractions are fractions.Fraction throughout; no floats on this path.
+
+Every exhaustive solver runs one mixed-radix enumerator; both unique-games
+kinds go through it one connected component at a time. The spanning-tree
+oracle works on int labels and reads ``GroupUgInstance.diff_bits``;
+``Gf2Vector`` labels appear only in the witnesses returned. numpy is
+imported inside the solvers that enumerate, so the commands that never call
 them start without it.
 """
 
@@ -14,7 +19,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -87,7 +92,8 @@ class GroupUgInstance:
     @cached_property
     def diff_bits(self) -> Dict:
         """Per vertex u, per neighbour w in bundle order, the differences on (u, w)
-        as a frozenset of int bits; built on first use, by the game layer."""
+        as a frozenset of int bits; built on first use, by the game layer or
+        the spanning-tree oracle."""
         table: Dict = {v: {} for v in self.vertices}
         sets: Dict = {}  # equal bundles share one frozenset
         for u, w, diffs in self.bundles:
@@ -186,14 +192,8 @@ class WeightedCspInstance:
         self.variables: Tuple = tuple(sorted(vs, key=vertex_sort_key))
         self.applications: Tuple[Tuple, ...] = tuple(apps)
 
-    def total_weight(self) -> Fraction:
-        return sum((w for _, _, w in self.applications), Fraction(0))
-
     def abs_weight(self) -> Fraction:
         return sum((abs(w) for _, _, w in self.applications), Fraction(0))
-
-    def is_normalized(self) -> bool:
-        return abs(self.total_weight()) <= 1
 
     def __repr__(self) -> str:
         return (
@@ -212,32 +212,16 @@ def _fraction(count: int, total: int) -> Fraction:
 
 def evaluate(instance, assignment: Dict) -> Tuple[int, Fraction]:
     """Satisfied-constraint count and exact fraction under a total assignment."""
-    if isinstance(instance, GroupUgInstance):
-        count = 0
-        for u, v, diffs in instance.bundles:
-            try:
-                d = assignment[u] + assignment[v]
-            except KeyError as exc:
-                raise IncompleteAssignmentError(f"assignment misses vertex {exc.args[0]!r}") from exc
-            if d in diffs:
-                count += 1
-        total = instance.constraint_count
-    elif isinstance(instance, PermUgInstance):
-        count = 0
-        for u, v, perm in instance.constraints:
-            try:
-                au, av = assignment[u], assignment[v]
-            except KeyError as exc:
-                raise IncompleteAssignmentError(f"assignment misses vertex {exc.args[0]!r}") from exc
-            if au == perm[av]:
-                count += 1
-        total = instance.constraint_count
-    else:
+    if not isinstance(instance, (GroupUgInstance, PermUgInstance)):
         raise InvalidParameterError(f"cannot evaluate {type(instance).__name__}")
     for v in instance.vertices:
         if v not in assignment:
             raise IncompleteAssignmentError(f"assignment misses vertex {v!r}")
-    return count, _fraction(count, total)
+    if isinstance(instance, GroupUgInstance):
+        count = sum(assignment[u] + assignment[v] in diffs for u, v, diffs in instance.bundles)
+    else:
+        count = sum(assignment[u] == perm[assignment[v]] for u, v, perm in instance.constraints)
+    return count, _fraction(count, instance.constraint_count)
 
 
 def csp_value(instance: WeightedCspInstance, assignment: Dict) -> Fraction:
@@ -315,67 +299,51 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     return best, best_at
 
 
-def _brute_group_component(instance: GroupUgInstance, comp, budget: int) -> Tuple[int, Dict]:
-    """Exact optimum on one connected component, in vertex order as
-    ``SimpleGraph.components`` returns it; lex-least witness.
-
-    The first vertex is fixed to zero as a radix-1 variable (every assignment
-    family is closed under a global shift); each bundle is the table
-    T[a, b] = (a + b in diffs).
-    """
-    import numpy as np
-
-    space = instance.q ** (len(comp) - 1)
-    if space > budget:
-        raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-    pos = {v: i for i, v in enumerate(comp)}
-    radices = [1] + [instance.q] * (len(comp) - 1)
-    tables = []
-    for u, v, diffs in instance.bundles:
-        if u in pos:
-            iu, iv = pos[u], pos[v]
-            xor = np.arange(radices[iu])[:, None] ^ np.arange(radices[iv])
-            tables.append(((iu, iv), np.isin(xor, [z.bits for z in diffs]).astype(np.int64)))
-    count, values = _enumerate(radices, tables, len(tables))
-    return count, {v: Gf2Vector(bits, instance.m) for v, bits in zip(comp, values)}
-
-
 def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
     """Exact maximum satisfied count by exhaustion, with lex-least witness.
 
-    Every instance kind runs through one mixed-radix enumerator over 0/1
-    tables, one per bundle or constraint. Group instances are solved one
-    connected component at a time with the component's first vertex fixed to
-    zero (every assignment family is closed under a global shift, so an
-    optimal root-zero assignment always exists). Permutation constraints a(u) = perm(a(v)) are the
-    tables T[a, b] = (a == perm[b]) over all vertices. The budget bounds the
-    search space of each enumeration.
+    Both unique-games kinds run one connected component at a time, in vertex
+    order as ``SimpleGraph.components`` returns it, through the mixed-radix
+    enumerator, with one 0/1 table per bundle or constraint: T[a, b] =
+    (a + b in diffs) for group instances and T[a, b] = (a == perm[b]) for
+    permutation constraints a(u) = perm(a(v)). A group component's first
+    vertex is fixed to zero as a radix-1 variable (every assignment family is
+    closed under a global shift, so an optimal root-zero assignment always
+    exists). Components are independent, so the lex-least optimum is the
+    union of each component's lex-least optimum. The budget bounds the search
+    space of each component.
     """
+    import numpy as np
+
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
+    q = instance.q
+    labels = np.arange(q)
     if isinstance(instance, GroupUgInstance):
-        count, witness = 0, {}
-        for comp in instance.graph().components():
-            c, w = _brute_group_component(instance, comp, budget)
-            count += c
-            witness.update(w)
-        return count, _fraction(count, instance.constraint_count), witness
-    if isinstance(instance, PermUgInstance):
-        import numpy as np
-
-        q, vs = instance.q, instance.vertices
-        space = q ** len(vs)
+        root_radix, label = 1, partial(Gf2Vector, dim=instance.m)
+        xor = labels[:, None] ^ labels
+        full = [(u, v, np.isin(xor, [z.bits for z in diffs])) for u, v, diffs in instance.bundles]
+    elif isinstance(instance, PermUgInstance):
+        root_radix, label = q, int
+        full = [(u, v, labels[:, None] == np.array(perm)) for u, v, perm in instance.constraints]
+    else:
+        raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
+    count, witness = 0, {}
+    for comp in instance.graph().components():
+        space = root_radix * q ** (len(comp) - 1)
         if space > budget:
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-        pos = {v: i for i, v in enumerate(vs)}
-        labels = np.arange(q)
+        pos = {v: i for i, v in enumerate(comp)}
+        radices = [root_radix] + [q] * (len(comp) - 1)
         tables = [
-            ((pos[u], pos[v]), (labels[:, None] == np.array(perm)).astype(np.int64))
-            for u, v, perm in instance.constraints
+            ((pos[u], pos[v]), t[: radices[pos[u]], : radices[pos[v]]].astype(np.int64))
+            for u, v, t in full
+            if u in pos
         ]
-        count, values = _enumerate([q] * len(vs), tables, len(tables))
-        return count, _fraction(count, instance.constraint_count), dict(zip(vs, values))
-    raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
+        c, values = _enumerate(radices, tables, len(tables))
+        count += c
+        witness.update(zip(comp, map(label, values)))
+    return count, _fraction(count, instance.constraint_count), witness
 
 
 def csp_brute_opt(
@@ -505,14 +473,11 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
         for z in diffs:
             perm = [a ^ z.bits for a in range(q)]
             M += P @ P[:, perm].T
-        iu, iv = pos[u], pos[v]
-        # broadcast M into the (iu, iv) axes of the profile grid
-        axes = sorted([(iu, 0), (iv, 1)])
-        block = M if axes[0][1] == 0 else M.T
+        # broadcast M into the (u, v) axes of the profile grid; bundles are
+        # normalized, so u comes before v in vertex order
         shape = [1] * n
-        shape[iu] = np_profiles
-        shape[iv] = np_profiles
-        total += block.reshape(shape)
+        shape[pos[u]] = shape[pos[v]] = np_profiles
+        total += M.reshape(shape)
     flat_idx = int(np.argmax(total))
     best = int(total.flat[flat_idx])
     chosen = np.unravel_index(flat_idx, total.shape)
@@ -546,13 +511,17 @@ def spanning_tree_opt(
     Every optimal assignment restricted to the edges it satisfies extends a
     spanning forest, so for some spanning tree and some per-tree-edge choice
     of allowed difference, propagating from a zero root reproduces an optimal
-    assignment up to a shift. The budget counts evaluations performed.
+    assignment up to a shift. The budget counts (tree, diff-choice)
+    evaluations performed.
 
-    The witness is optimal. It is the lex-least optimal tree assignment,
-    whatever the tree order, unless the search stops early: once an
-    assignment satisfies every bundle, the search returns the first such
-    assignment in ``SimpleGraph.spanning_trees`` order. An instance with no
-    vertices scores 1 vacuously, as under brute force.
+    Labels are int bits throughout: each choice is propagated along the
+    tree's BFS order and scored against ``diff_bits``, and ``Gf2Vector``
+    labels are built only for the returned witness. The witness is optimal.
+    It is the lex-least optimal tree assignment, whatever the tree order,
+    unless the search stops early: once an assignment satisfies every
+    bundle, the search returns the first such assignment in
+    ``SimpleGraph.spanning_trees`` order. An instance with no vertices
+    scores 1 vacuously, as under brute force.
     """
     if budget is None:
         budget = DEFAULT_TREE_BUDGET
@@ -563,45 +532,43 @@ def spanning_tree_opt(
     total = instance.constraint_count
     if not g.vertices:
         return 0, Fraction(1), {}
-    root = g.vertices[0]
-    zero = Gf2Vector.zero(instance.m)
-    best_count, best_witness, best_key = -1, None, None
+    vs = instance.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    checks = [(pos[u], pos[v], instance.diff_bits[u][v]) for u, v, _ in instance.bundles]
+    root = vs[0]
+    best_count, best_key = -1, None
     evals = 0
     for tree_edges in g.spanning_trees():
-        adj: Dict = {v: [] for v in g.vertices}
-        for u, v in tree_edges:
-            adj[u].append((v, (u, v)))
-            adj[v].append((u, (u, v)))
-        order = []  # (vertex, parent, edge) in BFS order from root
+        adj: Dict = {v: [] for v in vs}
+        for k, (u, v) in enumerate(tree_edges):
+            adj[u].append((v, k))
+            adj[v].append((u, k))
+        order = []  # (vertex, parent, tree-edge index) as positions, in BFS order from root
         seen = {root}
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for y, e in adj[x]:
+            for y, k in adj[x]:
                 if y not in seen:
                     seen.add(y)
-                    order.append((y, x, e))
+                    order.append((pos[y], pos[x], k))
                     queue.append(y)
-        choice_sets = [instance.bundle_map[e] for e in tree_edges]
-        for combo in itertools.product(*choice_sets):
+        labels = [0] * len(vs)
+        for combo in itertools.product(*(sorted(instance.diff_bits[u][v]) for u, v in tree_edges)):
             evals += 1
             if evals > budget:
                 raise SearchBudgetError(f"spanning tree search exceeded budget {budget}")
-            zmap = dict(zip(tree_edges, combo))
-            a = {root: zero}
-            for y, x, e in order:
-                a[y] = a[x] + zmap[e]
-            count, _ = evaluate(instance, a)
-            if count > best_count:
-                key = tuple(a[v].bits for v in instance.vertices)
-                best_count, best_witness, best_key = count, a, key
-            elif count == best_count:
-                key = tuple(a[v].bits for v in instance.vertices)
-                if key < best_key:
-                    best_witness, best_key = a, key
+            for y, x, k in order:
+                labels[y] = labels[x] ^ combo[k]
+            count = sum(labels[iu] ^ labels[iv] in diffs for iu, iv, diffs in checks)
+            if count > best_count or (count == best_count and labels < best_key):
+                best_count, best_key = count, labels.copy()
             if best_count >= early:
-                return best_count, _fraction(best_count, total), best_witness
-    return best_count, _fraction(best_count, total), best_witness
+                break
+        if best_count >= early:
+            break
+    witness = {v: Gf2Vector(bits, instance.m) for v, bits in zip(vs, best_key)}
+    return best_count, _fraction(best_count, total), witness
 
 
 __all__ = [

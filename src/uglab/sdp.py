@@ -597,9 +597,12 @@ def gap_curve_estimate(
     point per instance, instance i solved with generator i of
     _restart_generators(rng, len(family)).  eta must be >= 0: lookup
     discounts the optimum by it, and a negative eta would report more than
-    every measured optimum.  Grid points must be finite, as JSON needs."""
+    every measured optimum.  eta and the grid points must be finite, as
+    JSON needs."""
     if not eta >= 0:  # NaN too
         raise InvalidParameterError(f"eta must be >= 0, got {eta}")
+    if eta == math.inf:
+        raise InvalidParameterError(f"eta must be finite, got {eta}")
     for c in grid or ():
         if not math.isfinite(c):
             raise InvalidParameterError(f"grid points must be finite, got {c}")

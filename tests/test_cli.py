@@ -437,6 +437,14 @@ def _u2_missing_an_edge(path):
     return ["game", "--pair", path, "--duplicator", "cops", "--k", 3, "--rounds", 5]
 
 
+def _u2_bundle_changed(path):
+    u2 = path.parent / "u2.gug"
+    text = u2.read_text()
+    assert "bundle v1 v2 0,1\n" in text
+    u2.write_text(text.replace("bundle v1 v2 0,1\n", "bundle v1 v2 0,2\n"))
+    return ["game", "--pair", path, "--duplicator", "cops", "--k", 3, "--rounds", 5]
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -454,6 +462,12 @@ def _bad_bytes(path):
     (lambda p: _bad_bytes(p["klein"]), "error: line 2: "),
     (lambda p: ["gen", "random-pair", "--m", -1, "--out-dir", p["tree"].parent / "x"],
      "error: dimension must be in 1..64, got -1"),
+    (lambda p: ["gen", "random-pair", "--m", 0, "--out-dir", p["tree"].parent / "x"],
+     "error: dimension must be in 1..64, got 0"),
+    (lambda p: ["gen", "random-pair", "--m", 70, "--out-dir", p["tree"].parent / "x"],
+     "error: dimension must be in 1..64, got 70"),
+    (lambda p: ["gen", "random-pair", "--ell", 5, "--m", 3, "--out-dir", p["tree"].parent / "x"],
+     "error: need 0 <= ell <= m, got ell=5, m=3"),
     (lambda p: ["gen", "random-pair", "--k", 0, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
     (lambda p: ["gen", "random-pair", "--k", -1, "--out-dir", p["tree"].parent / "x"], "error: need k >= 1"),
     (lambda p: _empty_pair(p["klein"]), "error: the universe is empty"),
@@ -464,18 +478,23 @@ def _bad_bytes(path):
      lambda p: f"error: --dir '{p['klein'].parent / 'missing'}' is not a directory"),
     (lambda p: ["report", "--dir", p["klein"], "--out", p["klein"].parent / "r.json"],
      lambda p: f"error: --dir '{p['klein']}' is not a directory"),
-    (lambda p: _u2_missing_an_edge(p["klein"]), "error: instances do not match the coloring graph"),
+    (lambda p: _u2_missing_an_edge(p["klein"]), "error: u2 instance does not match the sidecar's coloring"),
+    (lambda p: _u2_bundle_changed(p["klein"]), "error: u2 instance does not match the sidecar's coloring"),
     (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "-1",
                 "--out", p["klein"].parent / "g.json"], "error: eta must be >= 0, got -1.0"),
+    (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "1e400",
+                "--out", p["klein"].parent / "g.json"], "error: eta must be finite, got inf"),
     (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1",
                 "--grid", "nan,inf,-inf", "--out", p["klein"].parent / "g.json"],
      "error: grid points must be finite, got nan"),
     (lambda p: ["sdp", "lc", "--csp", write_family(p["klein"].parent.parent) / "f0.csp", "--tol", "inf",
                 "--out", p["klein"].parent / "lc.json"], "error: tol must be positive and finite, got inf"),
-], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "k-0", "k-negative",
-        "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing", "report-dir-is-file",
-        "cops-u2-missing-edge", "gap-eta-negative", "gap-grid-non-finite", "lc-tol-inf"])
-@pytest.mark.filterwarnings("ignore:girth")
+], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
+        "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing",
+        "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
+        "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf"])
+# the girth warning goes to stderr outside pytest, so no case may reach it
+@pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
     args = argv(pairs)
     capsys.readouterr()

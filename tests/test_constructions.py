@@ -174,7 +174,7 @@ def test_klein_sidecar_round_trip(cops):
         inputs = (h, cubic_edge_coloring(h), h.edges[0])
     else:
         inputs = k4_klein_inputs()
-    back = klein_from_json(_through_json(klein_to_json(*inputs)))
+    back = klein_from_json(_through_json(klein_to_json(*inputs)), *klein_pair(*inputs))
     assert back == inputs
     # the pursuit strategy reads the cycles from the graph's data, so the
     # graph read back plays the cycle strategy exactly when the built one does
@@ -185,10 +185,25 @@ def test_klein_sidecar_round_trip(cops):
 
 def test_klein_sidecar_rejects_malformed_fields():
     sc = _through_json(klein_to_json(*k4_klein_inputs()))
+    u1, u2 = klein_pair(*k4_klein_inputs())
     with pytest.raises(InvalidParameterError, match="is not two vertex names"):
-        klein_from_json({**sc, "star": ["v3"]})
+        klein_from_json({**sc, "star": ["v3"]}, u1, u2)
     with pytest.raises(PreconditionError, match="coloring misses edge"):
-        klein_from_json({**sc, "coloring": {}})
+        klein_from_json({**sc, "coloring": {}}, u1, u2)
+
+
+def test_klein_sidecar_rejects_instances_of_another_pair():
+    inputs = k4_klein_inputs()
+    sc = _through_json(klein_to_json(*inputs))
+    u1, u2 = klein_pair(*inputs)
+    with pytest.raises(InvalidParameterError, match="u2 instance does not match"):
+        klein_from_json(sc, u1, u1)
+    with pytest.raises(InvalidParameterError, match="u1 instance does not match"):
+        klein_from_json(sc, u2, u2)
+    # another star edge gives another u2 on the same graph
+    other = klein_pair(inputs[0], inputs[1], inputs[0].edges[0])
+    with pytest.raises(InvalidParameterError, match="u2 instance does not match"):
+        klein_from_json(sc, *other)
 
 
 def test_cubic_edge_coloring_is_proper():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -268,6 +269,21 @@ def test_brute_disconnected_sums_components():
     assert evaluate(inst, witness)[0] == 2
 
 
+def test_brute_perm_budget_bounds_each_component():
+    # two 3-vertex components: 3^6 = 729 assignments in all, 27 per component
+    inst = PermUgInstance(
+        3,
+        range(6),
+        [(0, 1, (1, 2, 0)), (1, 2, (1, 2, 0)), (0, 2, (0, 1, 2)), (3, 4, (2, 0, 1)), (4, 5, (0, 2, 1))],
+    )
+    count, frac, witness = brute_force_opt(inst, budget=27)
+    assert (count, frac) == (4, Fraction(4, 5))
+    assert witness == {0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2}
+    assert evaluate(inst, witness)[0] == 4
+    with pytest.raises(SearchBudgetError):
+        brute_force_opt(inst, budget=26)
+
+
 def test_brute_perm_instance():
     inst = PermUgInstance(
         2,
@@ -423,6 +439,18 @@ def test_spanning_tree_matches_brute_force():
         assert evaluate(inst, w2)[0] == c2
 
 
+def test_spanning_tree_results_are_pinned():
+    # count and witness of 50 seeded draws, 7 of them not fully satisfiable,
+    # so both the early-stop rule and the lex-least rule are pinned
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        inst = random_group_instance(rng, rng.randrange(4, 6), 2, 10, connected=True)
+        count, _, witness = spanning_tree_opt(inst)
+        digest.update(repr((count, sorted((x, label.bits) for x, label in witness.items()))).encode())
+    assert digest.hexdigest() == "f12ee1d301b0accb8af259f9d28410fd0a1fead516f33b325f79f0b6728820ff"
+
+
 # -- weighted CSPs ---------------------------------------------------------------
 
 
@@ -465,5 +493,3 @@ def test_csp_duplicate_applications_both_count():
         2, [0, 1], {"eq": eq}, [("eq", (0, 1), Fraction(1, 4)), ("eq", (0, 1), Fraction(1, 4))]
     )
     assert csp_value(inst, {0: 1, 1: 1}) == Fraction(1, 2)
-    assert inst.total_weight() == Fraction(1, 2)
-    assert inst.is_normalized()
