@@ -16,7 +16,7 @@ from .errors import (
     PreconditionError,
     StrategyViolationError,
 )
-from .gf2 import MAX_DIM, Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
+from .gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
 from .graphs import (
     SimpleGraph,
     girth,
@@ -590,27 +590,23 @@ def random_inapprox_pair(
     second, then restrict both to good edges (vertices are kept)."""
     if k < 1:
         raise InvalidParameterError("need k >= 1")
-    m, ell, r = params.m, params.ell, params.r
-    if not 1 <= m <= MAX_DIM:
-        raise InvalidParameterError(f"dimension must be in 1..{MAX_DIM}, got {m}")
-    if not 0 <= ell <= m:
-        raise InvalidParameterError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
     d = base.regular_degree()
     if d != params.d:
         raise PreconditionError(f"base is {d}-regular, params want d={params.d}")
-    need = (k + 1) ** 2 * r
-    g = girth(base)
-    girth_ok = g >= need
-    if not girth_ok:
-        warnings.warn(
-            f"girth {g} below ({k}+1)^2*r = {need}; strategy guarantees degrade",
-            stacklevel=2,
-        )
+    m, ell, r = params.m, params.ell, params.r
     zmap: Dict[Tuple, Gf2Subspace] = {}
     bmap: Dict[Tuple, Gf2Vector] = {}
     for e in base.edges:  # canonical order; b drawn before Z on each edge
         bmap[e] = random_vector(m, rng)
         zmap[e] = random_subspace(m, ell, rng)
+    need = (k + 1) ** 2 * r
+    g = girth(base)
+    girth_ok = g >= need
+    if not girth_ok:  # after the draws, whose checks of m and ell raise first
+        warnings.warn(
+            f"girth {g} below ({k}+1)^2*r = {need}; strategy guarantees degrade",
+            stacklevel=2,
+        )
     good = good_edges(base, zmap, r, m, override=good_override)
     return InapproxPair(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, girth_ok)
 

@@ -311,21 +311,20 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
     closed under a global shift, so an optimal root-zero assignment always
     exists). Components are independent, so the lex-least optimum is the
     union of each component's lex-least optimum. The budget bounds the search
-    space of each component.
+    space of each component and is checked before its tables are built, each
+    sized by the radices of the two vertices it reads.
     """
     import numpy as np
 
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     q = instance.q
-    labels = np.arange(q)
     if isinstance(instance, GroupUgInstance):
-        root_radix, label = 1, partial(Gf2Vector, dim=instance.m)
-        xor = labels[:, None] ^ labels
-        full = [(u, v, np.isin(xor, [z.bits for z in diffs])) for u, v, diffs in instance.bundles]
+        root_radix, label, cons = 1, partial(Gf2Vector, dim=instance.m), instance.bundles
+        rule = lambda a, b, diffs: np.isin(a[:, None] ^ b, [z.bits for z in diffs])
     elif isinstance(instance, PermUgInstance):
-        root_radix, label = q, int
-        full = [(u, v, labels[:, None] == np.array(perm)) for u, v, perm in instance.constraints]
+        root_radix, label, cons = q, int, instance.constraints
+        rule = lambda a, b, perm: a[:, None] == np.array(perm)[b]
     else:
         raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
     count, witness = 0, {}
@@ -335,11 +334,11 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
         pos = {v: i for i, v in enumerate(comp)}
         radices = [root_radix] + [q] * (len(comp) - 1)
-        tables = [
-            ((pos[u], pos[v]), t[: radices[pos[u]], : radices[pos[v]]].astype(np.int64))
-            for u, v, t in full
-            if u in pos
-        ]
+        tables = []
+        for u, v, x in cons:
+            if u in pos:
+                a, b = np.arange(radices[pos[u]]), np.arange(radices[pos[v]])
+                tables.append(((pos[u], pos[v]), rule(a, b, x).astype(np.int64)))
         c, values = _enumerate(radices, tables, len(tables))
         count += c
         witness.update(zip(comp, map(label, values)))

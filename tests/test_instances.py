@@ -258,6 +258,15 @@ def test_brute_budget_error():
         brute_force_opt(inst, budget=100)
 
 
+def test_brute_large_labels_build_tables_sized_by_radix():
+    # the root's radix is 1, so the one table is 1 x 2^20, not 2^20 x 2^20
+    inst = GroupUgInstance(20, [0, 1], [(0, 1, [v(5, 20), v(3, 20)])])
+    assert brute_force_opt(inst) == (1, Fraction(1, 2), {0: v(0, 20), 1: v(3, 20)})
+    path = GroupUgInstance(64, range(3), [(0, 1, [v(1, 64)]), (1, 2, [v(2**63, 64)])])
+    with pytest.raises(SearchBudgetError):
+        brute_force_opt(path)
+
+
 def test_brute_disconnected_sums_components():
     inst = GroupUgInstance(
         1,
