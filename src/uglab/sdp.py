@@ -14,14 +14,16 @@ full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
 "mixing" solver at rank ceil(sqrt(2n))+1, everything else an
 augmented-Lagrangian ascent at full rank per symmetric block, with each
 diagonal block's entries held directly as variables bounded below by 0.  A
-mixing sweep takes one vectorized step per colour class of indices; no
+mixing sweep takes one vectorized step per DSatur colour class of indices; no
 objective entry joins two indices of a class, so that is the per-column sweep
-in class order.
+in class order.  It stops on a plateau of its exact per-sweep ascent, summed
+from the column steps rather than read off two objective values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -234,11 +236,11 @@ def _restart_generators(rng, restarts: int) -> Tuple[List[np.random.Generator], 
 
 
 def _unit_diagonal_form(instance: SdpInstance) -> bool:
-    """One "s" block and n constraints X_ii == 1, one per index."""
+    """One "s" block (none when n = 0) and n constraints X_ii == 1, one per index."""
     n, rows = instance.n, instance._mat > 0
     i, ones = instance._i[rows], np.ones(n)
     return (
-        instance.blocks == (("s", n),)
+        instance.blocks == ((("s", n),) if n else ())
         and len(instance.constraints) == n
         and np.array_equal(instance._mat[rows], np.arange(1, n + 1))
         and np.array_equal(instance._bounds, ones)
@@ -264,51 +266,79 @@ def _dense(instance: SdpInstance) -> np.ndarray:
 
 
 def _colour_classes(instance: SdpInstance) -> List[np.ndarray]:
-    """Greedy colouring of the objective's off-diagonal entries, indices in
-    ascending order, each taking the least colour no earlier neighbour has."""
+    """DSatur colouring of the objective's off-diagonal entries (Brelaz 1979):
+    the next index sees the most colours, ties going to the most neighbours,
+    then the least index, and takes the least colour it does not see.  A heap
+    with stale entries skipped makes it O((n + E) log n).  A bipartite pattern
+    with an entry gets two classes; a class lists its indices in ascending order."""
     rows = (instance._mat == 0) & (instance._i != instance._j)
-    earlier: List[List[int]] = [[] for _ in range(instance.n)]
+    nbrs: List[List[int]] = [[] for _ in range(instance.n)]
     for i, j in zip(instance._i[rows].tolist(), instance._j[rows].tolist()):
-        earlier[j].append(i)
-    colour: List[int] = []
-    for nbrs in earlier:
-        colour.append(min(set(range(len(nbrs) + 1)) - {colour[i] for i in nbrs}))
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen: List[set] = [set() for _ in nbrs]
+    colour = [-1] * instance.n
+    heap = sorted((0, -len(adj), i) for i, adj in enumerate(nbrs))  # (-colours seen, -neighbours, index)
+    while heap:
+        minus_seen, _, i = heapq.heappop(heap)
+        if colour[i] < 0 and -minus_seen == len(seen[i]):
+            c = colour[i] = next(c for c in itertools.count() if c not in seen[i])
+            for j in nbrs[i]:
+                if colour[j] < 0 and c not in seen[j]:
+                    seen[j].add(c)
+                    heapq.heappush(heap, (-len(seen[j]), -len(nbrs[j]), j))
     return [np.flatnonzero(np.array(colour) == c) for c in range(max(colour, default=-1) + 1)]
 
 
 def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
     """The coordinate-ascent restart and its failure message.
 
-    Each restart runs coordinate-exact ascent over unit columns at rank p;
-    it is monotone, so a plateau means done.  A sweep takes one vectorized
-    step per colour class: no two indices of a class share an objective
-    entry, so their updates read none of each other, and the step equals
-    the per-column sweep over the class's indices in ascending order.
+    Each restart runs coordinate-exact ascent over unit columns at rank p.
+    A sweep takes one vectorized step per colour class: no two indices of a
+    class share an objective entry, so the step equals the per-column sweep
+    over the class's indices in ascending order.  With g_i = sum_{j != i}
+    c_ij v_j, moving v_i to u_i = g_i / |g_i| raises the objective by
+    2 (|g_i| - <v_i, g_i>) = |g_i| |u_i - v_i|^2, summed in that form, free of
+    cancellation.  The ascent is monotone, so a sweep that gains at most
+    1e-13 (1 + |value|) ends it.
     """
     n = instance.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    cd = _dense(instance)
-    steps = [(s, cd[:, s], np.diag(cd)[s]) for s in _colour_classes(instance)]
+    # columns are held class after class, so each class step is a slice
+    classes = _colour_classes(instance)
+    order = np.concatenate([np.zeros(0, dtype=int)] + classes)
+    cd = _dense(instance)[np.ix_(order, order)]
+    off = cd - np.diag(np.diag(cd))
+    ends = list(itertools.accumulate(map(len, classes), initial=0))
+    steps = [(lo, hi, np.ascontiguousarray(off[:, lo:hi])) for lo, hi in zip(ends, ends[1:])]
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
         v = gen.standard_normal((p, n))
         norms = np.linalg.norm(v, axis=0)
         norms[norms == 0] = 1.0
-        v /= norms
+        v = (v / norms)[:, order]
         val = float(np.einsum("ij,ij->", v.T @ v, cd))
         # degenerate weight patterns crawl along nearly flat directions: a generous budget
         for sweeps in range(1, 30001):
-            for s, cs, ds in steps:
-                g = v @ cs - v[:, s] * ds
-                nrm = np.linalg.norm(g, axis=0)
-                keep = nrm > 1e-15
-                v[:, s[keep]] = g[:, keep] / nrm[keep]
-            new = float(np.einsum("ij,ij->", v.T @ v, cd))
-            converged = abs(new - val) <= 1e-13 * (1.0 + abs(new))
-            val = new
+            gain = 0.0
+            for lo, hi, cs in steps:
+                vs = v[:, lo:hi]
+                g = v @ cs
+                nrm = np.sqrt(np.einsum("ij,ij->j", g, g))
+                if nrm.min() <= 1e-15:  # a zero gradient leaves its column as it is
+                    stay = nrm <= 1e-15
+                    g[:, stay], nrm[stay] = vs[:, stay], 1.0
+                g /= nrm
+                d = g - vs
+                gain += float(((d * d) @ nrm).sum())
+                vs[...] = g
+            val += gain
+            converged = gain <= 1e-13 * (1.0 + abs(val))
             if converged:
                 break
-        residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)))
+        val = float(np.einsum("ij,ij->", v.T @ v, cd))
+        residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0), initial=0.0))
+        v = v[:, np.argsort(order)]
         return v, val + instance.constant, residual, converged and residual <= tol, {"sweeps": sweeps}
 
     return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"

@@ -521,6 +521,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 @pytest.mark.parametrize("argv, numpy", [
     (["sdp", "maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"], True),
+    (["sdp", "maxcut", "--graph", "empty.graph", "--out", "mc.json", "--round", "100", "--no-timestamp"], True),
     (["solve", "brute", "--in", "u4.gug", "--out", "r.json", "--no-timestamp"], True),
     (["solve", "tree", "--in", "u5.gug", "--out", "r.json", "--no-timestamp"], False),
     (["gen", "unsat", "--delta", "1/2", "--out", "x.gug"], False),
@@ -532,8 +533,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     (["game", "--pair", "rp/pair.json", "--duplicator", "tree", "--k", "2", "--rounds", "5", "--no-timestamp"], False),
     (["params", "--alpha", "1"], False),
     (["report", "--dir", ".", "--out", "report.json", "--no-timestamp"], False),
-], ids=["sdp-maxcut", "solve-brute", "solve-tree", "gen-unsat", "gen-klein", "gen-cops-graph", "gen-random-pair", "lift",
-        "game-cops", "game-tree", "params", "report"])
+], ids=["sdp-maxcut", "sdp-maxcut-empty", "solve-brute", "solve-tree", "gen-unsat", "gen-klein", "gen-cops-graph",
+        "gen-random-pair", "lift", "game-cops", "game-tree", "params", "report"])
 def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
     # mixing, rounding, gw_alpha and the exact solvers are numpy-only; an
     # eager scipy import would add its start-up time to every such run, and
@@ -543,6 +544,7 @@ def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
     assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0
     assert run("gen", "unsat", "--delta", "1/2", "--out", tmp_path / "u5.gug") == 0
     assert run("gen", "klein", "--out-dir", tmp_path / "klein", "--no-timestamp") == 0
+    (tmp_path / "empty.graph").write_text("graph\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run("gen", "random-pair", "--out-dir", tmp_path / "rp", "--seed", 4, "--no-timestamp") == 0

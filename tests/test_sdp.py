@@ -121,8 +121,10 @@ def test_maxcut_empty_graph():
 
 
 def test_maxcut_no_vertices():
+    # a 0-vertex cut instance is unit-diagonal too, so it takes the mixing path
     sol = solve_sdp_lowrank(build_maxcut_sdp(SimpleGraph([], [])))
     assert sol.value == 0.0 and sol.residual == 0.0
+    assert list(sol.stats) == ["sweeps"]
 
 
 @pytest.mark.parametrize("cons", [[], [(SymMatrix(), 0.0)]])
@@ -186,13 +188,10 @@ def test_sdp_dominates_brute_force_cut():
 FRACS = st.fractions(-4, 4, max_denominator=4).filter(bool)
 
 
-@st.composite
-def weighted_graph_sdps(draw):
-    """Unit-diagonal instances of random weighted graphs on 1-25 vertices,
-    isolated ones included, some with diagonal objective entries."""
-    n = draw(st.integers(1, 25))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=60))) if pairs else []
+def _unit_diagonal_sdp(draw, n, pairs, min_edges=0):
+    """A cut instance on the drawn edges among pairs, with up to three
+    diagonal objective entries added."""
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=min_edges, max_size=60))) if pairs else []
     weights = {e: draw(FRACS) for e in edges}
     cut = build_maxcut_sdp(SimpleGraph(range(n), edges), weights)
     objective = SymMatrix(cut.objective.entries)
@@ -201,8 +200,32 @@ def weighted_graph_sdps(draw):
     return SdpInstance(n, objective, cut.constraints, constant=cut.constant)
 
 
-def mixing_reference(inst, order, gen, sweeps):
-    """Per-column coordinate ascent over the indices in the given order."""
+@st.composite
+def weighted_graph_sdps(draw):
+    """Unit-diagonal instances of random weighted graphs on 1-25 vertices,
+    isolated ones included, some with diagonal objective entries."""
+    n = draw(st.integers(1, 25))
+    return _unit_diagonal_sdp(draw, n, list(itertools.combinations(range(n), 2)))
+
+
+@st.composite
+def bipartite_graph_sdps(draw):
+    """As weighted_graph_sdps, with every edge between the two sides of a
+    drawn bipartition, and at least one edge."""
+    n = draw(st.integers(2, 25))
+    side = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if side[i] != side[j]]
+    return _unit_diagonal_sdp(draw, n, pairs, min_edges=1)
+
+
+def mixing_reference(inst, order, gen, sweeps=None):
+    """Per-column coordinate ascent over the indices in the given order.
+
+    It runs `sweeps` sweeps or, when that is None, until a sweep's summed
+    gains |g_i| |u_i - v_i|^2 pass the mixing method's plateau test.
+    Returns the factor, the value, the initial objective, the summed gains
+    and the sweep count.
+    """
     n = inst.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
     c = _dense(inst)
@@ -210,13 +233,25 @@ def mixing_reference(inst, order, gen, sweeps):
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0] = 1.0
     v /= norms
-    for _ in range(sweeps):
-        for i in order:
-            g = v @ c[:, i] - c[i, i] * v[:, i]
-            nrm = float(np.linalg.norm(g))
+    start = float(np.einsum("ij,ij->", v.T @ v, c))
+    rows = np.ascontiguousarray(v.T)  # row i is column i; c is symmetric, so c[i] is its column i
+    gains = 0.0
+    for sweep in range(1, (sweeps or 30000) + 1):
+        gain = 0.0
+        for i in order.tolist():
+            g = c[i] @ rows - c[i, i] * rows[i]
+            nrm = math.sqrt(g @ g)
             if nrm > 1e-15:
-                v[:, i] = g / nrm
-    return v, float(np.einsum("ij,ij->", v.T @ v, c)) + inst.constant
+                u = g / nrm
+                d = u - rows[i]
+                gain += nrm * float(d @ d)
+                rows[i] = u
+        gains += gain
+        if sweeps is None and gain <= 1e-13 * (1.0 + abs(start + gains)):
+            break
+    v = rows.T
+    value = float(np.einsum("ij,ij->", v.T @ v, c)) + inst.constant
+    return v, value, start, gains, sweep
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,9 +262,49 @@ def test_mixing_equals_the_per_column_sweep_in_colour_order(inst, seed):
     restart, _ = _mixing(inst, 1e-6)
     factor, value, _, _, counts = restart(np.random.default_rng(seed))
     order = np.concatenate(_colour_classes(inst))
-    ref, ref_value = mixing_reference(inst, order, np.random.default_rng(seed), counts["sweeps"])
+    ref, ref_value, _, _, _ = mixing_reference(inst, order, np.random.default_rng(seed), counts["sweeps"])
     assert np.abs(factor - ref).max() <= 1e-12
     assert abs(value - ref_value) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_sdps(), st.integers(0, 2**32 - 1))
+def test_mixing_gains_add_up_to_the_value(inst, seed):
+    # the plateau test reads the summed gains, so they must be the ascent
+    restart, _ = _mixing(inst, 1e-6)
+    _, value, _, _, counts = restart(np.random.default_rng(seed))
+    order = np.concatenate(_colour_classes(inst))
+    _, _, start, gains, _ = mixing_reference(inst, order, np.random.default_rng(seed), counts["sweeps"])
+    objective = value - inst.constant
+    assert abs(start + gains - objective) <= 1e-9 * (1.0 + abs(objective))
+
+
+def random_weighted_graph_sdp(rng):
+    """weighted_graph_sdps drawn from a seeded random.Random instead."""
+    n = rng.randint(1, 25)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(rng.sample(pairs, rng.randint(0, min(60, len(pairs)))))
+    fracs = [f for f in (Fraction(a, b) for a in range(-16, 17) for b in (1, 2, 3, 4)) if f and abs(f) <= 4]
+    cut = build_maxcut_sdp(SimpleGraph(range(n), edges), {e: rng.choice(fracs) for e in edges})
+    objective = SymMatrix(cut.objective.entries)
+    for i in rng.sample(range(n), min(n, rng.randint(0, 3))):
+        objective.add(i, i, rng.choice(fracs))
+    return SdpInstance(n, objective, cut.constraints, constant=cut.constant)
+
+
+def test_mixing_stops_on_the_sweep_of_the_per_column_reference():
+    # a plateau test on the objective differenced from sweep to sweep leaves
+    # the stopping sweep to last-bit rounding: run that way, 5 of these 400
+    # stopped one or two sweeps apart from their matrix-vector reference. The
+    # summed gains are free of cancellation, so both stop on the same sweep.
+    for k in range(400):
+        inst = random_weighted_graph_sdp(random.Random(k))
+        restart, _ = _mixing(inst, 1e-6)
+        factor, value, _, _, counts = restart(np.random.default_rng(k))
+        order = np.concatenate(_colour_classes(inst))
+        ref, ref_value, _, _, sweeps = mixing_reference(inst, order, np.random.default_rng(k))
+        assert counts["sweeps"] == sweeps, k
+        assert np.abs(factor - ref).max() <= 1e-12 and abs(value - ref_value) <= 1e-12, k
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +315,37 @@ def test_colour_classes_partition_and_hold_no_objective_entry(inst):
     colour = {int(i): c for c, members in enumerate(classes) for i in members}
     for i, j in inst.objective.entries:
         assert i == j or colour[i] != colour[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_sdps())
+def test_colour_classes_number_at_most_the_largest_degree_plus_one(inst):
+    degree = [0] * inst.n
+    for i, j in inst.objective.entries:
+        if i != j:
+            degree[i] += 1
+            degree[j] += 1
+    assert len(_colour_classes(inst)) <= max(degree) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graph_sdps())
+def test_colour_classes_of_a_bipartite_pattern_are_two(inst):
+    assert len(_colour_classes(inst)) == 2
+
+
+@pytest.mark.parametrize("n", range(16, 30))
+def test_colour_classes_of_relabelled_generalized_petersen_graphs(n):
+    # GP(n, 3) is bipartite for even n and 3-chromatic for odd n; each sweep
+    # costs one step per class, so the colouring must find that number
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + 3) % n) for i in range(n)]
+    rng = random.Random(n)
+    for _ in range(20):
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        inst = build_maxcut_sdp(SimpleGraph(range(2 * n), [(perm[u], perm[v]) for u, v in edges]))
+        assert len(_colour_classes(inst)) == (2 if n % 2 == 0 else 3)
 
 
 def test_dense_unit_diagonal_sdpa_instance_solves():
