@@ -6,11 +6,12 @@ pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
 fractions are fractions.Fraction throughout; no floats on this path.
 
 Every exhaustive solver runs one mixed-radix enumerator; both unique-games
-kinds go through it one connected component at a time. The spanning-tree
-oracle works on int labels and reads ``GroupUgInstance.diff_bits``;
-``Gf2Vector`` labels appear only in the witnesses returned. numpy is
-imported inside the solvers that enumerate, so the commands that never call
-them start without it.
+kinds go through it one connected component at a time. A block step adds
+small tables (0/1 for unique games) by broadcasting, and the witness is the
+first argmax in C order, which is lex order. The spanning-tree oracle works
+on int labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels
+appear only in the witnesses returned. numpy is imported inside the solvers
+that enumerate, so the commands that never call them start without it.
 """
 
 from __future__ import annotations
@@ -248,12 +249,15 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     Variable i takes the values 0..radices[i]-1; the first variable is the
     most significant digit. Each table is (scope, int64 array of shape
     (radices[i] for i in scope)), and an assignment scores the sum of its
-    table entries. The digits of the trailing variables that fit one block
-    are computed once; the leading variables run in lex order, each step
-    adding one `take` per table that reads both kinds of variable. Only a
-    strict improvement replaces the best, and np.argmax picks the first
-    occurrence in a block, so the witness is lex-least. The search stops once
-    the best score reaches `stop`, which must be an upper bound.
+    table entries; a scope may be in any order and repeat a variable. The
+    trailing variables that fit one block are the axes of one array, and each
+    table is brought once into ascending-variable order with unit axes, so a
+    block step is broadcast adds: tables of trailing variables are summed once,
+    and each table that also reads leading variables adds the slice their
+    digits pick. The witness is the first np.argmax in C order, which is lex
+    order, and only a strict improvement replaces the best, so it is
+    lex-least. The search stops once the best score reaches `stop`, which
+    must be an upper bound.
     """
     import numpy as np
 
@@ -262,38 +266,33 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     while split and (size == 1 or size * radices[split - 1] <= _BLOCK):
         split -= 1
         size *= radices[split]
-    idx = np.arange(size, dtype=np.int64)
-    digits: Dict[int, np.ndarray] = {}
-    for i in range(split, k):
-        size_below = math.prod(radices[i + 1 :])
-        digits[i] = idx // size_below % radices[i]
-
-    base = np.zeros(size, dtype=np.int64)
+    trail = [i for i in range(split, k) if radices[i] > 1]  # no radix-1 axes: numpy caps ndim
+    shape = tuple(radices[i] for i in trail)
+    base = np.zeros(shape, dtype=np.int64)
     scalar, mixed = [], []  # tables that read only leading / both kinds of variable
     for scope, table in tables:
-        strides = [math.prod(table.shape[p + 1 :]) for p in range(len(scope))]
-        lead = [(i, s) for i, s in zip(scope, strides) if i < split]
-        trail = [(i, s) for i, s in zip(scope, strides) if i >= split]
-        flat = table.ravel()
-        if not trail:
-            scalar.append((flat, lead))
+        axes = sorted(set(scope))
+        table = np.einsum(table, [axes.index(i) for i in scope], range(len(axes)))
+        lead = [i for i in axes if i < split]
+        if len(lead) == len(axes):
+            scalar.append((table, lead))
             continue
-        key = sum(digits[i] * s for i, s in trail)
+        table = table.reshape(table.shape[: len(lead)] + tuple(r if i in axes else 1 for i, r in zip(trail, shape)))
         if lead:
-            mixed.append((flat, lead, key))
+            mixed.append((table, lead))
         else:
-            base += flat.take(key)
+            base += table
 
     best, best_at = None, ()
-    scores = np.empty(size, dtype=np.int64)
     for head in itertools.product(*(range(r) for r in radices[:split])):
-        np.copyto(scores, base)
-        for flat, lead, key in mixed:
-            scores += flat[sum(head[i] * s for i, s in lead) :].take(key)
+        scores = base.copy()
+        for table, lead in mixed:
+            scores += table[tuple(head[i] for i in lead)]
         j = int(np.argmax(scores))
-        score = int(scores[j]) + sum(int(flat[sum(head[i] * s for i, s in lead)]) for flat, lead in scalar)
+        score = int(scores.flat[j]) + sum(int(table[tuple(head[i] for i in lead)]) for table, lead in scalar)
         if best is None or score > best:
-            best, best_at = score, head + tuple(int(digits[i][j]) for i in range(split, k))
+            digits = dict(zip(trail, np.unravel_index(j, shape)))
+            best, best_at = score, head + tuple(int(digits.get(i, 0)) for i in range(split, k))
             if best >= stop:
                 break
     return best, best_at
@@ -305,14 +304,15 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
     Both unique-games kinds run one connected component at a time, in vertex
     order as ``SimpleGraph.components`` returns it, through the mixed-radix
     enumerator, with one 0/1 table per bundle or constraint: T[a, b] =
-    (a + b in diffs) for group instances and T[a, b] = (a == perm[b]) for
-    permutation constraints a(u) = perm(a(v)). A group component's first
-    vertex is fixed to zero as a radix-1 variable (every assignment family is
-    closed under a global shift, so an optimal root-zero assignment always
-    exists). Components are independent, so the lex-least optimum is the
-    union of each component's lex-least optimum. The budget bounds the search
-    space of each component and is checked before its tables are built, each
-    sized by the radices of the two vertices it reads.
+    mask[a ^ b] for group instances, where mask is the length-q 0/1 mask of
+    the bundle's bits, and T[a, b] = (a == perm[b]) for permutation
+    constraints a(u) = perm(a(v)). A group component's first vertex is fixed
+    to zero as a radix-1 variable (every assignment family is closed under a
+    global shift, so an optimal root-zero assignment always exists).
+    Components are independent, so the lex-least optimum is the union of each
+    component's lex-least optimum. The budget bounds the search space of each
+    component and is checked before its tables are built, each sized by the
+    radices of the two vertices it reads.
     """
     import numpy as np
 
@@ -321,10 +321,10 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
     q = instance.q
     if isinstance(instance, GroupUgInstance):
         root_radix, label, cons = 1, partial(Gf2Vector, dim=instance.m), instance.bundles
-        rule = lambda a, b, diffs: np.isin(a[:, None] ^ b, [z.bits for z in diffs])
+        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=q)[a[:, None] ^ b]
     elif isinstance(instance, PermUgInstance):
         root_radix, label, cons = q, int, instance.constraints
-        rule = lambda a, b, perm: a[:, None] == np.array(perm)[b]
+        rule = lambda a, b, perm: (a[:, None] == np.array(perm)[b]).astype(np.int64)
     else:
         raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
     count, witness = 0, {}
@@ -338,7 +338,7 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
         for u, v, x in cons:
             if u in pos:
                 a, b = np.arange(radices[pos[u]]), np.arange(radices[pos[v]])
-                tables.append(((pos[u], pos[v]), rule(a, b, x).astype(np.int64)))
+                tables.append(((pos[u], pos[v]), rule(a, b, x)))
         c, values = _enumerate(radices, tables, len(tables))
         count += c
         witness.update(zip(comp, map(label, values)))
@@ -369,13 +369,13 @@ def csp_brute_opt(
     if instance.abs_weight() * scale >= 1 << 63:
         raise SearchBudgetError(f"weights scaled by {scale} to integers overflow int64")
     pos = {v: i for i, v in enumerate(vs)}
-    tables = []
+    tables, upper = [], 0
     for tname, var_tuple, w in instance.applications:
-        table = np.zeros((instance.q,) * len(var_tuple), dtype=np.int64)
-        for f in instance.constraint_types[tname].satisfying:
-            table[f] = int(w * scale)
+        ct, value = instance.constraint_types[tname], int(w * scale)
+        table = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
+        table[tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = value
         tables.append((tuple(pos[x] for x in var_tuple), table))
-    upper = sum(int(w * scale) for _, _, w in instance.applications if w > 0)
+        upper += max(value, 0)
     best, values = _enumerate([instance.q] * len(vs), tables, upper)
     return Fraction(best, scale), dict(zip(vs, values))
 

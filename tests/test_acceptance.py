@@ -222,7 +222,16 @@ def test_criterion_05_cops_strategy_random_rounds(capsys):
             RandomSpoiler(random.Random(506)), max_rounds=200,
         )
         assert t2["winner"] is None and t2["survived"] == 200
-        c.detail = "200 random rounds, k=3, full asserts: K_4 pair and 3-cycle pursuit pair both clean"
+
+        # the pursuit pair's exact optima differ, each witness scored again
+        for inst, expected in ((v1, Fraction(1, 2)), (v2, Fraction(17, 36))):
+            count, frac, witness = brute_force_opt(inst)
+            assert frac == expected, frac
+            assert evaluate(inst, witness) == (count, frac)
+        c.detail = (
+            "200 random rounds, k=3, full asserts: K_4 pair and 3-cycle pursuit pair both clean; "
+            "pursuit pair optima 1/2 and 17/36 by brute force"
+        )
 
 
 # -- 6: path census through every edge -----------------------------------------------

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,34 @@ def _first_strict_max(domains, score):
         if best is None or s > best:
             best, best_at = s, values
     return best, best_at
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([0, 1, 3]))
+def test_enumerate_matches_product_enumeration(rng, slack):
+    # mixed radices with radix 1 anywhere, scopes of arity 1-3 in any order
+    # that may repeat a variable, entries of either sign or zero, and a stop
+    # that is the optimum (reached) or above it (never reached)
+    radices = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
+    tables = []
+    for _ in range(rng.randint(0, 5) if radices else 0):
+        scope = tuple(rng.randrange(len(radices)) for _ in range(rng.randint(1, 3)))
+        shape = [radices[i] for i in scope]
+        entries = [rng.randint(-3, 3) for _ in range(math.prod(shape))]
+        tables.append((scope, np.array(entries, dtype=np.int64).reshape(shape)))
+    best, best_at = _first_strict_max(
+        [range(r) for r in radices],
+        lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
+    )
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            assert instances._enumerate(radices, tables, best + slack) == (best, best_at)
+
+
+def test_enumerate_more_radix_one_variables_than_numpy_axes():
+    radices = [1] * 80 + [3]
+    tables = [((80, 0), np.array([[1], [5], [2]], dtype=np.int64)), ((3, 79), np.array([[-1]], dtype=np.int64))]
+    assert instances._enumerate(radices, tables, 10) == (4, (0,) * 80 + (1,))
 
 
 def _random_perm_instance(rng):
