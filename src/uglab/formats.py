@@ -107,7 +107,7 @@ def parse_gug(text: str) -> GroupUgInstance:
         elif toks[0] == "bundle" and len(toks) == 4:
             with _at(lineno):
                 bundle = (toks[1], toks[2], [Gf2Vector.from_hex(h, m) for h in toks[3].split(",")])
-                GroupUgInstance(m, [], [bundle])
+                normalize_edge(toks[1], toks[2])  # rejects a self-loop; from_hex checked the width
             bundles.append(bundle)
         else:
             raise InvalidParameterError(f"line {lineno}: bad gug record {' '.join(toks)!r}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError, PreconditionError
@@ -58,7 +59,11 @@ class SimpleGraph:
         for u, v in self.edges:
             self._adj[u].append(v)
             self._adj[v].append(u)
-        self._edge_set = frozenset(self.edges)
+
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        """Built on first use: most graphs, those of instances among them, never need it."""
+        return frozenset(self.edges)
 
     # -- basic queries -------------------------------------------------
 

@@ -6,12 +6,13 @@ pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
 fractions are fractions.Fraction throughout; no floats on this path.
 
 Every exhaustive solver runs one mixed-radix enumerator; both unique-games
-kinds go through it one connected component at a time. A block step adds
-small tables (0/1 for unique games) by broadcasting, and the witness is the
-first argmax in C order, which is lex order. The spanning-tree oracle works
-on int labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels
-appear only in the witnesses returned. numpy is imported inside the solvers
-that enumerate, so the commands that never call them start without it.
+kinds go through it one connected component at a time. It scores in the
+narrowest exact integer type (int8 for unique games below 128 tables), a
+block step makes one contiguous add per leading scope, and the witness is
+the first argmax in C order, which is lex order. The spanning-tree oracle
+works on int labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector``
+labels appear only in the witnesses returned. numpy is imported inside the
+solvers that enumerate, so commands that never call them start without it.
 """
 
 from __future__ import annotations
@@ -68,16 +69,11 @@ class GroupUgInstance:
         for u, v in merged:
             vs.add(u)
             vs.add(v)
-        self.vertices: Tuple = tuple(sorted(vs, key=vertex_sort_key))
-        self.bundles: Tuple[Tuple, ...] = tuple(
-            (e[0], e[1], tuple(sorted(diffs)))
-            for e, diffs in sorted(
-                merged.items(), key=lambda kv: (vertex_sort_key(kv[0][0]), vertex_sort_key(kv[0][1]))
-            )
-        )
-        self.bundle_map: Dict[Tuple, Tuple[Gf2Vector, ...]] = {
-            (u, v): diffs for u, v, diffs in self.bundles
-        }
+        self._graph = SimpleGraph(vs, merged)
+        self.vertices: Tuple = self._graph.vertices
+        # keyed by the graph's own edge tuples, so the instance holds one tuple per edge
+        self.bundle_map: Dict[Tuple, Tuple[Gf2Vector, ...]] = {e: tuple(sorted(merged[e])) for e in self._graph.edges}
+        self.bundles: Tuple[Tuple, ...] = tuple((u, v, diffs) for (u, v), diffs in self.bundle_map.items())
 
     @property
     def q(self) -> int:
@@ -102,7 +98,8 @@ class GroupUgInstance:
         return table
 
     def graph(self) -> SimpleGraph:
-        return SimpleGraph(self.vertices, [(u, v) for u, v, _ in self.bundles])
+        """The base graph, built once; callers share it and must not change it."""
+        return self._graph
 
     def __repr__(self) -> str:
         return (
@@ -247,17 +244,21 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     """Maximum total score over a mixed-radix space, with the lex-least argmax.
 
     Variable i takes the values 0..radices[i]-1; the first variable is the
-    most significant digit. Each table is (scope, int64 array of shape
-    (radices[i] for i in scope)), and an assignment scores the sum of its
-    table entries; a scope may be in any order and repeat a variable. The
-    trailing variables that fit one block are the axes of one array, and each
-    table is brought once into ascending-variable order with unit axes, so a
-    block step is broadcast adds: tables of trailing variables are summed once,
-    and each table that also reads leading variables adds the slice their
-    digits pick. The witness is the first np.argmax in C order, which is lex
-    order, and only a strict improvement replaces the best, so it is
-    lex-least. The search stops once the best score reaches `stop`, which
-    must be an upper bound.
+    most significant digit. Each table is (scope, integer or bool array of
+    shape (radices[i] for i in scope)), and an assignment scores the sum of
+    its table entries; a scope may be in any order and repeat a variable.
+    The trailing variables that fit one block are the axes of one array.
+    Tables that read the same leading variables are summed once, in
+    ascending-variable order, into one contiguous array of shape (their
+    radices) + block shape, so a block step is one contiguous add per
+    leading scope; tables of leading variables only add one score per head.
+    Scores are exact in the narrowest of int8..int64 that holds B, the sum of
+    each table's largest |entry| (1 for a bool table, read off its dtype),
+    which bounds every partial sum. No array allocated holds more than
+    max(product of the radices, largest table) entries. The witness is the
+    first np.argmax in C order, which is lex order, and only a strict
+    improvement replaces the best, so it is lex-least. The search stops once
+    the best score reaches `stop`, which must be an upper bound.
     """
     import numpy as np
 
@@ -268,28 +269,34 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
         size *= radices[split]
     trail = [i for i in range(split, k) if radices[i] > 1]  # no radix-1 axes: numpy caps ndim
     shape = tuple(radices[i] for i in trail)
-    base = np.zeros(shape, dtype=np.int64)
-    scalar, mixed = [], []  # tables that read only leading / both kinds of variable
+    bound = sum(1 if table.dtype == bool else int(np.abs(table).max()) for _, table in tables)
+    dtype = np.min_scalar_type(-bound - 1)  # the narrowest signed type holding -B-1 holds every sum
+    lead_axes = [i for i in range(split) if radices[i] > 1]
+    offset = np.zeros([radices[i] for i in lead_axes], dtype)  # per head, the tables of leading variables only
+    groups: Dict[Tuple[int, ...], "np.ndarray"] = {(): np.zeros(shape, dtype)}  # by leading scope
     for scope, table in tables:
         axes = sorted(set(scope))
-        table = np.einsum(table, [axes.index(i) for i in scope], range(len(axes)))
-        lead = [i for i in axes if i < split]
-        if len(lead) == len(axes):
-            scalar.append((table, lead))
+        if list(scope) != axes:
+            table = np.einsum(table, [axes.index(i) for i in scope], range(len(axes)))
+        if max(axes, default=-1) < split:
+            offset += table.reshape([radices[i] if i in axes else 1 for i in lead_axes])
             continue
-        table = table.reshape(table.shape[: len(lead)] + tuple(r if i in axes else 1 for i, r in zip(trail, shape)))
-        if lead:
-            mixed.append((table, lead))
-        else:
-            base += table
+        lead = tuple(i for i in axes if i in lead_axes)
+        lead_shape = tuple(radices[i] for i in lead)
+        if lead not in groups:
+            groups[lead] = np.zeros(lead_shape + shape, dtype)
+        groups[lead] += table.reshape(lead_shape + tuple(r if i in axes else 1 for i, r in zip(trail, shape)))
+    if len(groups) > 1:  # fold the trailing-only tables into a leading scope's array: one add fewer per head
+        groups[list(groups)[1]] += groups.pop(())
 
     best, best_at = None, ()
     for head in itertools.product(*(range(r) for r in radices[:split])):
-        scores = base.copy()
-        for table, lead in mixed:
-            scores += table[tuple(head[i] for i in lead)]
+        scores = None
+        for lead, group in groups.items():
+            part = group[tuple(head[i] for i in lead)]
+            scores = part if scores is None else scores + part
         j = int(np.argmax(scores))
-        score = int(scores.flat[j]) + sum(int(table[tuple(head[i] for i in lead)]) for table, lead in scalar)
+        score = int(scores.flat[j]) + int(offset[tuple(head[i] for i in lead_axes)])
         if best is None or score > best:
             digits = dict(zip(trail, np.unravel_index(j, shape)))
             best, best_at = score, head + tuple(int(digits.get(i, 0)) for i in range(split, k))
@@ -303,16 +310,17 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
 
     Both unique-games kinds run one connected component at a time, in vertex
     order as ``SimpleGraph.components`` returns it, through the mixed-radix
-    enumerator, with one 0/1 table per bundle or constraint: T[a, b] =
-    mask[a ^ b] for group instances, where mask is the length-q 0/1 mask of
+    enumerator, with one bool table per bundle or constraint: T[a, b] =
+    mask[a ^ b] for group instances, where mask is the length-q bool mask of
     the bundle's bits, and T[a, b] = (a == perm[b]) for permutation
-    constraints a(u) = perm(a(v)). A group component's first vertex is fixed
-    to zero as a radix-1 variable (every assignment family is closed under a
-    global shift, so an optimal root-zero assignment always exists).
-    Components are independent, so the lex-least optimum is the union of each
-    component's lex-least optimum. The budget bounds the search space of each
-    component and is checked before its tables are built, each sized by the
-    radices of the two vertices it reads.
+    constraints a(u) = perm(a(v)); as bool tables, a component of fewer than
+    128 scores in int8. A group component's first vertex is fixed to zero as
+    a radix-1 variable (every assignment family is closed under a global
+    shift, so an optimal root-zero assignment always exists). Components are
+    independent, so the lex-least optimum is the union of each component's
+    lex-least optimum. The budget bounds the search space of each component
+    and is checked before its tables are built, each sized by the radices of
+    the two vertices it reads.
     """
     import numpy as np
 
@@ -321,10 +329,10 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
     q = instance.q
     if isinstance(instance, GroupUgInstance):
         root_radix, label, cons = 1, partial(Gf2Vector, dim=instance.m), instance.bundles
-        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=q)[a[:, None] ^ b]
+        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=q).astype(bool)[a[:, None] ^ b]
     elif isinstance(instance, PermUgInstance):
         root_radix, label, cons = q, int, instance.constraints
-        rule = lambda a, b, perm: (a[:, None] == np.array(perm)[b]).astype(np.int64)
+        rule = lambda a, b, perm: a[:, None] == np.array(perm)[b]
     else:
         raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
     count, witness = 0, {}
@@ -334,10 +342,11 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
         pos = {v: i for i, v in enumerate(comp)}
         radices = [root_radix] + [q] * (len(comp) - 1)
+        aranges = {r: np.arange(r) for r in radices}
         tables = []
         for u, v, x in cons:
             if u in pos:
-                a, b = np.arange(radices[pos[u]]), np.arange(radices[pos[v]])
+                a, b = aranges[radices[pos[u]]], aranges[radices[pos[v]]]
                 tables.append(((pos[u], pos[v]), rule(a, b, x)))
         c, values = _enumerate(radices, tables, len(tables))
         count += c
@@ -351,10 +360,11 @@ def csp_brute_opt(
     """Exact maximum weight by exhaustion, with lex-least witness.
 
     Weights are scaled by the LCM L of their denominators, so each
-    application becomes an int64 table holding w*L on its satisfying tuples
-    for the enumerator behind brute_force_opt, and the optimum comes back
-    exactly as Fraction(best, L). The search stops early once it reaches the
-    sum of the positive weights. Raises SearchBudgetError when the space
+    application becomes an integer table, its type's 0/1 table times w*L, for
+    the enumerator behind brute_force_opt, which scores in the narrowest
+    integer type that holds the scaled absolute weight; the optimum comes
+    back exactly as Fraction(best, L). The search stops early once it reaches
+    the sum of the positive weights. Raises SearchBudgetError when the space
     exceeds the budget or the scaled absolute weights do not sum below 2^63.
     """
     import numpy as np
@@ -366,17 +376,19 @@ def csp_brute_opt(
     if space > budget:
         raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
     scale = math.lcm(*(w.denominator for _, _, w in instance.applications))
-    if instance.abs_weight() * scale >= 1 << 63:
+    scaled = [int(w * scale) for _, _, w in instance.applications]
+    if sum(map(abs, scaled)) >= 1 << 63:
         raise SearchBudgetError(f"weights scaled by {scale} to integers overflow int64")
     pos = {v: i for i, v in enumerate(vs)}
-    tables, upper = [], 0
-    for tname, var_tuple, w in instance.applications:
-        ct, value = instance.constraint_types[tname], int(w * scale)
-        table = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
-        table[tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = value
-        tables.append((tuple(pos[x] for x in var_tuple), table))
-        upper += max(value, 0)
-    best, values = _enumerate([instance.q] * len(vs), tables, upper)
+    masks: Dict[str, "np.ndarray"] = {}  # per constraint type in use, the 0/1 table of its satisfying tuples
+    tables = []
+    for (tname, var_tuple, _), value in zip(instance.applications, scaled):
+        ct = instance.constraint_types[tname]
+        if tname not in masks:
+            masks[tname] = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
+            masks[tname][tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = 1
+        tables.append((tuple(pos[x] for x in var_tuple), masks[tname] * value))
+    best, values = _enumerate([instance.q] * len(vs), tables, sum(max(value, 0) for value in scaled))
     return Fraction(best, scale), dict(zip(vs, values))
 
 

@@ -104,6 +104,7 @@ PERM_AB = PermUgInstance(2, ["a", "b"], [("a", "b", (1, 0))])
         (partial(parse_assignment, instance=PERM_AB), "assign b 0\nassign a 7\n", 2, "label 7 outside 0..1"),
         (partial(parse_assignment, instance=PERM_AB), "assign a -1\n", 1, "label -1 outside 0..1"),
         (partial(parse_assignment, instance=PERM_AB), "assign a 1\n\nassign zz 1\n", 3, "unknown vertex 'zz'"),
+        (parse_gug, "gug m=2\nvertex a\nbundle a a 1\n", 3, "self-loop"),
     ],
 )
 def test_record_errors_carry_line(parse, text, lineno, message):

@@ -77,6 +77,7 @@ def test_group_instance_merges_bundles_per_edge():
     )
     assert len(inst.bundles) == 1
     assert inst.constraint_count == 3
+    assert inst.graph() is inst.graph() and inst.graph().edges == ((0, 1),)
     assert inst.diffs_on(1, 0) == (v(0, 2), v(1, 2), v(2, 2))
 
 
@@ -198,6 +199,63 @@ def test_enumerate_matches_product_enumeration(rng, slack):
     for block in BLOCKS:
         with mock.patch.object(instances, "_BLOCK", block):
             assert instances._enumerate(radices, tables, best + slack) == (best, best_at)
+
+
+# sums of largest |entry| at and just past the int8, int16 and int32 maxima,
+# and one far past them
+SCORE_BOUNDS = (127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(SCORE_BOUNDS), st.sampled_from([1, -1, 0]))
+def test_enumerate_exact_at_score_type_bounds(rng, bound, sign):
+    # the largest |entry| of the tables sums to exactly `bound`, and with one
+    # sign every table holds its extreme on one planted assignment, so the
+    # optimum (sign 1) or the lowest score (sign -1) is +-bound itself
+    radices = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+    planted = [rng.randrange(r) for r in radices]
+    cuts = sorted(rng.randint(0, bound) for _ in range(rng.randint(0, 4)))
+    tables = []
+    for share in (b - a for a, b in zip([0, *cuts], [*cuts, bound])):
+        scope = tuple(rng.randrange(len(radices)) for _ in range(rng.randint(1, 3)))
+        shape = [radices[i] for i in scope]
+        low, high = (0, share) if sign > 0 else (-share, 0) if sign < 0 else (-share, share)
+        table = np.array([rng.randint(low, high) for _ in range(math.prod(shape))], dtype=np.int64)
+        table = table.reshape(shape)
+        table[tuple(planted[i] for i in scope)] = share if sign >= 0 else -share
+        tables.append((scope, table))
+    best, best_at = _first_strict_max(
+        [range(r) for r in radices],
+        lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
+    )
+    if sign > 0:
+        assert best == bound
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            assert instances._enumerate(radices, tables, best) == (best, best_at)
+
+
+def test_brute_two_hundred_tables_on_three_vertices():
+    # 200 constraints on 3 vertices, 160 of them held by one planted
+    # assignment: the count passes the int8 range, so scores need int16
+    rng = random.Random(24)
+    planted = {0: 2, 1: 0, 2: 1}
+    cons = []
+    for i in range(200):
+        u, w = rng.sample(range(3), 2)
+        perm = rng.sample(range(3), 3)
+        if i < 160:  # make perm map planted[w] to planted[u]
+            k = perm.index(planted[u])
+            perm[k], perm[planted[w]] = perm[planted[w]], perm[k]
+        cons.append((u, w, tuple(perm)))
+    inst = PermUgInstance(3, range(3), cons)
+    best, best_at = _first_strict_max(
+        [range(3)] * 3, lambda values: evaluate(inst, dict(zip(range(3), values)))[0]
+    )
+    assert best >= 160
+    for block in BLOCKS:
+        with mock.patch.object(instances, "_BLOCK", block):
+            assert brute_force_opt(inst) == (best, Fraction(best, 200), dict(zip(range(3), best_at)))
 
 
 def test_enumerate_more_radix_one_variables_than_numpy_axes():
