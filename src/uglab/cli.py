@@ -31,7 +31,13 @@ from .constructions import (
     random_inapprox_pair,
     unsat_complete_graph,
 )
-from .errors import InvalidParameterError, PreconditionError, StrategyViolationError, UglabError
+from .errors import (
+    InvalidParameterError,
+    PreconditionError,
+    SearchBudgetError,
+    StrategyViolationError,
+    UglabError,
+)
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, petersen_graph
 from .instances import (
@@ -278,10 +284,20 @@ def cmd_game(args) -> int:
 
 
 def cmd_sdp_maxcut(args) -> int:
-    from .sdp import build_maxcut_sdp, gw_alpha, gw_symmetric_value, hyperplane_round, solve_sdp_lowrank, to_sdpa
+    from .sdp import (
+        ROUND_SIZE_BUDGET,
+        build_maxcut_sdp,
+        gw_alpha,
+        gw_symmetric_value,
+        hyperplane_round,
+        solve_sdp_lowrank,
+        to_sdpa,
+    )
 
     g = formats.parse_graph(_read(args.graph))
     inst = build_maxcut_sdp(g)
+    if args.round * inst.n > ROUND_SIZE_BUDGET:  # as hyperplane_round checks, but before the solve
+        raise SearchBudgetError(f"{args.round} trials of {inst.n} vertices exceed {ROUND_SIZE_BUDGET}")
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
     out = {**sol.result_json(), "gw_alpha": gw_alpha(), "gw_symmetric": gw_symmetric_value(sol)}
     if args.round:
@@ -510,6 +526,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        if getattr(args, "seed", 0) < 0:  # one rule for every --seed
+            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except StrategyViolationError as exc:
         print(f"strategy violation: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ Solving always happens on an explicit factorization X = V^T V, never on a
 full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
 "mixing" solver at rank ceil(sqrt(2n))+1, everything else an
 augmented-Lagrangian ascent at full rank per symmetric block, with each
-diagonal block's entries held directly as variables bounded below by 0.  A
+diagonal block's entries held directly as variables bounded below by 0 and
+each inner minimization a bound-constrained L-BFGS on numpy alone.  A
 mixing sweep takes one vectorized step per DSatur colour class of indices; no
 objective entry joins two indices of a class, so that is the per-column sweep
 in class order.  It stops on a plateau of its exact per-sweep ascent, summed
@@ -39,6 +40,11 @@ from .errors import (
 )
 from .graphs import SimpleGraph, normalize_edge
 from .instances import WeightedCspInstance, csp_brute_opt
+
+# desk budgets, each checked before the work it bounds
+LC_SIZE_BUDGET = 2048  # LC index set size
+RESTART_BUDGET = 1000
+ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
 
 # -- sparse symmetric matrices ----------------------------------------------
 
@@ -231,6 +237,8 @@ def _restart_generators(rng, restarts: int) -> Tuple[List[np.random.Generator], 
         seeds = rng.integers(0, 2**63 - 1, size=restarts)
         return [np.random.default_rng(int(s)) for s in seeds], None
     seed = 0 if rng is None else int(rng)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(restarts)
     return [np.random.default_rng(c) for c in children], seed
 
@@ -344,19 +352,72 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
     return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"
 
 
+def _descend(fun: Callable, x: np.ndarray, bounded: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Minimize fun, which maps x to (value, gradient), over x[bounded] >= 0 from x; also
+    return the number of calls to fun.  Limited-memory BFGS on the variables off their
+    bound (Byrd, Lu, Nocedal & Zhu 1995): a bounded variable at 0 whose gradient points
+    outward is held; the rest move along -H g, H from the last 10 pairs (s, y), y without
+    its held entries, in compact form (Byrd, Nocedal & Schnabel 1994) with R^-1 (R =
+    triu(S^T Y)) and Y Y^T updated pair by pair.  Each step is halved along its projection
+    onto the bounds until the Armijo decrease holds (Bertsekas 1982).  Stops after 400
+    steps, on a relative decrease <= 1e-14, a projected gradient max <= 1e-10, or no decrease."""
+    m, k, gamma = 10, 0, 1.0
+    lo = np.where(bounded, 0.0, -np.inf)
+    z = np.zeros((2 * m + 1, x.size))  # rows i, m + i: the i-th oldest s, y; the last: free g
+    rinv, yy, sy_diag = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    (f, g), evaluations = fun(x), 1
+    for _ in range(400):
+        if np.abs(np.minimum(g, x - lo)).max(initial=0.0) <= 1e-10:
+            break
+        free = (x > lo) | (g <= 0)
+        gf = np.multiply(g, free, out=z[-1])
+        zg = z @ gf
+        if k:
+            # H g = gamma g + S^T p - gamma Y^T u, u = R^-1 S g, p = R^-T ((D + gamma Y Y^T) u - gamma Y g)
+            u = rinv[:k, :k] @ zg[:k]
+            p = rinv[:k, :k].T @ (sy_diag[:k] * u + gamma * (yy[:k, :k] @ u - zg[m : m + k]))
+            d, step = (gamma * (u @ z[m : m + k] - gf) - p @ z[:k]) * free, 1.0
+        else:
+            d, step = -gf, min(1.0, 1.0 / math.sqrt(zg[-1]))
+        for _ in range(20):
+            s = (xn := np.maximum(x + step * d, lo)) - x
+            if (slope := float(g @ s)) < 0:
+                (fn, gn), evaluations = fun(xn), evaluations + 1
+                if fn <= f + 1e-4 * slope:
+                    break
+            step *= 0.5
+        else:  # no decrease along d: retry once from steepest descent
+            if not k:
+                break
+            k = 0
+            continue
+        y = (gn - g) * free
+        sy, yn = float(s @ y), float(y @ y)
+        if sy > 2.2e-16 * yn:
+            if k == m:  # drop the oldest pair: R^-1 keeps its trailing block
+                z[: m - 1], z[m : 2 * m - 1] = z[1:m], z[m + 1 : 2 * m]
+                rinv[:-1, :-1], yy[:-1, :-1], sy_diag[:-1] = rinv[1:, 1:], yy[1:, 1:], sy_diag[1:]
+                k -= 1
+            z[k], z[m + k] = s, y
+            # R gains the column r = S y and the corner sy: [[R, r], [0, sy]]^-1
+            rinv[:k, k], rinv[k, :k], rinv[k, k] = rinv[:k, :k] @ (z[:k] @ y) / -sy, 0.0, 1.0 / sy
+            yy[k, : k + 1] = yy[: k + 1, k] = z[m : m + k + 1] @ y
+            sy_diag[k], gamma, k = sy, sy / yn, k + 1
+        if f - fn <= 1e-14 * max(abs(f), abs(fn), 1.0):
+            return xn, evaluations
+        x, f, g = xn, fn, gn
+    return x, evaluations
+
+
 def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
     """The augmented-Lagrangian restart and its failure message.
 
     The unknowns x hold, block after block, a square factor P of each "s"
     block (row-major) and the entries mu >= 0 of each "d" block.  With each P
-    replaced by its Gram P^T P, x becomes z, and one sparse map A (row k:
-    matrix k's coefficients at z's positions) gives every matrix value as A z.
+    replaced by its Gram P^T P, x becomes z, and the sparse map A (row k:
+    matrix k's coefficients at z's positions) gives every matrix value as A z;
+    A z and A^T w are each one np.bincount over the coefficient table.
     """
-    # imported here: only this path needs scipy, whose import would otherwise
-    # slow every run of the mixing method and of the exact solvers
-    from scipy.optimize import minimize
-    from scipy.sparse import csr_matrix
-
     n, kcount = instance.n, len(instance.constraints)
     diagonal = np.array([kind == "d" for kind, _ in instance.blocks], dtype=bool)
     sizes = np.array([size for _, size in instance.blocks], dtype=int)
@@ -368,9 +429,8 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
     first = np.array(instance.block_offsets, dtype=int)[b]
     i, j = instance._i - first, instance._j - first
     col = starts[b] + np.where(diagonal[b], i, i * sizes[b] + j)
-    amap = csr_matrix((instance._coef, (instance._mat, col)), shape=(kcount + 1, starts[-1]))
-    amap_t = amap.T.tocsr()
-    bounds = [(0.0, None) if diag else (None, None) for diag, m in zip(diagonal, lengths) for _ in range(m)]
+    mat, coef = instance._mat, instance._coef
+    bounded = np.repeat(diagonal, lengths)
 
     def values(x: np.ndarray) -> np.ndarray:
         """A z: the objective, then each constraint's value minus its bound."""
@@ -378,7 +438,7 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
         for lo, hi, size in squares:
             p = x[lo:hi].reshape(size, size)
             z[lo:hi] = (p.T @ p).ravel()
-        v = amap @ z
+        v = np.bincount(mat, coef * z[col], kcount + 1).astype(float, copy=False)
         v[1:] -= instance._bounds
         return v
 
@@ -401,16 +461,15 @@ def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, 
                 w = lam + rho * c
                 val = v[0] - float((lam * c + 0.5 * rho * c * c).sum())
                 # d val / d z, then through each Gram: d <M, P^T P> / d P = P (M + M^T)
-                g = amap_t @ np.concatenate(([1.0], -w))
+                g = np.bincount(col, coef * np.concatenate(([1.0], -w))[mat], xv.size).astype(float, copy=False)
                 for lo, hi, size in squares:
                     m = g[lo:hi].reshape(size, size)
                     g[lo:hi] = (xv[lo:hi].reshape(size, size) @ (m + m.T)).ravel()
                 return -val, -g
 
             if x.size:
-                options = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10}
-                res = minimize(neg_lagrangian, x, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
-                x, evaluations = res.x, evaluations + int(res.nfev)
+                x, used = _descend(neg_lagrangian, x, bounded)
+                evaluations += used
             v = values(x)
             c = v[1:]
             infeas = float(np.abs(c).max()) if kcount else 0.0
@@ -449,8 +508,8 @@ def solve_sdp_lowrank(
     ConvergenceError, with the best iterate attached, when no restart meets
     the feasibility tolerance.
     """
-    if restarts < 1:
-        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
+    if not 1 <= restarts <= RESTART_BUDGET:
+        raise InvalidParameterError(f"restarts must be in 1..{RESTART_BUDGET}, got {restarts}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would accept any iterate
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     gens, seed = _restart_generators(rng, restarts)
@@ -516,9 +575,11 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    v = solution.factor
+    if trials * v.shape[1] > ROUND_SIZE_BUDGET:
+        raise SearchBudgetError(f"{trials} trials of {v.shape[1]} vertices exceed {ROUND_SIZE_BUDGET}")
     i, j, w = _edge_arrays(solution)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else int(rng))
-    v = solution.factor
     h = gen.standard_normal((trials, v.shape[0]))
     side = h @ v >= 0  # a zero projection counts as positive
     cuts = (side[:, i] != side[:, j]) @ w
@@ -528,9 +589,6 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
 
 
 # -- label-distribution relaxation --------------------------------------------
-
-LC_SIZE_BUDGET = 2048
-
 
 def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
     """Vector relaxation of a weighted CSP over label vectors and distributions.
@@ -629,6 +687,8 @@ def gap_curve_estimate(
     discounts the optimum by it, and a negative eta would report more than
     every measured optimum.  eta and the grid points must be finite, as
     JSON needs."""
+    if not 1 <= restarts <= RESTART_BUDGET:  # before any solve
+        raise InvalidParameterError(f"restarts must be in 1..{RESTART_BUDGET}, got {restarts}")
     if not eta >= 0:  # NaN too
         raise InvalidParameterError(f"eta must be >= 0, got {eta}")
     if eta == math.inf:

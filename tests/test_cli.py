@@ -445,6 +445,12 @@ def _u2_bundle_changed(path):
     return ["game", "--pair", path, "--duplicator", "cops", "--k", 3, "--rounds", 5]
 
 
+def _edge_graph(path):
+    graph = path.parent / "edge.graph"
+    graph.write_text("graph\nv 0\nv 1\ne 0 1\n")
+    return graph
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -489,10 +495,26 @@ def _bad_bytes(path):
      "error: grid points must be finite, got nan"),
     (lambda p: ["sdp", "lc", "--csp", write_family(p["klein"].parent.parent) / "f0.csp", "--tol", "inf",
                 "--out", p["klein"].parent / "lc.json"], "error: tol must be positive and finite, got inf"),
+    (lambda p: ["sdp", "maxcut", "--graph", _edge_graph(p["klein"]), "--seed", -1, "--out", p["klein"].parent / "m.json"],
+     "error: --seed must be >= 0, got -1"),
+    (lambda p: ["sdp", "lc", "--csp", write_family(p["klein"].parent.parent) / "f0.csp", "--seed", -1,
+                "--out", p["klein"].parent / "lc.json"], "error: --seed must be >= 0, got -1"),
+    (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1", "--seed", -1,
+                "--out", p["klein"].parent / "g.json"], "error: --seed must be >= 0, got -1"),
+    (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--k", 3, "--seed", -1,
+                "--out", p["klein"].parent / "g.json"], "error: --seed must be >= 0, got -1"),
+    (lambda p: ["gen", "random-pair", "--seed", -1, "--out-dir", p["tree"].parent / "x"],
+     "error: --seed must be >= 0, got -1"),
+    (lambda p: ["sdp", "maxcut", "--graph", _edge_graph(p["klein"]), "--round", 10**18,
+                "--out", p["klein"].parent / "m.json"], "error: 1000000000000000000 trials of 2 vertices exceed 10000000"),
+    (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1", "--restarts", 10**12,
+                "--out", p["klein"].parent / "g.json"], "error: restarts must be in 1..1000, got 1000000000000"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
-        "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf"])
+        "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
+        "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
+        "gap-restarts-huge"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
@@ -501,6 +523,13 @@ def test_malformed_input_exits_2(pairs, capsys, argv, message):
     assert run(*args) == 2
     err = capsys.readouterr().err
     assert err.startswith(message(pairs) if callable(message) else message) and err.count("\n") == 1
+
+
+# the README's `sdp lc` input: every constraint can hold, so its LC value is 1
+README_CSP = (
+    "csp q=2\nvar a\nvar b\nvar c\nctype xor arity=2 sat=0,1;1,0\nctype eq arity=2 sat=0,0;1,1\n"
+    "apply xor a b w=1\napply xor b c w=1\napply eq a c w=1/2\n"
+)
 
 
 def _python(*args, cwd=None):
@@ -533,18 +562,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     (["game", "--pair", "rp/pair.json", "--duplicator", "tree", "--k", "2", "--rounds", "5", "--no-timestamp"], False),
     (["params", "--alpha", "1"], False),
     (["report", "--dir", ".", "--out", "report.json", "--no-timestamp"], False),
+    (["sdp", "lc", "--csp", "inst.csp", "--out", "lc.json", "--sdpa", "lc.dats", "--no-timestamp"], True),
+    (["sdp", "gap", "--family", "fam", "--eta", "0.1", "--grid", "0.2,0.8,1.0", "--out", "gap.json", "--no-timestamp"],
+     True),
 ], ids=["sdp-maxcut", "sdp-maxcut-empty", "solve-brute", "solve-tree", "gen-unsat", "gen-klein", "gen-cops-graph",
-        "gen-random-pair", "lift", "game-cops", "game-tree", "params", "report"])
+        "gen-random-pair", "lift", "game-cops", "game-tree", "params", "report", "sdp-lc", "sdp-gap"])
 def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
-    # mixing, rounding, gw_alpha and the exact solvers are numpy-only; an
-    # eager scipy import would add its start-up time to every such run, and
-    # the spanning-tree oracle enumerates its trees without networkx. Only
-    # brute force and the relaxations need numpy, so no other command loads it.
+    # every solver, the augmented Lagrangian's inner L-BFGS included, is
+    # numpy-only; an eager scipy import would add its start-up time to every
+    # such run, and the spanning-tree oracle enumerates its trees without
+    # networkx. Only brute force and the relaxations need numpy, so no other
+    # command loads it.
     assert run("gen", "cops-graph", "--k", 3, "--out", tmp_path / "c3.graph") == 0
     assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0
     assert run("gen", "unsat", "--delta", "1/2", "--out", tmp_path / "u5.gug") == 0
     assert run("gen", "klein", "--out-dir", tmp_path / "klein", "--no-timestamp") == 0
     (tmp_path / "empty.graph").write_text("graph\n")
+    (tmp_path / "inst.csp").write_text(README_CSP)
+    (tmp_path / "fam").mkdir()
+    (tmp_path / "fam" / "inst.csp").write_text(README_CSP)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run("gen", "random-pair", "--out-dir", tmp_path / "rp", "--seed", 4, "--no-timestamp") == 0
@@ -553,6 +589,21 @@ def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
     assert "uglab.cli" in modules
     assert [m for m in modules if m.split(".")[0] in ("scipy", "networkx")] == []
     assert ("numpy" in modules) == numpy
+
+
+def test_relaxations_solve_with_scipy_unimportable():
+    # a None entry in sys.modules makes every `import scipy` raise ImportError
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from uglab.formats import parse_csp",
+        "from uglab.sdp import build_lc_relaxation, gap_curve_estimate, solve_sdp_lowrank",
+        f"csp = parse_csp({README_CSP!r})",
+        "sol = solve_sdp_lowrank(build_lc_relaxation(csp))",
+        "table = gap_curve_estimate([csp], eta=0.1, grid=[0.2, 0.8, 1.0])",
+        "print(round(sol.value, 5), sol.residual <= 1e-6, round(table.points[0][0], 5), table.points[0][1])",
+    ])
+    assert _python("-c", code).stdout.split() == ["1.0", "True", "1.0", "1.0"]
 
 
 def test_readme_solve_tree_result_is_pinned(tmp_path, monkeypatch):

@@ -36,7 +36,15 @@ from uglab.sdp import (
     solve_sdp_lowrank,
     to_sdpa,
 )
-from uglab.sdp import _colour_classes, _dense, _mixing
+from uglab.sdp import (
+    RESTART_BUDGET,
+    ROUND_SIZE_BUDGET,
+    _colour_classes,
+    _dense,
+    _descend,
+    _mixing,
+    _restart_generators,
+)
 
 
 def cycle(n):
@@ -420,7 +428,87 @@ def test_rounding_needs_recorded_weights():
         hyperplane_round(sol, rng=0, trials=4)
 
 
+def test_rounding_budget_is_checked_before_any_projection():
+    sol = solve_sdp_lowrank(build_maxcut_sdp(cycle(4)))
+    with pytest.raises(SearchBudgetError, match="trials of 4 vertices exceed"):
+        hyperplane_round(sol, trials=ROUND_SIZE_BUDGET // 4 + 1)
+    assert hyperplane_round(sol, trials=2)[0] >= 0.0
+
+
 # -- general solver paths ------------------------------------------------------
+
+
+def test_restarts_and_seeds_are_checked_before_any_solve():
+    inst = build_maxcut_sdp(cycle(4))
+    with pytest.raises(InvalidParameterError, match=f"restarts must be in 1..{RESTART_BUDGET}, got 10"):
+        solve_sdp_lowrank(inst, restarts=10 * RESTART_BUDGET)
+    with pytest.raises(InvalidParameterError, match="restarts must be in"):
+        gap_curve_estimate([xor_cycle_csp(4)], eta=0.1, restarts=10**12)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        solve_sdp_lowrank(inst, rng=-1)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
+        _restart_generators(-3, 2)
+    assert solve_sdp_lowrank(inst, restarts=RESTART_BUDGET // 100, rng=0).restarts == RESTART_BUDGET // 100
+
+
+def active_set_minimum(q, c, bounded):
+    """The minimizer of x^T q x / 2 + c^T x over x[bounded] >= 0, q positive
+    definite: the one active set whose stationary point is feasible with an
+    outward gradient on the active variables."""
+    n = len(c)
+    for held in itertools.product([False, True], repeat=n):
+        held = np.array(held)
+        if (held & ~bounded).any():
+            continue
+        x, free = np.zeros(n), ~held
+        x[free] = np.linalg.solve(q[np.ix_(free, free)], -c[free])
+        g = q @ x + c
+        if (x[bounded] >= -1e-12).all() and (g[held] >= -1e-12).all():
+            return x
+    raise AssertionError("no active set satisfies the optimality conditions")
+
+
+@st.composite
+def bounded_quadratics(draw):
+    n = draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    c = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=float)
+    bounded = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    starts = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    x0 = np.where(bounded, 1.0, signs) * np.array(starts)
+    return m.T @ m + np.eye(n), c, bounded, x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_quadratics())
+def test_descend_finds_the_minimum_of_a_bounded_convex_quadratic(problem):
+    q, c, bounded, x0 = problem
+    x, _ = _descend(lambda v: (0.5 * v @ q @ v + c @ v, q @ v + c), x0, bounded)
+    assert (x[bounded] >= 0.0).all()
+    assert np.abs(x - active_set_minimum(q, c, bounded)).max() <= 1e-6
+
+
+def test_descend_reports_every_call_of_its_objective():
+    calls = []
+
+    def fun(v):
+        calls.append(v.copy())
+        return float(((v - 1.0) ** 4).sum() + v[0] * v[1]), 4 * (v - 1.0) ** 3 + v[::-1]
+
+    x, evaluations = _descend(fun, np.array([3.0, -2.0]), np.array([True, False]))
+    assert evaluations == len(calls) > 2
+    assert any(np.array_equal(x, v) for v in calls)
+
+
+def test_descend_moves_a_bounded_variable_off_zero_along_an_inward_gradient():
+    # a distribution entry held as mu = x^2 had a zero gradient at x = 0 and
+    # never left it; held directly, bounded at 0, it must move to its optimum
+    x, evaluations = _descend(lambda v: ((v[0] - 1.0) ** 2, 2.0 * (v - 1.0)), np.zeros(1), np.array([True]))
+    assert x[0] == pytest.approx(1.0, abs=1e-9) and evaluations >= 2
+    # with the gradient pointing outward it stays at the bound, after one call
+    x, evaluations = _descend(lambda v: ((v[0] + 1.0) ** 2, 2.0 * (v + 1.0)), np.zeros(1), np.array([True]))
+    assert (x[0], evaluations) == (0.0, 1)
 
 
 @pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
