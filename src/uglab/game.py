@@ -32,6 +32,14 @@ from .gf2 import Gf2Subspace, Gf2Vector, coefficients_in_basis, span_of
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 from .instances import GroupUgInstance
 
+PEBBLE_BUDGET = 1000  # pebble pairs k of one game
+
+
+def _check_pebbles(k: int) -> None:
+    """Before any per-pebble list exists: 1 <= k <= PEBBLE_BUDGET."""
+    if not 1 <= k <= PEBBLE_BUDGET:
+        raise InvalidParameterError(f"need k in 1..{PEBBLE_BUDGET}, got {k}")
+
 
 class LiftedStructure:
     """Virtual view of the label lift of a base instance; never materialized."""
@@ -141,8 +149,7 @@ def play_game(
     """
     if A.universe_size() != B.universe_size():
         raise PreconditionError("universes differ in size; no bijection exists")
-    if k < 1:
-        raise InvalidParameterError("need k >= 1")
+    _check_pebbles(k)
     if max_rounds < 0:
         raise InvalidParameterError(f"need max_rounds >= 0, got {max_rounds}")
     if not A.universe_size():
@@ -251,6 +258,7 @@ def find_winning_line(
     from int bit tables; on the last level, where nothing recurses, the
     first failing element in ``A.elements()`` order is the line.
     """
+    _check_pebbles(k)
     els = A.elements()
     if not els:  # nothing to place: the Duplicator is never asked
         return None

@@ -292,18 +292,32 @@ def _kuhn_perfect_matching(g: SimpleGraph, avail_edges: set, left: Sequence) -> 
         adj[u].sort(key=vertex_sort_key)
     match_r: Dict = {}  # right vertex -> left vertex
 
-    def try_augment(u, visited) -> bool:
-        for w in adj[u]:
-            if w in visited:
+    def try_augment(root) -> bool:
+        """Depth-first search for an augmenting path from root, on an explicit
+        stack: each frame is a left vertex and the iterator over its
+        neighbours, and path[i] is the right vertex that frame i tried."""
+        visited: set = set()
+        stack, path = [(root, iter(adj[root]))], []
+        while stack:
+            u, untried = stack[-1]
+            for w in untried:
+                if w not in visited:
+                    break
+            else:  # no augmenting path through u: back up to its parent
+                stack.pop()
+                path[-1:] = []
                 continue
             visited.add(w)
-            if w not in match_r or try_augment(match_r[w], visited):
-                match_r[w] = u
+            path.append(w)
+            if w not in match_r:  # flip the path: frame i's vertex takes path[i]
+                for (x, _), y in zip(stack, path):
+                    match_r[y] = x
                 return True
+            stack.append((match_r[w], iter(adj[match_r[w]])))
         return False
 
     for u in left:
-        if not try_augment(u, set()):
+        if not try_augment(u):
             raise PreconditionError("no perfect matching in bipartite layer")
     return {u: w for w, u in match_r.items()}
 

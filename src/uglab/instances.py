@@ -5,14 +5,14 @@ allowed differences, x_u + x_v = z), permutation unique games (a(u) =
 pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
 fractions are fractions.Fraction throughout; no floats on this path.
 
-Every exhaustive solver runs one mixed-radix enumerator; both unique-games
-kinds go through it one connected component at a time. It scores in the
-narrowest exact integer type (int8 for unique games below 128 tables), a
-block step makes one contiguous add per leading scope, and the witness is
-the first argmax in C order, which is lex order. The spanning-tree oracle
-works on int labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector``
-labels appear only in the witnesses returned. numpy is imported inside the
-solvers that enumerate, so commands that never call them start without it.
+Brute force runs one mixed-radix enumerator, both unique-games kinds one
+connected component at a time; `lifted_opt` hands the same kind of input,
+tables of any scope, to bucket elimination. Both return the lex-least
+optimum and score in the narrowest exact integer type (int8 for unique
+games below 128 tables). The spanning-tree oracle works on int labels and
+reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels appear only in the
+witnesses returned. numpy is imported inside the solvers that use it, so
+commands that never call them start without it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 
-DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments enumerated
+DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments enumerated, or entries of the largest elimination table
 DEFAULT_TREE_BUDGET = 1_000_000  # (tree, diff-choice) evaluations performed
 DEFAULT_LIFT_VERTEX_CAP = 4096
 
@@ -126,7 +126,8 @@ class PermUgInstance:
             cons.append((u, v, perm))
             vs.add(u)
             vs.add(v)
-        self.vertices: Tuple = tuple(sorted(vs, key=vertex_sort_key))
+        self._graph = SimpleGraph(vs, {normalize_edge(u, v) for u, v, _ in cons})
+        self.vertices: Tuple = self._graph.vertices
         self.constraints: Tuple[Tuple, ...] = tuple(cons)
 
     @property
@@ -134,8 +135,8 @@ class PermUgInstance:
         return len(self.constraints)
 
     def graph(self) -> SimpleGraph:
-        edges = {normalize_edge(u, v) for u, v, _ in self.constraints}
-        return SimpleGraph(self.vertices, edges)
+        """The constraint graph, built once; callers share it and must not change it."""
+        return self._graph
 
     def __repr__(self) -> str:
         return f"PermUgInstance(q={self.q}, |V|={len(self.vertices)}, constraints={len(self.constraints)})"
@@ -305,50 +306,93 @@ def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tu
     return best, best_at
 
 
-def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
-    """Exact maximum satisfied count by exhaustion, with lex-least witness.
+def _eliminate(radices: Sequence[int], tables: Sequence[Tuple]) -> Tuple[int, Tuple[int, ...]]:
+    """`_enumerate`'s answer on its input, by bucket elimination (Dechter 1999).
 
-    Both unique-games kinds run one connected component at a time, in vertex
-    order as ``SimpleGraph.components`` returns it, through the mixed-radix
-    enumerator, with one bool table per bundle or constraint: T[a, b] =
-    mask[a ^ b] for group instances, where mask is the length-q bool mask of
-    the bundle's bits, and T[a, b] = (a == perm[b]) for permutation
-    constraints a(u) = perm(a(v)); as bool tables, a component of fewer than
-    128 scores in int8. A group component's first vertex is fixed to zero as
-    a radix-1 variable (every assignment family is closed under a global
-    shift, so an optimal root-zero assignment always exists). Components are
-    independent, so the lex-least optimum is the union of each component's
-    lex-least optimum. The budget bounds the search space of each component
-    and is checked before its tables are built, each sized by the radices of
-    the two vertices it reads.
+    Radix-1 variables leave every scope. The last variable goes first: the
+    tables and messages whose last variable it is sum into one combined table
+    over their scopes' union, and its maximum over that variable is a message
+    to the next-last one. The largest combined table is sized from the scopes
+    alone and checked against DEFAULT_BRUTE_BUDGET before any array is read.
+    Scores are exact in `_enumerate`'s type, as every message is a maximum of
+    partial sums. Decoding goes from the first variable up: with the labels
+    before it fixed, its bucket scores each label by its best completion up
+    to a constant, so the first argmax keeps the optimum, lex-least.
     """
     import numpy as np
 
-    if budget is None:
-        budget = DEFAULT_BRUTE_BUDGET
-    q = instance.q
+    k = len(radices)
+    kept = [[i for i in sorted(set(scope)) if radices[i] > 1] for scope, _ in tables]
+    held = [{i} for i in range(k)]  # per variable, the scope of its combined table
+    for axes in filter(None, kept):
+        held[axes[-1]].update(axes)
+    for i in reversed(range(k)):
+        if math.prod(radices[j] for j in held[i]) > DEFAULT_BRUTE_BUDGET:
+            raise SearchBudgetError(f"elimination table over {sorted(held[i])} exceeds budget {DEFAULT_BRUTE_BUDGET}")
+        held[max(held[i] - {i}, default=i)].update(held[i] - {i})
+    dtype = np.min_scalar_type(-1 - sum(1 if t.dtype == bool else int(np.abs(t).max()) for _, t in tables))
+    buckets = [[] for _ in range(k + 1)]  # per variable, (axes, array) whose last axis it is; constants last
+    for (scope, table), axes in zip(tables, kept):
+        full = sorted(set(scope))
+        if list(scope) != full:
+            table = np.einsum(table, [full.index(i) for i in scope], range(len(full)))
+        buckets[axes[-1] if axes else k].append((axes, table.reshape([radices[i] for i in axes]).astype(dtype)))
+    for i in reversed(range(k)):
+        axes = sorted(held[i])
+        combined = np.zeros([radices[j] for j in axes], dtype)
+        for scope, table in buckets[i]:
+            combined += table.reshape([radices[j] if j in scope else 1 for j in axes])
+        buckets[axes[-2] if len(axes) > 1 else k].append((axes[:-1], combined.max(axis=-1)))
+    values: List[int] = []
+    for i in range(k):
+        parts = [table[tuple(values[j] for j in scope[:-1])] for scope, table in buckets[i]]
+        values.append(int(np.argmax(sum(parts, np.zeros(radices[i], dtype)))))
+    return sum(int(table) for _, table in buckets[k]), tuple(values)
+
+
+def _ug_components(instance):
+    """(vertices, radices, tables) per component of a unique game, in
+    ``SimpleGraph.components`` order; tables() builds `_enumerate`'s and
+    `_eliminate`'s input, T[a, b] = mask[a ^ b] per bundle (mask: its bits)
+    or (a == perm[b]) per a(u) = perm(a(v)). A group component's first vertex
+    is fixed to zero, radix 1, as a global shift keeps every count."""
+    import numpy as np
+
     if isinstance(instance, GroupUgInstance):
-        root_radix, label, cons = 1, partial(Gf2Vector, dim=instance.m), instance.bundles
-        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=q).astype(bool)[a[:, None] ^ b]
+        root_radix, cons = 1, instance.bundles
+        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=instance.q).astype(bool)[a[:, None] ^ b]
     elif isinstance(instance, PermUgInstance):
-        root_radix, label, cons = q, int, instance.constraints
+        root_radix, cons = instance.q, instance.constraints
         rule = lambda a, b, perm: a[:, None] == np.array(perm)[b]
     else:
         raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
-    count, witness = 0, {}
     for comp in instance.graph().components():
-        space = root_radix * q ** (len(comp) - 1)
+        radices = [root_radix] + [instance.q] * (len(comp) - 1)
+
+        def tables(comp=comp, radices=radices):
+            pos, a = {v: i for i, v in enumerate(comp)}, {r: np.arange(r) for r in radices}
+            return [((pos[u], pos[v]), rule(a[radices[pos[u]]], a[radices[pos[v]]], x)) for u, v, x in cons if u in pos]
+
+        yield comp, radices, tables
+
+
+def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
+    """Exact maximum satisfied count by exhaustion, with lex-least witness.
+
+    One component at a time, on `_ug_components`' bool tables (int8 scores
+    below 128 tables); the union of their lex-least optima is lex-least. The
+    budget bounds each component's search space, checked before its tables.
+    """
+    if budget is None:
+        budget = DEFAULT_BRUTE_BUDGET
+    label = partial(Gf2Vector, dim=instance.m) if isinstance(instance, GroupUgInstance) else int
+    count, witness = 0, {}
+    for comp, radices, tables in _ug_components(instance):
+        space = math.prod(radices)
         if space > budget:
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-        pos = {v: i for i, v in enumerate(comp)}
-        radices = [root_radix] + [q] * (len(comp) - 1)
-        aranges = {r: np.arange(r) for r in radices}
-        tables = []
-        for u, v, x in cons:
-            if u in pos:
-                a, b = aranges[radices[pos[u]]], aranges[radices[pos[v]]]
-                tables.append(((pos[u], pos[v]), rule(a, b, x)))
-        c, values = _enumerate(radices, tables, len(tables))
+        built = tables()
+        c, values = _enumerate(radices, built, len(built))
         count += c
         witness.update(zip(comp, map(label, values)))
     return count, _fraction(count, instance.constraint_count), witness
@@ -463,52 +507,38 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
     Substituting y_v^g := x_v^g + g turns every lifted constraint into
     y_{v1}^{g1} + y_{v2}^{g2} = z, which no longer mentions g1, g2. The
     satisfied count then depends only on each vertex's label-count profile
-    (how many of its q copies take each label), so we maximize over profile
-    tuples instead of the q^(q|V|) raw assignments.
+    (how many of its q copies take each label): it sums one table per
+    bundle over the profiles p, r of its ends, T[p, r] = the sum over z in
+    the bundle and labels a of p[a] * r[a + z]. `_eliminate` maximizes that
+    sum over profile tuples instead of the q^(q|V|) raw assignments; the
+    witness is the lex-least optimal profile tuple in `_compositions` order,
+    and each vertex's copies take its profile's labels in ascending order.
     """
     import numpy as np
 
     q = instance.q
-    n = len(instance.vertices)
-    profiles = [p for p in _compositions(q, q)]
-    P = np.array(profiles, dtype=np.int32)  # (#profiles, q) count matrix
-    np_profiles = len(profiles)
-    if np_profiles**n > 5_000_000:
-        raise SearchBudgetError(f"profile space {np_profiles}^{n} too large")
+    n_profiles = math.comb(2 * q - 1, q)  # compositions of q into q parts
+    if n_profiles ** (2 if instance.bundles else 1) > DEFAULT_BRUTE_BUDGET:  # before listing the profiles
+        raise SearchBudgetError(f"tables over {n_profiles} profiles per vertex exceed budget {DEFAULT_BRUTE_BUDGET}")
+    profiles = list(_compositions(q, q))
+    P = np.array(profiles)  # (#profiles, q) count matrix
     pos = {v: i for i, v in enumerate(instance.vertices)}
-    # pairwise score of profiles p, r on a bundle: sum over labels a, b with
-    # a + b in diffs of count_p[a] * count_r[b]
-    total = np.zeros((np_profiles,) * n, dtype=np.int32)
-    for u, v, diffs in instance.bundles:
-        M = np.zeros((np_profiles, np_profiles), dtype=np.int32)
-        for z in diffs:
-            perm = [a ^ z.bits for a in range(q)]
-            M += P @ P[:, perm].T
-        # broadcast M into the (u, v) axes of the profile grid; bundles are
-        # normalized, so u comes before v in vertex order
-        shape = [1] * n
-        shape[pos[u]] = shape[pos[v]] = np_profiles
-        total += M.reshape(shape)
-    flat_idx = int(np.argmax(total))
-    best = int(total.flat[flat_idx])
-    chosen = np.unravel_index(flat_idx, total.shape)
+    pair = lambda diffs: sum(P @ P[:, [a ^ z.bits for a in range(q)]].T for z in diffs)
+    tables = [((pos[u], pos[v]), pair(diffs)) for u, v, diffs in instance.bundles]
+    best, chosen = _eliminate([n_profiles] * len(pos), tables)
     witness: Dict = {}
-    for v in instance.vertices:
-        counts = profiles[chosen[pos[v]]]
-        labels = [a for a in range(q) for _ in range(counts[a])]  # sorted multiset
+    for v, p in zip(instance.vertices, chosen):
+        labels = [a for a in range(q) for _ in range(profiles[p][a])]  # sorted multiset
         for g, y in enumerate(labels):
             witness[(v, g)] = Gf2Vector(y ^ g, instance.m)
     return best, _fraction(best, instance.constraint_count * q * q), witness
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of `parts` nonnegative ints summing to `total`, in lex order,
+    which is the lex order of their bar positions in stars and bars."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
 
 
 # -- spanning tree oracle ----------------------------------------------------

@@ -232,13 +232,19 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
 # -- solver -------------------------------------------------------------------
 
 
+def _seed(rng) -> int:
+    """The int seed an `rng` argument other than a Generator stands for: None is 0."""
+    seed = 0 if rng is None else int(rng)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _restart_generators(rng, restarts: int) -> Tuple[List[np.random.Generator], Optional[int]]:
     if isinstance(rng, np.random.Generator):
         seeds = rng.integers(0, 2**63 - 1, size=restarts)
         return [np.random.default_rng(int(s)) for s in seeds], None
-    seed = 0 if rng is None else int(rng)
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    seed = _seed(rng)
     children = np.random.SeedSequence(seed).spawn(restarts)
     return [np.random.default_rng(c) for c in children], seed
 
@@ -502,7 +508,8 @@ def solve_sdp_lowrank(
     rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
     ascent at full rank per symmetric block, diagonal blocks as nonnegative
     bounded vectors.  The best restart is the feasible one of largest value (the
-    largest value when none is feasible).  `spread` is the max - min of the
+    largest value when none is feasible), the first such; only its factor is
+    held while later restarts run.  `spread` is the max - min of the
     feasible restarts' values (of all restarts when none is feasible); it
     bounds nothing, the distance to the SDP optimum included.  Raises
     ConvergenceError, with the best iterate attached, when no restart meets
@@ -515,9 +522,15 @@ def solve_sdp_lowrank(
     gens, seed = _restart_generators(rng, restarts)
     path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
     restart, failure = path(instance, tol)
-    runs = [restart(gen) for gen in gens]  # (factor, value, residual, ok, counters)
-    factor, value, residual, ok, _ = max(runs, key=lambda run: (run[3], run[1]))
-    pool = [run[1] for run in runs if run[3]] or [run[1] for run in runs]
+    runs = []  # every restart's (value, residual, ok, counters)
+
+    def summarized(run):  # (factor, value, residual, ok, counters)
+        runs.append(run[1:])
+        return run
+
+    # max() over the lazy map holds only the best run so far while the next one is solved
+    factor, value, residual, ok, _ = max(map(summarized, map(restart, gens)), key=lambda run: (run[3], run[1]))
+    pool = [run[0] for run in runs if run[2]] or [run[0] for run in runs]
     sol = SdpSolution(
         value=value,
         factor=factor,
@@ -526,7 +539,7 @@ def solve_sdp_lowrank(
         restarts=restarts,
         seed=seed,
         instance=instance,
-        stats={key: [run[4][key] for run in runs] for key in runs[0][4]},
+        stats={key: [run[3][key] for run in runs] for key in runs[0][3]},
     )
     if not ok:
         raise ConvergenceError(failure(residual), best=sol)
@@ -579,7 +592,7 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
     if trials * v.shape[1] > ROUND_SIZE_BUDGET:
         raise SearchBudgetError(f"{trials} trials of {v.shape[1]} vertices exceed {ROUND_SIZE_BUDGET}")
     i, j, w = _edge_arrays(solution)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0 if rng is None else int(rng))
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))
     h = gen.standard_normal((trials, v.shape[0]))
     side = h @ v >= 0  # a zero projection counts as positive
     cuts = (side[:, i] != side[:, j]) @ w

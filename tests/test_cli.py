@@ -509,12 +509,14 @@ def _bad_bytes(path):
                 "--out", p["klein"].parent / "m.json"], "error: 1000000000000000000 trials of 2 vertices exceed 10000000"),
     (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1", "--restarts", 10**12,
                 "--out", p["klein"].parent / "g.json"], "error: restarts must be in 1..1000, got 1000000000000"),
+    (lambda p: ["game", "--pair", p["klein"], "--duplicator", "k2", "--k", 10**18, "--rounds", 1],
+     "error: need k in 1..1000, got 1000000000000000000"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
-        "gap-restarts-huge"])
+        "gap-restarts-huge", "game-k-huge"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):

@@ -219,6 +219,16 @@ def test_cubic_edge_coloring_is_proper():
         assert incident == {"a", "b", "c"}
 
 
+def test_cubic_edge_coloring_past_the_recursion_limit():
+    # augmenting paths at k = 60 run deeper than Python's recursion limit
+    # (k = 43 already did); the matching search keeps them on a stack
+    h = cops_robbers_graph(60)
+    coloring = cubic_edge_coloring(h)
+    assert set(coloring) == set(h.edges)
+    for v in h.vertices:
+        assert {coloring[normalize_edge(v, w)] for w in h.neighbors(v)} == {"a", "b", "c"}
+
+
 # -- pursuit graph ------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uglab import graphs
 from uglab.errors import InvalidParameterError, PreconditionError
 from uglab.graphs import (
     SimpleGraph,
@@ -78,6 +79,51 @@ def test_matching_decomposition_k33():
     for m in ms:
         covered = [v for e in m for v in e]
         assert sorted(covered) == sorted(g.vertices)
+
+
+def _recursive_matching(avail_edges, left):
+    """The augmenting-path search written as a recursion, for comparison."""
+    adj = {u: [] for u in left}
+    for u, v in avail_edges:
+        if u in adj:
+            adj[u].append(v)
+        else:
+            adj[v].append(u)
+    for u in adj:
+        adj[u].sort(key=graphs.vertex_sort_key)
+    match_r = {}
+
+    def try_augment(u, visited):
+        for w in adj[u]:
+            if w not in visited:
+                visited.add(w)
+                if w not in match_r or try_augment(match_r[w], visited):
+                    match_r[w] = u
+                    return True
+        return False
+
+    for u in left:
+        assert try_augment(u, set())
+    return {u: w for w, u in match_r.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_augmenting_stack_matches_the_recursion(rng):
+    # a d-regular bipartite graph as d disjoint shifted matchings; each layer
+    # the search peels off must equal the recursion's, in insertion order too
+    n = rng.randint(1, 9)
+    d = rng.randint(1, n)
+    right = rng.sample(range(n, 2 * n), n)
+    edges = [(i, right[(i + t) % n]) for t in rng.sample(range(n), d) for i in range(n)]
+    g = SimpleGraph(range(2 * n), edges)
+    left = rng.sample(range(n), n)
+    avail = set(g.edges)
+    for _ in range(d):
+        got = graphs._kuhn_perfect_matching(g, avail, left)
+        want = _recursive_matching(avail, left)
+        assert list(got.items()) == list(want.items())
+        avail -= {graphs.normalize_edge(u, w) for u, w in got.items()}
 
 
 def test_matching_decomposition_needs_bipartite_or_coloring():

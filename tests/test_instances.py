@@ -20,6 +20,7 @@ from uglab.errors import (
     SearchBudgetError,
 )
 from uglab import instances
+from uglab.constructions import cops_robbers_graph, cubic_edge_coloring, klein_pair
 from uglab.formats import write_gug
 from uglab.game import LiftedStructure
 from uglab.gf2 import Gf2Vector
@@ -67,6 +68,14 @@ def random_group_instance(rng, n_vertices, m, max_bundles, connected=False):
 
 
 # -- data model ------------------------------------------------------------
+
+
+def test_perm_instance_builds_its_graph_once():
+    # constraints both ways on one pair make one edge; vertices come from the graph
+    inst = PermUgInstance(2, ["c", "b"], [("a", "b", (1, 0)), ("b", "a", (0, 1))])
+    assert inst.graph() is inst.graph()
+    assert inst.vertices == inst.graph().vertices == ("a", "b", "c")
+    assert inst.graph().edges == (("a", "b"),)
 
 
 def test_group_instance_merges_bundles_per_edge():
@@ -480,6 +489,26 @@ def test_lifted_opt_matches_raw_brute_force_m1():
         assert evaluate(lifted, witness)[0] == c_prof
 
 
+def test_lifted_opt_results_are_pinned():
+    # count, fraction and witness on 100 seeded bases, m = 1 on 5 vertices and
+    # m = 2 on 4, up to three chords, connected or not, K4 on every tenth;
+    # recorded with the dense profile grid that elimination replaced
+    rng = random.Random(33)
+    digest = hashlib.sha256()
+    for i in range(100):
+        m = 1 + i % 2
+        n = 5 if m == 1 else 4
+        if i % 10 == 9:
+            pairs = itertools.combinations(range(n), 2)
+            bundles = [(a, b, [v(z, m) for z in rng.sample(range(1 << m), rng.randint(1, 1 << m))]) for a, b in pairs]
+            inst = GroupUgInstance(m, range(n), bundles)
+        else:
+            inst = random_group_instance(rng, n - (i % 7 == 0), m, n - 1 + rng.randrange(4), connected=i % 5 != 0)
+        count, frac, witness = lifted_opt(inst)
+        digest.update(repr((count, frac, sorted((x, g, label.bits) for (x, g), label in witness.items()))).encode())
+    assert digest.hexdigest() == "2e9f8f65cf507fe54f45b36dc3530d99fd4d7d8d2da9dff808a0d46fae6e8950"
+
+
 def test_lift_preserves_satisfiability_spot_check():
     rng = random.Random(4242)
     for _ in range(10):
@@ -489,6 +518,102 @@ def test_lift_preserves_satisfiability_spot_check():
         _, base_frac, _ = brute_force_opt(inst)
         _, lift_frac, _ = lifted_opt(inst)
         assert base_frac == lift_frac
+
+
+# -- bucket elimination ------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_eliminate_matches_enumerate(rng):
+    # mixed radices with radix 1 anywhere, scopes of arity 0-3 in any order
+    # that may repeat a variable, bool tables and signed int tables whose
+    # entries reach past the int8, int16 or int32 range
+    radices = [rng.randint(1, 3) for _ in range(rng.randint(0, 6))]
+    tables = []
+    for _ in range(rng.randint(0, 7)):
+        scope = tuple(rng.randrange(len(radices)) for _ in range(rng.randint(0, 3) if radices else 0))
+        shape = [radices[i] for i in scope]
+        if rng.random() < 0.4:
+            table = np.array([rng.random() < 0.5 for _ in range(math.prod(shape))], dtype=bool)
+        else:
+            top = rng.choice([3, 100, 40_000, 2**40])
+            table = np.array([rng.randint(-top, top) for _ in range(math.prod(shape))], dtype=np.int64)
+        tables.append((scope, table.reshape(shape)))
+    stop = sum(int(table.max()) for _, table in tables) + 1  # above the optimum: never reached
+    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, stop)
+
+
+def test_eliminate_more_radix_one_variables_than_numpy_axes():
+    # 80 tables share variable 80 with one radix-1 variable each: a combined
+    # table over all 81 variables would pass numpy's dimension cap
+    radices = [1] * 80 + [3]
+    tables = [((i, 80), np.array([[i % 3 == 1, False, i % 3 == 2]])) for i in range(80)]
+    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, 81) == (27, (0,) * 80 + (0,))
+
+
+def _eliminate_ug(inst):
+    """Count and witness of a unique game by elimination on the tables
+    brute force enumerates, one component at a time."""
+    label = (lambda bits: v(bits, inst.m)) if isinstance(inst, GroupUgInstance) else int
+    count, witness = 0, {}
+    for comp, radices, tables in instances._ug_components(inst):
+        c, values = instances._eliminate(radices, tables())
+        count += c
+        witness.update(zip(comp, map(label, values)))
+    return count, witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_eliminate_on_component_tables_matches_brute_force(rng):
+    group = random_group_instance(rng, rng.randint(1, 6), rng.randint(1, 2), 8, connected=rng.random() < 0.5)
+    for inst in (group, _random_perm_instance(rng)):
+        count, _, witness = brute_force_opt(inst)
+        assert _eliminate_ug(inst) == (count, witness)
+
+
+@pytest.mark.parametrize("k, u1_opt, u2_opt", [(3, Fraction(1, 2), Fraction(17, 36)), (4, Fraction(1, 2), Fraction(35, 72))])
+def test_pursuit_optima_through_elimination(k, u1_opt, u2_opt):
+    # brute force refuses k = 4 (4^23 assignments); at k = 3 both agree on the witness
+    h = cops_robbers_graph(k)
+    for inst, opt in zip(klein_pair(h, cubic_edge_coloring(h), h.edges[0]), (u1_opt, u2_opt)):
+        count, witness = _eliminate_ug(inst)
+        assert Fraction(count, inst.constraint_count) == opt
+        assert evaluate(inst, witness)[0] == count
+        if k == 3:
+            assert brute_force_opt(inst)[::2] == (count, witness)
+
+
+def test_eliminate_budget_is_the_largest_combined_table(monkeypatch):
+    # eliminating variable 2 combines both tables over (0, 1, 2): 2 * 3 * 4 = 24
+    # entries, the largest table; variable 1's holds 6 and variable 0's 2
+    radices = [2, 3, 4]
+    tables = [((2, 0), np.arange(8).reshape(4, 2) % 3), ((1, 2), np.eye(3, 4, dtype=bool))]
+    monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 24)
+    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, 10) == (3, (0, 1, 1))
+    monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 23)
+    with pytest.raises(SearchBudgetError):
+        instances._eliminate(radices, tables)
+    with pytest.raises(SearchBudgetError):  # refused from the scopes alone: no array is read
+        instances._eliminate(radices, [(scope, None) for scope, _ in tables])
+
+
+def test_lifted_opt_budget_boundaries(monkeypatch):
+    # at m = 2 each vertex has 35 profiles: a bundle's table holds 35^2
+    # entries, an isolated vertex's 35; at m = 4 the 300540195 profiles are
+    # refused before any is listed
+    pair = GroupUgInstance(2, "ab", [("a", "b", [v(1, 2)])])
+    single = GroupUgInstance(2, "a", [])
+    for inst, size in ((pair, 35**2), (single, 35)):
+        monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", size)
+        assert lifted_opt(inst)[1] == 1
+        monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", size - 1)
+        with pytest.raises(SearchBudgetError):
+            lifted_opt(inst)
+    monkeypatch.undo()
+    with pytest.raises(SearchBudgetError):
+        lifted_opt(GroupUgInstance(4, "a", []))
 
 
 # -- spanning tree oracle ------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from uglab.errors import (
     SearchBudgetError,
     UglabError,
 )
+from uglab import sdp
 from uglab.graphs import SimpleGraph
 from uglab.instances import CspType, WeightedCspInstance, csp_brute_opt
 from uglab.sdp import (
@@ -435,6 +437,13 @@ def test_rounding_budget_is_checked_before_any_projection():
     assert hyperplane_round(sol, trials=2)[0] >= 0.0
 
 
+def test_rounding_seeds_by_the_restart_rule():
+    sol = solve_sdp_lowrank(build_maxcut_sdp(cycle(4)))
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        hyperplane_round(sol, rng=-1)
+    assert hyperplane_round(sol, rng=None, trials=8) == hyperplane_round(sol, rng=0, trials=8)
+
+
 # -- general solver paths ------------------------------------------------------
 
 
@@ -449,6 +458,32 @@ def test_restarts_and_seeds_are_checked_before_any_solve():
     with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
         _restart_generators(-3, 2)
     assert solve_sdp_lowrank(inst, restarts=RESTART_BUDGET // 100, rng=0).restarts == RESTART_BUDGET // 100
+
+
+def test_only_the_best_restart_keeps_its_factor(monkeypatch):
+    # a weak reference follows every restart's factor: when a restart starts,
+    # only the best earlier one may still be alive, and the solution is the
+    # one a solve that keeps every factor returns
+    inst = build_maxcut_sdp(cycle(7))
+    want = solve_sdp_lowrank(inst, restarts=6, rng=11)
+    real, factors, alive = sdp._mixing, [], []
+
+    def tracked(instance, tol):
+        restart, failure = real(instance, tol)
+
+        def run(gen):
+            alive.append(sum(ref() is not None for ref in factors))
+            out = restart(gen)
+            factors.append(weakref.ref(out[0]))
+            return out
+
+        return run, failure
+
+    monkeypatch.setattr(sdp, "_mixing", tracked)
+    got = solve_sdp_lowrank(inst, restarts=6, rng=11)
+    assert alive == [0] + [1] * 5
+    assert (got.value, got.residual, got.spread, got.stats) == (want.value, want.residual, want.spread, want.stats)
+    assert np.array_equal(got.factor, want.factor)
 
 
 def active_set_minimum(q, c, bounded):
