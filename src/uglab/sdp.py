@@ -365,7 +365,9 @@ def _descend(fun: Callable, x: np.ndarray, bounded: np.ndarray) -> Tuple[np.ndar
     outward is held; the rest move along -H g, H from the last 10 pairs (s, y), y without
     its held entries, in compact form (Byrd, Nocedal & Schnabel 1994) with R^-1 (R =
     triu(S^T Y)) and Y Y^T updated pair by pair.  Each step is halved along its projection
-    onto the bounds until the Armijo decrease holds (Bertsekas 1982).  Stops after 400
+    onto the bounds until the Armijo decrease holds (Bertsekas 1982), up to 60 times: a
+    large penalty weight can need a step more than 2^-20 below the first one, and 2^-60 is
+    far below the relative precision of a double.  Stops after 400
     steps, on a relative decrease <= 1e-14, a projected gradient max <= 1e-10, or no decrease."""
     m, k, gamma = 10, 0, 1.0
     lo = np.where(bounded, 0.0, -np.inf)
@@ -385,7 +387,7 @@ def _descend(fun: Callable, x: np.ndarray, bounded: np.ndarray) -> Tuple[np.ndar
             d, step = (gamma * (u @ z[m : m + k] - gf) - p @ z[:k]) * free, 1.0
         else:
             d, step = -gf, min(1.0, 1.0 / math.sqrt(zg[-1]))
-        for _ in range(20):
+        for _ in range(60):
             s = (xn := np.maximum(x + step * d, lo)) - x
             if (slope := float(g @ s)) < 0:
                 (fn, gn), evaluations = fun(xn), evaluations + 1

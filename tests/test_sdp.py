@@ -658,6 +658,16 @@ def test_lc_bounds_the_optimum_with_a_diagonal_nonnegative_distribution_block(cs
     assert kind == "d" and np.array_equal(mu, np.diag(np.diag(mu))) and np.diag(mu).min() >= 0.0
 
 
+def test_lc_converges_where_the_penalty_needs_a_step_below_twenty_halvings():
+    # three unary applications on x0 drive its label-0 vector and masses to zero;
+    # with at most 20 halvings per step the solver stalled at residual 1.17e-06
+    one = CspType(1, [(1,)], 2)
+    apps = [("one", ("x0",), 3), ("one", ("x0",), 1), ("one", ("x2",), 3), ("one", ("x0",), 3)]
+    csp = WeightedCspInstance(2, ["x0", "x1", "x2"], {"zero": CspType(1, [(0,)], 2), "one": one}, apps)
+    sol = solve_sdp_lowrank(build_lc_relaxation(csp), restarts=1, rng=139821920)
+    assert sol.residual <= 1e-6 and sol.value >= 1.0 - 1e-4
+
+
 def test_lc_xor8_reaches_its_integral_optimum():
     # an XOR 8-cycle with four XOR/EQ chords; the solver once stopped
     # feasible at 0.916450, below the integral optimum 11/12 it must bound
