@@ -1,4 +1,4 @@
-"""Low-rank semidefinite programming for cut values and label distributions.
+"""Semidefinite programming for cut values and label distributions.
 
 Coefficient convention: each unordered index pair (i, j), i <= j, holds its
 full coefficient c once, so a matrix's value at X is the sum of c * X_ij.  In
@@ -9,16 +9,12 @@ one coefficient table of parallel arrays (matrix number, i, j, coefficient)
 that its checks, both solvers and the SDPA export read.  Every constraint
 is an equality <A_k, X> = b_k.
 
-Solving always happens on an explicit factorization X = V^T V, never on a
-full PSD matrix variable: unit-diagonal cut instances get a coordinate-ascent
-"mixing" solver at rank ceil(sqrt(2n))+1, everything else an
-augmented-Lagrangian ascent at full rank per symmetric block, with each
-diagonal block's entries held directly as variables bounded below by 0 and
-each inner minimization a bound-constrained L-BFGS on numpy alone.  A
-mixing sweep takes one vectorized step per DSatur colour class of indices; no
-objective entry joins two indices of a class, so that is the per-column sweep
-in class order.  It stops on a plateau of its exact per-sweep ascent, summed
-from the column steps rather than read off two objective values.
+Every solve returns a factorization X = V^T V.  Unit-diagonal cut instances
+get coordinate-ascent "mixing" at rank ceil(sqrt(2n))+1, one vectorized step
+per DSatur colour class (no objective entry joins two indices of a class, so
+that is the per-column sweep in class order), stopping on a plateau of its
+exact ascent; everything else a primal-dual interior-point method, stopping
+on its residuals and duality gap.
 """
 
 from __future__ import annotations
@@ -45,6 +41,8 @@ from .instances import WeightedCspInstance, csp_brute_opt
 LC_SIZE_BUDGET = 2048  # LC index set size
 RESTART_BUDGET = 1000
 ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
+SCHUR_BUDGET = 2**24  # constraint pairs in an interior-point Newton system
+IPM_ITERATIONS = 100  # Newton steps per interior-point restart
 
 # -- sparse symmetric matrices ----------------------------------------------
 
@@ -358,147 +356,149 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
     return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"
 
 
-def _descend(fun: Callable, x: np.ndarray, bounded: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Minimize fun, which maps x to (value, gradient), over x[bounded] >= 0 from x; also
-    return the number of calls to fun.  Limited-memory BFGS on the variables off their
-    bound (Byrd, Lu, Nocedal & Zhu 1995): a bounded variable at 0 whose gradient points
-    outward is held; the rest move along -H g, H from the last 10 pairs (s, y), y without
-    its held entries, in compact form (Byrd, Nocedal & Schnabel 1994) with R^-1 (R =
-    triu(S^T Y)) and Y Y^T updated pair by pair.  Each step is halved along its projection
-    onto the bounds until the Armijo decrease holds (Bertsekas 1982), up to 60 times: a
-    large penalty weight can need a step more than 2^-20 below the first one, and 2^-60 is
-    far below the relative precision of a double.  Stops after 400
-    steps, on a relative decrease <= 1e-14, a projected gradient max <= 1e-10, or no decrease."""
-    m, k, gamma = 10, 0, 1.0
-    lo = np.where(bounded, 0.0, -np.inf)
-    z = np.zeros((2 * m + 1, x.size))  # rows i, m + i: the i-th oldest s, y; the last: free g
-    rinv, yy, sy_diag = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
-    (f, g), evaluations = fun(x), 1
-    for _ in range(400):
-        if np.abs(np.minimum(g, x - lo)).max(initial=0.0) <= 1e-10:
-            break
-        free = (x > lo) | (g <= 0)
-        gf = np.multiply(g, free, out=z[-1])
-        zg = z @ gf
-        if k:
-            # H g = gamma g + S^T p - gamma Y^T u, u = R^-1 S g, p = R^-T ((D + gamma Y Y^T) u - gamma Y g)
-            u = rinv[:k, :k] @ zg[:k]
-            p = rinv[:k, :k].T @ (sy_diag[:k] * u + gamma * (yy[:k, :k] @ u - zg[m : m + k]))
-            d, step = (gamma * (u @ z[m : m + k] - gf) - p @ z[:k]) * free, 1.0
-        else:
-            d, step = -gf, min(1.0, 1.0 / math.sqrt(zg[-1]))
-        for _ in range(60):
-            s = (xn := np.maximum(x + step * d, lo)) - x
-            if (slope := float(g @ s)) < 0:
-                (fn, gn), evaluations = fun(xn), evaluations + 1
-                if fn <= f + 1e-4 * slope:
-                    break
-            step *= 0.5
-        else:  # no decrease along d: retry once from steepest descent
-            if not k:
-                break
-            k = 0
-            continue
-        y = (gn - g) * free
-        sy, yn = float(s @ y), float(y @ y)
-        if sy > 2.2e-16 * yn:
-            if k == m:  # drop the oldest pair: R^-1 keeps its trailing block
-                z[: m - 1], z[m : 2 * m - 1] = z[1:m], z[m + 1 : 2 * m]
-                rinv[:-1, :-1], yy[:-1, :-1], sy_diag[:-1] = rinv[1:, 1:], yy[1:, 1:], sy_diag[1:]
-                k -= 1
-            z[k], z[m + k] = s, y
-            # R gains the column r = S y and the corner sy: [[R, r], [0, sy]]^-1
-            rinv[:k, k], rinv[k, :k], rinv[k, k] = rinv[:k, :k] @ (z[:k] @ y) / -sy, 0.0, 1.0 / sy
-            yy[k, : k + 1] = yy[: k + 1, k] = z[m : m + k + 1] @ y
-            sy_diag[k], gamma, k = sy, sy / yn, k + 1
-        if f - fn <= 1e-14 * max(abs(f), abs(fn), 1.0):
-            return xn, evaluations
-        x, f, g = xn, fn, gn
-    return x, evaluations
+def _interior_point(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
+    """The interior-point restart and its failure message.
 
-
-def _augmented_lagrangian(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
-    """The augmented-Lagrangian restart and its failure message.
-
-    The unknowns x hold, block after block, a square factor P of each "s"
-    block (row-major) and the entries mu >= 0 of each "d" block.  With each P
-    replaced by its Gram P^T P, x becomes z, and the sparse map A (row k:
-    matrix k's coefficients at z's positions) gives every matrix value as A z;
-    A z and A^T w are each one np.bincount over the coefficient table.
+    Infeasible-start primal-dual path following (Helmberg, Rendl, Vanderbei &
+    Wolkowicz 1996) on max <C, X> s.t. <A_k, X> = b_k, X psd per "s" block and
+    >= 0 per "d" block; the dual is min b^T y s.t. Z = sum_k y_k A_k - C psd.
+    Each step takes the HKM direction with Mehrotra's predictor and corrector,
+    sigma = (mu_aff / mu)^3, from the Schur complement M_kl = <A_k, X A_l W>,
+    W = Z^-1, and goes 0.95 of the way to the psd boundary, at most 1.  X and
+    Z are flat, block after block ("s" blocks row-major).  An "s" block adds
+    S T S^T to M, T over pairs r, s of its entries in use (i, j): X_ir,is W_jr,js
+    + X_jr,js W_ir,is + X_ir,js W_jr,is + X_jr,is W_ir,js, S_kr = c / 2 for
+    constraint k's coefficient c at r; a "d" block adds A_d diag(x / z) A_d^T.
+    M covers only constraints independent of earlier ones.  A restart stops
+    once the residuals are <= tol and |b^T y - <C, X>| <= tol max(1, |<C, X>|).
     """
     n, kcount = instance.n, len(instance.constraints)
     diagonal = np.array([kind == "d" for kind, _ in instance.blocks], dtype=bool)
     sizes = np.array([size for _, size in instance.blocks], dtype=int)
-    lengths = np.where(diagonal, sizes, sizes * sizes)
-    starts = np.concatenate(([0], np.cumsum(lengths)))
+    starts = np.concatenate(([0], np.cumsum(np.where(diagonal, sizes, sizes * sizes))))
     squares = [(starts[b], starts[b + 1], sizes[b]) for b in np.flatnonzero(~diagonal)]
-    # table row r sits at (i, j) of its "s" block's row-major Gram, or at i of its "d" block
-    b = instance._block_of[instance._i]
-    first = np.array(instance.block_offsets, dtype=int)[b]
+    # table row r sits at (i, j) of its "s" block's row-major matrix, or at i of its "d" block
+    block = instance._block_of[instance._i]
+    first = np.array(instance.block_offsets, dtype=int)[block]
     i, j = instance._i - first, instance._j - first
-    col = starts[b] + np.where(diagonal[b], i, i * sizes[b] + j)
-    mat, coef = instance._mat, instance._coef
-    bounded = np.repeat(diagonal, lengths)
+    col = starts[block] + np.where(diagonal[block], i, i * sizes[block] + j)
+    mirror = starts[block] + np.where(diagonal[block], i, j * sizes[block] + i)  # at (j, i)
+    mat, coef, bounds = instance._mat, instance._coef, instance._bounds
+    rows_per_block = [int(np.sum((mat > 0) & (block == b))) for b in np.flatnonzero(~diagonal)]
+    if (pairs := max([kcount] + rows_per_block) ** 2) > SCHUR_BUDGET:  # M, the Gram and each block's T
+        raise SearchBudgetError(f"{pairs} constraint pairs in the Newton system exceed {SCHUR_BUDGET}")
+    flat = np.repeat(diagonal, np.diff(starts))  # the "d" entries of a flat iterate
+    ident = np.concatenate([np.zeros(0)] + [np.eye(size).ravel() if kind == "s" else np.ones(size)
+                                            for kind, size in instance.blocks])
+    # each constraint's coefficients at the flat entries in use, off-diagonal ones times sqrt(1/2), so amat amat^T
+    # is the Gram <A_k, A_l>; a constraint whose QR diagonal entry is below 1e-9 of its column is left out
+    cons = mat > 0
+    cells, at = np.unique(col[cons], return_inverse=True)
+    amat = np.zeros((kcount, len(cells)))
+    amat[mat[cons] - 1, at] = coef[cons] * np.where(i == j, 1.0, math.sqrt(0.5))[cons]
+    gram = amat @ amat.T
+    keep = np.flatnonzero(np.abs(np.linalg.qr(gram, mode="r").diagonal()) > 1e-9 * np.linalg.norm(gram, axis=0))
+    amat, dense, on_d = amat[keep], amat[keep][:, flat[cells]], cells[flat[cells]]  # dense: A_d at "d" entries in use
+    parts = []  # per "s" block: its slice, the local i and j of its entries in use, and S = their c / 2
+    for lo, hi, size in squares:
+        on = (cells >= lo) & (cells < hi) & amat.any(axis=0)
+        ib, jb = np.divmod(cells[on] - lo, size)
+        parts.append((lo, hi, size, ib, jb, amat[:, on] * np.where(ib == jb, 0.5, math.sqrt(0.5))))
 
-    def values(x: np.ndarray) -> np.ndarray:
-        """A z: the objective, then each constraint's value minus its bound."""
-        z = x.copy()
+    def schur(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        m = (dense * (x[on_d] * w[on_d])) @ dense.T
+        for lo, hi, size, ib, jb, s in parts:
+            xs, ws = x[lo:hi].reshape(size, size), w[lo:hi].reshape(size, size)
+            xi, xj, wi, wj = xs.take(ib, 0), xs.take(jb, 0), ws.take(ib, 0), ws.take(jb, 0)
+            t = xi.take(jb, 1) * wj.take(ib, 1)
+            t += t.T  # numpy buffers the overlap
+            t += xi.take(ib, 1) * wj.take(jb, 1)
+            t += xj.take(jb, 1) * wi.take(ib, 1)
+            m += s @ t @ s.T
+        return m
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        """<A_k, G> for the objective (k = 0), then each constraint; G symmetric."""
+        return np.bincount(mat, coef * g[col], kcount + 1).astype(float, copy=False)
+
+    def adjoint(w: np.ndarray) -> np.ndarray:
+        """sum_k w_k A_k, w[0] weighing the objective: half of each coefficient at (i, j), half at (j, i)."""
+        return np.bincount(np.concatenate((col, mirror)), np.tile(coef * w[mat] / 2, 2), starts[-1]).astype(float)
+
+    def sym_product(a: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The symmetric part of A G W, block by block."""
+        out = a * g * w
         for lo, hi, size in squares:
-            p = x[lo:hi].reshape(size, size)
-            z[lo:hi] = (p.T @ p).ravel()
-        v = np.bincount(mat, coef * z[col], kcount + 1).astype(float, copy=False)
-        v[1:] -= instance._bounds
-        return v
+            p = a[lo:hi].reshape(size, size) @ g[lo:hi].reshape(size, size) @ w[lo:hi].reshape(size, size)
+            out[lo:hi] = ((p + p.T) / 2).ravel()
+        return out
+
+    def inverse_factors(v: np.ndarray) -> List[np.ndarray]:
+        """L^-1 for each "s" block L L^T of v."""
+        return [np.linalg.inv(np.linalg.cholesky(v[lo:hi].reshape(size, size))) for lo, hi, size in squares]
+
+    def step(v: np.ndarray, dv: np.ndarray, invs: List[np.ndarray]) -> float:
+        """0.95 of the largest step along dv that keeps v positive definite, at most 1."""
+        worst = float((dv[flat] / v[flat]).min(initial=0.0))
+        for (lo, hi, size), inv in zip(squares, invs):  # the least eigenvalue of L^-1 dV L^-T
+            worst = min(worst, np.linalg.eigvalsh(inv @ dv[lo:hi].reshape(size, size) @ inv.T)[0])
+        return min(1.0, -0.95 / worst) if worst < 0 else 1.0
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
-        x0 = []
-        for kind, size in instance.blocks:
+        x, z, y, done = ident.copy(), ident.copy(), np.zeros(kcount), False
+        for (kind, size), lo, hi in zip(instance.blocks, starts, starts[1:]):
             if kind == "d":
-                x0.append((0.5 + 0.1 * gen.standard_normal(size)) ** 2)
+                x[lo:hi] = 0.5 + gen.random(size)
             else:
-                x0.append((0.4 * gen.standard_normal((size, size))).ravel())
-        x = np.concatenate(x0) if x0 else np.zeros(0)
-        lam = np.zeros(kcount)
-        rho = 10.0
-        infeas_prev = math.inf
-        evaluations = 0
-        for outer in range(1, 31):
-            def neg_lagrangian(xv: np.ndarray):
-                v = values(xv)
-                c = v[1:]
-                w = lam + rho * c
-                val = v[0] - float((lam * c + 0.5 * rho * c * c).sum())
-                # d val / d z, then through each Gram: d <M, P^T P> / d P = P (M + M^T)
-                g = np.bincount(col, coef * np.concatenate(([1.0], -w))[mat], xv.size).astype(float, copy=False)
-                for lo, hi, size in squares:
-                    m = g[lo:hi].reshape(size, size)
-                    g[lo:hi] = (xv[lo:hi].reshape(size, size) @ (m + m.T)).ravel()
-                return -val, -g
+                g = gen.standard_normal((size, size))
+                x[lo:hi] += (g @ g.T).ravel() / size
+        for iterations in range(IPM_ITERATIONS + 1):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    v = apply(x)
+                    rp, rd = bounds - v[1:], z - adjoint(np.concatenate(([-1.0], y)))  # b - A X, C - A^T y + Z
+                    gap = abs(bounds @ y - v[0]) / max(1.0, abs(v[0]))
+                    done = max(np.abs(rp).max(initial=0.0), np.abs(rd).max(initial=0.0), gap) <= tol
+                    if done or iterations == IPM_ITERATIONS or not n:
+                        break
+                    inv_x, inv_z = inverse_factors(x), inverse_factors(z)
+                    w = 1.0 / np.where(flat, z, 1.0)
+                    for (lo, hi, _), inv in zip(squares, inv_z):  # W = Z^-1 as a Gram: symmetric psd
+                        w[lo:hi] = (inv.T @ inv).ravel()
+                    m = schur(x, w)
 
-            if x.size:
-                x, used = _descend(neg_lagrangian, x, bounded)
-                evaluations += used
-            v = values(x)
-            c = v[1:]
-            infeas = float(np.abs(c).max()) if kcount else 0.0
-            lam = lam + rho * c
-            if infeas <= tol:
+                    def direction(target, corr):
+                        """dX, dy, dZ with A dX = r_p, A^T dy - dZ = r_d and X Z + sym(dX Z + X dZ) = target - corr."""
+                        h = target * w - x + sym_product(x, rd, w) - corr
+                        dy = np.zeros(kcount)
+                        try:
+                            dy[keep] = np.linalg.solve(m, (apply(h)[1:] - rp)[keep])
+                        except np.linalg.LinAlgError:  # M singular in rounding, as at a degenerate optimum
+                            dy[keep] = np.linalg.lstsq(m, (apply(h)[1:] - rp)[keep], rcond=None)[0]
+                        dz = adjoint(np.concatenate(([0.0], dy))) - rd
+                        return target * w - x - sym_product(x, dz, w) - corr, dy, dz
+
+                    dx, dy, dz = direction(0.0, 0.0)
+                    sigma = ((x + step(x, dx, inv_x) * dx) @ (z + step(z, dz, inv_z) * dz) / (x @ z)) ** 3
+                    dx, dy, dz = direction(sigma * (x @ z) / n, sym_product(dx, dz, w))
+                    primal, dual = step(x, dx, inv_x), step(z, dz, inv_z)
+                    x, y, z = x + primal * dx, y + dual * dy, z + dual * dz
+            except (np.linalg.LinAlgError, FloatingPointError):  # rounding broke definiteness, or divergence
                 break
-            if infeas > 0.25 * infeas_prev:
-                rho = min(rho * 10.0, 1e9)
-            infeas_prev = infeas
-        # a block-diagonal factor, so the Gram really is the block variable
-        factor = np.zeros((n, n))
+        factor = np.zeros((n, n))  # each block's factor: (Q sqrt(L))^T from X = Q L Q^T, or diag(sqrt(x))
         for off, (kind, size), lo, hi in zip(instance.block_offsets, instance.blocks, starts, starts[1:]):
-            seg = x[lo:hi]
-            part = np.diag(np.sqrt(seg)) if kind == "d" else seg.reshape(size, size)
+            if kind == "d":
+                part = np.diag(np.sqrt(x[lo:hi]))
+            else:
+                lam, q = np.linalg.eigh(x[lo:hi].reshape(size, size))
+                part = (q * np.sqrt(np.maximum(lam, 0.0))).T
             factor[off : off + size, off : off + size] = part
-        value = float(v[0]) + instance.constant  # v and infeas above are this x's
-        return factor, value, infeas, infeas <= tol, {"outer_iterations": outer, "evaluations": evaluations}
+        v = np.bincount(mat, coef * (factor.T @ factor)[instance._i, instance._j], kcount + 1).astype(float)
+        residual = float(np.abs(v[1:] - bounds).max(initial=0.0))
+        return factor, float(v[0]) + instance.constant, residual, done and residual <= tol, {"iterations": iterations}
 
-    return restart, lambda residual: (
-        f"feasibility residual {residual:.3g} above tolerance {tol} after the outer budget"
-    )
+    return restart, lambda residual: (f"feasibility residual {residual:.3g} above tolerance {tol}" if residual > tol
+                                      else f"duality gap above {tol}") + " within the interior-point iteration budget"
 
 
 def solve_sdp_lowrank(
@@ -507,22 +507,20 @@ def solve_sdp_lowrank(
     """Best-of-restarts factorized solve; deterministic for a fixed seed.
 
     Unit-diagonal single-block instances take the coordinate-ascent path at
-    rank min(n, ceil(sqrt(2n))+1); anything else runs an augmented-Lagrangian
-    ascent at full rank per symmetric block, diagonal blocks as nonnegative
-    bounded vectors.  The best restart is the feasible one of largest value (the
-    largest value when none is feasible), the first such; only its factor is
-    held while later restarts run.  `spread` is the max - min of the
-    feasible restarts' values (of all restarts when none is feasible); it
-    bounds nothing, the distance to the SDP optimum included.  Raises
-    ConvergenceError, with the best iterate attached, when no restart meets
-    the feasibility tolerance.
+    rank min(n, ceil(sqrt(2n))+1); anything else takes the interior-point
+    path (_interior_point) at full rank per block.  The best restart is the
+    feasible one of largest value (the largest value when none is), the first
+    such; only its factor is held while later restarts run.  `spread` is the
+    max - min of the feasible restarts' values (of all when none is); it
+    bounds nothing.  Raises ConvergenceError, with the best iterate attached,
+    when no restart meets the tolerance.
     """
     if not 1 <= restarts <= RESTART_BUDGET:
         raise InvalidParameterError(f"restarts must be in 1..{RESTART_BUDGET}, got {restarts}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would accept any iterate
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     gens, seed = _restart_generators(rng, restarts)
-    path = _mixing if _unit_diagonal_form(instance) else _augmented_lagrangian
+    path = _mixing if _unit_diagonal_form(instance) else _interior_point
     restart, failure = path(instance, tol)
     runs = []  # every restart's (value, residual, ok, counters)
 

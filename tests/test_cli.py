@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from uglab.constructions import InapproxPair, good_edges
 from uglab.errors import StrategyViolationError
 from uglab.gf2 import Gf2Vector
 from uglab.instances import CspType, GroupUgInstance, WeightedCspInstance, evaluate
-from uglab.sdp import parse_sdpa
+from uglab.sdp import IPM_ITERATIONS, SCHUR_BUDGET, parse_sdpa
 
 
 def run(*argv):
@@ -340,10 +341,8 @@ def test_sdp_lc_and_gap_cli(tmp_path):
     assert data["value"] == pytest.approx(1.0, abs=1e-4)
     assert data["scale"] == 2.0
     assert (data["kind"], data["n"]) == ("lc", 14) and data["spread"] >= 0
-    assert sorted(data["stats"]) == ["evaluations", "outer_iterations"]
-    assert [len(v) for v in data["stats"].values()] == [5, 5]
-    assert all(1 <= k <= 30 for k in data["stats"]["outer_iterations"])
-    assert all(e >= 1 for e in data["stats"]["evaluations"])
+    assert list(data["stats"]) == ["iterations"] and len(data["stats"]["iterations"]) == 5
+    assert all(1 <= k <= IPM_ITERATIONS for k in data["stats"]["iterations"])
     assert parse_sdpa(dats.read_text()).n == 14
 
     gap = tmp_path / "gap.json"
@@ -451,6 +450,17 @@ def _edge_graph(path):
     return graph
 
 
+def _past_schur_budget(path):
+    # 380 binary applications on distinct scopes give 4180 LC constraints, whose
+    # 4180^2 pairs pass the budget; the index set, 1580, is within LC_SIZE_BUDGET
+    xor = CspType(2, [(0, 1), (1, 0)], 2)
+    apps = [("xor", (f"x{i}", f"x{j}"), 1) for i, j in itertools.islice(itertools.combinations(range(30), 2), 380)]
+    csp = path.parent / "big.csp"
+    inst = WeightedCspInstance(2, [f"x{i}" for i in range(30)], {"xor": xor}, apps)
+    formats.atomic_write_text(str(csp), formats.write_csp(inst))
+    return ["sdp", "lc", "--csp", csp, "--out", path.parent / "lc.json"]
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -511,12 +521,14 @@ def _bad_bytes(path):
                 "--out", p["klein"].parent / "g.json"], "error: restarts must be in 1..1000, got 1000000000000"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "k2", "--k", 10**18, "--rounds", 1],
      "error: need k in 1..1000, got 1000000000000000000"),
+    (lambda p: _past_schur_budget(p["klein"]),
+     f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
-        "gap-restarts-huge", "game-k-huge"])
+        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):

@@ -349,6 +349,21 @@ def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
             csp_brute_opt(csp(*weights))
 
 
+def test_csp_brute_budget_boundary(monkeypatch):
+    # 3 variables over q = 3: 27 assignments, solved at a budget of 27 and
+    # refused at 26 before any enumeration
+    neq = CspType(2, [(a, b) for a in range(3) for b in range(3) if a != b], 3)
+    csp = WeightedCspInstance(3, "xyz", {"neq": neq}, [("neq", ("x", "y"), 1), ("neq", ("y", "z"), 2)])
+    assert csp_brute_opt(csp, budget=27) == (Fraction(3), {"x": 0, "y": 1, "z": 0})
+
+    def fail(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(instances, "_enumerate", fail)
+    with pytest.raises(SearchBudgetError, match="search space 27 exceeds budget 26"):
+        csp_brute_opt(csp, budget=26)
+
+
 def test_brute_budget_error():
     inst = GroupUgInstance(2, range(6), [(i, i + 1, [v(0, 2)]) for i in range(5)])
     with pytest.raises(SearchBudgetError):
@@ -458,6 +473,14 @@ def test_lift_cap():
     inst = GroupUgInstance(2, range(3), [(0, 1, [v(0, 2)])])
     with pytest.raises(SearchBudgetError):
         label_lift(inst, max_vertices=5)
+
+
+def test_lift_cap_boundary():
+    # 3 vertices times q = 4 labels: lifted at a cap of 12, refused at 11
+    inst = GroupUgInstance(2, range(3), [(0, 1, [v(0, 2)])])
+    assert len(label_lift(inst, max_vertices=12).vertices) == 12
+    with pytest.raises(SearchBudgetError, match="lift has 12 vertices, cap is 11"):
+        label_lift(inst, max_vertices=11)
 
 
 def test_lifted_allowed_diffs_matches_materialized():

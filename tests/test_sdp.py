@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from uglab.errors import (
 )
 from uglab import sdp
 from uglab.graphs import SimpleGraph
-from uglab.instances import CspType, WeightedCspInstance, csp_brute_opt
+from uglab.instances import CspType, WeightedCspInstance, csp_brute_opt, csp_value
 from uglab.sdp import (
     GapTable,
     SdpInstance,
@@ -43,7 +44,6 @@ from uglab.sdp import (
     ROUND_SIZE_BUDGET,
     _colour_classes,
     _dense,
-    _descend,
     _mixing,
     _restart_generators,
 )
@@ -486,64 +486,105 @@ def test_only_the_best_restart_keeps_its_factor(monkeypatch):
     assert np.array_equal(got.factor, want.factor)
 
 
-def active_set_minimum(q, c, bounded):
-    """The minimizer of x^T q x / 2 + c^T x over x[bounded] >= 0, q positive
-    definite: the one active set whose stationary point is feasible with an
-    outward gradient on the active variables."""
-    n = len(c)
-    for held in itertools.product([False, True], repeat=n):
-        held = np.array(held)
-        if (held & ~bounded).any():
-            continue
-        x, free = np.zeros(n), ~held
-        x[free] = np.linalg.solve(q[np.ix_(free, free)], -c[free])
-        g = q @ x + c
-        if (x[bounded] >= -1e-12).all() and (g[held] >= -1e-12).all():
-            return x
-    raise AssertionError("no active set satisfies the optimality conditions")
+def basic_feasible_optimum(a, b, c):
+    """max c^T x over a x = b, x >= 0, for a feasible and bounded LP: the best
+    basic feasible solution, over every linearly independent set of columns."""
+    best = -math.inf
+    for size in range(len(c) + 1):
+        for cols in map(list, itertools.combinations(range(len(c)), size)):
+            x = np.zeros(len(c))
+            if size:
+                if np.linalg.matrix_rank(a[:, cols]) < size:
+                    continue
+                x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            if np.abs(a @ x - b).max() <= 1e-9 and x.min() >= -1e-9:
+                best = max(best, float(c @ x))
+    return best
 
 
 @st.composite
-def bounded_quadratics(draw):
-    n = draw(st.integers(1, 6))
-    m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
-    c = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=float)
-    bounded = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    starts = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
-    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
-    x0 = np.where(bounded, 1.0, signs) * np.array(starts)
-    return m.T @ m + np.eye(n), c, bounded, x0
+def planted_lps(draw):
+    """max c^T x over a x = b, x >= 0 with integer data: up to two random rows
+    and a last row sum x = sum x0, b = a x0 for a planted integer x0 >= 0, so
+    the LP is feasible and bounded."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+
+    a = np.vstack([ints(-3, 3, k * n).reshape(k, n), np.ones((1, n))])
+    return a, a @ ints(0, 3, n), ints(-5, 5, n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(bounded_quadratics())
-def test_descend_finds_the_minimum_of_a_bounded_convex_quadratic(problem):
-    q, c, bounded, x0 = problem
-    x, _ = _descend(lambda v: (0.5 * v @ q @ v + c @ v, q @ v + c), x0, bounded)
-    assert (x[bounded] >= 0.0).all()
-    assert np.abs(x - active_set_minimum(q, c, bounded)).max() <= 1e-6
+def diagonal_sdp(a, b, c):
+    """The LP as an SdpInstance of one "d" block."""
+    def diag(row):
+        return SymMatrix({(i, i): float(v) for i, v in enumerate(row) if v})
+
+    return SdpInstance(len(c), diag(c), [(diag(row), float(bk)) for row, bk in zip(a, b)], blocks=[("d", len(c))])
 
 
-def test_descend_reports_every_call_of_its_objective():
-    calls = []
-
-    def fun(v):
-        calls.append(v.copy())
-        return float(((v - 1.0) ** 4).sum() + v[0] * v[1]), 4 * (v - 1.0) ** 3 + v[::-1]
-
-    x, evaluations = _descend(fun, np.array([3.0, -2.0]), np.array([True, False]))
-    assert evaluations == len(calls) > 2
-    assert any(np.array_equal(x, v) for v in calls)
+@settings(max_examples=150, deadline=None)
+@given(planted_lps(), st.integers(0, 2**32 - 1))
+def test_interior_point_matches_the_best_basic_feasible_solution(lp, seed):
+    a, b, c = lp
+    sol = solve_sdp_lowrank(diagonal_sdp(a, b, c), tol=1e-9, restarts=1, rng=seed)
+    assert abs(sol.value - basic_feasible_optimum(a, b, c)) <= 1e-6
+    assert sol.residual <= 1e-9 and 1 <= sol.stats["iterations"][0] <= sdp.IPM_ITERATIONS
 
 
-def test_descend_moves_a_bounded_variable_off_zero_along_an_inward_gradient():
-    # a distribution entry held as mu = x^2 had a zero gradient at x = 0 and
-    # never left it; held directly, bounded at 0, it must move to its optimum
-    x, evaluations = _descend(lambda v: ((v[0] - 1.0) ** 2, 2.0 * (v - 1.0)), np.zeros(1), np.array([True]))
-    assert x[0] == pytest.approx(1.0, abs=1e-9) and evaluations >= 2
-    # with the gradient pointing outward it stays at the bound, after one call
-    x, evaluations = _descend(lambda v: ((v[0] + 1.0) ** 2, 2.0 * (v + 1.0)), np.zeros(1), np.array([True]))
-    assert (x[0], evaluations) == (0.0, 1)
+@st.composite
+def small_weighted_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    return SimpleGraph(range(n), edges), {e: draw(FRACS) for e in edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_weighted_graphs(), st.integers(0, 2**32 - 1))
+def test_cut_relaxation_agrees_on_both_paths(graph, seed):
+    # 2 X_ii = 2 holds X_ii at 1 as well, but is not unit-diagonal form: the
+    # interior-point path solves what the mixing path solves
+    cut = build_maxcut_sdp(*graph)
+    doubled = [(SymMatrix({(i, i): 2.0}), 2.0) for i in range(cut.n)]
+    other = SdpInstance(cut.n, cut.objective, doubled, constant=cut.constant)
+    mixed = solve_sdp_lowrank(cut, restarts=1, rng=seed)
+    interior = solve_sdp_lowrank(other, tol=1e-9, restarts=1, rng=seed)
+    assert list(mixed.stats) == ["sweeps"] and list(interior.stats) == ["iterations"]
+    assert abs(mixed.value - interior.value) <= 1e-6
+
+
+def test_dependent_consistent_constraints_solve():
+    # max 2 X_01 with X_00 = 1 given twice and X_00 + X_11 = 2 implied by the rest
+    one = SymMatrix({(0, 0): 1.0})
+    cons = [(one, 1.0), (one, 1.0), (SymMatrix({(1, 1): 1.0}), 1.0), (SymMatrix({(0, 0): 1.0, (1, 1): 1.0}), 2.0)]
+    sol = solve_sdp_lowrank(SdpInstance(2, SymMatrix({(0, 1): 2.0}), cons))
+    assert sol.value == pytest.approx(2.0, abs=1e-6) and sol.residual <= 1e-6
+
+
+def test_schur_budget_boundary(monkeypatch):
+    # M holds one entry per pair of constraints: solved at K^2, refused at
+    # K^2 - 1 before any array of that size is built
+    inst = build_lc_relaxation(xor_cycle_csp(4))
+    limit = len(inst.constraints) ** 2
+    monkeypatch.setattr(sdp, "SCHUR_BUDGET", limit)
+    assert solve_sdp_lowrank(inst, restarts=1).value == pytest.approx(1.0, abs=1e-6)
+    monkeypatch.setattr(sdp, "SCHUR_BUDGET", limit - 1)
+    with pytest.raises(SearchBudgetError, match=f"{limit} constraint pairs in the Newton system exceed {limit - 1}"):
+        solve_sdp_lowrank(inst, restarts=1)
+    # 2000 constraints: refused without allocating anything near 2000^2 doubles
+    cons = [(SymMatrix({(i % 50, 50 + i // 50): 1.0}), 0.0) for i in range(2000)]
+    big = SdpInstance(90, SymMatrix(), cons)
+    monkeypatch.setattr(sdp, "SCHUR_BUDGET", 2000**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetError):
+            solve_sdp_lowrank(big, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000**2 * 8 / 20
 
 
 @pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
@@ -570,6 +611,14 @@ def test_infeasible_instance_raises_with_best():
         solve_sdp_lowrank(inst)
     assert isinstance(err.value.best, SdpSolution)
     assert err.value.best.residual > 1e-6
+
+
+def test_unbounded_instance_raises_with_best():
+    # max X_00 with no constraint has no optimum: the iterates grow until a step
+    # overflows, which ends the restart unconverged
+    with pytest.raises(ConvergenceError, match="duality gap above 1e-06") as err:
+        solve_sdp_lowrank(SdpInstance(1, SymMatrix({(0, 0): 1.0})), restarts=1)
+    assert err.value.best.residual == 0.0 and err.value.best.value > 1e6
 
 
 # -- label-distribution relaxation ----------------------------------------------
@@ -683,6 +732,25 @@ def test_lc_xor8_reaches_its_integral_optimum():
     inst = build_lc_relaxation(csp)
     for seed in range(3):
         assert solve_sdp_lowrank(inst, restarts=1, rng=seed).value >= 11 / 12 - 1e-4
+
+
+def xor_csp(nv, rng, chords):
+    """XOR cycle over nv variables plus random XOR/EQ chords, as perfbench's sdp workload draws it."""
+    xor, eq = CspType(2, [(0, 1), (1, 0)], 2), CspType(2, [(0, 0), (1, 1)], 2)
+    apps = [("xor", (f"x{i}", f"x{(i + 1) % nv}"), 1) for i in range(nv)]
+    pairs = [(i, j) for i in range(nv) for j in range(i + 2, nv) if (i, j) != (0, nv - 1)]
+    for i, j in rng.sample(pairs, chords):
+        apps.append((rng.choice(["xor", "eq"]), (f"x{i}", f"x{j}"), 1))
+    return WeightedCspInstance(2, [f"x{i}" for i in range(nv)], {"xor": xor, "eq": eq}, apps)
+
+
+def test_lc_solves_the_40_variable_xor_instance():
+    # 484 constraints; the augmented Lagrangian stopped infeasible after its 30 outer iterations
+    csp = xor_csp(40, random.Random(2), 4)
+    sol = solve_sdp_lowrank(build_lc_relaxation(csp), restarts=1)
+    alternating = csp_value(csp, {f"x{i}": i % 2 for i in range(40)}) / csp.abs_weight()
+    assert alternating >= Fraction(40, 44)
+    assert float(alternating) <= sol.value <= 1.0 + 1e-6 and sol.residual <= 1e-6
 
 
 def test_lc_rejects_repeated_scope_variable():
