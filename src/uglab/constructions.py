@@ -28,6 +28,7 @@ from .instances import GroupUgInstance
 
 # Klein four-group as F_2^2; e is the identity
 KLEIN = {"e": 0, "a": 1, "b": 2, "c": 3}
+COPS_BUDGET = 100  # k of cops_robbers_graph(k), whose 2k(k-1) vertices every pursuit command builds
 
 
 def klein_vec(name: str) -> Gf2Vector:
@@ -237,10 +238,13 @@ def cops_robbers_graph(k: int) -> SimpleGraph:
     vertices, which keeps the result bipartite.
 
     k = 2 would need 2-vertex cycles (a multigraph), so the k = 3 graph is
-    returned for it instead. Each k's graph is built once and shared.
+    returned for it instead. Each k's graph is built once and shared; k
+    above COPS_BUDGET is refused before anything is built.
     """
     if k < 2:
         raise InvalidParameterError("need k >= 2")
+    if k > COPS_BUDGET:
+        raise InvalidParameterError(f"need k <= {COPS_BUDGET}, got {k}")
     return _cops_graph(max(k, 3))[0]
 
 
@@ -613,6 +617,7 @@ def random_inapprox_pair(
 
 __all__ = [
     "KLEIN",
+    "COPS_BUDGET",
     "klein_vec",
     "unsat_complete_graph",
     "klein_pair",

@@ -5,14 +5,15 @@ allowed differences, x_u + x_v = z), permutation unique games (a(u) =
 pi(a(v))), and weighted CSPs with exact rational weights. Satisfiability
 fractions are fractions.Fraction throughout; no floats on this path.
 
-Brute force runs one mixed-radix enumerator, both unique-games kinds one
-connected component at a time; `lifted_opt` hands the same kind of input,
-tables of any scope, to bucket elimination. Both return the lex-least
-optimum and score in the narrowest exact integer type (int8 for unique
-games below 128 tables). The spanning-tree oracle works on int labels and
-reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels appear only in the
-witnesses returned. numpy is imported inside the solvers that use it, so
-commands that never call them start without it.
+Every exact optimum but the spanning-tree oracle's comes from one engine,
+bucket elimination over integer tables of any scope: brute force hands it
+both unique-games kinds one connected component at a time and weighted CSPs
+whole, and `lifted_opt` tables over label-count profiles. It returns the
+lex-least optimum and scores in the narrowest exact integer type (int8 for
+unique games below 128 tables). The spanning-tree oracle works on int
+labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels appear
+only in the witnesses returned. numpy is imported inside the solvers that
+use it, so commands that never call them start without it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 
-DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments enumerated, or entries of the largest elimination table
+DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments of a brute-force search space, or entries of an elimination table
 DEFAULT_TREE_BUDGET = 1_000_000  # (tree, diff-choice) evaluations performed
 DEFAULT_LIFT_VERTEX_CAP = 4096
 
@@ -238,86 +239,26 @@ def csp_value(instance: WeightedCspInstance, assignment: Dict) -> Fraction:
 
 # -- brute force -----------------------------------------------------------
 
-_BLOCK = 1 << 14  # trailing assignments scored per numpy step
 
+def _eliminate(radices: Sequence[int], tables: Sequence[Tuple], budget: int) -> Tuple[int, Tuple[int, ...]]:
+    """Maximum total score over a mixed-radix space, with the lex-least argmax,
+    by bucket elimination (Dechter 1999).
 
-def _enumerate(radices: Sequence[int], tables: Sequence[Tuple], stop: int) -> Tuple[int, Tuple[int, ...]]:
-    """Maximum total score over a mixed-radix space, with the lex-least argmax.
-
-    Variable i takes the values 0..radices[i]-1; the first variable is the
-    most significant digit. Each table is (scope, integer or bool array of
-    shape (radices[i] for i in scope)), and an assignment scores the sum of
-    its table entries; a scope may be in any order and repeat a variable.
-    The trailing variables that fit one block are the axes of one array.
-    Tables that read the same leading variables are summed once, in
-    ascending-variable order, into one contiguous array of shape (their
-    radices) + block shape, so a block step is one contiguous add per
-    leading scope; tables of leading variables only add one score per head.
-    Scores are exact in the narrowest of int8..int64 that holds B, the sum of
-    each table's largest |entry| (1 for a bool table, read off its dtype),
-    which bounds every partial sum. No array allocated holds more than
-    max(product of the radices, largest table) entries. The witness is the
-    first np.argmax in C order, which is lex order, and only a strict
-    improvement replaces the best, so it is lex-least. The search stops once
-    the best score reaches `stop`, which must be an upper bound.
-    """
-    import numpy as np
-
-    k = len(radices)
-    split, size = k, 1
-    while split and (size == 1 or size * radices[split - 1] <= _BLOCK):
-        split -= 1
-        size *= radices[split]
-    trail = [i for i in range(split, k) if radices[i] > 1]  # no radix-1 axes: numpy caps ndim
-    shape = tuple(radices[i] for i in trail)
-    bound = sum(1 if table.dtype == bool else int(np.abs(table).max()) for _, table in tables)
-    dtype = np.min_scalar_type(-bound - 1)  # the narrowest signed type holding -B-1 holds every sum
-    lead_axes = [i for i in range(split) if radices[i] > 1]
-    offset = np.zeros([radices[i] for i in lead_axes], dtype)  # per head, the tables of leading variables only
-    groups: Dict[Tuple[int, ...], "np.ndarray"] = {(): np.zeros(shape, dtype)}  # by leading scope
-    for scope, table in tables:
-        axes = sorted(set(scope))
-        if list(scope) != axes:
-            table = np.einsum(table, [axes.index(i) for i in scope], range(len(axes)))
-        if max(axes, default=-1) < split:
-            offset += table.reshape([radices[i] if i in axes else 1 for i in lead_axes])
-            continue
-        lead = tuple(i for i in axes if i in lead_axes)
-        lead_shape = tuple(radices[i] for i in lead)
-        if lead not in groups:
-            groups[lead] = np.zeros(lead_shape + shape, dtype)
-        groups[lead] += table.reshape(lead_shape + tuple(r if i in axes else 1 for i, r in zip(trail, shape)))
-    if len(groups) > 1:  # fold the trailing-only tables into a leading scope's array: one add fewer per head
-        groups[list(groups)[1]] += groups.pop(())
-
-    best, best_at = None, ()
-    for head in itertools.product(*(range(r) for r in radices[:split])):
-        scores = None
-        for lead, group in groups.items():
-            part = group[tuple(head[i] for i in lead)]
-            scores = part if scores is None else scores + part
-        j = int(np.argmax(scores))
-        score = int(scores.flat[j]) + int(offset[tuple(head[i] for i in lead_axes)])
-        if best is None or score > best:
-            digits = dict(zip(trail, np.unravel_index(j, shape)))
-            best, best_at = score, head + tuple(int(digits.get(i, 0)) for i in range(split, k))
-            if best >= stop:
-                break
-    return best, best_at
-
-
-def _eliminate(radices: Sequence[int], tables: Sequence[Tuple]) -> Tuple[int, Tuple[int, ...]]:
-    """`_enumerate`'s answer on its input, by bucket elimination (Dechter 1999).
-
-    Radix-1 variables leave every scope. The last variable goes first: the
-    tables and messages whose last variable it is sum into one combined table
-    over their scopes' union, and its maximum over that variable is a message
-    to the next-last one. The largest combined table is sized from the scopes
-    alone and checked against DEFAULT_BRUTE_BUDGET before any array is read.
-    Scores are exact in `_enumerate`'s type, as every message is a maximum of
-    partial sums. Decoding goes from the first variable up: with the labels
-    before it fixed, its bucket scores each label by its best completion up
-    to a constant, so the first argmax keeps the optimum, lex-least.
+    Variable i takes the values 0..radices[i]-1; lex order reads the first
+    variable as the most significant digit. Each table is (scope, integer or
+    bool array of shape (radices[i] for i in scope)), and an assignment
+    scores the sum of its table entries; a scope may be in any order and
+    repeat a variable. Radix-1 variables leave every scope. The last variable
+    goes first: the tables and messages whose last variable it is sum into
+    one combined table over their scopes' union, whose maximum over that
+    variable is a message to the next-last one, and whose first argmax over
+    it is kept. The largest combined table is sized from the scopes alone
+    and checked against `budget` before any array is read. Scores are exact
+    in the narrowest of int8..int64 that holds B, the sum of each table's
+    largest |entry| (1 for a bool table), which bounds every message.
+    Decoding goes from the first variable up: with the labels before it
+    fixed, its kept argmax is the first label with the best completion, so
+    the optimum is kept and the witness is lex-least.
     """
     import numpy as np
 
@@ -327,8 +268,8 @@ def _eliminate(radices: Sequence[int], tables: Sequence[Tuple]) -> Tuple[int, Tu
     for axes in filter(None, kept):
         held[axes[-1]].update(axes)
     for i in reversed(range(k)):
-        if math.prod(radices[j] for j in held[i]) > DEFAULT_BRUTE_BUDGET:
-            raise SearchBudgetError(f"elimination table over {sorted(held[i])} exceeds budget {DEFAULT_BRUTE_BUDGET}")
+        if math.prod(radices[j] for j in held[i]) > budget:
+            raise SearchBudgetError(f"elimination table over {sorted(held[i])} exceeds budget {budget}")
         held[max(held[i] - {i}, default=i)].update(held[i] - {i})
     dtype = np.min_scalar_type(-1 - sum(1 if t.dtype == bool else int(np.abs(t).max()) for _, t in tables))
     buckets = [[] for _ in range(k + 1)]  # per variable, (axes, array) whose last axis it is; constants last
@@ -337,23 +278,24 @@ def _eliminate(radices: Sequence[int], tables: Sequence[Tuple]) -> Tuple[int, Tu
         if list(scope) != full:
             table = np.einsum(table, [full.index(i) for i in scope], range(len(full)))
         buckets[axes[-1] if axes else k].append((axes, table.reshape([radices[i] for i in axes]).astype(dtype)))
+    argmax = [None] * k  # per variable, the axes before it in its combined table and its first argmax there
     for i in reversed(range(k)):
         axes = sorted(held[i])
         combined = np.zeros([radices[j] for j in axes], dtype)
         for scope, table in buckets[i]:
             combined += table.reshape([radices[j] if j in scope else 1 for j in axes])
         buckets[axes[-2] if len(axes) > 1 else k].append((axes[:-1], combined.max(axis=-1)))
+        argmax[i] = axes[:-1], combined.argmax(axis=-1)
     values: List[int] = []
-    for i in range(k):
-        parts = [table[tuple(values[j] for j in scope[:-1])] for scope, table in buckets[i]]
-        values.append(int(np.argmax(sum(parts, np.zeros(radices[i], dtype)))))
+    for before, arg in argmax:
+        values.append(int(arg[tuple(values[j] for j in before)]))
     return sum(int(table) for _, table in buckets[k]), tuple(values)
 
 
 def _ug_components(instance):
     """(vertices, radices, tables) per component of a unique game, in
-    ``SimpleGraph.components`` order; tables() builds `_enumerate`'s and
-    `_eliminate`'s input, T[a, b] = mask[a ^ b] per bundle (mask: its bits)
+    ``SimpleGraph.components`` order; tables() builds `_eliminate`'s input,
+    one bool table per bundle, T[a, b] = mask[a ^ b] (mask: its bits),
     or (a == perm[b]) per a(u) = perm(a(v)). A group component's first vertex
     is fixed to zero, radix 1, as a global shift keeps every count."""
     import numpy as np
@@ -377,11 +319,13 @@ def _ug_components(instance):
 
 
 def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
-    """Exact maximum satisfied count by exhaustion, with lex-least witness.
+    """Exact maximum satisfied count, with lex-least witness.
 
-    One component at a time, on `_ug_components`' bool tables (int8 scores
-    below 128 tables); the union of their lex-least optima is lex-least. The
-    budget bounds each component's search space, checked before its tables.
+    `_eliminate` solves one component at a time on `_ug_components`' bool
+    tables (int8 scores below 128 tables); the union of their lex-least
+    optima is lex-least. The budget bounds each component's search space,
+    checked before its tables are built; no elimination table is larger than
+    that space, so the same budget passed on never binds there.
     """
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
@@ -391,8 +335,7 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
         space = math.prod(radices)
         if space > budget:
             raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-        built = tables()
-        c, values = _enumerate(radices, built, len(built))
+        c, values = _eliminate(radices, tables(), budget)
         count += c
         witness.update(zip(comp, map(label, values)))
     return count, _fraction(count, instance.constraint_count), witness
@@ -401,15 +344,15 @@ def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fracti
 def csp_brute_opt(
     instance: WeightedCspInstance, budget: Optional[int] = None
 ) -> Tuple[Fraction, Dict]:
-    """Exact maximum weight by exhaustion, with lex-least witness.
+    """Exact maximum weight, with lex-least witness.
 
     Weights are scaled by the LCM L of their denominators, so each
     application becomes an integer table, its type's 0/1 table times w*L, for
-    the enumerator behind brute_force_opt, which scores in the narrowest
-    integer type that holds the scaled absolute weight; the optimum comes
-    back exactly as Fraction(best, L). The search stops early once it reaches
-    the sum of the positive weights. Raises SearchBudgetError when the space
-    exceeds the budget or the scaled absolute weights do not sum below 2^63.
+    `_eliminate`, which scores in the narrowest integer type that holds the
+    scaled absolute weight; the optimum comes back exactly as
+    Fraction(best, L). Raises SearchBudgetError, before any table is built,
+    when the search space q^|V| exceeds the budget or the scaled absolute
+    weights do not sum below 2^63.
     """
     import numpy as np
 
@@ -432,7 +375,7 @@ def csp_brute_opt(
             masks[tname] = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
             masks[tname][tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = 1
         tables.append((tuple(pos[x] for x in var_tuple), masks[tname] * value))
-    best, values = _enumerate([instance.q] * len(vs), tables, sum(max(value, 0) for value in scaled))
+    best, values = _eliminate([instance.q] * len(vs), tables, budget)
     return Fraction(best, scale), dict(zip(vs, values))
 
 
@@ -525,7 +468,7 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
     pos = {v: i for i, v in enumerate(instance.vertices)}
     pair = lambda diffs: sum(P @ P[:, [a ^ z.bits for a in range(q)]].T for z in diffs)
     tables = [((pos[u], pos[v]), pair(diffs)) for u, v, diffs in instance.bundles]
-    best, chosen = _eliminate([n_profiles] * len(pos), tables)
+    best, chosen = _eliminate([n_profiles] * len(pos), tables, DEFAULT_BRUTE_BUDGET)
     witness: Dict = {}
     for v, p in zip(instance.vertices, chosen):
         labels = [a for a in range(q) for _ in range(profiles[p][a])]  # sorted multiset

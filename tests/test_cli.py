@@ -490,6 +490,12 @@ def _bad_bytes(path):
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", -4, "--out", p["klein"].parent / "g.json"],
      "error: need max_rounds >= 0, got -4"),
     (lambda p: ["gen", "klein", "--cops", 0, "--out-dir", p["klein"].parent / "x"], "error: need k >= 2"),
+    (lambda p: ["gen", "klein", "--cops", 100000, "--out-dir", p["klein"].parent / "x"],
+     "error: need k <= 100, got 100000"),
+    (lambda p: ["gen", "cops-graph", "--k", 100000, "--out", p["klein"].parent / "c.graph"],
+     "error: need k <= 100, got 100000"),
+    (lambda p: ["gen", "random-pair", "--base", "cops:100000", "--out-dir", p["tree"].parent / "x"],
+     "error: need k <= 100, got 100000"),
     (lambda p: ["report", "--dir", p["klein"].parent / "missing", "--out", p["klein"].parent / "r.json"],
      lambda p: f"error: --dir '{p['klein'].parent / 'missing'}' is not a directory"),
     (lambda p: ["report", "--dir", p["klein"], "--out", p["klein"].parent / "r.json"],
@@ -524,7 +530,8 @@ def _bad_bytes(path):
     (lambda p: _past_schur_budget(p["klein"]),
      f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
-        "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "report-dir-missing",
+        "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "klein-cops-huge",
+        "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",

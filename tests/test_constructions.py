@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from uglab import formats
+from uglab import constructions
 from uglab.constructions import (
+    COPS_BUDGET,
     InapproxPair,
     KLEIN,
     ParamSet,
@@ -279,6 +281,19 @@ def test_cops_robbers_graph_k3_girth():
 def test_cops_robbers_rejects_k1():
     with pytest.raises(InvalidParameterError):
         cops_robbers_graph(1)
+
+
+def test_cops_robbers_graph_budget_boundary(monkeypatch):
+    # built at the budget, which admits the k = 60 above; one past it is
+    # refused before any vertex is made
+    assert cops_robbers_graph(COPS_BUDGET).n == 2 * COPS_BUDGET * (COPS_BUDGET - 1)
+
+    def fail(k):
+        raise AssertionError("graph construction started")
+
+    monkeypatch.setattr(constructions, "_cops_graph", fail)
+    with pytest.raises(InvalidParameterError, match=f"need k <= {COPS_BUDGET}, got {COPS_BUDGET + 1}"):
+        cops_robbers_graph(COPS_BUDGET + 1)
 
 
 # -- robber moves ---------------------------------------------------------------------

@@ -132,6 +132,24 @@ def test_play_game_rejects_an_empty_universe_and_negative_rounds():
     assert play_game(A, A, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 0)["rounds"] == []
 
 
+def test_play_game_with_one_pebble_pair():
+    _, _, A, _, _, _, _ = klein_lifts()
+    t = play_game(A, A, 1, duplicator_identity(2), RandomSpoiler(random.Random(3)), 6)
+    assert t["winner"] is None and t["survived"] == 6
+    assert [r["picked"] for r in t["rounds"]] == [0] * 6
+
+
+def test_play_game_rejects_a_spoiler_slot_past_k():
+    _, _, A, _, _, _, _ = klein_lifts()
+
+    class PastTheEnd(RandomSpoiler):
+        def pick_up(self, view):
+            return view.k
+
+    with pytest.raises(InvalidParameterError, match=r"spoiler picked slot 2 outside 0\.\.1"):
+        play_game(A, A, 2, duplicator_identity(2), PastTheEnd(random.Random(0)), 3)
+
+
 def test_identity_duplicator_loses_on_the_pair():
     _, _, A, B, _, _, _ = klein_lifts()
     line = find_winning_line(A, B, 2, lambda: duplicator_identity(2), depth=2)

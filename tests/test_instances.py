@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,11 +172,6 @@ def test_brute_root_fixing_matches_full_search():
         assert witness[vs[0]] == v(0, inst.m)  # lex-least optimum always has a zero root
 
 
-# the default block, and blocks small enough that the leading variables of
-# these instances run in several steps
-BLOCKS = (instances._BLOCK, 1, 4)
-
-
 def _first_strict_max(domains, score):
     """Plain product enumeration: the first assignment with the best score."""
     best, best_at = None, None
@@ -189,11 +183,10 @@ def _first_strict_max(domains, score):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from([0, 1, 3]))
-def test_enumerate_matches_product_enumeration(rng, slack):
+@given(st.randoms(use_true_random=False))
+def test_eliminate_matches_product_enumeration(rng):
     # mixed radices with radix 1 anywhere, scopes of arity 1-3 in any order
-    # that may repeat a variable, entries of either sign or zero, and a stop
-    # that is the optimum (reached) or above it (never reached)
+    # that may repeat a variable, and entries of either sign or zero
     radices = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
     tables = []
     for _ in range(rng.randint(0, 5) if radices else 0):
@@ -205,9 +198,7 @@ def test_enumerate_matches_product_enumeration(rng, slack):
         [range(r) for r in radices],
         lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
     )
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert instances._enumerate(radices, tables, best + slack) == (best, best_at)
+    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
 
 
 # sums of largest |entry| at and just past the int8, int16 and int32 maxima,
@@ -217,7 +208,7 @@ SCORE_BOUNDS = (127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**40)
 
 @settings(max_examples=80, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from(SCORE_BOUNDS), st.sampled_from([1, -1, 0]))
-def test_enumerate_exact_at_score_type_bounds(rng, bound, sign):
+def test_eliminate_exact_at_score_type_bounds(rng, bound, sign):
     # the largest |entry| of the tables sums to exactly `bound`, and with one
     # sign every table holds its extreme on one planted assignment, so the
     # optimum (sign 1) or the lowest score (sign -1) is +-bound itself
@@ -239,9 +230,7 @@ def test_enumerate_exact_at_score_type_bounds(rng, bound, sign):
     )
     if sign > 0:
         assert best == bound
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert instances._enumerate(radices, tables, best) == (best, best_at)
+    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
 
 
 def test_brute_two_hundred_tables_on_three_vertices():
@@ -262,15 +251,7 @@ def test_brute_two_hundred_tables_on_three_vertices():
         [range(3)] * 3, lambda values: evaluate(inst, dict(zip(range(3), values)))[0]
     )
     assert best >= 160
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert brute_force_opt(inst) == (best, Fraction(best, 200), dict(zip(range(3), best_at)))
-
-
-def test_enumerate_more_radix_one_variables_than_numpy_axes():
-    radices = [1] * 80 + [3]
-    tables = [((80, 0), np.array([[1], [5], [2]], dtype=np.int64)), ((3, 79), np.array([[-1]], dtype=np.int64))]
-    assert instances._enumerate(radices, tables, 10) == (4, (0,) * 80 + (1,))
+    assert brute_force_opt(inst) == (best, Fraction(best, 200), dict(zip(range(3), best_at)))
 
 
 def _random_perm_instance(rng):
@@ -302,10 +283,7 @@ def test_brute_group_matches_product_enumeration(rng, connected):
     best, best_at = _first_strict_max(
         [all_labels(inst.m)] * len(vs), lambda values: evaluate(inst, dict(zip(vs, values)))[0]
     )
-    expected = (best, evaluate(inst, dict(zip(vs, best_at)))[1], dict(zip(vs, best_at)))
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert brute_force_opt(inst) == expected
+    assert brute_force_opt(inst) == (best, evaluate(inst, dict(zip(vs, best_at)))[1], dict(zip(vs, best_at)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,18 +295,14 @@ def test_brute_perm_and_csp_match_product_enumeration(rng):
         [range(perm.q)] * len(vs), lambda values: evaluate(perm, dict(zip(vs, values)))[0]
     )
     witness = dict(zip(vs, best_at))
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert brute_force_opt(perm) == (best, evaluate(perm, witness)[1], witness)
+    assert brute_force_opt(perm) == (best, evaluate(perm, witness)[1], witness)
 
     csp = _random_csp(rng)
     vs = csp.variables
     best, best_at = _first_strict_max(
         [range(csp.q)] * len(vs), lambda values: csp_value(csp, dict(zip(vs, values)))
     )
-    for block in BLOCKS:
-        with mock.patch.object(instances, "_BLOCK", block):
-            assert csp_brute_opt(csp) == (best, dict(zip(vs, best_at)))
+    assert csp_brute_opt(csp) == (best, dict(zip(vs, best_at)))
 
 
 def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
@@ -340,9 +314,9 @@ def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
     assert csp_brute_opt(csp(2**62, 2**62 - 1)) == (2**63 - 1, {"x": 1})
 
     def fail(*args):
-        raise AssertionError("enumeration started")
+        raise AssertionError("elimination started")
 
-    monkeypatch.setattr(instances, "_enumerate", fail)
+    monkeypatch.setattr(instances, "_eliminate", fail)
     # 1/3 scales every weight by 3: 2**62 + 1/3 becomes 3 * 2**62 + 1
     for weights in [(2**62, 2**62), (2**62, Fraction(1, 3))]:
         with pytest.raises(SearchBudgetError):
@@ -351,15 +325,15 @@ def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
 
 def test_csp_brute_budget_boundary(monkeypatch):
     # 3 variables over q = 3: 27 assignments, solved at a budget of 27 and
-    # refused at 26 before any enumeration
+    # refused at 26 before any table is built
     neq = CspType(2, [(a, b) for a in range(3) for b in range(3) if a != b], 3)
     csp = WeightedCspInstance(3, "xyz", {"neq": neq}, [("neq", ("x", "y"), 1), ("neq", ("y", "z"), 2)])
     assert csp_brute_opt(csp, budget=27) == (Fraction(3), {"x": 0, "y": 1, "z": 0})
 
     def fail(*args):
-        raise AssertionError("enumeration started")
+        raise AssertionError("elimination started")
 
-    monkeypatch.setattr(instances, "_enumerate", fail)
+    monkeypatch.setattr(instances, "_eliminate", fail)
     with pytest.raises(SearchBudgetError, match="search space 27 exceeds budget 26"):
         csp_brute_opt(csp, budget=26)
 
@@ -452,10 +426,11 @@ def test_propagate_agrees_with_brute_force():
         cons = [(u, w, rng.choice(perms_by_q[q])) for u, w in pairs[: rng.randrange(1, len(pairs) + 1)]]
         inst = PermUgInstance(q, range(n), cons)
         ok, witness = propagate_complete_sat(inst)
-        count, frac, _ = brute_force_opt(inst)
+        count, frac, lex_least = brute_force_opt(inst)
         assert ok == (frac == 1)
-        if ok:
+        if ok:  # each component's root takes its least label that propagates
             assert evaluate(inst, witness)[0] == inst.constraint_count
+            assert witness == lex_least
 
 
 # -- label lift ---------------------------------------------------------------
@@ -549,9 +524,9 @@ def test_lift_preserves_satisfiability_spot_check():
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_eliminate_matches_enumerate(rng):
-    # mixed radices with radix 1 anywhere, scopes of arity 0-3 in any order
-    # that may repeat a variable, bool tables and signed int tables whose
-    # entries reach past the int8, int16 or int32 range
+    # against product enumeration: mixed radices with radix 1 anywhere, scopes
+    # of arity 0-3 in any order that may repeat a variable, bool tables and
+    # signed int tables whose entries reach past the int8, int16 or int32 range
     radices = [rng.randint(1, 3) for _ in range(rng.randint(0, 6))]
     tables = []
     for _ in range(rng.randint(0, 7)):
@@ -563,8 +538,11 @@ def test_eliminate_matches_enumerate(rng):
             top = rng.choice([3, 100, 40_000, 2**40])
             table = np.array([rng.randint(-top, top) for _ in range(math.prod(shape))], dtype=np.int64)
         tables.append((scope, table.reshape(shape)))
-    stop = sum(int(table.max()) for _, table in tables) + 1  # above the optimum: never reached
-    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, stop)
+    best, best_at = _first_strict_max(
+        [range(r) for r in radices],
+        lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
+    )
+    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
 
 
 def test_eliminate_more_radix_one_variables_than_numpy_axes():
@@ -572,7 +550,10 @@ def test_eliminate_more_radix_one_variables_than_numpy_axes():
     # table over all 81 variables would pass numpy's dimension cap
     radices = [1] * 80 + [3]
     tables = [((i, 80), np.array([[i % 3 == 1, False, i % 3 == 2]])) for i in range(80)]
-    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, 81) == (27, (0,) * 80 + (0,))
+    assert instances._eliminate(radices, tables, 3) == (27, (0,) * 80 + (0,))
+    # scopes in either order, and a table of radix-1 variables only
+    tables = [((80, 0), np.array([[1], [5], [2]], dtype=np.int64)), ((3, 79), np.array([[-1]], dtype=np.int64))]
+    assert instances._eliminate(radices, tables, 3) == (4, (0,) * 80 + (1,))
 
 
 def _eliminate_ug(inst):
@@ -581,7 +562,7 @@ def _eliminate_ug(inst):
     label = (lambda bits: v(bits, inst.m)) if isinstance(inst, GroupUgInstance) else int
     count, witness = 0, {}
     for comp, radices, tables in instances._ug_components(inst):
-        c, values = instances._eliminate(radices, tables())
+        c, values = instances._eliminate(radices, tables(), instances.DEFAULT_BRUTE_BUDGET)
         count += c
         witness.update(zip(comp, map(label, values)))
     return count, witness
@@ -608,18 +589,32 @@ def test_pursuit_optima_through_elimination(k, u1_opt, u2_opt):
             assert brute_force_opt(inst)[::2] == (count, witness)
 
 
-def test_eliminate_budget_is_the_largest_combined_table(monkeypatch):
+def test_eliminate_budget_is_the_largest_combined_table():
     # eliminating variable 2 combines both tables over (0, 1, 2): 2 * 3 * 4 = 24
     # entries, the largest table; variable 1's holds 6 and variable 0's 2
     radices = [2, 3, 4]
     tables = [((2, 0), np.arange(8).reshape(4, 2) % 3), ((1, 2), np.eye(3, 4, dtype=bool))]
-    monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 24)
-    assert instances._eliminate(radices, tables) == instances._enumerate(radices, tables, 10) == (3, (0, 1, 1))
-    monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 23)
-    with pytest.raises(SearchBudgetError):
-        instances._eliminate(radices, tables)
+    assert instances._eliminate(radices, tables, 24) == (3, (0, 1, 1))
+    with pytest.raises(SearchBudgetError, match=r"elimination table over \[0, 1, 2\] exceeds budget 23"):
+        instances._eliminate(radices, tables, 23)
     with pytest.raises(SearchBudgetError):  # refused from the scopes alone: no array is read
-        instances._eliminate(radices, [(scope, None) for scope, _ in tables])
+        instances._eliminate(radices, [(scope, None) for scope, _ in tables], 23)
+
+
+def test_brute_budget_above_the_default_is_honoured(monkeypatch):
+    # a caller's budget above DEFAULT_BRUTE_BUDGET solves what it admits: 4^3
+    # assignments for the group cycle and 2^4 for the CSP path, under a default
+    # of 3, which both instances' largest elimination tables (16 and 4) pass
+    group = GroupUgInstance(2, range(4), [(0, 1, [v(1, 2)]), (1, 2, [v(2, 2)]), (2, 3, [v(3, 2)]), (0, 3, [v(1, 2)])])
+    neq = CspType(2, [(0, 1), (1, 0)], 2)
+    csp = WeightedCspInstance(2, "wxyz", {"neq": neq}, [("neq", pair, 1) for pair in ("wx", "xy", "yz")])
+    expected = brute_force_opt(group), csp_brute_opt(csp)
+    assert expected == (
+        (3, Fraction(3, 4), {0: v(0, 2), 1: v(0, 2), 2: v(2, 2), 3: v(1, 2)}),
+        (3, {"w": 0, "x": 1, "y": 0, "z": 1}),
+    )
+    monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 3)
+    assert (brute_force_opt(group, budget=64), csp_brute_opt(csp, budget=16)) == expected
 
 
 def test_lifted_opt_budget_boundaries(monkeypatch):
@@ -662,6 +657,16 @@ def test_spanning_tree_budget():
     inst = random_group_instance(rng, 5, 2, 10, connected=True)
     with pytest.raises(SearchBudgetError):
         spanning_tree_opt(inst, budget=1)
+
+
+def test_spanning_tree_budget_boundary():
+    # a triangle whose bundles cannot all hold, so no search stops early: its
+    # three trees take 2 + 2 + 1 = 5 evaluations, solved at a budget of 5 and
+    # refused at 4
+    inst = GroupUgInstance(2, range(3), [(0, 1, [v(1, 2), v(2, 2)]), (1, 2, [v(1, 2)]), (0, 2, [v(1, 2)])])
+    assert spanning_tree_opt(inst, budget=5) == brute_force_opt(inst) == (2, Fraction(1, 2), {0: v(0, 2), 1: v(0, 2), 2: v(1, 2)})
+    with pytest.raises(SearchBudgetError, match="spanning tree search exceeded budget 4"):
+        spanning_tree_opt(inst, budget=4)
 
 
 def test_oracles_agree_on_an_instance_with_no_vertices(tmp_path, capsys):
