@@ -551,7 +551,12 @@ def test_eliminate_more_radix_one_variables_than_numpy_axes():
     radices = [1] * 80 + [3]
     tables = [((i, 80), np.array([[i % 3 == 1, False, i % 3 == 2]])) for i in range(80)]
     assert instances._eliminate(radices, tables, 3) == (27, (0,) * 80 + (0,))
-    # scopes in either order, and a table of radix-1 variables only
+
+
+def test_enumerate_more_radix_one_variables_than_numpy_axes():
+    # the case the product enumeration was held to, now on elimination: scopes
+    # in either order, and a table of radix-1 variables only
+    radices = [1] * 80 + [3]
     tables = [((80, 0), np.array([[1], [5], [2]], dtype=np.int64)), ((3, 79), np.array([[-1]], dtype=np.int64))]
     assert instances._eliminate(radices, tables, 3) == (4, (0,) * 80 + (1,))
 
