@@ -33,6 +33,7 @@ from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 from .instances import GroupUgInstance
 
 PEBBLE_BUDGET = 1000  # pebble pairs k of one game
+ROUNDS_BUDGET = 10_000  # rounds of one game, each one Duplicator bijection and one transcript entry
 
 
 def _check_pebbles(k: int) -> None:
@@ -152,6 +153,8 @@ def play_game(
     _check_pebbles(k)
     if max_rounds < 0:
         raise InvalidParameterError(f"need max_rounds >= 0, got {max_rounds}")
+    if max_rounds > ROUNDS_BUDGET:
+        raise InvalidParameterError(f"need max_rounds <= {ROUNDS_BUDGET}, got {max_rounds}")
     if not A.universe_size():
         raise PreconditionError("the universe is empty; there is no element to place")
     pebbles: List[Optional[Tuple]] = [None] * k

@@ -297,23 +297,42 @@ def _ug_components(instance):
     ``SimpleGraph.components`` order; tables() builds `_eliminate`'s input,
     one bool table per bundle, T[a, b] = mask[a ^ b] (mask: its bits),
     or (a == perm[b]) per a(u) = perm(a(v)). A group component's first vertex
-    is fixed to zero, radix 1, as a global shift keeps every count."""
+    is fixed to zero, radix 1, as a global shift keeps every count. The
+    masks of a component's bundles are rows of one array, set in one
+    scatter, and each a ^ b index array is built once per radix pair."""
     import numpy as np
 
     if isinstance(instance, GroupUgInstance):
         root_radix, cons = 1, instance.bundles
-        rule = lambda a, b, diffs: np.bincount([z.bits for z in diffs], minlength=instance.q).astype(bool)[a[:, None] ^ b]
+        xors = {}
+
+        def build(radices, scoped):
+            rows = np.repeat(np.arange(len(scoped)), [len(d) for _, d in scoped])
+            masks = np.zeros((len(scoped), max(radices)), dtype=bool)
+            masks[rows, [z.bits for _, d in scoped for z in d]] = True
+            out = []
+            for mask, (scope, _) in zip(masks, scoped):
+                pair = (radices[scope[0]], radices[scope[1]])
+                if pair not in xors:
+                    xors[pair] = np.arange(pair[0])[:, None] ^ np.arange(pair[1])
+                out.append((scope, mask[xors[pair]]))
+            return out
+
     elif isinstance(instance, PermUgInstance):
         root_radix, cons = instance.q, instance.constraints
-        rule = lambda a, b, perm: a[:, None] == np.array(perm)[b]
+
+        def build(radices, scoped):
+            labels = np.arange(instance.q)[:, None]
+            return [(scope, labels == np.array(perm)) for scope, perm in scoped]
+
     else:
         raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
     for comp in instance.graph().components():
         radices = [root_radix] + [instance.q] * (len(comp) - 1)
 
         def tables(comp=comp, radices=radices):
-            pos, a = {v: i for i, v in enumerate(comp)}, {r: np.arange(r) for r in radices}
-            return [((pos[u], pos[v]), rule(a[radices[pos[u]]], a[radices[pos[v]]], x)) for u, v, x in cons if u in pos]
+            pos = {v: i for i, v in enumerate(comp)}
+            return build(radices, [((pos[u], pos[v]), x) for u, v, x in cons if u in pos])
 
         yield comp, radices, tables
 

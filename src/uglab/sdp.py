@@ -12,9 +12,10 @@ is an equality <A_k, X> = b_k.
 Every solve returns a factorization X = V^T V.  Unit-diagonal cut instances
 get coordinate-ascent "mixing" at rank ceil(sqrt(2n))+1, one vectorized step
 per DSatur colour class (no objective entry joins two indices of a class, so
-that is the per-column sweep in class order), stopping on a plateau of its
-exact ascent; everything else a primal-dual interior-point method, stopping
-on its residuals and duality gap.
+that is the per-column sweep in class order), over-relaxed until a plateau of
+its exact-step ascent and then exact until the plateau holds again;
+everything else a primal-dual interior-point method, stopping on its
+residuals and duality gap.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from .graphs import SimpleGraph, normalize_edge
 from .instances import WeightedCspInstance, csp_brute_opt
 
 # desk budgets, each checked before the work it bounds
+DIMENSION_BUDGET = 4096  # matrix dimension n; a dense block of it holds 8 n^2 bytes, 128 MiB at the cap
 LC_SIZE_BUDGET = 2048  # LC index set size
 RESTART_BUDGET = 1000
 ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
 SCHUR_BUDGET = 2**24  # constraint pairs in an interior-point Newton system
 IPM_ITERATIONS = 100  # Newton steps per interior-point restart
+OVER_RELAXATION = 1.5  # mixing step factor before the exact finish; sweep counts in CHANGES.md
 
 # -- sparse symmetric matrices ----------------------------------------------
 
@@ -80,6 +83,12 @@ class SymMatrix:
 # -- instances ---------------------------------------------------------------
 
 
+def _check_dimension(n: int, where: str = "") -> None:
+    """Before any array of the instance exists: n <= DIMENSION_BUDGET."""
+    if n > DIMENSION_BUDGET:
+        raise SearchBudgetError(f"{where}matrix dimension {n} exceeds the desk budget {DIMENSION_BUDGET}")
+
+
 class SdpInstance:
     """Maximization SDP over a block-diagonal PSD variable, subject to
     equalities <A_k, X> = b_k given as (A_k, b_k) pairs in ``constraints``.
@@ -104,6 +113,7 @@ class SdpInstance:
     ) -> None:
         if n < 0:
             raise InvalidParameterError(f"matrix dimension must be >= 0, got {n}")
+        _check_dimension(n)
         self.n = n
         if blocks is None:
             blocks = [("s", n)] if n else []
@@ -305,14 +315,31 @@ def _colour_classes(instance: SdpInstance) -> List[np.ndarray]:
 def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
     """The coordinate-ascent restart and its failure message.
 
-    Each restart runs coordinate-exact ascent over unit columns at rank p.
-    A sweep takes one vectorized step per colour class: no two indices of a
-    class share an objective entry, so the step equals the per-column sweep
-    over the class's indices in ascending order.  With g_i = sum_{j != i}
-    c_ij v_j, moving v_i to u_i = g_i / |g_i| raises the objective by
-    2 (|g_i| - <v_i, g_i>) = |g_i| |u_i - v_i|^2, summed in that form, free of
-    cancellation.  The ascent is monotone, so a sweep that gains at most
-    1e-13 (1 + |value|) ends it.
+    Each restart runs coordinate ascent over unit columns at rank p (the
+    mixing method of Wang, Chang and Kolter, 2017), over-relaxed as in
+    successive over-relaxation (Young, 1950).  A sweep takes one vectorized
+    step per colour class: no two indices of a class share an objective
+    entry, so the step equals the per-column sweep over the class's indices
+    in ascending order.  With g_i = sum_{j != i} c_ij v_j, u_i = g_i / |g_i|
+    is the column's exact maximizer and d = u_i - v_i; the step moves v_i to
+    w = (v_i + omega d) / |v_i + omega d|, omega = OVER_RELAXATION.
+
+    - Every step ascends.  For omega in [1, 2) and c = <u_i, v_i> < 1,
+      <u_i, w> = (1 + (omega - 1)(1 - c)) / |v_i + omega d| is positive and
+      <u_i, w>^2 - c^2 has the sign of omega (1 - 2c) + 2c > 0, so
+      <g_i, w> > <g_i, v_i>.
+    - No division near zero: |v + omega d|^2 = 1 + omega (omega - 1) |d|^2,
+      at least 1.
+    - The plateau measure is the exact step's ascent
+      2 (|g_i| - <v_i, g_i>) = |g_i| |u_i - v_i|^2, summed in that form,
+      free of cancellation; it bounds a relaxed step's ascent from above.
+      The ascent is monotone, so a sweep that measures at most
+      1e-13 (1 + |value|) ends a phase, and the objective is computed once,
+      at the end.
+
+    After the relaxed phase's plateau the restart continues with exact
+    steps (omega = 1) until the plateau holds again, so every returned
+    factor is a fixed point of the exact step to that tolerance.
     """
     n = instance.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
@@ -330,6 +357,7 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
         norms[norms == 0] = 1.0
         v = (v / norms)[:, order]
         val = float(np.einsum("ij,ij->", v.T @ v, cd))
+        omega = OVER_RELAXATION
         # degenerate weight patterns crawl along nearly flat directions: a generous budget
         for sweeps in range(1, 30001):
             gain = 0.0
@@ -342,12 +370,19 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
                     g[:, stay], nrm[stay] = vs[:, stay], 1.0
                 g /= nrm
                 d = g - vs
-                gain += float(((d * d) @ nrm).sum())
-                vs[...] = g
+                dd = np.einsum("ij,ij->j", d, d)
+                gain += float(dd @ nrm)
+                if omega == 1.0:
+                    vs[...] = g
+                else:
+                    vs += omega * d
+                    vs /= np.sqrt(1.0 + omega * (omega - 1.0) * dd)
             val += gain
             converged = gain <= 1e-13 * (1.0 + abs(val))
             if converged:
-                break
+                if omega == 1.0:
+                    break
+                omega, converged = 1.0, False  # finish with exact steps
         val = float(np.einsum("ij,ij->", v.T @ v, cd))
         residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0), initial=0.0))
         v = v[:, np.argsort(order)]
@@ -797,6 +832,7 @@ def parse_sdpa(text: str) -> SdpInstance:
         raise InvalidParameterError(f"line {l_dims}: expected {nblocks} block sizes, got {len(dims)}")
     if 0 in dims:
         raise InvalidParameterError(f"line {l_dims}: block size must be nonzero, got 0")
+    _check_dimension(sum(map(abs, dims)), f"line {l_dims}: ")
     bvals = [_sdpa_number(tok, float, l_b) for tok in _sdpa_tokens(h_b)]
     if len(bvals) != m:
         raise InvalidParameterError(f"line {l_b}: expected {m} bounds, got {len(bvals)}")

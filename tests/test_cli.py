@@ -529,13 +529,15 @@ def _bad_bytes(path):
      "error: need k in 1..1000, got 1000000000000000000"),
     (lambda p: _past_schur_budget(p["klein"]),
      f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
+    (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", 10**12,
+                "--out", p["klein"].parent / "g.json"], "error: need max_rounds <= 10000, got 1000000000000"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "klein-cops-huge",
         "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
-        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget"])
+        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):

@@ -27,6 +27,7 @@ from uglab.errors import (
     StrategyViolationError,
 )
 from uglab.game import (
+    ROUNDS_BUDGET,
     GameView,
     _diff_table,
     GStarMap,
@@ -148,6 +149,23 @@ def test_play_game_rejects_a_spoiler_slot_past_k():
 
     with pytest.raises(InvalidParameterError, match=r"spoiler picked slot 2 outside 0\.\.1"):
         play_game(A, A, 2, duplicator_identity(2), PastTheEnd(random.Random(0)), 3)
+
+
+def test_rounds_budget_is_checked_before_round_one():
+    _, _, A, _, _, _, _ = klein_lifts()
+
+    class Started(Exception):
+        pass
+
+    class StopAtRoundOne(RandomSpoiler):
+        def pick_up(self, view):
+            raise Started
+
+    with pytest.raises(InvalidParameterError, match=f"need max_rounds <= {ROUNDS_BUDGET}, got {ROUNDS_BUDGET + 1}"):
+        play_game(A, A, 2, duplicator_identity(2), StopAtRoundOne(random.Random(0)), ROUNDS_BUDGET + 1)
+    with pytest.raises(Started):  # the cap itself is allowed: round 1 begins
+        play_game(A, A, 2, duplicator_identity(2), StopAtRoundOne(random.Random(0)), ROUNDS_BUDGET)
+    assert ROUNDS_BUDGET >= 200  # the largest --rounds of the README and its CI pipelines
 
 
 def test_identity_duplicator_loses_on_the_pair():

@@ -582,6 +582,21 @@ def test_eliminate_on_component_tables_matches_brute_force(rng):
         assert _eliminate_ug(inst) == (count, witness)
 
 
+def test_component_tables_are_bool_and_sized_by_radix():
+    # the root's radix is 1, so an m = 20 edge holds 2^20 entries, not 2^40;
+    # a lone vertex of F_2^64 gets no table and no 2^64-wide mask
+    inst = GroupUgInstance(20, ["a", "b", "c"], [("a", "b", [Gf2Vector(5, 20), Gf2Vector(9, 20)])])
+    (comp, radices, tables), (lone, lone_radices, lone_tables) = instances._ug_components(inst)
+    [(scope, table)] = tables()
+    assert (comp, radices, scope) == (("a", "b"), [1, 2**20], (0, 1))
+    assert table.dtype == bool and table.shape == (1, 2**20)
+    assert np.flatnonzero(table[0]).tolist() == [5, 9]
+    assert (lone, lone_radices, lone_tables()) == (("c",), [1], [])
+    assert brute_force_opt(GroupUgInstance(64, ["a"], []))[::2] == (0, {"a": Gf2Vector(0, 64)})
+    with pytest.raises(SearchBudgetError):  # refused before any table or label array exists
+        brute_force_opt(PermUgInstance(10**12, ["a"], []))
+
+
 @pytest.mark.parametrize("k, u1_opt, u2_opt", [(3, Fraction(1, 2), Fraction(17, 36)), (4, Fraction(1, 2), Fraction(35, 72))])
 def test_pursuit_optima_through_elimination(k, u1_opt, u2_opt):
     # brute force refuses k = 4 (4^23 assignments); at k = 3 both agree on the witness

@@ -40,6 +40,8 @@ from uglab.sdp import (
     to_sdpa,
 )
 from uglab.sdp import (
+    DIMENSION_BUDGET,
+    OVER_RELAXATION,
     RESTART_BUDGET,
     ROUND_SIZE_BUDGET,
     _colour_classes,
@@ -228,13 +230,20 @@ def bipartite_graph_sdps(draw):
     return _unit_diagonal_sdp(draw, n, pairs, min_edges=1)
 
 
-def mixing_reference(inst, order, gen, sweeps=None):
-    """Per-column coordinate ascent over the indices in the given order.
+def mixing_reference(inst, order, gen, sweeps=None, values=None):
+    """Per-column over-relaxed coordinate ascent over the indices in the
+    given order, finished with exact steps.
 
-    It runs `sweeps` sweeps or, when that is None, until a sweep's summed
-    gains |g_i| |u_i - v_i|^2 pass the mixing method's plateau test.
-    Returns the factor, the value, the initial objective, the summed gains
-    and the sweep count.
+    Column i moves to w = (v + omega d) / s, where u = g / |g|, d = u - v,
+    delta = |d|^2 and s = sqrt(1 + omega (omega - 1) delta). Once a sweep's
+    summed |g_i| delta_i passes the mixing method's plateau test, omega is
+    1 (w = u) until it passes again. It runs `sweeps` sweeps or, when that
+    is None, until that second plateau. Each step's exact ascent
+    2 <g, w - v> is summed in closed form: |g| delta (1 - 2 (omega - 1)^2
+    (1 - delta / 4) / (s (a + s))) with a = 1 + (omega - 1) delta / 2.
+    When `values` is a list, the objective after each sweep is appended.
+    Returns the factor, the value, the initial objective, the summed
+    ascents and the sweep count.
     """
     n = inst.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
@@ -245,7 +254,7 @@ def mixing_reference(inst, order, gen, sweeps=None):
     v /= norms
     start = float(np.einsum("ij,ij->", v.T @ v, c))
     rows = np.ascontiguousarray(v.T)  # row i is column i; c is symmetric, so c[i] is its column i
-    gains = 0.0
+    omega, measured, gains = OVER_RELAXATION, 0.0, 0.0
     for sweep in range(1, (sweeps or 30000) + 1):
         gain = 0.0
         for i in order.tolist():
@@ -254,11 +263,19 @@ def mixing_reference(inst, order, gen, sweeps=None):
             if nrm > 1e-15:
                 u = g / nrm
                 d = u - rows[i]
-                gain += nrm * float(d @ d)
-                rows[i] = u
-        gains += gain
-        if sweeps is None and gain <= 1e-13 * (1.0 + abs(start + gains)):
-            break
+                delta = float(d @ d)
+                s = math.sqrt(1.0 + omega * (omega - 1.0) * delta)
+                a = 1.0 + (omega - 1.0) * delta / 2.0
+                gain += nrm * delta
+                gains += nrm * delta * (1.0 - 2.0 * (omega - 1.0) ** 2 * (1.0 - delta / 4.0) / (s * (a + s)))
+                rows[i] = u if omega == 1.0 else (rows[i] + omega * d) / s
+        measured += gain
+        if values is not None:
+            values.append(float(np.einsum("ij,ji->", rows @ rows.T, c)))
+        if gain <= 1e-13 * (1.0 + abs(start + measured)):
+            if sweeps is None and omega == 1.0:
+                break
+            omega = 1.0
     v = rows.T
     value = float(np.einsum("ij,ij->", v.T @ v, c)) + inst.constant
     return v, value, start, gains, sweep
@@ -280,7 +297,7 @@ def test_mixing_equals_the_per_column_sweep_in_colour_order(inst, seed):
 @settings(max_examples=60, deadline=None)
 @given(weighted_graph_sdps(), st.integers(0, 2**32 - 1))
 def test_mixing_gains_add_up_to_the_value(inst, seed):
-    # the plateau test reads the summed gains, so they must be the ascent
+    # each step's closed-form ascent, relaxed or exact, must sum to the objective's rise
     restart, _ = _mixing(inst, 1e-6)
     _, value, _, _, counts = restart(np.random.default_rng(seed))
     order = np.concatenate(_colour_classes(inst))
@@ -318,6 +335,51 @@ def test_mixing_stops_on_the_sweep_of_the_per_column_reference():
 
 
 @settings(max_examples=60, deadline=None)
+@given(weighted_graph_sdps(), st.integers(0, 2**32 - 1))
+def test_mixing_objective_never_decreases_from_sweep_to_sweep(inst, seed):
+    # every relaxed and exact column step ascends; the reference takes the
+    # restart's steps, so its per-sweep objectives are the restart's
+    values = []
+    order = np.concatenate(_colour_classes(inst))
+    _, _, start, _, _ = mixing_reference(inst, order, np.random.default_rng(seed), values=values)
+    for before, after in zip([start] + values, values):
+        assert after >= before - 1e-12 * (1.0 + abs(before))
+
+
+def generalized_petersen_edges(n, k):
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)] + [
+        (n + i, n + (i + k) % n) for i in range(n)
+    ]
+
+
+def random_cubic(n, rng):
+    """Connected simple cubic graph from the pairing model, by rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            g = SimpleGraph(range(n), sorted(pairs))
+            if g.is_connected():
+                return g
+
+
+@pytest.mark.parametrize(
+    "graph, bound",
+    [
+        # exact steps alone take 79 and 3012 sweeps; over-relaxed, 25 and 1098
+        (SimpleGraph(range(58), generalized_petersen_edges(29, 3)), 40),
+        (random_cubic(50, random.Random(2)), 1500),
+    ],
+    ids=["GP(29,3)", "cubic50"],
+)
+def test_mixing_sweep_count_guard(graph, bound):
+    # a sweep count, not a timing: a regression to plain exact steps fails it
+    sol = solve_sdp_lowrank(build_maxcut_sdp(graph), restarts=1, rng=0)
+    assert sol.stats["sweeps"][0] <= bound
+
+
+@settings(max_examples=60, deadline=None)
 @given(weighted_graph_sdps())
 def test_colour_classes_partition_and_hold_no_objective_entry(inst):
     classes = _colour_classes(inst)
@@ -348,8 +410,7 @@ def test_colour_classes_of_a_bipartite_pattern_are_two(inst):
 def test_colour_classes_of_relabelled_generalized_petersen_graphs(n):
     # GP(n, 3) is bipartite for even n and 3-chromatic for odd n; each sweep
     # costs one step per class, so the colouring must find that number
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    edges += [(n + i, n + (i + 3) % n) for i in range(n)]
+    edges = generalized_petersen_edges(n, 3)
     rng = random.Random(n)
     for _ in range(20):
         perm = list(range(2 * n))
@@ -898,6 +959,19 @@ def test_sdpa_parse_errors_carry_line(text, lineno):
         parse_sdpa(text)
 
 
+def test_dimension_budget_boundary():
+    # checked before any array is built: a dense block of 10^12 indices would need 8 * 10^24 bytes
+    with pytest.raises(SearchBudgetError, match="^line 3: matrix dimension 999999999999 exceeds"):
+        parse_sdpa("1\n1\n999999999999\n1.0\n")
+    cap = DIMENSION_BUDGET
+    assert parse_sdpa(f"1\n2\n{cap - 1} -1\n1.0\n1 2 1 1 1.0\n").n == cap
+    with pytest.raises(SearchBudgetError, match=f"^line 3: matrix dimension {cap + 1} exceeds"):
+        parse_sdpa(f"1\n2\n{cap} -1\n1.0\n1 2 1 1 1.0\n")
+    assert SdpInstance(cap, SymMatrix()).n == cap
+    with pytest.raises(SearchBudgetError, match=f"^matrix dimension {cap + 1} exceeds"):
+        SdpInstance(cap + 1, SymMatrix())
+
+
 def test_sdpa_diagonal_block_dimension():
     a = SymMatrix({(1, 1): 1.0})
     inst = SdpInstance(2, SymMatrix({(0, 0): 1.0}), [(a, 1.0)], blocks=[("s", 1), ("d", 1)])
@@ -955,8 +1029,9 @@ def test_sdpa_round_trip_property(inst):
     assert [(a.entries, b) for a, b in back.constraints] == [(a.entries, b) for a, b in inst.constraints]
 
 
-SDPA_TOKENS = ["0", "1", "2", "3", "-1", "-2", "1.5", "-0.5", "x", "{", "}", ",", "*", '"constant', "nan", "1e3"]
-SDPA_HEADS = ["", "1\n1\n2\n1.0\n", "2\n2\n2 -2\n1.0 0.0\n"]
+SDPA_TOKENS = ["0", "1", "2", "3", "-1", "-2", "1.5", "-0.5", "x", "{", "}", ",", "*", '"constant', "nan", "1e3",
+               "999999999999"]
+SDPA_HEADS = ["", "1\n1\n2\n1.0\n", "2\n2\n2 -2\n1.0 0.0\n", "1\n1\n999999999999\n1.0\n"]
 
 
 @settings(max_examples=300, deadline=None)
