@@ -38,7 +38,7 @@ from .errors import (
     StrategyViolationError,
     UglabError,
 )
-from .gf2 import Gf2Vector
+from .gf2 import MAX_DIM, Gf2Vector
 from .graphs import SimpleGraph, petersen_graph
 from .instances import (
     DEFAULT_LIFT_VERTEX_CAP,
@@ -164,6 +164,8 @@ def _base_graph(name: str) -> SimpleGraph:
 def cmd_gen_random_pair(args) -> int:
     base = _base_graph(args.base)
     d = base.regular_degree()
+    if not 1 <= args.m <= MAX_DIM:  # before 2^m is computed
+        raise InvalidParameterError(f"dimension must be in 1..{MAX_DIM}, got {args.m}")
     params = ParamSet(
         Fraction(1), Fraction(1, 4), Fraction(1, 4), d, args.ell, args.m, args.r, 2**args.m
     )

@@ -29,6 +29,7 @@ from .instances import GroupUgInstance
 # Klein four-group as F_2^2; e is the identity
 KLEIN = {"e": 0, "a": 1, "b": 2, "c": 3}
 COPS_BUDGET = 100  # k of cops_robbers_graph(k), whose 2k(k-1) vertices every pursuit command builds
+MIN_ALPHA = Fraction(1, 10**150)  # keeps 16/alpha^2, and so the degree d, a finite float
 
 
 def klein_vec(name: str) -> Gf2Vector:
@@ -475,6 +476,11 @@ def compute_params(alpha, gamma=Fraction(1, 4), epsilon=Fraction(1, 4)) -> Param
         raise InvalidParameterError("gamma must be in (0, 1/2)")
     if not 0 < epsilon < Fraction(1, 2):
         raise InvalidParameterError("epsilon must be in (0, 1/2)")
+    if alpha < MIN_ALPHA:
+        raise InvalidParameterError("alpha must be at least 1e-150")
+    for name, x in (("gamma", gamma), ("epsilon", epsilon)):
+        if float(x) == 0:  # its log is taken as a float
+            raise InvalidParameterError(f"{name} must be at least 5e-324, the least positive float")
     coeff = 16 / float(alpha) ** 2
     shift = 2 + math.log(2) - math.log(float(epsilon))
 

@@ -7,8 +7,9 @@ fractions are fractions.Fraction throughout; no floats on this path.
 
 Every exact optimum but the spanning-tree oracle's comes from one engine,
 bucket elimination over integer tables of any scope: brute force hands it
-both unique-games kinds one connected component at a time and weighted CSPs
-whole, and `lifted_opt` tables over label-count profiles. It returns the
+both unique-games kinds and weighted CSPs whole, and `lifted_opt` tables
+over label-count profiles. Its one budget bounds the total entries of its
+tables, sized from their scopes before any is built. It returns the
 lex-least optimum and scores in the narrowest exact integer type (int8 for
 unique games below 128 tables). The spanning-tree oracle works on int
 labels and reads ``GroupUgInstance.diff_bits``; ``Gf2Vector`` labels appear
@@ -23,7 +24,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     IncompleteAssignmentError,
@@ -34,9 +35,11 @@ from .errors import (
 from .gf2 import Gf2Vector
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 
-DEFAULT_BRUTE_BUDGET = 8_000_000  # assignments of a brute-force search space, or entries of an elimination table
+DEFAULT_BRUTE_BUDGET = 8_000_000  # total entries of the elimination tables, sized before any table is built
+ELIMINATION_CEILING = 2**27  # the same total under any budget: 1 GiB at 8 bytes an entry
 DEFAULT_TREE_BUDGET = 1_000_000  # (tree, diff-choice) evaluations performed
 DEFAULT_LIFT_VERTEX_CAP = 4096
+LIFT_BUNDLE_BUDGET = 2**17  # bundles of a label lift, |E| q^2: K4 fits at m = 7 (98304), not at m = 8
 
 
 def all_labels(m: int) -> List[Gf2Vector]:
@@ -240,40 +243,45 @@ def csp_value(instance: WeightedCspInstance, assignment: Dict) -> Fraction:
 # -- brute force -----------------------------------------------------------
 
 
-def _eliminate(radices: Sequence[int], tables: Sequence[Tuple], budget: int) -> Tuple[int, Tuple[int, ...]]:
+def _eliminate(radices: Sequence[int], scopes: Sequence[Tuple], build: Callable, budget: int) -> Tuple[int, Tuple]:
     """Maximum total score over a mixed-radix space, with the lex-least argmax,
     by bucket elimination (Dechter 1999).
 
     Variable i takes the values 0..radices[i]-1; lex order reads the first
-    variable as the most significant digit. Each table is (scope, integer or
-    bool array of shape (radices[i] for i in scope)), and an assignment
-    scores the sum of its table entries; a scope may be in any order and
-    repeat a variable. Radix-1 variables leave every scope. The last variable
-    goes first: the tables and messages whose last variable it is sum into
-    one combined table over their scopes' union, whose maximum over that
-    variable is a message to the next-last one, and whose first argmax over
-    it is kept. The largest combined table is sized from the scopes alone
-    and checked against `budget` before any array is read. Scores are exact
-    in the narrowest of int8..int64 that holds B, the sum of each table's
-    largest |entry| (1 for a bool table), which bounds every message.
-    Decoding goes from the first variable up: with the labels before it
-    fixed, its kept argmax is the first label with the best completion, so
+    variable as the most significant digit. build() returns one integer or
+    bool array per scope, of shape (radices[i] for i in scope), and an
+    assignment scores the sum of their entries; a scope may be in any order
+    and repeat a variable. Radix-1 variables leave every scope. The last
+    variable goes first: the tables and messages whose last variable it is
+    sum into one combined table over their scopes' union, whose maximum over
+    that variable is a message to the next-last one, and whose first argmax
+    over it is kept. The combined tables are sized from the scopes alone, and
+    their total entries, which also bound the kept argmaxes, are checked
+    against `budget` and `ELIMINATION_CEILING` before build() is called.
+    Scores are exact in the narrowest of int8..int64 that holds B, the sum of
+    each table's largest |entry| (1 for a bool table), which bounds every
+    message. Decoding goes from the first variable up: with the labels before
+    it fixed, its kept argmax is the first label with the best completion, so
     the optimum is kept and the witness is lex-least.
     """
     import numpy as np
 
     k = len(radices)
-    kept = [[i for i in sorted(set(scope)) if radices[i] > 1] for scope, _ in tables]
+    kept = [[i for i in sorted(set(scope)) if radices[i] > 1] for scope in scopes]
     held = [{i} for i in range(k)]  # per variable, the scope of its combined table
     for axes in filter(None, kept):
         held[axes[-1]].update(axes)
+    total = 0
     for i in reversed(range(k)):
-        if math.prod(radices[j] for j in held[i]) > budget:
-            raise SearchBudgetError(f"elimination table over {sorted(held[i])} exceeds budget {budget}")
+        total += math.prod(radices[j] for j in held[i])
         held[max(held[i] - {i}, default=i)].update(held[i] - {i})
-    dtype = np.min_scalar_type(-1 - sum(1 if t.dtype == bool else int(np.abs(t).max()) for _, t in tables))
+    for limit, name in ((budget, "budget"), (ELIMINATION_CEILING, "ceiling")):
+        if total > limit:
+            raise SearchBudgetError(f"elimination tables of {total} entries in all exceed the {name} {limit}")
+    tables = build()
+    dtype = np.min_scalar_type(-1 - sum(1 if t.dtype == bool else int(np.abs(t).max()) for t in tables))
     buckets = [[] for _ in range(k + 1)]  # per variable, (axes, array) whose last axis it is; constants last
-    for (scope, table), axes in zip(tables, kept):
+    for scope, table, axes in zip(scopes, tables, kept):
         full = sorted(set(scope))
         if list(scope) != full:
             table = np.einsum(table, [full.index(i) for i in scope], range(len(full)))
@@ -292,77 +300,51 @@ def _eliminate(radices: Sequence[int], tables: Sequence[Tuple], budget: int) -> 
     return sum(int(table) for _, table in buckets[k]), tuple(values)
 
 
-def _ug_components(instance):
-    """(vertices, radices, tables) per component of a unique game, in
-    ``SimpleGraph.components`` order; tables() builds `_eliminate`'s input,
-    one bool table per bundle, T[a, b] = mask[a ^ b] (mask: its bits),
-    or (a == perm[b]) per a(u) = perm(a(v)). A group component's first vertex
-    is fixed to zero, radix 1, as a global shift keeps every count. The
-    masks of a component's bundles are rows of one array, set in one
-    scatter, and each a ^ b index array is built once per radix pair."""
-    import numpy as np
-
-    if isinstance(instance, GroupUgInstance):
-        root_radix, cons = 1, instance.bundles
-        xors = {}
-
-        def build(radices, scoped):
-            rows = np.repeat(np.arange(len(scoped)), [len(d) for _, d in scoped])
-            masks = np.zeros((len(scoped), max(radices)), dtype=bool)
-            masks[rows, [z.bits for _, d in scoped for z in d]] = True
-            out = []
-            for mask, (scope, _) in zip(masks, scoped):
-                pair = (radices[scope[0]], radices[scope[1]])
-                if pair not in xors:
-                    xors[pair] = np.arange(pair[0])[:, None] ^ np.arange(pair[1])
-                out.append((scope, mask[xors[pair]]))
-            return out
-
-    elif isinstance(instance, PermUgInstance):
-        root_radix, cons = instance.q, instance.constraints
-
-        def build(radices, scoped):
-            labels = np.arange(instance.q)[:, None]
-            return [(scope, labels == np.array(perm)) for scope, perm in scoped]
-
-    else:
-        raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
-    for comp in instance.graph().components():
-        radices = [root_radix] + [instance.q] * (len(comp) - 1)
-
-        def tables(comp=comp, radices=radices):
-            pos = {v: i for i, v in enumerate(comp)}
-            return build(radices, [((pos[u], pos[v]), x) for u, v, x in cons if u in pos])
-
-        yield comp, radices, tables
-
-
 def brute_force_opt(instance, budget: Optional[int] = None) -> Tuple[int, Fraction, Dict]:
     """Exact maximum satisfied count, with lex-least witness.
 
-    `_eliminate` solves one component at a time on `_ug_components`' bool
-    tables (int8 scores below 128 tables); the union of their lex-least
-    optima is lex-least. The budget bounds each component's search space,
-    checked before its tables are built; no elimination table is larger than
-    that space, so the same budget passed on never binds there.
+    One `_eliminate` call over the whole instance, on one bool table per
+    bundle, T[a, b] = mask[a ^ b] (the masks are rows of one array, set in
+    one scatter; each a ^ b index array is built once per radix pair), or per
+    constraint a(u) = perm(a(v)), T[a, b] = (a == perm[b]). The first vertex
+    of each group component, also its lex-first, is fixed to zero, radix 1,
+    as a global shift keeps every count and the witness lex-least.
     """
+    import numpy as np
+
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
-    label = partial(Gf2Vector, dim=instance.m) if isinstance(instance, GroupUgInstance) else int
-    count, witness = 0, {}
-    for comp, radices, tables in _ug_components(instance):
-        space = math.prod(radices)
-        if space > budget:
-            raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
-        c, values = _eliminate(radices, tables(), budget)
-        count += c
-        witness.update(zip(comp, map(label, values)))
-    return count, _fraction(count, instance.constraint_count), witness
+    vs = instance.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    radices = [instance.q] * len(vs)
+    if isinstance(instance, GroupUgInstance):
+        for comp in instance.graph().components():
+            radices[pos[comp[0]]] = 1
+        cons, label = instance.bundles, partial(Gf2Vector, dim=instance.m)
+
+        def build():
+            rows = np.repeat(np.arange(len(cons)), [len(d) for _, _, d in cons])
+            masks = np.zeros((len(cons), max(radices, default=1)), dtype=bool)
+            masks[rows, [z.bits for _, _, d in cons for z in d]] = True
+            pairs = [(radices[a], radices[b]) for a, b in scopes]
+            xors = {pair: np.arange(pair[0])[:, None] ^ np.arange(pair[1]) for pair in set(pairs)}
+            return [mask[xors[pair]] for mask, pair in zip(masks, pairs)]
+
+    elif isinstance(instance, PermUgInstance):
+        cons, label = instance.constraints, int
+
+        def build():
+            labels = np.arange(instance.q)[:, None]
+            return [labels == np.array(perm) for _, _, perm in cons]
+
+    else:
+        raise InvalidParameterError(f"cannot brute-force {type(instance).__name__}")
+    scopes = [(pos[u], pos[v]) for u, v, _ in cons]
+    count, values = _eliminate(radices, scopes, build, budget)
+    return count, _fraction(count, instance.constraint_count), dict(zip(vs, map(label, values)))
 
 
-def csp_brute_opt(
-    instance: WeightedCspInstance, budget: Optional[int] = None
-) -> Tuple[Fraction, Dict]:
+def csp_brute_opt(instance: WeightedCspInstance, budget: Optional[int] = None) -> Tuple[Fraction, Dict]:
     """Exact maximum weight, with lex-least witness.
 
     Weights are scaled by the LCM L of their denominators, so each
@@ -370,31 +352,33 @@ def csp_brute_opt(
     `_eliminate`, which scores in the narrowest integer type that holds the
     scaled absolute weight; the optimum comes back exactly as
     Fraction(best, L). Raises SearchBudgetError, before any table is built,
-    when the search space q^|V| exceeds the budget or the scaled absolute
-    weights do not sum below 2^63.
+    when the scaled absolute weights do not sum below 2^63 or the
+    elimination tables pass the budget.
     """
     import numpy as np
 
     if budget is None:
         budget = DEFAULT_BRUTE_BUDGET
     vs = instance.variables
-    space = instance.q ** len(vs)
-    if space > budget:
-        raise SearchBudgetError(f"search space {space} exceeds budget {budget}")
     scale = math.lcm(*(w.denominator for _, _, w in instance.applications))
     scaled = [int(w * scale) for _, _, w in instance.applications]
     if sum(map(abs, scaled)) >= 1 << 63:
         raise SearchBudgetError(f"weights scaled by {scale} to integers overflow int64")
     pos = {v: i for i, v in enumerate(vs)}
-    masks: Dict[str, "np.ndarray"] = {}  # per constraint type in use, the 0/1 table of its satisfying tuples
-    tables = []
-    for (tname, var_tuple, _), value in zip(instance.applications, scaled):
-        ct = instance.constraint_types[tname]
-        if tname not in masks:
-            masks[tname] = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
-            masks[tname][tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = 1
-        tables.append((tuple(pos[x] for x in var_tuple), masks[tname] * value))
-    best, values = _eliminate([instance.q] * len(vs), tables, budget)
+
+    def build():
+        masks: Dict[str, "np.ndarray"] = {}  # per constraint type in use, the 0/1 table of its satisfying tuples
+        tables = []
+        for (tname, _, _), value in zip(instance.applications, scaled):
+            ct = instance.constraint_types[tname]
+            if tname not in masks:
+                masks[tname] = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
+                masks[tname][tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = 1
+            tables.append(masks[tname] * value)
+        return tables
+
+    scopes = [tuple(pos[x] for x in var_tuple) for _, var_tuple, _ in instance.applications]
+    best, values = _eliminate([instance.q] * len(vs), scopes, build, budget)
     return Fraction(best, scale), dict(zip(vs, values))
 
 
@@ -451,6 +435,9 @@ def label_lift(instance: GroupUgInstance, max_vertices: int = DEFAULT_LIFT_VERTE
     n_lifted = len(instance.vertices) * q
     if n_lifted > max_vertices:
         raise SearchBudgetError(f"lift has {n_lifted} vertices, cap is {max_vertices}")
+    n_bundles = len(instance.bundles) * q * q
+    if n_bundles > LIFT_BUNDLE_BUDGET:
+        raise SearchBudgetError(f"lift has {n_bundles} bundles, cap is {LIFT_BUNDLE_BUDGET}")
     lifted_vertices = [(v, g) for v in instance.vertices for g in range(q)]
     bundles = []
     for u, v, diffs in instance.bundles:
@@ -480,14 +467,16 @@ def lifted_opt(instance: GroupUgInstance) -> Tuple[int, Fraction, Dict]:
 
     q = instance.q
     n_profiles = math.comb(2 * q - 1, q)  # compositions of q into q parts
-    if n_profiles ** (2 if instance.bundles else 1) > DEFAULT_BRUTE_BUDGET:  # before listing the profiles
-        raise SearchBudgetError(f"tables over {n_profiles} profiles per vertex exceed budget {DEFAULT_BRUTE_BUDGET}")
-    profiles = list(_compositions(q, q))
-    P = np.array(profiles)  # (#profiles, q) count matrix
     pos = {v: i for i, v in enumerate(instance.vertices)}
-    pair = lambda diffs: sum(P @ P[:, [a ^ z.bits for a in range(q)]].T for z in diffs)
-    tables = [((pos[u], pos[v]), pair(diffs)) for u, v, diffs in instance.bundles]
-    best, chosen = _eliminate([n_profiles] * len(pos), tables, DEFAULT_BRUTE_BUDGET)
+    profiles: List[Tuple[int, ...]] = []
+
+    def build():
+        profiles.extend(_compositions(q, q))
+        P = np.array(profiles)  # (#profiles, q) count matrix
+        return [sum(P @ P[:, [a ^ z.bits for a in range(q)]].T for z in diffs) for _, _, diffs in instance.bundles]
+
+    scopes = [(pos[u], pos[v]) for u, v, _ in instance.bundles]
+    best, chosen = _eliminate([n_profiles] * len(pos), scopes, build, DEFAULT_BRUTE_BUDGET)
     witness: Dict = {}
     for v, p in zip(instance.vertices, chosen):
         labels = [a for a in range(q) for _ in range(profiles[p][a])]  # sorted multiset

@@ -461,6 +461,22 @@ def _past_schur_budget(path):
     return ["sdp", "lc", "--csp", csp, "--out", path.parent / "lc.json"]
 
 
+def _k4_at(path, m):
+    # K4 over F_2^m: 4 * 2^m lifted vertices, under the default cap at m = 9,
+    # but 6 * 4^m lifted bundles
+    k4 = path.parent / f"k4-m{m}.gug"
+    k4.write_text(f"gug m={m}\n" + "".join(f"bundle {a} {b} 0\n" for a, b in itertools.combinations("abcd", 2)))
+    return ["lift", "--in", k4, "--out", path.parent / "lifted.gug"]
+
+
+def _u5_past_the_ceiling(path):
+    # the README's u5.gug (m = 10): a budget that admits its tables, 1100586419201
+    # entries in all, is still held to the elimination ceiling
+    u5 = path.parent / "u5.gug"
+    assert run("gen", "unsat", "--delta", "0.5", "--out", u5) == 0
+    return ["solve", "brute", "--in", u5, "--budget", 1_200_000_000_000, "--out", path.parent / "b.json"]
+
+
 def _bad_bytes(path):
     bad = path.parent / "u1.gug"
     bad.write_bytes(b"gug m=2\nvertex \xff\n")
@@ -531,13 +547,26 @@ def _bad_bytes(path):
      f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", 10**12,
                 "--out", p["klein"].parent / "g.json"], "error: need max_rounds <= 10000, got 1000000000000"),
+    (lambda p: ["gen", "random-pair", "--m", 10**18, "--out-dir", p["tree"].parent / "x"],
+     "error: dimension must be in 1..64, got 1000000000000000000"),
+    (lambda p: ["params", "--alpha", "1e-200"], "error: alpha must be at least 1e-150"),
+    (lambda p: ["params", "--alpha", "1e-160"], "error: alpha must be at least 1e-150"),
+    (lambda p: ["params", "--alpha", "1", "--epsilon", "1e-400"],
+     "error: epsilon must be at least 5e-324, the least positive float"),
+    (lambda p: ["params", "--alpha", "1", "--gamma", "1e-400"],
+     "error: gamma must be at least 5e-324, the least positive float"),
+    (lambda p: _k4_at(p["klein"], 9), "error: lift has 1572864 bundles, cap is 131072"),
+    (lambda p: _u5_past_the_ceiling(p["klein"]),
+     "error: elimination tables of 1100586419201 entries in all exceed the ceiling 134217728"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "klein-cops-huge",
         "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
-        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge"])
+        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge", "random-pair-m-huge",
+        "params-alpha-underflow", "params-alpha-overflow", "params-epsilon-underflow", "params-gamma-underflow",
+        "lift-bundles-past-cap", "brute-past-ceiling"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
@@ -591,10 +620,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 ], ids=["sdp-maxcut", "sdp-maxcut-empty", "solve-brute", "solve-tree", "gen-unsat", "gen-klein", "gen-cops-graph",
         "gen-random-pair", "lift", "game-cops", "game-tree", "params", "report", "sdp-lc", "sdp-gap"])
 def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
-    # every solver, the augmented Lagrangian's inner L-BFGS included, is
-    # numpy-only; an eager scipy import would add its start-up time to every
-    # such run, and the spanning-tree oracle enumerates its trees without
-    # networkx. Only brute force and the relaxations need numpy, so no other
+    # every solver, the interior-point LC solve included, is numpy-only; an
+    # eager scipy import would add its start-up time to every such run, and
+    # the spanning-tree oracle enumerates its trees without networkx. Only brute force and the relaxations need numpy, so no other
     # command loads it.
     assert run("gen", "cops-graph", "--k", 3, "--out", tmp_path / "c3.graph") == 0
     assert run("gen", "unsat", "--delta", "2/3", "--out", tmp_path / "u4.gug") == 0

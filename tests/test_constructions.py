@@ -17,6 +17,7 @@ from uglab.constructions import (
     InapproxPair,
     KLEIN,
     ParamSet,
+    MIN_ALPHA,
     compute_params,
     cops_robbers_graph,
     cubic_edge_coloring,
@@ -545,6 +546,19 @@ def test_compute_params_validation():
         compute_params(1, gamma=Fraction(1, 2))
     with pytest.raises(InvalidParameterError):
         compute_params(1, epsilon=Fraction(3, 4))
+
+
+def test_compute_params_float_range_boundaries():
+    # alpha at MIN_ALPHA, gamma and epsilon at the least positive float: the
+    # degree is past 10^304 and still found; just below each bound is refused
+    tiny = Fraction(5e-324)
+    p = compute_params(MIN_ALPHA, gamma=tiny, epsilon=tiny)
+    assert 10**304 < p.d < 10**305 and p.q == 2**p.m
+    with pytest.raises(InvalidParameterError, match="^alpha must be at least 1e-150$"):
+        compute_params(MIN_ALPHA - Fraction(1, 10**200))
+    for name in ("gamma", "epsilon"):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be at least 5e-324"):
+            compute_params(1, **{name: tiny / 3})
 
 
 # -- random pair -----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from uglab.errors import (
     SearchBudgetError,
 )
 from uglab import instances
-from uglab.constructions import cops_robbers_graph, cubic_edge_coloring, klein_pair
+from uglab.constructions import cops_robbers_graph, cubic_edge_coloring, klein_pair, unsat_complete_graph
 from uglab.formats import write_gug
 from uglab.game import LiftedStructure
 from uglab.gf2 import Gf2Vector
@@ -172,6 +172,25 @@ def test_brute_root_fixing_matches_full_search():
         assert witness[vs[0]] == v(0, inst.m)  # lex-least optimum always has a zero root
 
 
+def _eliminate(radices, tables, budget=instances.DEFAULT_BRUTE_BUDGET):
+    """`_eliminate` on (scope, array) pairs."""
+    return instances._eliminate(radices, [scope for scope, _ in tables], lambda: [t for _, t in tables], budget)
+
+
+def _refused_before_build(solve, match):
+    """solve() raises SearchBudgetError matching `match`, and no elimination
+    builds a table on the way."""
+    real = instances._eliminate
+
+    def fail():
+        raise AssertionError("a table was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instances, "_eliminate", lambda radices, scopes, build, budget: real(radices, scopes, fail, budget))
+        with pytest.raises(SearchBudgetError, match=match):
+            solve()
+
+
 def _first_strict_max(domains, score):
     """Plain product enumeration: the first assignment with the best score."""
     best, best_at = None, None
@@ -198,7 +217,7 @@ def test_eliminate_matches_product_enumeration(rng):
         [range(r) for r in radices],
         lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
     )
-    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
+    assert _eliminate(radices, tables) == (best, best_at)
 
 
 # sums of largest |entry| at and just past the int8, int16 and int32 maxima,
@@ -230,7 +249,7 @@ def test_eliminate_exact_at_score_type_bounds(rng, bound, sign):
     )
     if sign > 0:
         assert best == bound
-    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
+    assert _eliminate(radices, tables) == (best, best_at)
 
 
 def test_brute_two_hundred_tables_on_three_vertices():
@@ -323,25 +342,22 @@ def test_csp_weights_past_int64_rejected_before_enumeration(monkeypatch):
             csp_brute_opt(csp(*weights))
 
 
-def test_csp_brute_budget_boundary(monkeypatch):
-    # 3 variables over q = 3: 27 assignments, solved at a budget of 27 and
-    # refused at 26 before any table is built
+def test_csp_brute_budget_boundary():
+    # the chain x - y - z over q = 3 eliminates z over (y, z), then y over
+    # (x, y), then x: 9 + 9 + 3 = 21 entries, solved at a budget of 21 and
+    # refused at 20 before any table is built
     neq = CspType(2, [(a, b) for a in range(3) for b in range(3) if a != b], 3)
     csp = WeightedCspInstance(3, "xyz", {"neq": neq}, [("neq", ("x", "y"), 1), ("neq", ("y", "z"), 2)])
-    assert csp_brute_opt(csp, budget=27) == (Fraction(3), {"x": 0, "y": 1, "z": 0})
-
-    def fail(*args):
-        raise AssertionError("elimination started")
-
-    monkeypatch.setattr(instances, "_eliminate", fail)
-    with pytest.raises(SearchBudgetError, match="search space 27 exceeds budget 26"):
-        csp_brute_opt(csp, budget=26)
+    assert csp_brute_opt(csp, budget=21) == (Fraction(3), {"x": 0, "y": 1, "z": 0})
+    _refused_before_build(lambda: csp_brute_opt(csp, budget=20), "of 21 entries in all exceed the budget 20$")
 
 
 def test_brute_budget_error():
+    # a 6-vertex path over F_2^2 with its first vertex fixed: four 4 x 4 tables,
+    # one of 4 entries and one of 1, 69 in all, where the search space is 4^5
     inst = GroupUgInstance(2, range(6), [(i, i + 1, [v(0, 2)]) for i in range(5)])
-    with pytest.raises(SearchBudgetError):
-        brute_force_opt(inst, budget=100)
+    assert brute_force_opt(inst, budget=69) == (5, Fraction(1), {i: v(0, 2) for i in range(6)})
+    _refused_before_build(lambda: brute_force_opt(inst, budget=68), "of 69 entries in all exceed the budget 68$")
 
 
 def test_brute_large_labels_build_tables_sized_by_radix():
@@ -364,19 +380,19 @@ def test_brute_disconnected_sums_components():
     assert evaluate(inst, witness)[0] == 2
 
 
-def test_brute_perm_budget_bounds_each_component():
-    # two 3-vertex components: 3^6 = 729 assignments in all, 27 per component
+def test_brute_perm_budget_bounds_the_total_over_components():
+    # two 3-vertex components solved in one elimination: the triangle's tables
+    # hold 27 + 9 + 3 entries and the path's 9 + 9 + 3, 60 in all
     inst = PermUgInstance(
         3,
         range(6),
         [(0, 1, (1, 2, 0)), (1, 2, (1, 2, 0)), (0, 2, (0, 1, 2)), (3, 4, (2, 0, 1)), (4, 5, (0, 2, 1))],
     )
-    count, frac, witness = brute_force_opt(inst, budget=27)
+    count, frac, witness = brute_force_opt(inst, budget=60)
     assert (count, frac) == (4, Fraction(4, 5))
     assert witness == {0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2}
     assert evaluate(inst, witness)[0] == 4
-    with pytest.raises(SearchBudgetError):
-        brute_force_opt(inst, budget=26)
+    _refused_before_build(lambda: brute_force_opt(inst, budget=59), "of 60 entries in all exceed the budget 59$")
 
 
 def test_brute_perm_instance():
@@ -456,6 +472,16 @@ def test_lift_cap_boundary():
     assert len(label_lift(inst, max_vertices=12).vertices) == 12
     with pytest.raises(SearchBudgetError, match="lift has 12 vertices, cap is 11"):
         label_lift(inst, max_vertices=11)
+
+
+def test_lift_bundle_cap_boundary(monkeypatch):
+    # one bundle over q = 4 lifts to 16: lifted at a cap of 16, refused at 15
+    inst = GroupUgInstance(2, range(3), [(0, 1, [v(0, 2)])])
+    monkeypatch.setattr(instances, "LIFT_BUNDLE_BUDGET", 16)
+    assert len(label_lift(inst).bundles) == 16
+    monkeypatch.setattr(instances, "LIFT_BUNDLE_BUDGET", 15)
+    with pytest.raises(SearchBudgetError, match="^lift has 16 bundles, cap is 15$"):
+        label_lift(inst)
 
 
 def test_lifted_allowed_diffs_matches_materialized():
@@ -542,7 +568,7 @@ def test_eliminate_matches_enumerate(rng):
         [range(r) for r in radices],
         lambda values: sum(int(t[tuple(values[i] for i in scope)]) for scope, t in tables),
     )
-    assert instances._eliminate(radices, tables, math.prod(radices)) == (best, best_at)
+    assert _eliminate(radices, tables) == (best, best_at)
 
 
 def test_eliminate_more_radix_one_variables_than_numpy_axes():
@@ -550,7 +576,7 @@ def test_eliminate_more_radix_one_variables_than_numpy_axes():
     # table over all 81 variables would pass numpy's dimension cap
     radices = [1] * 80 + [3]
     tables = [((i, 80), np.array([[i % 3 == 1, False, i % 3 == 2]])) for i in range(80)]
-    assert instances._eliminate(radices, tables, 3) == (27, (0,) * 80 + (0,))
+    assert _eliminate(radices, tables) == (27, (0,) * 80 + (0,))
 
 
 def test_enumerate_more_radix_one_variables_than_numpy_axes():
@@ -558,73 +584,102 @@ def test_enumerate_more_radix_one_variables_than_numpy_axes():
     # in either order, and a table of radix-1 variables only
     radices = [1] * 80 + [3]
     tables = [((80, 0), np.array([[1], [5], [2]], dtype=np.int64)), ((3, 79), np.array([[-1]], dtype=np.int64))]
-    assert instances._eliminate(radices, tables, 3) == (4, (0,) * 80 + (1,))
+    assert _eliminate(radices, tables) == (4, (0,) * 80 + (1,))
 
 
-def _eliminate_ug(inst):
-    """Count and witness of a unique game by elimination on the tables
-    brute force enumerates, one component at a time."""
-    label = (lambda bits: v(bits, inst.m)) if isinstance(inst, GroupUgInstance) else int
-    count, witness = 0, {}
-    for comp, radices, tables in instances._ug_components(inst):
-        c, values = instances._eliminate(radices, tables(), instances.DEFAULT_BRUTE_BUDGET)
-        count += c
-        witness.update(zip(comp, map(label, values)))
-    return count, witness
+def _component(inst, comp):
+    """The sub-instance of `inst` on the vertices of one component."""
+    if isinstance(inst, GroupUgInstance):
+        return GroupUgInstance(inst.m, comp, [(a, b, d) for a, b, d in inst.bundles if a in comp])
+    return PermUgInstance(inst.q, comp, [(a, b, p) for a, b, p in inst.constraints if a in comp])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_eliminate_on_component_tables_matches_brute_force(rng):
+    # one elimination over the whole instance: its count is the sum of each
+    # component's optimum, solved alone, and its witness is the union of theirs
     group = random_group_instance(rng, rng.randint(1, 6), rng.randint(1, 2), 8, connected=rng.random() < 0.5)
     for inst in (group, _random_perm_instance(rng)):
         count, _, witness = brute_force_opt(inst)
-        assert _eliminate_ug(inst) == (count, witness)
+        parts = [brute_force_opt(_component(inst, comp)) for comp in inst.graph().components()]
+        assert count == sum(c for c, _, _ in parts) == evaluate(inst, witness)[0]
+        assert witness == {x: label for _, _, w in parts for x, label in w.items()}
 
 
-def test_component_tables_are_bool_and_sized_by_radix():
-    # the root's radix is 1, so an m = 20 edge holds 2^20 entries, not 2^40;
-    # a lone vertex of F_2^64 gets no table and no 2^64-wide mask
+def test_component_tables_are_bool_and_sized_by_radix(monkeypatch):
+    # each component's first vertex has radix 1, so an m = 20 edge holds 2^20
+    # entries, not 2^40; a lone vertex of F_2^64 gets no table and no 2^64-wide mask
     inst = GroupUgInstance(20, ["a", "b", "c"], [("a", "b", [Gf2Vector(5, 20), Gf2Vector(9, 20)])])
-    (comp, radices, tables), (lone, lone_radices, lone_tables) = instances._ug_components(inst)
-    [(scope, table)] = tables()
-    assert (comp, radices, scope) == (("a", "b"), [1, 2**20], (0, 1))
+    real, seen = instances._eliminate, []
+
+    def spy(radices, scopes, build, budget):
+        seen.append((radices, scopes, build()))
+        return real(radices, scopes, lambda: seen[-1][2], budget)
+
+    monkeypatch.setattr(instances, "_eliminate", spy)
+    count, frac, witness = brute_force_opt(inst)
+    [(radices, scopes, [table])] = seen
+    assert (radices, scopes) == ([1, 2**20, 1], [(0, 1)])
     assert table.dtype == bool and table.shape == (1, 2**20)
     assert np.flatnonzero(table[0]).tolist() == [5, 9]
-    assert (lone, lone_radices, lone_tables()) == (("c",), [1], [])
+    assert (count, frac) == evaluate(inst, witness) == (1, Fraction(1, 2))
+    assert witness == {"a": Gf2Vector(0, 20), "b": Gf2Vector(5, 20), "c": Gf2Vector(0, 20)}
+    monkeypatch.undo()
     assert brute_force_opt(GroupUgInstance(64, ["a"], []))[::2] == (0, {"a": Gf2Vector(0, 64)})
-    with pytest.raises(SearchBudgetError):  # refused before any table or label array exists
-        brute_force_opt(PermUgInstance(10**12, ["a"], []))
+    _refused_before_build(lambda: brute_force_opt(PermUgInstance(10**12, ["a"], [])), "exceed the budget")
+
+
+def _pursuit_pair(k):
+    h = cops_robbers_graph(k)
+    return klein_pair(h, cubic_edge_coloring(h), h.edges[0])
 
 
 @pytest.mark.parametrize("k, u1_opt, u2_opt", [(3, Fraction(1, 2), Fraction(17, 36)), (4, Fraction(1, 2), Fraction(35, 72))])
 def test_pursuit_optima_through_elimination(k, u1_opt, u2_opt):
-    # brute force refuses k = 4 (4^23 assignments); at k = 3 both agree on the witness
-    h = cops_robbers_graph(k)
-    for inst, opt in zip(klein_pair(h, cubic_edge_coloring(h), h.edges[0]), (u1_opt, u2_opt)):
-        count, witness = _eliminate_ug(inst)
-        assert Fraction(count, inst.constraint_count) == opt
-        assert evaluate(inst, witness)[0] == count
-        if k == 3:
-            assert brute_force_opt(inst)[::2] == (count, witness)
+    for inst, opt in zip(_pursuit_pair(k), (u1_opt, u2_opt)):
+        count, frac, witness = brute_force_opt(inst)
+        assert frac == opt
+        assert evaluate(inst, witness) == (count, frac)
 
 
-def test_eliminate_budget_is_the_largest_combined_table():
+def test_pursuit_k5_refused_before_any_table():
+    # both sides share the graph, so their tables total the same 624929365 entries
+    for inst in _pursuit_pair(5):
+        _refused_before_build(lambda: brute_force_opt(inst), "^elimination tables of 624929365 entries in all exceed")
+
+
+def test_eliminate_budget_is_the_total_of_combined_tables():
     # eliminating variable 2 combines both tables over (0, 1, 2): 2 * 3 * 4 = 24
-    # entries, the largest table; variable 1's holds 6 and variable 0's 2
+    # entries; variable 1's holds 6 and variable 0's 2, 32 in all
     radices = [2, 3, 4]
     tables = [((2, 0), np.arange(8).reshape(4, 2) % 3), ((1, 2), np.eye(3, 4, dtype=bool))]
-    assert instances._eliminate(radices, tables, 24) == (3, (0, 1, 1))
-    with pytest.raises(SearchBudgetError, match=r"elimination table over \[0, 1, 2\] exceeds budget 23"):
-        instances._eliminate(radices, tables, 23)
-    with pytest.raises(SearchBudgetError):  # refused from the scopes alone: no array is read
-        instances._eliminate(radices, [(scope, None) for scope, _ in tables], 23)
+    assert _eliminate(radices, tables, 32) == (3, (0, 1, 1))
+    _refused_before_build(lambda: _eliminate(radices, tables, 31), "^elimination tables of 32 entries in all exceed the budget 31$")
+
+
+def test_elimination_ceiling_binds_under_any_budget(monkeypatch):
+    # the same 32 entries, at a ceiling of 32 and of 31; the README's u5.gug
+    # (m = 10) needs 1100586419201 entries, past the real ceiling whatever
+    # the budget, and is refused before any table is built
+    radices = [2, 3, 4]
+    tables = [((2, 0), np.arange(8).reshape(4, 2) % 3), ((1, 2), np.eye(3, 4, dtype=bool))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instances, "ELIMINATION_CEILING", 32)
+        assert _eliminate(radices, tables, 10**18) == (3, (0, 1, 1))
+        mp.setattr(instances, "ELIMINATION_CEILING", 31)
+        _refused_before_build(lambda: _eliminate(radices, tables, 10**18), "of 32 entries in all exceed the ceiling 31$")
+    u5 = unsat_complete_graph(Fraction(1, 2))
+    _refused_before_build(
+        lambda: brute_force_opt(u5, budget=1_200_000_000_000),
+        f"^elimination tables of 1100586419201 entries in all exceed the ceiling {2**27}$",
+    )
 
 
 def test_brute_budget_above_the_default_is_honoured(monkeypatch):
-    # a caller's budget above DEFAULT_BRUTE_BUDGET solves what it admits: 4^3
-    # assignments for the group cycle and 2^4 for the CSP path, under a default
-    # of 3, which both instances' largest elimination tables (16 and 4) pass
+    # a caller's budget above DEFAULT_BRUTE_BUDGET solves what it admits: the
+    # group cycle's tables total 16 + 16 + 4 + 1 = 37 entries and the CSP
+    # path's 4 + 4 + 4 + 2 = 14, under a default of 3
     group = GroupUgInstance(2, range(4), [(0, 1, [v(1, 2)]), (1, 2, [v(2, 2)]), (2, 3, [v(3, 2)]), (0, 3, [v(1, 2)])])
     neq = CspType(2, [(0, 1), (1, 0)], 2)
     csp = WeightedCspInstance(2, "wxyz", {"neq": neq}, [("neq", pair, 1) for pair in ("wx", "xy", "yz")])
@@ -634,24 +689,22 @@ def test_brute_budget_above_the_default_is_honoured(monkeypatch):
         (3, {"w": 0, "x": 1, "y": 0, "z": 1}),
     )
     monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", 3)
-    assert (brute_force_opt(group, budget=64), csp_brute_opt(csp, budget=16)) == expected
+    assert (brute_force_opt(group, budget=37), csp_brute_opt(csp, budget=14)) == expected
 
 
 def test_lifted_opt_budget_boundaries(monkeypatch):
-    # at m = 2 each vertex has 35 profiles: a bundle's table holds 35^2
-    # entries, an isolated vertex's 35; at m = 4 the 300540195 profiles are
-    # refused before any is listed
+    # at m = 2 each vertex has 35 profiles: a bundle's pair eliminates through
+    # 35^2 + 35 entries, an isolated vertex through 35; at m = 4 the 300540195
+    # profiles are refused before any is listed
     pair = GroupUgInstance(2, "ab", [("a", "b", [v(1, 2)])])
     single = GroupUgInstance(2, "a", [])
-    for inst, size in ((pair, 35**2), (single, 35)):
+    for inst, size in ((pair, 35**2 + 35), (single, 35)):
         monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", size)
         assert lifted_opt(inst)[1] == 1
         monkeypatch.setattr(instances, "DEFAULT_BRUTE_BUDGET", size - 1)
-        with pytest.raises(SearchBudgetError):
-            lifted_opt(inst)
+        _refused_before_build(lambda: lifted_opt(inst), f"of {size} entries in all exceed the budget {size - 1}$")
     monkeypatch.undo()
-    with pytest.raises(SearchBudgetError):
-        lifted_opt(GroupUgInstance(4, "a", []))
+    _refused_before_build(lambda: lifted_opt(GroupUgInstance(4, "a", [])), "of 300540195 entries")
 
 
 # -- spanning tree oracle ------------------------------------------------------
