@@ -14,9 +14,10 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     InvalidParameterError,
     PreconditionError,
+    SearchBudgetError,
     StrategyViolationError,
 )
-from .gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
+from .gf2 import MAX_DIM, Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
 from .graphs import (
     SimpleGraph,
     girth,
@@ -29,6 +30,7 @@ from .instances import GroupUgInstance
 # Klein four-group as F_2^2; e is the identity
 KLEIN = {"e": 0, "a": 1, "b": 2, "c": 3}
 COPS_BUDGET = 100  # k of cops_robbers_graph(k), whose 2k(k-1) vertices every pursuit command builds
+PAIR_ELEMENT_BUDGET = 2**17  # subspace elements |E| 2^ell of a random pair: Petersen fits at ell = 13, not at 14
 MIN_ALPHA = Fraction(1, 10**150)  # keeps 16/alpha^2, and so the degree d, a finite float
 
 
@@ -597,13 +599,18 @@ def random_inapprox_pair(
 ) -> InapproxPair:
     """Draw b(e) uniform in F_2^m and Z(e) a uniform rank-ell subspace per
     edge; bundle Z(e) on the first instance and the coset Z(e)+b(e) on the
-    second, then restrict both to good edges (vertices are kept)."""
+    second, then restrict both to good edges (vertices are kept). The pair
+    lists |E| 2^ell subspace elements per instance; more than
+    PAIR_ELEMENT_BUDGET are refused before any draw."""
     if k < 1:
         raise InvalidParameterError("need k >= 1")
     d = base.regular_degree()
     if d != params.d:
         raise PreconditionError(f"base is {d}-regular, params want d={params.d}")
     m, ell, r = params.m, params.ell, params.r
+    # an ell or m that the draws refuse is left to them
+    if 0 <= ell <= min(m, MAX_DIM) and (elements := len(base.edges) << ell) > PAIR_ELEMENT_BUDGET:
+        raise SearchBudgetError(f"pair has {elements} subspace elements, cap is {PAIR_ELEMENT_BUDGET}")
     zmap: Dict[Tuple, Gf2Subspace] = {}
     bmap: Dict[Tuple, Gf2Vector] = {}
     for e in base.edges:  # canonical order; b drawn before Z on each edge
@@ -624,6 +631,7 @@ def random_inapprox_pair(
 __all__ = [
     "KLEIN",
     "COPS_BUDGET",
+    "PAIR_ELEMENT_BUDGET",
     "klein_vec",
     "unsat_complete_graph",
     "klein_pair",

@@ -348,11 +348,12 @@ def csp_brute_opt(instance: WeightedCspInstance, budget: Optional[int] = None) -
     """Exact maximum weight, with lex-least witness.
 
     Weights are scaled by the LCM L of their denominators, so each
-    application becomes an integer table, its type's 0/1 table times w*L, for
-    `_eliminate`, which scores in the narrowest integer type that holds the
-    scaled absolute weight; the optimum comes back exactly as
-    Fraction(best, L). Raises SearchBudgetError, before any table is built,
-    when the scaled absolute weights do not sum below 2^63 or the
+    application becomes an integer table, over its scope's distinct
+    variables, of its satisfying tuples that give a repeated variable one
+    value, times w*L, for `_eliminate`, which scores in the narrowest integer
+    type that holds the scaled absolute weight; the optimum comes back
+    exactly as Fraction(best, L). Raises SearchBudgetError, before any table
+    is built, when the scaled absolute weights do not sum below 2^63 or the
     elimination tables pass the budget.
     """
     import numpy as np
@@ -365,19 +366,25 @@ def csp_brute_opt(instance: WeightedCspInstance, budget: Optional[int] = None) -
     if sum(map(abs, scaled)) >= 1 << 63:
         raise SearchBudgetError(f"weights scaled by {scale} to integers overflow int64")
     pos = {v: i for i, v in enumerate(vs)}
+    scopes = [tuple(dict.fromkeys([pos[x] for x in var_tuple])) for _, var_tuple, _ in instance.applications]
 
     def build():
-        masks: Dict[str, "np.ndarray"] = {}  # per constraint type in use, the 0/1 table of its satisfying tuples
+        masks: Dict[Tuple, "np.ndarray"] = {}  # per type and repeat pattern in use, its 0/1 table
         tables = []
-        for (tname, _, _), value in zip(instance.applications, scaled):
+        for (tname, var_tuple, _), scope, value in zip(instance.applications, scopes, scaled):
             ct = instance.constraint_types[tname]
-            if tname not in masks:
-                masks[tname] = np.zeros((instance.q,) * ct.arity, dtype=np.int64)
-                masks[tname][tuple(np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity).T)] = 1
-            tables.append(masks[tname] * value)
+            # where each position's variable first occurs, when a variable repeats
+            first = tuple(map(var_tuple.index, var_tuple)) if len(scope) < ct.arity else None
+            mask = masks.get((tname, first))
+            if mask is None:
+                sat = np.array(list(ct.satisfying), dtype=np.intp).reshape(-1, ct.arity)
+                if first:  # the tuples that give a repeated variable one value
+                    sat = sat[(sat == sat[:, first]).all(axis=1)][:, sorted(set(first))]
+                mask = masks[tname, first] = np.zeros((instance.q,) * len(scope), dtype=np.int64)
+                mask[tuple(sat.T)] = 1
+            tables.append(mask * value)
         return tables
 
-    scopes = [tuple(pos[x] for x in var_tuple) for _, var_tuple, _ in instance.applications]
     best, values = _eliminate([instance.q] * len(vs), scopes, build, budget)
     return Fraction(best, scale), dict(zip(vs, values))
 

@@ -10,17 +10,18 @@ that its checks, both solvers and the SDPA export read.  Every constraint
 is an equality <A_k, X> = b_k.
 
 Every solve returns a factorization X = V^T V.  Unit-diagonal cut instances
-get coordinate-ascent "mixing" at rank ceil(sqrt(2n))+1, one vectorized step
-per DSatur colour class (no objective entry joins two indices of a class, so
-that is the per-column sweep in class order), over-relaxed until a plateau of
-its exact-step ascent and then exact until the plateau holds again;
-everything else a primal-dual interior-point method, stopping on its
-residuals and duality gap.
+get coordinate-ascent "mixing" at rank ceil(sqrt(2n))+1 on V^T held row-major,
+one vectorized step per DSatur colour class on its block of rows (no objective
+entry joins two indices of a class, so that is the per-vector sweep in class
+order), over-relaxed until a plateau of its exact-step ascent and then exact
+until the plateau holds again; everything else a primal-dual interior-point
+method, stopping on its residuals and duality gap.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import math
@@ -141,11 +142,10 @@ class SdpInstance:
         # the coefficient table: row r is entry (_i[r], _j[r]), i <= j, of
         # matrix _mat[r] (0 the objective, k constraint k) with full
         # coefficient _coef[r]; constraint k reads _bounds[k-1]
-        mats = [objective] + [a for a, _ in cons]
-        self._mat = np.repeat(np.arange(len(mats)), [len(a.entries) for a in mats])
-        ij = np.array([key for a in mats for key in a.entries], dtype=int).reshape(-1, 2)
-        self._i, self._j = ij[:, 0], ij[:, 1]
-        self._coef = np.array([c for a in mats for c in a.entries.values()], dtype=float)
+        mats, chain = [objective.entries] + [a.entries for a, _ in cons], itertools.chain.from_iterable
+        self._mat = np.repeat(np.arange(len(mats)), [len(a) for a in mats])
+        self._i, self._j = np.fromiter(chain(chain(mats)), dtype=int).reshape(-1, 2).T
+        self._coef = np.fromiter(chain(a.values() for a in mats), dtype=float)
         self._bounds = np.array([bound for _, bound in cons], dtype=float)
         self._check_table()
 
@@ -219,7 +219,7 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
     weight is stored separately so reported values equal actual cut weights.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    pairs = [tuple(sorted((index[u], index[v]))) for u, v in graph.edges]
+    pairs = [(a, b) if a < b else (b, a) for a, b in ((index[u], index[v]) for u, v in graph.edges)]
     c = SymMatrix()
     if weights is None:
         wmap = dict.fromkeys(pairs, 1.0)
@@ -232,8 +232,12 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
         c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, ws) if w}
         constant = float(sum(ws) / 2)
     n = len(graph.vertices)
-    cons = [(SymMatrix({(i, i): 1.0}), 1.0) for i in range(n)]
-    meta = {"kind": "maxcut", "weights": dict(sorted(wmap.items()))}
+    cons = [(SymMatrix(), 1.0) for _ in range(n)]
+    for i, (a, _) in enumerate(cons):
+        a.entries[i, i] = 1.0
+    wmap = dict(sorted(wmap.items()))
+    i, j = np.fromiter(itertools.chain.from_iterable(wmap), dtype=int).reshape(-1, 2).T
+    meta = {"kind": "maxcut", "weights": wmap, "edges": (i, j, np.fromiter(wmap.values(), dtype=float))}
     return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=constant, meta=meta)
 
 
@@ -261,9 +265,8 @@ def _unit_diagonal_form(instance: SdpInstance) -> bool:
     """One "s" block (none when n = 0) and n constraints X_ii == 1, one per index."""
     n, rows = instance.n, instance._mat > 0
     i, ones = instance._i[rows], np.ones(n)
-    return (
+    return (  # one bound per constraint, so n constraints
         instance.blocks == ((("s", n),) if n else ())
-        and len(instance.constraints) == n
         and np.array_equal(instance._mat[rows], np.arange(1, n + 1))
         and np.array_equal(instance._bounds, ones)
         and np.array_equal(i, instance._j[rows])
@@ -277,10 +280,13 @@ def _halved(instance: SdpInstance) -> np.ndarray:
     return np.where(instance._i == instance._j, instance._coef, instance._coef / 2.0)
 
 
-def _dense(instance: SdpInstance) -> np.ndarray:
-    """The objective of a one-"s"-block instance, dense with pairs mirrored."""
+def _dense(instance: SdpInstance, at: Optional[np.ndarray] = None) -> np.ndarray:
+    """The objective of a one-"s"-block instance, dense with pairs mirrored;
+    index k at row and column at[k] when `at` is given."""
     rows = instance._mat == 0
     i, j, c = instance._i[rows], instance._j[rows], _halved(instance)[rows]
+    if at is not None:
+        i, j = at[i], at[j]
     out = np.zeros((instance.n, instance.n))
     out[i, j] = c
     out[j, i] = c
@@ -289,39 +295,47 @@ def _dense(instance: SdpInstance) -> np.ndarray:
 
 def _colour_classes(instance: SdpInstance) -> List[np.ndarray]:
     """DSatur colouring of the objective's off-diagonal entries (Brelaz 1979):
-    the next index sees the most colours, ties going to the most neighbours,
-    then the least index, and takes the least colour it does not see.  A heap
-    with stale entries skipped makes it O((n + E) log n).  A bipartite pattern
-    with an entry gets two classes; a class lists its indices in ascending order."""
-    rows = (instance._mat == 0) & (instance._i != instance._j)
-    nbrs: List[List[int]] = [[] for _ in range(instance.n)]
+    the next index sees the most colours (the bits of an int), ties going to
+    the most neighbours, then the least index, and takes the least colour it
+    does not see.  A heap of int keys in that order, stale ones skipped, makes
+    it O((n + E) log n).  A bipartite pattern with an entry gets two classes;
+    a class lists its indices in ascending order."""
+    n, rows = instance.n, (instance._mat == 0) & (instance._i != instance._j)
+    nbrs: List[List[int]] = [[] for _ in range(n)]
     for i, j in zip(instance._i[rows].tolist(), instance._j[rows].tolist()):
         nbrs[i].append(j)
         nbrs[j].append(i)
-    seen: List[set] = [set() for _ in nbrs]
-    colour = [-1] * instance.n
-    heap = sorted((0, -len(adj), i) for i, adj in enumerate(nbrs))  # (-colours seen, -neighbours, index)
+    span = n * (1 + max(map(len, nbrs), default=0))  # key: index - neighbours n - colours seen span
+    key = [i - len(adj) * n for i, adj in enumerate(nbrs)]
+    heap, seen, colour = sorted(key), [0] * n, [-1] * n
     while heap:
-        minus_seen, _, i = heapq.heappop(heap)
-        if colour[i] < 0 and -minus_seen == len(seen[i]):
-            c = colour[i] = next(c for c in itertools.count() if c not in seen[i])
+        k = heapq.heappop(heap)
+        i = k % n
+        if k == key[i]:  # each key is pushed once, so this entry is live and i uncoloured
+            bit = ~seen[i] & (seen[i] + 1)  # the least colour not seen
+            colour[i] = bit.bit_length() - 1
             for j in nbrs[i]:
-                if colour[j] < 0 and c not in seen[j]:
-                    seen[j].add(c)
-                    heapq.heappush(heap, (-len(seen[j]), -len(nbrs[j]), j))
-    return [np.flatnonzero(np.array(colour) == c) for c in range(max(colour, default=-1) + 1)]
+                if colour[j] < 0 and not seen[j] & bit:
+                    seen[j] |= bit
+                    key[j] -= span
+                    heapq.heappush(heap, key[j])
+    classes: List[List[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
+    for i, c in enumerate(colour):
+        classes[c].append(i)
+    return [np.array(c) for c in classes]
 
 
 def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[float], str]]:
     """The coordinate-ascent restart and its failure message.
 
-    Each restart runs coordinate ascent over unit columns at rank p (the
+    Each restart runs coordinate ascent over unit vectors at rank p (the
     mixing method of Wang, Chang and Kolter, 2017), over-relaxed as in
-    successive over-relaxation (Young, 1950).  A sweep takes one vectorized
-    step per colour class: no two indices of a class share an objective
-    entry, so the step equals the per-column sweep over the class's indices
-    in ascending order.  With g_i = sum_{j != i} c_ij v_j, u_i = g_i / |g_i|
-    is the column's exact maximizer and d = u_i - v_i; the step moves v_i to
+    successive over-relaxation (Young, 1950).  The factor is held row-major,
+    one row per index, class after class, so a sweep takes one vectorized step
+    per colour class on a block of rows: no two indices of a class share an
+    objective entry, so the step equals the per-vector sweep over the class's
+    indices in ascending order.  With g_i = sum_{j != i} c_ij v_j, u_i = g_i /
+    |g_i| is the exact maximizer and d = u_i - v_i; the step moves v_i to
     w = (v_i + omega d) / |v_i + omega d|, omega = OVER_RELAXATION.
 
     - Every step ascends.  For omega in [1, 2) and c = <u_i, v_i> < 1,
@@ -343,50 +357,49 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
     """
     n = instance.n
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    # columns are held class after class, so each class step is a slice
     classes = _colour_classes(instance)
     order = np.concatenate([np.zeros(0, dtype=int)] + classes)
-    cd = _dense(instance)[np.ix_(order, order)]
+    back = np.argsort(order)  # the row of each index
+    cd = _dense(instance, back)
     off = cd - np.diag(np.diag(cd))
     ends = list(itertools.accumulate(map(len, classes), initial=0))
-    steps = [(lo, hi, np.ascontiguousarray(off[:, lo:hi])) for lo, hi in zip(ends, ends[1:])]
 
     def restart(gen: np.random.Generator) -> Tuple[np.ndarray, float, float, bool, Dict[str, int]]:
         v = gen.standard_normal((p, n))
         norms = np.linalg.norm(v, axis=0)
         norms[norms == 0] = 1.0
-        v = (v / norms)[:, order]
-        val = float(np.einsum("ij,ij->", v.T @ v, cd))
+        v = (v / norms).T[order]
+        steps = [(v[lo:hi], off[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+        val = float(np.vecdot(cd @ v, v).sum())
         omega = OVER_RELAXATION
         # degenerate weight patterns crawl along nearly flat directions: a generous budget
         for sweeps in range(1, 30001):
-            gain = 0.0
-            for lo, hi, cs in steps:
-                vs = v[:, lo:hi]
-                g = v @ cs
-                nrm = np.sqrt(np.einsum("ij,ij->j", g, g))
-                if nrm.min() <= 1e-15:  # a zero gradient leaves its column as it is
+            gain, shrink = 0.0, omega * (omega - 1.0)
+            for vs, cs in steps:
+                g = cs @ v
+                nrm = np.sqrt(np.vecdot(g, g))
+                if nrm.min() <= 1e-15:  # a zero gradient leaves its vector as it is
                     stay = nrm <= 1e-15
-                    g[:, stay], nrm[stay] = vs[:, stay], 1.0
-                g /= nrm
+                    g[stay], nrm[stay] = vs[stay], 1.0
+                g /= nrm[:, None]
                 d = g - vs
-                dd = np.einsum("ij,ij->j", d, d)
+                dd = np.vecdot(d, d)
                 gain += float(dd @ nrm)
                 if omega == 1.0:
                     vs[...] = g
                 else:
-                    vs += omega * d
-                    vs /= np.sqrt(1.0 + omega * (omega - 1.0) * dd)
+                    d *= omega
+                    d += vs
+                    np.divide(d, np.sqrt(1.0 + shrink * dd)[:, None], out=vs)
             val += gain
             converged = gain <= 1e-13 * (1.0 + abs(val))
             if converged:
                 if omega == 1.0:
                     break
                 omega, converged = 1.0, False  # finish with exact steps
-        val = float(np.einsum("ij,ij->", v.T @ v, cd))
-        residual = float(np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0), initial=0.0))
-        v = v[:, np.argsort(order)]
-        return v, val + instance.constant, residual, converged and residual <= tol, {"sweeps": sweeps}
+        val = float(np.vecdot(cd @ v, v).sum())
+        residual = float(np.max(np.abs(np.vecdot(v, v) - 1.0), initial=0.0))
+        return v[back].T, val + instance.constant, residual, converged and residual <= tol, {"sweeps": sweeps}
 
     return restart, lambda residual: f"no restart reached tolerance {tol} within the sweep budget"
 
@@ -566,16 +579,9 @@ def solve_sdp_lowrank(
     # max() over the lazy map holds only the best run so far while the next one is solved
     factor, value, residual, ok, _ = max(map(summarized, map(restart, gens)), key=lambda run: (run[3], run[1]))
     pool = [run[0] for run in runs if run[2]] or [run[0] for run in runs]
-    sol = SdpSolution(
-        value=value,
-        factor=factor,
-        residual=residual,
-        spread=float(max(pool) - min(pool)),
-        restarts=restarts,
-        seed=seed,
-        instance=instance,
-        stats={key: [run[3][key] for run in runs] for key in runs[0][3]},
-    )
+    stats = {key: [run[3][key] for run in runs] for key in runs[0][3]}
+    sol = SdpSolution(value=value, factor=factor, residual=residual, spread=float(max(pool) - min(pool)),
+                      restarts=restarts, seed=seed, instance=instance, stats=stats)
     if not ok:
         raise ConvergenceError(failure(residual), best=sol)
     return sol
@@ -584,11 +590,12 @@ def solve_sdp_lowrank(
 # -- rounding and the symmetric cut value -------------------------------------
 
 
+@functools.cache
 def gw_alpha() -> float:
     """min over theta in (0, pi] of 2 theta / (pi (1 - cos theta)).
 
     The minimizer is the root of tan(theta / 2) = theta in [2, 2.5], found by
-    bisection down to adjacent floats.
+    bisection down to adjacent floats, once per process.
     """
     lo, hi = 2.0, 2.5
     while lo < (mid := (lo + hi) / 2) < hi:
@@ -601,18 +608,16 @@ def gw_alpha() -> float:
 
 def _edge_arrays(solution: SdpSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints i < j and weights of the relaxed graph's edges, in sorted order."""
-    got = solution.instance.meta.get("weights")
-    if got is None:
+    if (got := solution.instance.meta.get("edges")) is None:
         raise PreconditionError("solution's instance records no edge weights (not a MaxCut relaxation)")
-    pairs = sorted(got.items())
-    ij = np.array([key for key, _ in pairs], dtype=int).reshape(-1, 2)
-    return ij[:, 0], ij[:, 1], np.array([w for _, w in pairs], dtype=float)
+    return got
 
 
 def gw_symmetric_value(solution: SdpSolution) -> float:
     """(alpha/2) * sum of w_ij (1 - X_ij); exactly alpha times the relaxation value."""
     i, j, w = _edge_arrays(solution)
-    return float(0.5 * gw_alpha() * (w @ (1.0 - solution.gram()[i, j])))
+    rows = solution.factor.T
+    return float(0.5 * gw_alpha() * (w @ (1.0 - np.vecdot(rows[i], rows[j]))))
 
 
 def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[float, float]:
@@ -629,11 +634,9 @@ def hyperplane_round(solution: SdpSolution, rng=0, trials: int = 1000) -> Tuple[
     i, j, w = _edge_arrays(solution)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_seed(rng))
     h = gen.standard_normal((trials, v.shape[0]))
-    side = h @ v >= 0  # a zero projection counts as positive
-    cuts = (side[:, i] != side[:, j]) @ w
-    mean = float(cuts.mean())
-    std = float(cuts.std(ddof=1)) if trials > 1 else 0.0
-    return mean, std
+    side = np.matmul(v.T, h.T) >= 0  # vertex-major; a zero projection counts as positive
+    cuts = w @ (side[i] != side[j])
+    return float(cuts.mean()), float(cuts.std(ddof=1)) if trials > 1 else 0.0
 
 
 # -- label-distribution relaxation --------------------------------------------
@@ -714,10 +717,7 @@ class GapTable:
     samples: Tuple[Tuple[float, float], ...] = ()
 
     def lookup(self, c: float) -> float:
-        best = -math.inf
-        for sdp_val, opt_val in self.points:
-            if sdp_val < c and opt_val > best:
-                best = opt_val
+        best = max((opt_val for sdp_val, opt_val in self.points if sdp_val < c), default=-math.inf)
         return best - self.eta if best > -math.inf else -math.inf
 
 

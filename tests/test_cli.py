@@ -72,6 +72,17 @@ def test_solve_vacuous_flag(tmp_path):
     assert data["vacuous"] is True and data["value"] == "1" and data["count"] == 0
 
 
+def test_solve_brute_on_a_repeated_scope_of_arity_40(tmp_path):
+    # one variable under an arity-40 type applied as x x ... x; a table over
+    # the whole scope would be 8 TiB, and the command exited 4 on MemoryError
+    path = tmp_path / "rep.csp"
+    sat = ";".join([",".join(["1"] * 40), ",".join(["0"] * 39 + ["1"])])
+    path.write_text(f"csp q=2\nvar x\nctype big arity=40 sat={sat}\napply big {' '.join(['x'] * 40)} w=3/2\n")
+    out = tmp_path / "r.json"
+    assert run("solve", "brute", "--in", path, "--out", out, "--no-timestamp") == 0
+    assert load(out)["value"] == "3/2" and load(out)["witness"] == {"x": 1}
+
+
 def test_witness_file_checks_out(tmp_path):
     u4 = tmp_path / "u4.gug"
     wout = tmp_path / "w.assign"
@@ -558,6 +569,10 @@ def _bad_bytes(path):
     (lambda p: _k4_at(p["klein"], 9), "error: lift has 1572864 bundles, cap is 131072"),
     (lambda p: _u5_past_the_ceiling(p["klein"]),
      "error: elimination tables of 1100586419201 entries in all exceed the ceiling 134217728"),
+    (lambda p: ["gen", "random-pair", "--ell", 14, "--m", 14, "--out-dir", p["tree"].parent / "x"],
+     "error: pair has 245760 subspace elements, cap is 131072"),
+    (lambda p: ["gen", "random-pair", "--ell", 60, "--m", 60, "--out-dir", p["tree"].parent / "x"],
+     "error: pair has 17293822569102704640 subspace elements, cap is 131072"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "klein-cops-huge",
         "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
@@ -566,7 +581,7 @@ def _bad_bytes(path):
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
         "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge", "random-pair-m-huge",
         "params-alpha-underflow", "params-alpha-overflow", "params-epsilon-underflow", "params-gamma-underflow",
-        "lift-bundles-past-cap", "brute-past-ceiling"])
+        "lift-bundles-past-cap", "brute-past-ceiling", "random-pair-past-cap", "random-pair-ell-60"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):

@@ -34,7 +34,7 @@ from uglab.constructions import (
     unsat_complete_graph,
     _cycle_structure,
 )
-from uglab.errors import InvalidParameterError, PreconditionError, StrategyViolationError
+from uglab.errors import InvalidParameterError, PreconditionError, SearchBudgetError, StrategyViolationError
 from uglab.gf2 import Gf2Subspace, Gf2Vector, span_of
 from uglab.graphs import (
     SimpleGraph,
@@ -601,6 +601,20 @@ def test_random_pair_draws():
     assert {e: z.basis for e, z in again.zmap.items()} == {
         e: z.basis for e, z in pair.zmap.items()
     }
+
+
+def test_random_pair_element_cap_boundary(monkeypatch):
+    # Petersen's 15 edges at ell = 2 list 60 subspace elements: drawn at a cap
+    # of 60, refused at 59 before the first draw (the generator is untouched)
+    monkeypatch.setattr(constructions, "PAIR_ELEMENT_BUDGET", 60)
+    with pytest.warns(UserWarning):
+        assert len(random_inapprox_pair(desk_params(), petersen_graph(), random.Random(0)).zmap) == 15
+    monkeypatch.setattr(constructions, "PAIR_ELEMENT_BUDGET", 59)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(SearchBudgetError, match="^pair has 60 subspace elements, cap is 59$"):
+        random_inapprox_pair(desk_params(), petersen_graph(), rng)
+    assert rng.getstate() == state
 
 
 def test_random_pair_u1_value_when_good_edges_exist():

@@ -352,6 +352,20 @@ def test_csp_brute_budget_boundary():
     _refused_before_build(lambda: csp_brute_opt(csp, budget=20), "of 21 entries in all exceed the budget 20$")
 
 
+def test_csp_repeated_scope_table_is_built_over_its_distinct_variables():
+    # one variable under an arity-40 type applied as x x ... x: its table
+    # holds q = 2 entries, where the type's own table would hold 2^40 int64s
+    # (8 TiB); only the satisfying tuples that give x one value count
+    big = CspType(40, [(1,) * 40, (0,) * 39 + (1,)], 2)
+    csp = WeightedCspInstance(2, ["x"], {"big": big}, [("big", ("x",) * 40, Fraction(3, 2))])
+    assert csp_brute_opt(csp, budget=2) == (Fraction(3, 2), {"x": 1})
+    _refused_before_build(lambda: csp_brute_opt(csp, budget=1), "of 2 entries in all exceed the budget 1$")
+    # a pattern (x, y, x) keeps the tuples whose first and last entries agree
+    t = CspType(3, [(0, 1, 1), (1, 0, 1), (1, 1, 0)], 2)
+    csp = WeightedCspInstance(2, "xy", {"t": t}, [("t", ("x", "y", "x"), 1)])
+    assert csp_brute_opt(csp) == (Fraction(1), {"x": 1, "y": 0})
+
+
 def test_brute_budget_error():
     # a 6-vertex path over F_2^2 with its first vertex fixed: four 4 x 4 tables,
     # one of 4 entries and one of 1, 69 in all, where the search space is 4^5

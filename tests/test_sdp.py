@@ -419,6 +419,35 @@ def test_colour_classes_of_relabelled_generalized_petersen_graphs(n):
         assert len(_colour_classes(inst)) == (2 if n % 2 == 0 else 3)
 
 
+def dsatur_reference(inst):
+    """DSatur over sets and tuples: the next index sees the most colours, ties
+    going to the most neighbours, then the least index, and takes the least
+    colour it does not see; the classes in colour order, indices ascending."""
+    nbrs = {i: set() for i in range(inst.n)}
+    for i, j in inst.objective.entries:
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    colour = {}
+    while len(colour) < inst.n:
+        seen = {i: {colour[j] for j in nbrs[i] if j in colour} for i in nbrs if i not in colour}
+        i = min(seen, key=lambda i: (-len(seen[i]), -len(nbrs[i]), i))
+        colour[i] = next(c for c in itertools.count() if c not in seen[i])
+    return [sorted(i for i in colour if colour[i] == c) for c in range(max(colour.values(), default=-1) + 1)]
+
+
+def test_colour_classes_match_the_set_based_dsatur():
+    patterns = [random_weighted_graph_sdp(random.Random(k)) for k in range(400)]
+    for n in (16, 23, 29):
+        rng = random.Random(n)
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in generalized_petersen_edges(n, 3)]
+        patterns.append(build_maxcut_sdp(SimpleGraph(range(2 * n), edges)))
+    for inst in patterns:
+        assert [c.tolist() for c in _colour_classes(inst)] == dsatur_reference(inst)
+
+
 def test_dense_unit_diagonal_sdpa_instance_solves():
     # max -3 tr X - sum_{i != j} X_ij over unit diagonals is -15 + 5 at n = 5,
     # reached when the five vectors sum to zero; every pair shares an entry,
@@ -480,8 +509,50 @@ def test_rounding_matches_expectation_formula():
     se = std / math.sqrt(2000)
     x = sol.gram()
     expected = sum(math.acos(max(-1.0, min(1.0, x[i, j]))) / math.pi for (i, j) in sol.instance.meta["weights"])
-    assert abs(mean - expected) <= 3 * se
+    # a floor of a few ulps: when every rounded cut is equal, se is 0 and the
+    # arccos sum still differs from that cut in its last bits
+    assert abs(mean - expected) <= 3 * se + 16 * math.ulp(expected)
     assert mean >= gw_symmetric_value(sol) - 3 * se
+
+
+@st.composite
+def weighted_graph_factors(draw):
+    """A MaxCut instance of a random weighted graph on 1-12 vertices and a
+    random factor for it, of rank 1-6, row-major or column-major."""
+    n = draw(st.integers(1, 12))
+    edges = sorted(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=30))) if n > 1 else []
+    weights = {e: draw(st.fractions(-4, 4, max_denominator=4)) for e in edges}
+    inst = build_maxcut_sdp(SimpleGraph(range(n), edges), weights)
+    seed = draw(st.integers(0, 2**32 - 1))
+    factor = np.random.default_rng(seed).standard_normal((draw(st.integers(1, 6)), n))
+    if draw(st.booleans()):
+        factor = np.asfortranarray(factor)
+    return SdpSolution(value=0.0, factor=factor, residual=0.0, spread=0.0, restarts=1, seed=0, instance=inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_factors(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_rounding_equals_the_per_trial_cut_of_the_same_draws(sol, seed, trials):
+    # trial t splits the vertices by the sign of <h_t, v_k>, h_t row t of the
+    # same standard normal draw, and cuts the weight of the split edges
+    mean, std = hyperplane_round(sol, rng=seed, trials=trials)
+    h = np.random.default_rng(seed).standard_normal((trials, sol.factor.shape[0]))
+    weights = sol.instance.meta["weights"]
+    cuts = []
+    for row in h:
+        side = [float(row @ sol.factor[:, k]) >= 0 for k in range(sol.instance.n)]
+        cuts.append(math.fsum(w for (i, j), w in weights.items() if side[i] != side[j]))
+    assert mean == pytest.approx(math.fsum(cuts) / trials, rel=1e-12, abs=1e-12)
+    assert std == pytest.approx(np.std(cuts, ddof=1) if trials > 1 else 0.0, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_factors())
+def test_gw_symmetric_value_equals_the_gram_formula(sol):
+    x = sol.factor.T @ sol.factor
+    weights = sol.instance.meta["weights"]
+    expected = 0.5 * gw_alpha() * math.fsum(w * (1.0 - x[i, j]) for (i, j), w in weights.items())
+    assert gw_symmetric_value(sol) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_rounding_needs_recorded_weights():
