@@ -296,10 +296,11 @@ def _escape_paths(h: SimpleGraph, p0, p1, cops: FrozenSet, target_ok) -> Optiona
     while queue:
         x = queue.popleft()
         trail = trails[x]
-        for y in h.neighbors(x):
+        nbrs = h.neighbors(x)
+        for y in nbrs:
             if y not in cops and y not in trail and target_ok(x, y):
                 return [*trail, y]
-        for y in h.neighbors(x):
+        for y in nbrs:
             if y not in cops and y != p0 and y not in trails:
                 trails[y] = trail + (y,)
                 queue.append(y)

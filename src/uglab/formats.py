@@ -55,12 +55,17 @@ def _ints(text: str, key: str, lineno: int) -> List[int]:
     return [_int(x, key, lineno) for x in text.split(",")]
 
 
+def _first_line(lines: List[Tuple[int, List[str]]]) -> str:
+    """'line N: ' for the first content line, or nothing for a file without one."""
+    return f"line {lines[0][0]}: " if lines else ""
+
+
 def _header(text: str, kind: str, key: str) -> Tuple[int, int, List[Tuple[int, List[str]]]]:
     """The integer of a '<kind> <key>=<int>' header, its line number and the
     lines after it."""
     lines = _content_lines(text)
     if not lines or lines[0][1][0] != kind:
-        raise InvalidParameterError(f"{kind} file must start with a '{kind} {key}=<int>' header")
+        raise InvalidParameterError(f"{_first_line(lines)}{kind} file must start with a '{kind} {key}=<int>' header")
     lineno, head = lines[0]
     if len(head) < 2:
         raise InvalidParameterError(f"line {lineno}: {kind} header needs {key}=<int>")
@@ -238,7 +243,7 @@ def write_graph(g: SimpleGraph) -> str:
 def parse_graph(text: str) -> SimpleGraph:
     lines = _content_lines(text)
     if not lines or lines[0][1] != ["graph"]:
-        raise InvalidParameterError("graph file must start with a 'graph' header")
+        raise InvalidParameterError(f"{_first_line(lines)}graph file must start with a 'graph' header")
     vertices: List[str] = []
     edges: Dict[Tuple, int] = {}  # edge -> its line
     for lineno, toks in lines[1:]:

@@ -11,6 +11,15 @@ each instance builds once, ``GroupUgInstance.diff_bits``. ``Gf2Vector`` stays
 at the API: lifted elements, what ``GStarMap.shift`` and ``apply`` return,
 and transcripts. Canonical order comes from ``SimpleGraph``,
 ``GroupUgInstance`` and the JSON writer; nothing here sorts it again.
+
+The referee checks each placement against the pebbles still down, not the
+whole board. The pairs still down are the previous board's, less the lifted
+one (``_answer`` has checked that g* fixes each of them), and that board
+passed the check or the game would have ended; part of a partial isomorphism
+is one. So the new board is a partial isomorphism iff the new pair agrees
+with each pair still down, which is what ``check_partial_isomorphism`` is
+asked with ``new``. Transcripts, the JSON boundary, read their hex digits
+from a per-m table (``_hex_digits``).
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from .instances import GroupUgInstance
 
 PEBBLE_BUDGET = 1000  # pebble pairs k of one game
 ROUNDS_BUDGET = 10_000  # rounds of one game, each one Duplicator bijection and one transcript entry
+SEARCH_BUDGET = 500_000  # simulated placements of one find_winning_line search
+HEX_TABLE_DIM = 8  # largest m whose hex digits come from a table of 2^m strings
 
 
 def _check_pebbles(k: int) -> None:
@@ -81,9 +92,35 @@ class GStarMap:
         s = self.values.get(v, 0)
         return (v, Gf2Vector(g.bits ^ s, self.m)) if s else elem
 
+    def fixes(self, a: Tuple, b: Tuple) -> bool:
+        """``apply(a) == b``, read on int bits without building the image."""
+        s = self.values.get(a[0], 0)
+        if not s:
+            return a == b
+        (v, g), (w, h) = a, b
+        return v == w and h.dim == self.m and h.bits == g.bits ^ s
+
     def to_hex(self) -> Dict[str, str]:
-        width = (self.m + 3) // 4
-        return {str(v): format(g, f"0{width}x") for v, g in self.values.items()}
+        digits = _hex_digits(self.m)
+        return {str(v): digits[g] for v, g in self.values.items()}
+
+
+class _HexDigits(dict):
+    """g -> ``format(g, f"0{(m + 3) // 4}x")``: looked up in a table built
+    once for m <= HEX_TABLE_DIM, formatted with the one spec above that."""
+
+    def __init__(self, m: int) -> None:
+        self.spec = f"0{(m + 3) // 4}x"
+        if m <= HEX_TABLE_DIM:
+            super().__init__((g, format(g, self.spec)) for g in range(1 << m))
+
+    def __missing__(self, g: int) -> str:
+        return format(g, self.spec)
+
+
+@lru_cache(maxsize=None)  # one per m; Gf2Vector bounds m to 1..64
+def _hex_digits(m: int) -> _HexDigits:
+    return _HexDigits(m)
 
 
 @dataclass
@@ -96,25 +133,49 @@ class GameView:
     picked: Optional[int]
 
 
-def check_partial_isomorphism(A: LiftedStructure, B: LiftedStructure, pairs: Sequence[Tuple]) -> bool:
+def check_partial_isomorphism(
+    A: LiftedStructure, B: LiftedStructure, pairs: Sequence[Tuple], new: Optional[int] = None
+) -> bool:
     """True iff the pebbled pairs induce a well-defined injective map that
-    preserves allowed-difference sets in both structures."""
-    for i in range(len(pairs)):
-        a1, b1 = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            a2, b2 = pairs[j]
-            if (a1 == a2) != (b1 == b2):
-                return False
-            if a1 == a2:
-                continue
-            if A.allowed_diffs(a1, a2) != B.allowed_diffs(b1, b2):
+    preserves allowed-difference sets in both structures.
+
+    By default every two pairs are compared. With ``new``, only the pairs
+    that involve ``pairs[new]`` are: the caller vouches that the others
+    passed the check together, so the answer is the full check's.
+
+    Sets are compared on int bits. For the pairs ((u, x), (v, y)) and
+    ((w, x'), (z, y')), the allowed differences are D_A(u, w) + x + x' and
+    D_B(v, z) + y + y', so they agree iff D_A(u, w) equals D_B(v, z) shifted
+    by s = x + x' + y + y', whatever the base vertices are: the two sets
+    have one size and every shifted member of D_B is in D_A. No set is built.
+    """
+    if new is None:  # each pair against the ones before it
+        return all(check_partial_isomorphism(A, B, pairs[: j + 1], j) for j in range(1, len(pairs)))
+    a1, b1 = pairs[new]
+    (u, x), (v, y) = a1, b1
+    none = frozenset()
+    row_a, row_b, s1 = A.base.diff_bits.get(u, {}), B.base.diff_bits.get(v, {}), x.bits ^ y.bits
+    for j, (a2, b2) in enumerate(pairs):
+        if j == new:
+            continue
+        if (a1 == a2) != (b1 == b2):
+            return False
+        if a1 == a2:
+            continue
+        da = row_a.get(a2[0], none)  # no bundle joins a vertex to itself
+        db = row_b.get(b2[0], none)
+        if len(da) != len(db):
+            return False
+        s = s1 ^ a2[1].bits ^ b2[1].bits
+        for t in db:
+            if t ^ s not in da:
                 return False
     return True
 
 
 def _elem_json(elem: Tuple) -> List:
     v, g = elem
-    return [str(v), g.to_hex()]
+    return [str(v), _hex_digits(g.dim)[g.bits]]
 
 
 def _answer(duplicator, A, B, k: int, round_no: int, pebbles: List[Optional[Tuple]], picked: int):
@@ -124,7 +185,7 @@ def _answer(duplicator, A, B, k: int, round_no: int, pebbles: List[Optional[Tupl
     view = GameView(A, B, k, round_no, tuple(pebbles), picked)
     gstar = duplicator.bijection(view)
     for pair in pebbles:
-        if pair is not None and gstar.apply(pair[0]) != pair[1]:
+        if pair is not None and not gstar.fixes(*pair):
             raise StrategyViolationError(
                 "bijection moves a placed pebble pair",
                 side="duplicator",
@@ -146,7 +207,8 @@ def play_game(
     Each round: Spoiler lifts a pebble pair, Duplicator commits to a
     bijection (checked to respect the remaining pairs), Spoiler places the
     lifted pair on (a, f(a)), and the placed pairs are checked for partial
-    isomorphism. Spoiler wins on the first failed check.
+    isomorphism. Spoiler wins on the first failed check. The new pair is
+    checked against the pairs still down, which last round's check passed.
     """
     if A.universe_size() != B.universe_size():
         raise PreconditionError("universes differ in size; no bijection exists")
@@ -172,8 +234,9 @@ def play_game(
             raise InvalidParameterError(f"spoiler placed on {a!r}, not a universe element")
         b = gstar.apply(a)
         pebbles[picked] = (a, b)
-        pairs = [p for p in pebbles if p is not None]
-        ok = check_partial_isomorphism(A, B, pairs)
+        pairs = [p for i, p in enumerate(pebbles) if p is not None and i != picked]
+        pairs.append((a, b))
+        ok = check_partial_isomorphism(A, B, pairs, new=len(pairs) - 1)
         rounds.append(
             {
                 "round": round_no,
@@ -186,9 +249,8 @@ def play_game(
         if not ok:
             winner = "spoiler"
             break
-        view = GameView(A, B, k, round_no, tuple(pebbles), picked)
         if hasattr(duplicator, "observe_placement"):
-            duplicator.observe_placement(view)
+            duplicator.observe_placement(GameView(A, B, k, round_no, tuple(pebbles), picked))
     return {
         "k": k,
         "max_rounds": max_rounds,
@@ -233,7 +295,7 @@ def find_winning_line(
     k: int,
     duplicator_factory: Callable[[], object],
     depth: int,
-    budget: int = 500_000,
+    budget: int = SEARCH_BUDGET,
 ) -> Optional[List[Tuple]]:
     """Exhaustive Spoiler: DFS over pick-up/placement sequences up to depth
     against a deterministic Duplicator. Returns the first winning move list
@@ -420,12 +482,15 @@ class CopsDuplicator:
         self.coloring = coloring
         self.robber = normalize_edge(*star_edge)
         self.gstar: Dict = {v: 0 for v in h.vertices}  # int bits in the Klein group F_2^2
-        # per edge: its diffs in u1, and in u2 shifted by each of the four values of g*(u) + g*(v)
+        # per edge (u, v): its diffs in u1, and in u2 shifted by each of the
+        # four values of g*(u) + g*(v), built once per distinct u2 bundle
         d1, d2 = u1.diff_bits, u2.diff_bits
-        self._edge_diffs = [
-            (e, d1[e[0]][e[1]], tuple(frozenset(z ^ s for z in d2[e[0]][e[1]]) for s in range(4)))
-            for e in h.edges
-        ]
+        shifts: Dict[FrozenSet[int], Tuple[FrozenSet[int], ...]] = {}
+        for u, v in h.edges:
+            db = d2[u][v]
+            if db not in shifts:
+                shifts[db] = tuple(frozenset(z ^ s for z in db) for s in range(4))
+        self._edge_diffs = [(e, e[0], e[1], d1[e[0]][e[1]], shifts[d2[e[0]][e[1]]]) for e in h.edges]
 
     def bijection(self, view: GameView) -> GStarMap:
         cops = {p[0][0] for p in view.pebbles if p is not None}
@@ -450,10 +515,10 @@ class CopsDuplicator:
         return GStarMap(2, self.gstar)
 
     def _assert_invariant(self) -> None:
-        gstar = self.gstar
-        for e, d1, shifted in self._edge_diffs:
-            d2 = shifted[gstar[e[0]] ^ gstar[e[1]]]
-            if e == self.robber:
+        gstar, robber = self.gstar, self.robber
+        for e, u, v, d1, shifted in self._edge_diffs:
+            d2 = shifted[gstar[u] ^ gstar[v]]
+            if e == robber:
                 if not d1.isdisjoint(d2):
                     raise StrategyViolationError(
                         "robber edge diff sets are not disjoint", side="duplicator",

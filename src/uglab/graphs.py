@@ -28,6 +28,8 @@ def vertex_sort_key(v):
 def normalize_edge(u, v) -> Tuple:
     if u == v:
         raise InvalidParameterError(f"self-loop at {u!r}")
+    if type(u) is type(v) and type(u) in (str, int):  # vertex_sort_key orders these as < does
+        return (u, v) if u < v else (v, u)
     if vertex_sort_key(u) <= vertex_sort_key(v):
         return (u, v)
     return (v, u)

@@ -125,7 +125,7 @@ class PermUgInstance:
             if u == v:
                 raise InvalidParameterError(f"self-loop constraint at {u!r}")
             perm = tuple(perm)
-            if sorted(perm) != list(range(q)):
+            if len(perm) != q or sorted(perm) != list(range(q)):  # a length check first: q may be huge
                 raise InvalidParameterError(f"{perm!r} is not a permutation of 0..{q-1}")
             cons.append((u, v, perm))
             vs.add(u)

@@ -47,6 +47,7 @@ ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
 SCHUR_BUDGET = 2**24  # constraint pairs in an interior-point Newton system
 IPM_ITERATIONS = 100  # Newton steps per interior-point restart
 OVER_RELAXATION = 1.5  # mixing step factor before the exact finish; sweep counts in CHANGES.md
+MIXING_SWEEPS = 30_000  # sweeps of one mixing restart; degenerate weight patterns crawl, so it is generous
 
 # -- sparse symmetric matrices ----------------------------------------------
 
@@ -372,8 +373,7 @@ def _mixing(instance: SdpInstance, tol: float) -> Tuple[Callable, Callable[[floa
         steps = [(v[lo:hi], off[lo:hi]) for lo, hi in zip(ends, ends[1:])]
         val = float(np.vecdot(cd @ v, v).sum())
         omega = OVER_RELAXATION
-        # degenerate weight patterns crawl along nearly flat directions: a generous budget
-        for sweeps in range(1, 30001):
+        for sweeps in range(1, MIXING_SWEEPS + 1):
             gain, shrink = 0.0, omega * (omega - 1.0)
             for vs, cs in steps:
                 g = cs @ v

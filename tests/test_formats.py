@@ -105,6 +105,11 @@ PERM_AB = PermUgInstance(2, ["a", "b"], [("a", "b", (1, 0))])
         (partial(parse_assignment, instance=PERM_AB), "assign a -1\n", 1, "label -1 outside 0..1"),
         (partial(parse_assignment, instance=PERM_AB), "assign a 1\n\nassign zz 1\n", 3, "unknown vertex 'zz'"),
         (parse_gug, "gug m=2\nvertex a\nbundle a a 1\n", 3, "self-loop"),
+        # a q past int64 once raised OverflowError, and q = 10**18 MemoryError, building range(q)
+        (parse_pug, f"pug q={2**63}\nedge a b perm=1,0\n", 2, "not a permutation"),
+        (parse_pug, f"pug q={10**18}\nedge a b perm=1,0\n", 2, "not a permutation"),
+        (parse_graph, "# header\ngraf\n", 2, "must start with a 'graph' header"),
+        (parse_csp, "\nvar x\n", 2, "must start with a 'csp q=<int>' header"),
     ],
 )
 def test_record_errors_carry_line(parse, text, lineno, message):
@@ -355,7 +360,10 @@ JUNK = [
     "perm=1,0", "perm=0,0", "perm=0,x", "perm=", "arity=1", "arity=0", "arity=x",
     "sat=0,1;1,0", "sat=0", "sat=", "sat=;", "sat=0,x", "w=1/2", "w=-3", "w=1/0", "w=x", "w=",
 ]
-VALUES = ["x", "", "0", "-1", "2", "99", "1/0", "1/2", "0,x", "0,0", "1,0", ";", "0,1;1,0", ",", "ff"]
+VALUES = [
+    "x", "", "0", "-1", "2", "99", "1/0", "1/2", "0,x", "0,0", "1,0", ";", "0,1;1,0", ",", "ff",
+    str(2**63), str(10**18), "1e400", "nan", "inf",  # past int64, a huge q, and what float() would take
+]
 ASSIGN_TO = [
     GroupUgInstance(2, ["a", "b"], [("a", "b", [Gf2Vector(1, 2)])]),
     PermUgInstance(2, ["a", "b"], [("a", "b", (1, 0))]),
@@ -407,5 +415,6 @@ def test_text_parsers_raise_only_uglab_errors(case):
     parse, text = case
     try:
         parse(text)
-    except UglabError:
-        pass
+    except UglabError as exc:  # a file with a record names the line at fault
+        if any(line.split("#", 1)[0].strip() for line in text.splitlines()):
+            assert str(exc).startswith("line "), str(exc)

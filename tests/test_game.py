@@ -27,9 +27,12 @@ from uglab.errors import (
     StrategyViolationError,
 )
 from uglab.game import (
+    HEX_TABLE_DIM,
     ROUNDS_BUDGET,
     GameView,
     _diff_table,
+    _elem_json,
+    _hex_digits,
     GStarMap,
     LiftedStructure,
     RandomSpoiler,
@@ -78,6 +81,90 @@ def test_gstar_map():
     assert g.shift("x") == Gf2Vector(3, 2) and g.shift("y") == Gf2Vector.zero(2)
     assert g.to_hex() == {"x": "3"}
     assert GStarMap(5, {"x": 17, "y": 0}).to_hex() == {"x": "11", "y": "00"}
+
+
+@pytest.mark.parametrize("m", sorted({1, 2, 3, 4, 8, 9, 16, 64, HEX_TABLE_DIM, HEX_TABLE_DIM + 1}))
+def test_transcript_hex_digits_match_format(m):
+    # table lookups up to HEX_TABLE_DIM, format above; both must read as format does
+    spec = f"0{(m + 3) // 4}x"
+    top = (1 << m) - 1
+    values = sorted({0, 1, top // 3, top - 1, top})
+    assert GStarMap(m, {f"v{g}": g for g in values}).to_hex() == {f"v{g}": format(g, spec) for g in values}
+    for g in values:
+        assert _elem_json(("v", Gf2Vector(g, m))) == ["v", format(g, spec)]
+    assert len(_hex_digits(m)) == (1 << m if m <= HEX_TABLE_DIM else 0)  # never 2^m strings above the bound
+
+
+def test_transcript_placements_above_the_hex_table_bound():
+    m = HEX_TABLE_DIM + 1
+    A = LiftedStructure(GroupUgInstance(m, ["v"], []))
+    t = play_game(A, A, 2, duplicator_identity(m), RandomSpoiler(random.Random(0)), 5)
+    for r in t["rounds"]:
+        (_, ga), (_, gb) = r["placement"]["a"], r["placement"]["b"]
+        assert len(ga) == len(gb) == (m + 3) // 4 and ga == gb
+
+
+def reference_partial_isomorphism(A, B, pairs):
+    """Every two pairs through ``allowed_diffs``: the referee's definition."""
+    for i in range(len(pairs)):
+        a1, b1 = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            a2, b2 = pairs[j]
+            if (a1 == a2) != (b1 == b2):
+                return False
+            if a1 != a2 and A.allowed_diffs(a1, a2) != B.allowed_diffs(b1, b2):
+                return False
+    return True
+
+
+@st.composite
+def referee_boards(draw):
+    """Instances over F_2^m (m <= 3) on n <= 6 vertices, the second either
+    drawn on its own or the first moved by a vertex permutation pi and
+    shifted by a random g*, with at most one edge re-drawn; and a board of
+    pebble pairs, each ((v, x), (pi(v), x + g*(v))), or on v with any label,
+    or on any element at all."""
+    m = draw(st.integers(1, 3))
+    vs = list(range(draw(st.integers(1, 6))))
+    label = st.integers(0, (1 << m) - 1)
+    bundle = st.lists(label, min_size=1, max_size=1 << m, unique=True)
+    possible = [(a, b) for a in vs for b in vs if a < b]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    b1 = {e: draw(bundle) for e in edges}
+    gs = [draw(label) for _ in vs]
+    pi = draw(st.one_of(st.just(vs), st.permutations(vs)))
+    if draw(st.booleans()):
+        b2 = {tuple(sorted((pi[u], pi[w]))): [z ^ gs[u] ^ gs[w] for z in b1[(u, w)]] for u, w in edges}
+        if b2 and draw(st.booleans()):
+            b2[draw(st.sampled_from(sorted(b2)))] = draw(bundle)
+    else:
+        b2 = {e: draw(bundle) for e in draw(st.lists(st.sampled_from(edges), unique=True))} if edges else {}
+
+    def lifted(bundles):
+        inst = GroupUgInstance(m, vs, [(u, w, [Gf2Vector(z, m) for z in zs]) for (u, w), zs in bundles.items()])
+        return LiftedStructure(inst)
+
+    def pair():
+        v, x = draw(st.sampled_from(vs)), draw(label)
+        how = draw(st.sampled_from(["shift", "same vertex", "any"]))
+        if how == "shift":
+            w, y = pi[v], x ^ gs[v]
+        else:
+            w, y = v if how == "same vertex" else draw(st.sampled_from(vs)), draw(label)
+        return (v, Gf2Vector(x, m)), (w, Gf2Vector(y, m))
+
+    return lifted(b1), lifted(b2), [pair() for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(referee_boards())
+def test_referee_matches_the_allowed_diffs_reference(case):
+    A, B, pairs = case
+    want = reference_partial_isomorphism(A, B, pairs)
+    assert check_partial_isomorphism(A, B, pairs) == want
+    for j in range(len(pairs)):  # the new pair alone decides once the others agree
+        if reference_partial_isomorphism(A, B, pairs[:j] + pairs[j + 1:]):
+            assert check_partial_isomorphism(A, B, pairs, new=j) == want
 
 
 def test_partial_isomorphism_identity_pairs():
@@ -384,6 +471,23 @@ COPS_TRANSCRIPTS = {
     4: "c1627cc0c3c1582680cc5bdc4a0f0133fb6563906ec6372ea8ce5e19ddb5e552",
     5: "3feb554e662a00325fd2866017bbb20a6b0ebbe241688c0becb9653bc01529c3",
 }
+
+
+# the identity strategy on the K4 Klein pair: Spoiler wins, so each pins a failed check
+IDENTITY_LOSSES = {
+    2: "cf2c0723dea57aef6435c632e6568680727990f5bb63f5997e151f271a54178d",
+    3: "1d426788b51c95f04111537b7c5c8a665b8f09d26478556e8a3c2c7efb0ba5b8",
+    4: "3c949d92829a11d7ecaaab01bab287f71382aced8826cfb4a8165c558b49c465",
+}
+
+
+@pytest.mark.parametrize("k, digest", sorted(IDENTITY_LOSSES.items()))
+def test_identity_duplicator_losses_are_pinned(k, digest):
+    _, _, A, B, _, _, _ = klein_lifts()
+    t = play_game(A, B, k, duplicator_identity(2), RandomSpoiler(random.Random(1)), 50)
+    assert t["winner"] == "spoiler" and not t["rounds"][-1]["ok"]
+    assert all(r["ok"] for r in t["rounds"][:-1])
+    assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k, digest", sorted(COPS_TRANSCRIPTS.items()))
