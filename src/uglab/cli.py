@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -70,8 +71,19 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str):
+    """Strict JSON: NaN and Infinity, which Python's decoder takes by default, are refused."""
+    text = _read(path)
+
+    def non_finite(token: str):
+        # the decoder meets constants in text order, so the one it met is the
+        # first outside a string; a match is a string, or such a constant (group 1)
+        matches = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
+        at = next(m.start(1) for m in matches if m.group(1))
+        line = text.count("\n", 0, at) + 1
+        raise InvalidParameterError(f"line {line}: {path} holds {token}, which strict JSON does not allow")
+
     try:
-        return json.loads(_read(path))
+        return json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"line {exc.lineno}: {path} is not JSON: {exc.msg}") from None
 
@@ -237,7 +249,7 @@ def cmd_solve(args) -> int:
     if witness is not None:
         out["witness"] = _witness_json(witness)
         if args.witness_out:
-            formats.atomic_write_text(args.witness_out, formats.write_assignment(witness, inst))
+            formats.atomic_write_text(args.witness_out, formats.write_assignment(witness))
     if args.out:
         formats.atomic_write_json(args.out, _stamp(args, out))
     return 0
@@ -298,7 +310,10 @@ def cmd_sdp_maxcut(args) -> int:
 
     g = formats.parse_graph(_read(args.graph))
     inst = build_maxcut_sdp(g)
-    if args.round * inst.n > ROUND_SIZE_BUDGET:  # as hyperplane_round checks, but before the solve
+    # 0 skips rounding; otherwise what hyperplane_round checks, but before the solve
+    if args.round < 0:
+        raise InvalidParameterError(f"--round must be >= 0, got {args.round}")
+    if args.round * inst.n > ROUND_SIZE_BUDGET:
         raise SearchBudgetError(f"{args.round} trials of {inst.n} vertices exceed {ROUND_SIZE_BUDGET}")
     sol = solve_sdp_lowrank(inst, tol=args.tol, restarts=args.restarts, rng=args.seed)
     out = {**sol.result_json(), "gw_alpha": gw_alpha(), "gw_symmetric": gw_symmetric_value(sol)}

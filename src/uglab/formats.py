@@ -1,6 +1,8 @@
 """Line-oriented text formats for instances, graphs, and assignments.
 
-One record per line, '#' starts a comment. Vertex and constraint-type
+One record per line, '#' starts a comment. Group instances (.gug) and
+graphs are written and read; permutation instances (.pug) and weighted
+CSPs (.csp) are only read, and assignment files only written. Vertex
 names are serialized with str(), so they must not contain whitespace or
 '#'; parsed files always carry string names. Group labels are lowercase
 hex of ceil(m/4) digits.
@@ -122,15 +124,6 @@ def parse_gug(text: str) -> GroupUgInstance:
 # -- permutation instances -----------------------------------------------------
 
 
-def write_pug(instance: PermUgInstance) -> str:
-    lines = [f"pug q={instance.q}"]
-    for v in instance.vertices:
-        lines.append(f"vertex {_name(v)}")
-    for u, v, perm in instance.constraints:
-        lines.append(f"edge {_name(u)} {_name(v)} perm={','.join(str(i) for i in perm)}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_pug(text: str) -> PermUgInstance:
     q, head, lines = _header(text, "pug", "q")
     with _at(head):
@@ -153,10 +146,6 @@ def parse_pug(text: str) -> PermUgInstance:
 # -- weighted CSPs --------------------------------------------------------------
 
 
-def _format_fraction(w: Fraction) -> str:
-    return f"{w.numerator}/{w.denominator}"
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         if "/" in text:
@@ -165,22 +154,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"bad rational {text!r}") from exc
-
-
-def write_csp(instance: WeightedCspInstance) -> str:
-    # duplicate applications were summed at parse time; emitted files
-    # therefore carry at most one apply line per (type, tuple)
-    lines = [f"csp q={instance.q}"]
-    for v in instance.variables:
-        lines.append(f"var {_name(v)}")
-    for name in sorted(instance.constraint_types):
-        ct = instance.constraint_types[name]
-        tuples = ";".join(",".join(str(x) for x in t) for t in sorted(ct.satisfying))
-        lines.append(f"ctype {_name(name)} arity={ct.arity} sat={tuples}")
-    for tname, var_tuple, w in instance.applications:
-        vs = " ".join(_name(x) for x in var_tuple)
-        lines.append(f"apply {tname} {vs} w={_format_fraction(w)}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_csp(text: str) -> WeightedCspInstance:
@@ -267,30 +240,13 @@ def parse_graph(text: str) -> SimpleGraph:
 # -- assignments -------------------------------------------------------------------
 
 
-def write_assignment(assignment: Dict, instance) -> str:
+def write_assignment(assignment: Dict) -> str:
     lines = []
     for v in sorted(assignment, key=_name):
         label = assignment[v]
         text = label.to_hex() if isinstance(label, Gf2Vector) else str(label)
         lines.append(f"assign {_name(v)} {text}")
     return "\n".join(lines) + "\n"
-
-
-def parse_assignment(text: str, instance) -> Dict:
-    group = isinstance(instance, GroupUgInstance)
-    names = {str(v) for v in instance.vertices}
-    out: Dict = {}
-    for lineno, toks in _content_lines(text):
-        if toks[0] != "assign" or len(toks) != 3:
-            raise InvalidParameterError(f"line {lineno}: bad assign record {' '.join(toks)!r}")
-        name, label = toks[1], toks[2]
-        if name not in names:
-            raise InvalidParameterError(f"line {lineno}: unknown vertex {name!r}")
-        with _at(lineno):
-            out[name] = Gf2Vector.from_hex(label, instance.m) if group else _int(label, "label", lineno)
-        if not group and not 0 <= out[name] < instance.q:
-            raise InvalidParameterError(f"line {lineno}: label {out[name]} outside 0..{instance.q - 1}")
-    return out
 
 
 # -- files --------------------------------------------------------------------------
@@ -311,20 +267,18 @@ def atomic_write_text(path: str, content: str) -> None:
 
 
 def atomic_write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises ValueError rather than being written."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 __all__ = [
     "write_gug",
     "parse_gug",
-    "write_pug",
     "parse_pug",
-    "write_csp",
     "parse_csp",
     "write_graph",
     "parse_graph",
     "write_assignment",
-    "parse_assignment",
     "parse_fraction",
     "atomic_write_text",
     "atomic_write_json",

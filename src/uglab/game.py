@@ -8,8 +8,8 @@ and rule compliance reduces to checks on g*.
 Inside this layer, differences, g* shifts and edge sets are int bitmasks
 (a tree is a mask over ``graph.edges``); bundles are read from the int table
 each instance builds once, ``GroupUgInstance.diff_bits``. ``Gf2Vector`` stays
-at the API: lifted elements, what ``GStarMap.shift`` and ``apply`` return,
-and transcripts. Canonical order comes from ``SimpleGraph``,
+at the API: lifted elements, what ``GStarMap.apply`` returns, and
+transcripts. Canonical order comes from ``SimpleGraph``,
 ``GroupUgInstance`` and the JSON writer; nothing here sorts it again.
 
 The referee checks each placement against the pebbles still down, not the
@@ -83,9 +83,6 @@ class GStarMap:
     def __init__(self, m: int, values: Dict[object, int]) -> None:
         self.m = m
         self.values = dict(values)
-
-    def shift(self, v) -> Gf2Vector:
-        return Gf2Vector(self.values.get(v, 0), self.m)
 
     def apply(self, elem: Tuple) -> Tuple:
         v, g = elem
@@ -433,7 +430,7 @@ class K2Duplicator:
     def __init__(self, u1: GroupUgInstance, u2: GroupUgInstance) -> None:
         if u1.m != u2.m:
             raise PreconditionError("instances over different groups")
-        if u1.vertices != u2.vertices or u1.bundle_map.keys() != u2.bundle_map.keys():
+        if u1.vertices != u2.vertices or u1.graph().edges != u2.graph().edges:
             raise PreconditionError("instances must share one base graph")
         self.u1 = u1
         self.u2 = u2
@@ -474,7 +471,7 @@ class CopsDuplicator:
         coloring: Dict[Tuple, str],
         star_edge: Tuple,
     ) -> None:
-        if u1.vertices != u2.vertices or not set(u1.bundle_map) == set(u2.bundle_map) == set(h.edges):
+        if u1.vertices != u2.vertices or not u1.graph().edges == u2.graph().edges == h.edges:
             raise PreconditionError("instances do not match the coloring graph")
         # a copy of a built pursuit graph, such as one read from pair.json,
         # gives way to the shared built object once, not in every round
@@ -704,7 +701,7 @@ class TreeDuplicator:
         bmap: Dict[Tuple, Gf2Vector],
         r: int,
     ) -> None:
-        if u1.vertices != u2.vertices or set(u1.bundle_map) != set(u2.bundle_map):
+        if u1.vertices != u2.vertices or u1.graph().edges != u2.graph().edges:
             raise PreconditionError("instances must share one base graph")
         self.m = u1.m
         self.r = r

@@ -43,9 +43,6 @@ class Gf2Vector:
     def __le__(self, other: "Gf2Vector") -> bool:
         return (self.dim, self.bits) <= (other.dim, other.bits)
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def to_hex(self) -> str:
         """Lowercase hex string of ceil(m/4) digits, MSB = coordinate m-1."""
         width = (self.dim + 3) // 4

@@ -1,6 +1,6 @@
 """Simple undirected graphs with the structural queries the constructions need.
 
-Deliberately small: degree/regularity, bipartition, components, girth,
+Deliberately small: regularity, bipartition, components, girth,
 spanning-tree enumeration and perfect-matching decomposition.
 """
 
@@ -84,9 +84,6 @@ class SimpleGraph:
 
     def neighbors(self, v) -> Tuple:
         return tuple(self._adj[v])
-
-    def degree(self, v) -> int:
-        return len(self._adj[v])
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
@@ -256,26 +253,12 @@ def cycle_graph(n: int) -> SimpleGraph:
     return SimpleGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> SimpleGraph:
-    if n < 1:
-        raise InvalidParameterError("path needs n >= 1")
-    return SimpleGraph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
 def petersen_graph() -> SimpleGraph:
     # outer 5-cycle 0..4, spokes i-(i+5), inner pentagram step 2
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return SimpleGraph(range(10), edges)
-
-
-def complete_bipartite_graph(a: int, b: int) -> SimpleGraph:
-    if a < 1 or b < 1:
-        raise InvalidParameterError("complete bipartite graph needs positive sides")
-    left = [("L", i) for i in range(a)]
-    right = [("R", j) for j in range(b)]
-    return SimpleGraph(left + right, [(u, v) for u in left for v in right])
 
 
 # -- matching decomposition ----------------------------------------------
@@ -363,8 +346,6 @@ __all__ = [
     "girth",
     "complete_graph",
     "cycle_graph",
-    "path_graph",
     "petersen_graph",
-    "complete_bipartite_graph",
     "matching_decomposition",
 ]

@@ -42,10 +42,6 @@ DEFAULT_LIFT_VERTEX_CAP = 4096
 LIFT_BUNDLE_BUDGET = 2**17  # bundles of a label lift, |E| q^2: K4 fits at m = 7 (98304), not at m = 8
 
 
-def all_labels(m: int) -> List[Gf2Vector]:
-    return [Gf2Vector(b, m) for b in range(1 << m)]
-
-
 class GroupUgInstance:
     """Graph plus one bundle of allowed GF(2)^m differences per edge.
 
@@ -75,9 +71,7 @@ class GroupUgInstance:
             vs.add(v)
         self._graph = SimpleGraph(vs, merged)
         self.vertices: Tuple = self._graph.vertices
-        # keyed by the graph's own edge tuples, so the instance holds one tuple per edge
-        self.bundle_map: Dict[Tuple, Tuple[Gf2Vector, ...]] = {e: tuple(sorted(merged[e])) for e in self._graph.edges}
-        self.bundles: Tuple[Tuple, ...] = tuple((u, v, diffs) for (u, v), diffs in self.bundle_map.items())
+        self.bundles: Tuple[Tuple, ...] = tuple((u, v, tuple(sorted(merged[u, v]))) for u, v in self._graph.edges)
 
     @property
     def q(self) -> int:
@@ -86,9 +80,6 @@ class GroupUgInstance:
     @property
     def constraint_count(self) -> int:
         return sum(len(d) for _, _, d in self.bundles)
-
-    def diffs_on(self, u, v) -> Tuple[Gf2Vector, ...]:
-        return self.bundle_map.get(normalize_edge(u, v), ())
 
     @cached_property
     def diff_bits(self) -> Dict:
@@ -575,7 +566,6 @@ __all__ = [
     "PermUgInstance",
     "CspType",
     "WeightedCspInstance",
-    "all_labels",
     "evaluate",
     "csp_value",
     "brute_force_opt",

@@ -75,20 +75,11 @@ class SymMatrix:
         else:
             self.entries[key] = c
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.entries == other.entries
-
     def __repr__(self) -> str:
         return f"SymMatrix({len(self.entries)} entries)"
 
 
 # -- instances ---------------------------------------------------------------
-
-
-def _check_dimension(n: int, where: str = "") -> None:
-    """Before any array of the instance exists: n <= DIMENSION_BUDGET."""
-    if n > DIMENSION_BUDGET:
-        raise SearchBudgetError(f"{where}matrix dimension {n} exceeds the desk budget {DIMENSION_BUDGET}")
 
 
 class SdpInstance:
@@ -115,7 +106,8 @@ class SdpInstance:
     ) -> None:
         if n < 0:
             raise InvalidParameterError(f"matrix dimension must be >= 0, got {n}")
-        _check_dimension(n)
+        if n > DIMENSION_BUDGET:  # before any array of the instance exists
+            raise SearchBudgetError(f"matrix dimension {n} exceeds the desk budget {DIMENSION_BUDGET}")
         self.n = n
         if blocks is None:
             blocks = [("s", n)] if n else []
@@ -789,78 +781,6 @@ def to_sdpa(instance: SdpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sdpa_number(tok: str, kind: type, lineno: int):
-    try:
-        return kind(tok)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise InvalidParameterError(f"line {lineno}: expected {what}, got {tok!r}") from None
-
-
-def _sdpa_tokens(line: str) -> List[str]:
-    return line.replace(",", " ").replace("{", " ").replace("}", " ").split()
-
-
-def parse_sdpa(text: str) -> SdpInstance:
-    """Inverse of to_sdpa; also accepts negative dimensions as diagonal blocks."""
-    constant = 0.0
-    header: List[Tuple[int, str]] = []
-    entries: List[Tuple[int, List[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith('"') or line.startswith("*"):
-            parts = line[1:].split()
-            if parts and parts[0] == "constant":
-                constant = _sdpa_number(parts[1] if len(parts) > 1 else "", float, lineno)
-            continue
-        if len(header) < 4:
-            header.append((lineno, line))
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 5:
-            raise InvalidParameterError(f"line {lineno}: malformed SDPA entry line {raw!r}")
-        entries.append((lineno, parts))
-    if len(header) < 4:
-        raise InvalidParameterError("SDPA text is missing header lines")
-    (l_m, h_m), (l_nb, h_nb), (l_dims, h_dims), (l_b, h_b) = header
-    m = _sdpa_number(h_m.split()[0], int, l_m)
-    nblocks = _sdpa_number(h_nb.split()[0], int, l_nb)
-    dims = [_sdpa_number(tok, int, l_dims) for tok in _sdpa_tokens(h_dims)]
-    if len(dims) != nblocks:
-        raise InvalidParameterError(f"line {l_dims}: expected {nblocks} block sizes, got {len(dims)}")
-    if 0 in dims:
-        raise InvalidParameterError(f"line {l_dims}: block size must be nonzero, got 0")
-    _check_dimension(sum(map(abs, dims)), f"line {l_dims}: ")
-    bvals = [_sdpa_number(tok, float, l_b) for tok in _sdpa_tokens(h_b)]
-    if len(bvals) != m:
-        raise InvalidParameterError(f"line {l_b}: expected {m} bounds, got {len(bvals)}")
-    blocks = [("s", d) if d > 0 else ("d", -d) for d in dims]
-    offsets = list(itertools.accumulate((s for _, s in blocks), initial=0))
-    mats = [SymMatrix() for _ in range(m + 1)]
-    for lineno, parts in entries:
-        matno, blk, i, j = (_sdpa_number(tok, int, lineno) for tok in parts[:4])
-        v = _sdpa_number(parts[4], float, lineno)
-        if not 0 <= matno <= m:
-            raise InvalidParameterError(f"line {lineno}: matrix number {matno} out of range")
-        if not 1 <= blk <= nblocks:
-            raise InvalidParameterError(f"line {lineno}: block number {blk} out of range")
-        kind, size = blocks[blk - 1]
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise InvalidParameterError(f"line {lineno}: index ({i}, {j}) outside 1..{size} of block {blk}")
-        if kind == "d" and i != j:
-            raise InvalidParameterError(
-                f"line {lineno}: entry ({i}, {j}) is off-diagonal in diagonal block {blk}"
-            )
-        gi = offsets[blk - 1] + i - 1
-        gj = offsets[blk - 1] + j - 1
-        mats[matno].add(gi, gj, v if gi == gj else 2.0 * v)
-    n = offsets[-1]
-    cons = [(mats[k], bvals[k - 1]) for k in range(1, m + 1)]
-    return SdpInstance(n, mats[0], cons, blocks=blocks, constant=constant, meta={"kind": "sdpa"})
-
-
 __all__ = [
     "SymMatrix",
     "SdpInstance",
@@ -874,5 +794,4 @@ __all__ = [
     "GapTable",
     "gap_curve_estimate",
     "to_sdpa",
-    "parse_sdpa",
 ]

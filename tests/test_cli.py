@@ -17,8 +17,8 @@ from uglab import cli, formats
 from uglab.constructions import InapproxPair, good_edges
 from uglab.errors import StrategyViolationError
 from uglab.gf2 import Gf2Vector
-from uglab.instances import CspType, GroupUgInstance, WeightedCspInstance, evaluate
-from uglab.sdp import IPM_ITERATIONS, SCHUR_BUDGET, parse_sdpa
+from uglab.instances import GroupUgInstance, evaluate
+from uglab.sdp import IPM_ITERATIONS, SCHUR_BUDGET
 
 
 def run(*argv):
@@ -89,8 +89,9 @@ def test_witness_file_checks_out(tmp_path):
     run("gen", "unsat", "--delta", "2/3", "--out", u4)
     assert run("solve", "brute", "--in", u4, "--witness-out", wout) == 0
     inst = formats.parse_gug(u4.read_text())
-    witness = formats.parse_assignment(wout.read_text(), inst)
-    count, frac = evaluate(inst, witness)
+    rows = [line.split() for line in wout.read_text().splitlines()]
+    assert all(len(row) == 3 and row[0] == "assign" for row in rows)
+    count, frac = evaluate(inst, {name: Gf2Vector.from_hex(label, inst.m) for _, name, label in rows})
     assert (count, str(frac)) == (3, "1/2")
 
 
@@ -324,22 +325,15 @@ def test_sdp_maxcut_cli(tmp_path):
     # one entry per restart (5 by default), no wall time
     assert list(data["stats"]) == ["sweeps"] and len(data["stats"]["sweeps"]) == 5
     assert all(isinstance(s, int) and s >= 1 for s in data["stats"]["sweeps"])
-    back = parse_sdpa(dats.read_text())
-    assert back.n == 12 and len(back.constraints) == 12
+    assert dats.read_text().splitlines()[1:4] == ["12", "1", "12"]  # 12 constraints, one block of 12
 
 
 def write_family(tmp_path):
-    xor = CspType(2, [(0, 1), (1, 0)], 2)
-    anb = CspType(2, [(1, 1)], 2)
     fam = tmp_path / "fam"
     fam.mkdir()
-    rows = [
-        [("xor", ("a", "b"), 1), ("xor", ("b", "c"), 1)],
-        [("and", ("a", "b"), 2), ("xor", ("a", "b"), 1)],
-    ]
-    for i, apps in enumerate(rows):
-        inst = WeightedCspInstance(2, ["a", "b", "c"], {"xor": xor, "and": anb}, apps)
-        formats.atomic_write_text(str(fam / f"f{i}.csp"), formats.write_csp(inst))
+    head = "csp q=2\nvar a\nvar b\nvar c\nctype and arity=2 sat=1,1\nctype xor arity=2 sat=0,1;1,0\n"
+    for i, apps in enumerate(["apply xor a b w=1\napply xor b c w=1\n", "apply and a b w=2\napply xor a b w=1\n"]):
+        (fam / f"f{i}.csp").write_text(head + apps)
     return fam
 
 
@@ -354,7 +348,7 @@ def test_sdp_lc_and_gap_cli(tmp_path):
     assert (data["kind"], data["n"]) == ("lc", 14) and data["spread"] >= 0
     assert list(data["stats"]) == ["iterations"] and len(data["stats"]["iterations"]) == 5
     assert all(1 <= k <= IPM_ITERATIONS for k in data["stats"]["iterations"])
-    assert parse_sdpa(dats.read_text()).n == 14
+    assert sum(abs(int(size)) for size in dats.read_text().splitlines()[3].split()) == 14  # dimension
 
     gap = tmp_path / "gap.json"
     assert run(
@@ -373,11 +367,16 @@ def test_sdp_lc_and_gap_cli(tmp_path):
 def test_report_aggregates(tmp_path):
     run("gen", "klein", "--out-dir", tmp_path / "k", "--no-timestamp")
     (tmp_path / "junk.json").write_text("{not json")
+    # Python's decoder takes NaN and Infinity, which strict JSON does not;
+    # the "NaN" inside a string on line 1 is not the one reported
+    (tmp_path / "nan.json").write_text('{"note": "NaN",\n "x": NaN, "y": Infinity}\n')
     out = tmp_path / "report.json"
     assert run("report", "--dir", tmp_path, "--out", out, "--no-timestamp") == 0
-    data = load(out)
-    assert data["count"] == 2
+    data = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(f"report.json holds {token}"))
+    assert data["count"] == 3
     assert data["runs"]["junk.json"]["unreadable"].startswith("line 1: ")
+    nan = data["runs"]["nan.json"]["unreadable"]
+    assert nan == f"line 2: {tmp_path / 'nan.json'} holds NaN, which strict JSON does not allow"
     assert data["runs"]["k/pair.json"]["kind"] == "klein"
 
 
@@ -464,11 +463,12 @@ def _edge_graph(path):
 def _past_schur_budget(path):
     # 380 binary applications on distinct scopes give 4180 LC constraints, whose
     # 4180^2 pairs pass the budget; the index set, 1580, is within LC_SIZE_BUDGET
-    xor = CspType(2, [(0, 1), (1, 0)], 2)
-    apps = [("xor", (f"x{i}", f"x{j}"), 1) for i, j in itertools.islice(itertools.combinations(range(30), 2), 380)]
+    pairs = itertools.islice(itertools.combinations(range(30), 2), 380)
     csp = path.parent / "big.csp"
-    inst = WeightedCspInstance(2, [f"x{i}" for i in range(30)], {"xor": xor}, apps)
-    formats.atomic_write_text(str(csp), formats.write_csp(inst))
+    csp.write_text(
+        "csp q=2\n" + "".join(f"var x{i}\n" for i in range(30)) + "ctype xor arity=2 sat=0,1;1,0\n"
+        + "".join(f"apply xor x{i} x{j} w=1\n" for i, j in pairs)
+    )
     return ["sdp", "lc", "--csp", csp, "--out", path.parent / "lc.json"]
 
 
@@ -550,6 +550,8 @@ def _bad_bytes(path):
      "error: --seed must be >= 0, got -1"),
     (lambda p: ["sdp", "maxcut", "--graph", _edge_graph(p["klein"]), "--round", 10**18,
                 "--out", p["klein"].parent / "m.json"], "error: 1000000000000000000 trials of 2 vertices exceed 10000000"),
+    (lambda p: ["sdp", "maxcut", "--graph", _edge_graph(p["klein"]), "--round", -3,
+                "--out", p["klein"].parent / "m.json"], "error: --round must be >= 0, got -3"),
     (lambda p: ["sdp", "gap", "--family", write_family(p["klein"].parent.parent), "--eta", "0.1", "--restarts", 10**12,
                 "--out", p["klein"].parent / "g.json"], "error: restarts must be in 1..1000, got 1000000000000"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "k2", "--k", 10**18, "--rounds", 1],
@@ -578,7 +580,7 @@ def _bad_bytes(path):
         "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
-        "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge",
+        "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge", "maxcut-round-negative",
         "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge", "random-pair-m-huge",
         "params-alpha-underflow", "params-alpha-overflow", "params-epsilon-underflow", "params-gamma-underflow",
         "lift-bundles-past-cap", "brute-past-ceiling", "random-pair-past-cap", "random-pair-ell-60"])
@@ -590,6 +592,17 @@ def test_malformed_input_exits_2(pairs, capsys, argv, message):
     assert run(*args) == 2
     err = capsys.readouterr().err
     assert err.startswith(message(pairs) if callable(message) else message) and err.count("\n") == 1
+
+
+def test_negative_round_is_refused_before_the_solve(tmp_path, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before --round was checked")
+
+    monkeypatch.setattr("uglab.sdp.solve_sdp_lowrank", solve)
+    (tmp_path / "edge.graph").write_text("graph\nv 0\nv 1\ne 0 1\n")
+    out = tmp_path / "m.json"
+    assert run("sdp", "maxcut", "--graph", tmp_path / "edge.graph", "--round", -3, "--out", out) == 2
+    assert not out.exists()
 
 
 # the README's `sdp lc` input: every constraint can hold, so its LC value is 1
@@ -681,5 +694,20 @@ def test_readme_solve_tree_result_is_pinned(tmp_path, monkeypatch):
     for name, digest in (
         ("u5.gug", "73120c25031cf87ff4f1319de0d75d973538bfcb6c5418fc58ec02aac8e03d22"),
         ("result.json", "0b9f9a9185ee7136ef38502b92818228c05bbfa03d45ec365298d0589a3b9814"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_readme_sdpa_exports_are_pinned(tmp_path, monkeypatch):
+    # nothing in the program reads SDPA text back, so these digests hold the README's exports to their bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.csp").write_text(README_CSP)
+    assert run("gen", "cops-graph", "--k", 3, "--out", "c3.graph") == 0
+    for argv in (["maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", 1000, "--sdpa", "mc.dats"],
+                 ["lc", "--csp", "inst.csp", "--out", "lc.json", "--sdpa", "lc.dats"]):
+        assert run("sdp", *argv, "--no-timestamp") == 0
+    for name, digest in (
+        ("mc.dats", "b58232d2f3a59de19b39efae4360ceb1343329e426f583631205fa4b9d6138eb"),
+        ("lc.dats", "477fdfa682efc18159ea7aba361a9b22158455298a5dd9fe4b0d7573ab0baba7"),
     ):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

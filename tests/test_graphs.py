@@ -11,14 +11,21 @@ from uglab import graphs
 from uglab.errors import InvalidParameterError, PreconditionError
 from uglab.graphs import (
     SimpleGraph,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     girth,
     matching_decomposition,
-    path_graph,
     petersen_graph,
 )
+
+
+def path(n):
+    return SimpleGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def k33():
+    left, right = [("L", i) for i in range(3)], [("R", j) for j in range(3)]
+    return SimpleGraph(left + right, [(u, w) for u in left for w in right])
 
 
 def test_construction_normalizes_edges():
@@ -27,7 +34,7 @@ def test_construction_normalizes_edges():
     assert g.edges == ((1, 3), (2, 3))
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(1, 2)
-    assert g.degree(3) == 2
+    assert g.neighbors(3) == (1, 2)
 
 
 def test_rejects_loops_and_duplicates():
@@ -42,7 +49,7 @@ def test_rejects_loops_and_duplicates():
 def test_regular_degree():
     assert complete_graph(4).regular_degree() == 3
     assert petersen_graph().regular_degree() == 3
-    assert path_graph(3).regular_degree() is None
+    assert path(3).regular_degree() is None
 
 
 def test_components_and_connectivity():
@@ -66,12 +73,12 @@ def test_girth_values():
     assert girth(complete_graph(4)) == 3
     assert girth(cycle_graph(7)) == 7
     assert girth(petersen_graph()) == 5
-    assert girth(path_graph(5)) == math.inf
-    assert girth(complete_bipartite_graph(3, 3)) == 4
+    assert girth(path(5)) == math.inf
+    assert girth(k33()) == 4
 
 
 def test_matching_decomposition_k33():
-    g = complete_bipartite_graph(3, 3)
+    g = k33()
     ms = matching_decomposition(g)
     assert len(ms) == 3
     all_edges = [e for m in ms for e in m]
@@ -130,7 +137,7 @@ def test_matching_decomposition_needs_bipartite_or_coloring():
     with pytest.raises(PreconditionError):
         matching_decomposition(complete_graph(4))
     with pytest.raises(PreconditionError):
-        matching_decomposition(path_graph(4))  # not regular
+        matching_decomposition(path(4))  # not regular
 
 
 def test_cycle_decomposes_into_two_matchings():
