@@ -31,6 +31,9 @@ from .instances import GroupUgInstance
 KLEIN = {"e": 0, "a": 1, "b": 2, "c": 3}
 COPS_BUDGET = 100  # k of cops_robbers_graph(k), whose 2k(k-1) vertices every pursuit command builds
 PAIR_ELEMENT_BUDGET = 2**17  # subspace elements |E| 2^ell of a random pair: Petersen fits at ell = 13, not at 14
+# simple r-edge paths that good_edges may check, at most |E| r (d-1)^(r-1): cops:17 at r = 5,
+# bounded by 65 280, took 1.2 s on one core of a 2-vCPU x86-64 machine
+PATH_CENSUS_BUDGET = 2**16
 MIN_ALPHA = Fraction(1, 10**150)  # keeps 16/alpha^2, and so the degree d, a finite float
 
 
@@ -405,9 +408,17 @@ def good_edges(
 ) -> FrozenSet:
     """Edges e such that every simple r-edge path through e has subspaces
     whose union spans F_2^m. Requires girth > r so the path census is the
-    clean one; pass override to run below that."""
+    clean one; pass override to run below that. The census, at most
+    |E| r (d-1)^(r-1) paths for maximum degree d, is refused past
+    PATH_CENSUS_BUDGET before the first path is drawn."""
     if not override and girth(base) <= r:
         raise PreconditionError("girth must exceed r; pass override to relax")
+    spread = max((len(base.neighbors(v)) for v in base.vertices), default=1) - 1
+    # past the cap's bit length, 2^(r-1) alone exceeds it, so the power is never formed for a huge r
+    if spread > 1 and r > PATH_CENSUS_BUDGET.bit_length() or (
+        len(base.edges) * r * spread ** max(r - 1, 0) > PATH_CENSUS_BUDGET
+    ):
+        raise SearchBudgetError(f"up to |E| r (d-1)^(r-1) paths of {r} edges to check, cap is {PATH_CENSUS_BUDGET}")
     good = set()
     for e in base.edges:
         ok = True
@@ -617,15 +628,15 @@ def random_inapprox_pair(
     for e in base.edges:  # canonical order; b drawn before Z on each edge
         bmap[e] = random_vector(m, rng)
         zmap[e] = random_subspace(m, ell, rng)
+    good = good_edges(base, zmap, r, m, override=good_override)
     need = (k + 1) ** 2 * r
     g = girth(base)
     girth_ok = g >= need
-    if not girth_ok:  # after the draws, whose checks of m and ell raise first
+    if not girth_ok:  # after the draws and the good-edge census, whose checks raise first
         warnings.warn(
             f"girth {g} below ({k}+1)^2*r = {need}; strategy guarantees degrade",
             stacklevel=2,
         )
-    good = good_edges(base, zmap, r, m, override=good_override)
     return InapproxPair(*_pair_instances(base, zmap, bmap, good, m), good, zmap, bmap, params, base, girth_ok)
 
 
@@ -633,6 +644,7 @@ __all__ = [
     "KLEIN",
     "COPS_BUDGET",
     "PAIR_ELEMENT_BUDGET",
+    "PATH_CENSUS_BUDGET",
     "klein_vec",
     "unsat_complete_graph",
     "klein_pair",

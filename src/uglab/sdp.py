@@ -212,25 +212,25 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
     weight is stored separately so reported values equal actual cut weights.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    pairs = [(a, b) if a < b else (b, a) for a, b in ((index[u], index[v]) for u, v in graph.edges)]
+    # graph.edges and the index both follow vertex_sort_key: the pairs come sorted, each with i < j
+    pairs = [(index[u], index[v]) for u, v in graph.edges]
     c = SymMatrix()
     if weights is None:
-        wmap = dict.fromkeys(pairs, 1.0)
+        ws = [1.0] * len(pairs)
         c.entries = dict.fromkeys(pairs, -0.5)
         constant = len(pairs) / 2
     else:
         # exact sums, so the constant does not depend on the edge order
-        ws = [Fraction(weights[normalize_edge(u, v)]) for u, v in graph.edges]
-        wmap = {ij: float(w) for ij, w in zip(pairs, ws)}
-        c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, ws) if w}
-        constant = float(sum(ws) / 2)
+        exact = [Fraction(weights[normalize_edge(u, v)]) for u, v in graph.edges]
+        ws = [float(w) for w in exact]
+        c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, exact) if w}
+        constant = float(sum(exact) / 2)
     n = len(graph.vertices)
     cons = [(SymMatrix(), 1.0) for _ in range(n)]
     for i, (a, _) in enumerate(cons):
         a.entries[i, i] = 1.0
-    wmap = dict(sorted(wmap.items()))
-    i, j = np.fromiter(itertools.chain.from_iterable(wmap), dtype=int).reshape(-1, 2).T
-    meta = {"kind": "maxcut", "weights": wmap, "edges": (i, j, np.fromiter(wmap.values(), dtype=float))}
+    i, j = np.fromiter(itertools.chain.from_iterable(pairs), dtype=int, count=2 * len(pairs)).reshape(-1, 2).T
+    meta = {"kind": "maxcut", "edges": (i, j, np.array(ws, dtype=float))}
     return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=constant, meta=meta)
 
 

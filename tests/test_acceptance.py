@@ -374,9 +374,8 @@ def test_criterion_10_gw_pipeline(capsys):
             assert mean >= gws - 3 * se - 1e-9, f"graph {t}: rounding mean {mean} below {gws}"
 
             X = np.clip(sol.gram(), -1.0, 1.0)
-            expected = sum(
-                w * math.acos(X[i, j]) / math.pi for (i, j), w in inst.meta["weights"].items()
-            )
+            # the graph's vertices are 0..n-1, so each is its own index
+            expected = sum(w * math.acos(X[i, j]) / math.pi for (i, j), w in weights.items())
             # 3 SE governs whenever rounding has any variance; the absolute term
             # only covers arccos amplification of solver dust when every
             # hyperplane cuts the same edges and the estimated SE is zero

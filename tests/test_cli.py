@@ -20,6 +20,8 @@ from uglab.gf2 import Gf2Vector
 from uglab.instances import GroupUgInstance, evaluate
 from uglab.sdp import IPM_ITERATIONS, SCHUR_BUDGET
 
+from test_readme import DIGESTS, readme_input
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -257,17 +259,13 @@ def test_sidecar_entry_of_wrong_json_type_exits_2(pairs, capsys, path, value, me
     assert capsys.readouterr().err == f"error: {message.format(key=key)}\n"
 
 
-@pytest.mark.parametrize("gen, game, digest", [
-    (["klein"], ["--duplicator", "cops", "--k", 3, "--rounds", 200, "--seed", 1],
-     "0588223f18fdabadca25c8bcfc4b9b9cad8d58b2482a9c3a346a170525e90283"),
-    (["random-pair", "--seed", 4], ["--duplicator", "tree", "--k", 2, "--rounds", 100, "--seed", 2],
-     "2ec37b335404fe6cd908d89666369379b0dab86217aed00078361aa60505ad4b"),
-    (["klein"], ["--duplicator", "k2", "--k", 2, "--rounds", 200, "--seed", 1],
-     "8d588c24f6d40aade442e28fa5b3acabb0375b24f5182b62f0f014be81bcb26b"),
-    (["klein"], ["--duplicator", "identity", "--k", 2, "--rounds", 50, "--seed", 1],
-     "5a738a7bbc913e7fda51db5a6564d060d99eb2488441ece4011325405e72b6f2"),
+@pytest.mark.parametrize("gen, game, name", [
+    (["klein"], ["--duplicator", "cops", "--k", 3, "--rounds", 200, "--seed", 1], "game-cops.json"),
+    (["random-pair", "--seed", 4], ["--duplicator", "tree", "--k", 2, "--rounds", 100, "--seed", 2], "game-tree.json"),
+    (["klein"], ["--duplicator", "k2", "--k", 2, "--rounds", 200, "--seed", 1], "game-k2.json"),
+    (["klein"], ["--duplicator", "identity", "--k", 2, "--rounds", 50, "--seed", 1], "game-identity.json"),
 ], ids=["cops", "tree", "k2", "identity"])
-def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, digest):
+def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, name):
     # the README game commands must keep writing these exact --no-timestamp
     # transcripts; a faster Duplicator or search must not change one byte
     with warnings.catch_warnings():
@@ -275,7 +273,7 @@ def test_readme_game_transcripts_are_pinned(tmp_path, gen, game, digest):
         assert run("gen", *gen, "--out-dir", tmp_path / "pair") == 0
     out = tmp_path / "game.json"
     assert run("game", "--pair", tmp_path / "pair" / "pair.json", *game, "--out", out, "--no-timestamp") == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
 
 
 @pytest.mark.parametrize("k, seed", [(4, 11), (5, 10)])
@@ -290,21 +288,6 @@ def test_cops_game_on_a_generated_pursuit_pair_survives(tmp_path, k, seed):
     ) == 0
     data = load(out)
     assert data["winner"] is None and data["survived"] == 200
-
-
-def test_byte_identical_reruns(tmp_path):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    for d in (d1, d2):
-        assert run("gen", "klein", "--out-dir", d, "--no-timestamp") == 0
-    assert (d1 / "pair.json").read_bytes() == (d2 / "pair.json").read_bytes()
-    assert (d1 / "u1.gug").read_bytes() == (d2 / "u1.gug").read_bytes()
-
-    g = tmp_path / "c3.graph"
-    run("gen", "cops-graph", "--k", 3, "--out", g)
-    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    for m in (m1, m2):
-        assert run("sdp", "maxcut", "--graph", g, "--out", m, "--seed", 7, "--no-timestamp") == 0
-    assert m1.read_bytes() == m2.read_bytes()
 
 
 def test_sdp_maxcut_cli(tmp_path):
@@ -575,6 +558,9 @@ def _bad_bytes(path):
      "error: pair has 245760 subspace elements, cap is 131072"),
     (lambda p: ["gen", "random-pair", "--ell", 60, "--m", 60, "--out-dir", p["tree"].parent / "x"],
      "error: pair has 17293822569102704640 subspace elements, cap is 131072"),
+    (lambda p: ["gen", "random-pair", "--base", "cops:4", "--good-override", "--r", 10**18,
+                "--out-dir", p["tree"].parent / "x"],
+     "error: up to |E| r (d-1)^(r-1) paths of 1000000000000000000 edges to check, cap is 65536"),
 ], ids=["sidecar-not-json", "sidecar-line-3", "base-cops", "grid", "params", "not-utf8", "negative-m", "m-0", "m-70",
         "ell-above-m", "k-0", "k-negative", "empty-universe", "rounds-negative", "klein-cops-0", "klein-cops-huge",
         "cops-graph-k-huge", "random-pair-cops-huge", "report-dir-missing",
@@ -583,7 +569,8 @@ def _bad_bytes(path):
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge", "maxcut-round-negative",
         "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge", "random-pair-m-huge",
         "params-alpha-underflow", "params-alpha-overflow", "params-epsilon-underflow", "params-gamma-underflow",
-        "lift-bundles-past-cap", "brute-past-ceiling", "random-pair-past-cap", "random-pair-ell-60"])
+        "lift-bundles-past-cap", "brute-past-ceiling", "random-pair-past-cap", "random-pair-ell-60",
+        "random-pair-census-huge-r"])
 # the girth warning goes to stderr outside pytest, so no case may reach it
 @pytest.mark.filterwarnings("error:girth")
 def test_malformed_input_exits_2(pairs, capsys, argv, message):
@@ -603,13 +590,6 @@ def test_negative_round_is_refused_before_the_solve(tmp_path, monkeypatch):
     out = tmp_path / "m.json"
     assert run("sdp", "maxcut", "--graph", tmp_path / "edge.graph", "--round", -3, "--out", out) == 2
     assert not out.exists()
-
-
-# the README's `sdp lc` input: every constraint can hold, so its LC value is 1
-README_CSP = (
-    "csp q=2\nvar a\nvar b\nvar c\nctype xor arity=2 sat=0,1;1,0\nctype eq arity=2 sat=0,0;1,1\n"
-    "apply xor a b w=1\napply xor b c w=1\napply eq a c w=1/2\n"
-)
 
 
 def _python(*args, cwd=None):
@@ -657,9 +637,9 @@ def test_commands_that_need_no_scipy_import_none(tmp_path, argv, numpy):
     assert run("gen", "unsat", "--delta", "1/2", "--out", tmp_path / "u5.gug") == 0
     assert run("gen", "klein", "--out-dir", tmp_path / "klein", "--no-timestamp") == 0
     (tmp_path / "empty.graph").write_text("graph\n")
-    (tmp_path / "inst.csp").write_text(README_CSP)
+    (tmp_path / "inst.csp").write_text(readme_input("inst.csp"))
     (tmp_path / "fam").mkdir()
-    (tmp_path / "fam" / "inst.csp").write_text(README_CSP)
+    (tmp_path / "fam" / "inst.csp").write_text(readme_input("fam/inst.csp"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run("gen", "random-pair", "--out-dir", tmp_path / "rp", "--seed", 4, "--no-timestamp") == 0
@@ -677,7 +657,7 @@ def test_relaxations_solve_with_scipy_unimportable():
         "sys.modules['scipy'] = None",
         "from uglab.formats import parse_csp",
         "from uglab.sdp import build_lc_relaxation, gap_curve_estimate, solve_sdp_lowrank",
-        f"csp = parse_csp({README_CSP!r})",
+        f"csp = parse_csp({readme_input('inst.csp')!r})",
         "sol = solve_sdp_lowrank(build_lc_relaxation(csp))",
         "table = gap_curve_estimate([csp], eta=0.1, grid=[0.2, 0.8, 1.0])",
         "print(round(sol.value, 5), sol.residual <= 1e-6, round(table.points[0][0], 5), table.points[0][1])",
@@ -691,23 +671,17 @@ def test_readme_solve_tree_result_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("gen", "unsat", "--delta", "0.5", "--out", "u5.gug") == 0
     assert run("solve", "tree", "--in", "u5.gug", "--out", "result.json", "--no-timestamp") == 0
-    for name, digest in (
-        ("u5.gug", "73120c25031cf87ff4f1319de0d75d973538bfcb6c5418fc58ec02aac8e03d22"),
-        ("result.json", "0b9f9a9185ee7136ef38502b92818228c05bbfa03d45ec365298d0589a3b9814"),
-    ):
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    for name in ("u5.gug", "result.json"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name]
 
 
 def test_readme_sdpa_exports_are_pinned(tmp_path, monkeypatch):
     # nothing in the program reads SDPA text back, so these digests hold the README's exports to their bytes
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "inst.csp").write_text(README_CSP)
+    (tmp_path / "inst.csp").write_text(readme_input("inst.csp"))
     assert run("gen", "cops-graph", "--k", 3, "--out", "c3.graph") == 0
     for argv in (["maxcut", "--graph", "c3.graph", "--out", "mc.json", "--round", 1000, "--sdpa", "mc.dats"],
                  ["lc", "--csp", "inst.csp", "--out", "lc.json", "--sdpa", "lc.dats"]):
         assert run("sdp", *argv, "--no-timestamp") == 0
-    for name, digest in (
-        ("mc.dats", "b58232d2f3a59de19b39efae4360ceb1343329e426f583631205fa4b9d6138eb"),
-        ("lc.dats", "477fdfa682efc18159ea7aba361a9b22158455298a5dd9fe4b0d7573ab0baba7"),
-    ):
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    for name in ("mc.dats", "lc.dats"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name]

@@ -508,6 +508,19 @@ def test_good_edges_girth_guard():
     assert good_edges(g, zmap, 3, 1, override=True) == frozenset(g.edges)
 
 
+def test_good_edges_census_cap_boundary(monkeypatch):
+    # Petersen at r = 3 bounds its census by |E| r (d-1)^(r-1) = 15 * 3 * 4 = 180:
+    # checked at a cap of 180, refused at 179 before a single path is drawn
+    g = petersen_graph()
+    zmap = _const_zmap(g, [Gf2Vector.unit(0, 2), Gf2Vector.unit(1, 2)], 2)
+    monkeypatch.setattr(constructions, "PATH_CENSUS_BUDGET", 180)
+    assert good_edges(g, zmap, 3, 2) == frozenset(g.edges)
+    monkeypatch.setattr(constructions, "PATH_CENSUS_BUDGET", 179)
+    monkeypatch.setattr(constructions, "paths_through_edge", None)  # a path drawn would raise TypeError
+    with pytest.raises(SearchBudgetError, match=r"^up to .* paths of 3 edges to check, cap is 179$"):
+        good_edges(g, zmap, 3, 2)
+
+
 # -- parameter calculator ----------------------------------------------------------
 
 

@@ -504,7 +504,8 @@ def test_rounding_matches_expectation_formula():
     mean, std = hyperplane_round(sol, rng=9, trials=2000)
     se = std / math.sqrt(2000)
     x = sol.gram()
-    expected = sum(math.acos(max(-1.0, min(1.0, x[i, j]))) / math.pi for (i, j) in sol.instance.meta["weights"])
+    # unit weights on vertices 0..4, so each vertex is its own index
+    expected = sum(math.acos(max(-1.0, min(1.0, x[i, j]))) / math.pi for (i, j) in g.edges)
     # a floor of a few ulps: when every rounded cut is equal, se is 0 and the
     # arccos sum still differs from that cut in its last bits
     assert abs(mean - expected) <= 3 * se + 16 * math.ulp(expected)
@@ -513,8 +514,9 @@ def test_rounding_matches_expectation_formula():
 
 @st.composite
 def weighted_graph_factors(draw):
-    """A MaxCut instance of a random weighted graph on 1-12 vertices and a
-    random factor for it, of rank 1-6, row-major or column-major."""
+    """A MaxCut instance of a random weighted graph on 1-12 vertices, a
+    random factor for it, of rank 1-6, row-major or column-major, and the
+    edge weights it was built from (vertex k is index k)."""
     n = draw(st.integers(1, 12))
     edges = sorted(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=30))) if n > 1 else []
     weights = {e: draw(st.fractions(-4, 4, max_denominator=4)) for e in edges}
@@ -523,17 +525,18 @@ def weighted_graph_factors(draw):
     factor = np.random.default_rng(seed).standard_normal((draw(st.integers(1, 6)), n))
     if draw(st.booleans()):
         factor = np.asfortranarray(factor)
-    return SdpSolution(value=0.0, factor=factor, residual=0.0, spread=0.0, restarts=1, seed=0, instance=inst)
+    sol = SdpSolution(value=0.0, factor=factor, residual=0.0, spread=0.0, restarts=1, seed=0, instance=inst)
+    return sol, {e: float(w) for e, w in weights.items()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(weighted_graph_factors(), st.integers(0, 2**32 - 1), st.integers(1, 40))
-def test_rounding_equals_the_per_trial_cut_of_the_same_draws(sol, seed, trials):
+def test_rounding_equals_the_per_trial_cut_of_the_same_draws(case, seed, trials):
     # trial t splits the vertices by the sign of <h_t, v_k>, h_t row t of the
     # same standard normal draw, and cuts the weight of the split edges
+    sol, weights = case
     mean, std = hyperplane_round(sol, rng=seed, trials=trials)
     h = np.random.default_rng(seed).standard_normal((trials, sol.factor.shape[0]))
-    weights = sol.instance.meta["weights"]
     cuts = []
     for row in h:
         side = [float(row @ sol.factor[:, k]) >= 0 for k in range(sol.instance.n)]
@@ -544,9 +547,9 @@ def test_rounding_equals_the_per_trial_cut_of_the_same_draws(sol, seed, trials):
 
 @settings(max_examples=60, deadline=None)
 @given(weighted_graph_factors())
-def test_gw_symmetric_value_equals_the_gram_formula(sol):
+def test_gw_symmetric_value_equals_the_gram_formula(case):
+    sol, weights = case
     x = sol.factor.T @ sol.factor
-    weights = sol.instance.meta["weights"]
     expected = 0.5 * gw_alpha() * math.fsum(w * (1.0 - x[i, j]) for (i, j), w in weights.items())
     assert gw_symmetric_value(sol) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
