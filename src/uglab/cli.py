@@ -14,6 +14,7 @@ import os
 import random
 import re
 import sys
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -537,6 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one line, without the program's source location."""
+    print(f"uglab: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -545,7 +551,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # one rule for every --seed
             raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        with warnings.catch_warnings():  # the filters still decide which warnings show
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except StrategyViolationError as exc:
         print(f"strategy violation: {exc}", file=sys.stderr)
         return 3

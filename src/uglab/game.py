@@ -19,15 +19,22 @@ passed the check or the game would have ended; part of a partial isomorphism
 is one. So the new board is a partial isomorphism iff the new pair agrees
 with each pair still down, which is what ``check_partial_isomorphism`` is
 asked with ``new``. Transcripts, the JSON boundary, read their hex digits
-from a per-m table (``_hex_digits``).
+from a per-m table (``_hex_digits``); a ``GStarMap`` is read only once
+built, so it formats its hex map at most once.
+
+The pursuit strategy checks its own invariant the same way: after a first
+round over every edge, each round re-checks only the edges that the change
+since the last state that passed can reach, and a round that changed
+nothing returns the answer that passed (``CopsDuplicator``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .constructions import KLEIN, robber_move, shared_pursuit_graph
 from .errors import (
@@ -60,6 +67,11 @@ class LiftedStructure:
         self.base = base
         self._elements = tuple((v, Gf2Vector(g, base.m)) for v in base.vertices for g in range(base.q))
 
+    @cached_property
+    def element_set(self) -> FrozenSet[Tuple]:
+        """The elements as a set, for membership tests; built on first use."""
+        return frozenset(self._elements)
+
     def universe_size(self) -> int:
         return len(self._elements)
 
@@ -78,11 +90,15 @@ class LiftedStructure:
 
 
 class GStarMap:
-    """Map base vertex -> shift as int bits; vertices not mentioned shift by zero."""
+    """Map base vertex -> shift as int bits; vertices not mentioned shift by zero.
+
+    Read only once built: ``values`` is a read-only view of a private copy,
+    so the hex map is formatted at most once, however often it is asked for.
+    """
 
     def __init__(self, m: int, values: Dict[object, int]) -> None:
         self.m = m
-        self.values = dict(values)
+        self.values: Mapping[object, int] = MappingProxyType(dict(values))
 
     def apply(self, elem: Tuple) -> Tuple:
         v, g = elem
@@ -97,9 +113,13 @@ class GStarMap:
         (v, g), (w, h) = a, b
         return v == w and h.dim == self.m and h.bits == g.bits ^ s
 
-    def to_hex(self) -> Dict[str, str]:
+    @cached_property
+    def _hex(self) -> Dict[str, str]:
         digits = _hex_digits(self.m)
         return {str(v): digits[g] for v, g in self.values.items()}
+
+    def to_hex(self) -> Dict[str, str]:
+        return dict(self._hex)
 
 
 class _HexDigits(dict):
@@ -219,7 +239,7 @@ def play_game(
     pebbles: List[Optional[Tuple]] = [None] * k
     rounds = []
     winner = None
-    valid = set(A.elements())
+    valid = A.element_set
     for round_no in range(1, max_rounds + 1):
         view = GameView(A, B, k, round_no, tuple(pebbles), None)
         picked = spoiler.pick_up(view)
@@ -458,10 +478,35 @@ def duplicator_k2(u1: GroupUgInstance, u2: GroupUgInstance) -> K2Duplicator:
 # -- pursuit strategy over an edge-colored cubic graph ----------------------------
 
 
+@lru_cache(maxsize=16)
+def _edge_index(g: SimpleGraph) -> Tuple[Dict[Tuple, int], Dict[object, List[int]]]:
+    """Each edge's position in ``g.edges``, and the positions of the edges at
+    each vertex; shared by every caller: read only."""
+    edge_at = {e: i for i, e in enumerate(g.edges)}
+    edges_of: Dict[object, List[int]] = {v: [] for v in g.vertices}
+    for (u, v), i in edge_at.items():
+        edges_of[u].append(i)
+        edges_of[v].append(i)
+    return edge_at, edges_of
+
+
 class CopsDuplicator:
     """Stateful strategy: cops are the pebbled base vertices, the robber
     holds the one inconsistent edge, and every robber move adds the color of
-    the bystander edge at each interior path vertex to g*."""
+    the bystander edge at each interior path vertex to g*.
+
+    Every answer is checked against the invariant: each edge away from the
+    robber is consistent, and the robber edge's two diff sets are disjoint.
+    The first round checks every edge. Later rounds re-check only what
+    changed since the last state that passed: the edges at each vertex
+    whose g* differs from that state's, that state's robber edge and the
+    current one. Every other edge and its role are as they were when they
+    passed, so the answer is the full check's; edges are re-checked in
+    ``h.edges`` order, so the first failure is the full check's too. The
+    change set is a diff of the state, not the robber's path, so a write
+    anywhere is caught. A round that changed nothing returns the answer
+    that passed.
+    """
 
     def __init__(
         self,
@@ -488,6 +533,8 @@ class CopsDuplicator:
             if db not in shifts:
                 shifts[db] = tuple(frozenset(z ^ s for z in db) for s in range(4))
         self._edge_diffs = [(e, e[0], e[1], d1[e[0]][e[1]], shifts[d2[e[0]][e[1]]]) for e in h.edges]
+        # the last answer whose state passed the check, with its robber edge
+        self._passed: Optional[Tuple[GStarMap, Tuple]] = None
 
     def bijection(self, view: GameView) -> GStarMap:
         cops = {p[0][0] for p in view.pebbles if p is not None}
@@ -508,12 +555,29 @@ class CopsDuplicator:
                 e_j = normalize_edge(path[j], others[0])
                 self.gstar[path[j]] ^= KLEIN[self.coloring[e_j]]
             self.robber = normalize_edge(path[-2], path[-1])
-        self._assert_invariant()
-        return GStarMap(2, self.gstar)
+        return self._checked_answer()
 
-    def _assert_invariant(self) -> None:
-        gstar, robber = self.gstar, self.robber
-        for e, u, v, d1, shifted in self._edge_diffs:
+    def _checked_answer(self) -> GStarMap:
+        if self._passed is None:  # first round: fetch the edge index, check every edge
+            self._index = _edge_index(self.h)
+            self._assert_invariant()
+        else:
+            answer, robber = self._passed
+            if robber == self.robber and answer.values == self.gstar:
+                return answer
+            edge_at, edges_of = self._index
+            moved = self.gstar.items() ^ answer.values.items()
+            again = {i for v, _ in moved for i in edges_of.get(v, ())}
+            again.update(edge_at[e] for e in (robber, self.robber) if e in edge_at)
+            self._assert_invariant(sorted(again))
+        answer = GStarMap(2, self.gstar)
+        self._passed = (answer, self.robber)
+        return answer
+
+    def _assert_invariant(self, edges: Optional[Sequence[int]] = None) -> None:
+        """Check the edges of the given positions in ``h.edges``, all by default."""
+        gstar, robber, table = self.gstar, self.robber, self._edge_diffs
+        for e, u, v, d1, shifted in table if edges is None else map(table.__getitem__, edges):
             d2 = shifted[gstar[u] ^ gstar[v]]
             if e == robber:
                 if not d1.isdisjoint(d2):

@@ -78,9 +78,8 @@ class SimpleGraph:
         return len(self.edges)
 
     def has_edge(self, u, v) -> bool:
-        if u == v:
-            return False
-        return normalize_edge(u, v) in self._edge_set
+        # edges are held normalized, so if {u, v} is one, it is held in one of the two orders
+        return u != v and ((u, v) in self._edge_set or (v, u) in self._edge_set)
 
     def neighbors(self, v) -> Tuple:
         return tuple(self._adj[v])

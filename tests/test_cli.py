@@ -685,3 +685,13 @@ def test_readme_sdpa_exports_are_pinned(tmp_path, monkeypatch):
         assert run("sdp", *argv, "--no-timestamp") == 0
     for name in ("mc.dats", "lc.dats"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def test_library_warning_is_one_line_on_stderr(tmp_path):
+    # the README random pair sits below the girth bound; the warning names the
+    # fault, not where in the program it was raised or that line's source
+    res = _python("-m", "uglab", "gen", "random-pair", "--seed", "1", "--out-dir", "rp", cwd=tmp_path)
+    assert res.returncode == 0
+    lines = res.stderr.splitlines()
+    assert lines == ["uglab: warning: girth 5 below (2+1)^2*r = 27; strategy guarantees degrade"]
+    assert ".py:" not in res.stderr

@@ -471,6 +471,65 @@ def test_cops_duplicator_raises_when_the_robber_edge_sets_meet():
     assert exc.value.detail["edge"] == [str(x) for x in g.edges[0]]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.randoms(use_true_random=False),
+    st.lists(st.tuples(st.sampled_from(["play", "play", "flip", "move"]), st.integers(0, 2**16), st.integers(1, 3)),
+             min_size=1, max_size=40),
+)
+def test_cops_duplicator_checks_each_round_as_the_full_check_would(k, rng, steps):
+    # between rounds a vertex's g* is flipped, or the robber is put on another
+    # edge with no cop on it; the strategy, which re-checks only what changed
+    # since the last state that passed, must answer or raise as one that
+    # checks every edge in every round
+    h = cops_robbers_graph(k)
+    coloring = cubic_edge_coloring(h)
+    star = h.edges[rng.randrange(h.m)]
+    u1, u2 = klein_pair(h, coloring, star)
+    A, B = LiftedStructure(u1), LiftedStructure(u2)
+    dup, full = (duplicator_cops(u1, u2, h, coloring, star) for _ in range(2))
+    full._checked_answer = lambda: (full._assert_invariant(), GStarMap(2, full.gstar))[1]
+    pebbles = [None] * k
+    for round_no, (action, at, shift) in enumerate(steps, 1):
+        picked = (round_no - 1) % k
+        pebbles[picked] = None
+        view = GameView(A, B, k, round_no, tuple(pebbles), picked)
+        if action == "flip":
+            v = h.vertices[at % h.n]
+            dup.gstar[v] ^= shift
+            full.gstar[v] ^= shift
+        elif action == "move":
+            cops = {p[0][0] for p in pebbles if p is not None}
+            free = [e for e in h.edges if cops.isdisjoint(e)]
+            dup.robber = full.robber = free[at % len(free)]
+        outcomes = []
+        for d in (dup, full):
+            try:
+                outcomes.append(dict(d.bijection(view).values))
+            except StrategyViolationError as exc:
+                outcomes.append((str(exc), exc.detail))
+        assert outcomes[0] == outcomes[1]
+        assert (dup.gstar, dup.robber) == (full.gstar, full.robber)
+        if isinstance(outcomes[0], dict):
+            a = rng.choice(A.elements())
+            pebbles[picked] = (a, GStarMap(2, outcomes[0]).apply(a))
+
+
+def test_cops_duplicator_k24_transcript_is_pinned():
+    # a pursuit game far past the cycle graphs below, pinned before rounds
+    # re-checked only what they changed
+    h = cops_robbers_graph(24)
+    coloring = cubic_edge_coloring(h)
+    star = h.edges[0]
+    u1, u2 = klein_pair(h, coloring, star)
+    dup = duplicator_cops(u1, u2, h, coloring, star)
+    t = play_game(LiftedStructure(u1), LiftedStructure(u2), 24, dup, RandomSpoiler(random.Random(1)), 50)
+    assert t["survived"] == 50
+    digest = hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest()
+    assert digest == "6f56e508863ecdfdeae6456608ce479419f23377b6db4b690f19232d39ad7554"
+
+
 COPS_TRANSCRIPTS = {
     3: "bac2d50d849846a854b7c322627e6bee2a66e5c62e4a021d82debf9a1f599100",
     4: "c1627cc0c3c1582680cc5bdc4a0f0133fb6563906ec6372ea8ce5e19ddb5e552",
