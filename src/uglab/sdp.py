@@ -4,18 +4,19 @@ Coefficient convention: each unordered index pair (i, j), i <= j, holds its
 full coefficient c once, so a matrix's value at X is the sum of c * X_ij.  In
 a dense block (and in SDPA text, whose inner products run over both
 triangles) an off-diagonal c is halved and mirrored; ``_halved`` is the one
-place that does it.  An instance flattens its objective and constraints into
-one coefficient table of parallel arrays (matrix number, i, j, coefficient)
-that its checks, both solvers and the SDPA export read.  Every constraint
-is an equality <A_k, X> = b_k.
+place that does it.  An instance flattens its objective, its constraints and
+its "u" blocks' X_ii = 1 rows into one coefficient table of parallel arrays
+(matrix number, i, j, coefficient) that its checks, both solvers and the SDPA
+export read.  Every constraint is an equality <A_k, X> = b_k.
 
-Every solve returns a factorization X = V^T V.  Unit-diagonal cut instances
-get coordinate-ascent "mixing" at rank ceil(sqrt(2n))+1 on V^T held row-major,
-one vectorized step per DSatur colour class on its block of rows (no objective
-entry joins two indices of a class, so that is the per-vector sweep in class
-order), over-relaxed until a plateau of its exact-step ascent and then exact
-until the plateau holds again; everything else a primal-dual interior-point
-method, stopping on its residuals and duality gap.
+Every solve returns a factorization X = V^T V.  One "u" block and no given
+constraint, a cut relaxation, gets coordinate-ascent "mixing" at rank
+ceil(sqrt(2n))+1 on V^T held row-major, one vectorized step per DSatur colour
+class on its block of rows (no objective entry joins two indices of a class,
+so that is the per-vector sweep in class order), over-relaxed until a plateau
+of its exact-step ascent and then exact until the plateau holds again;
+everything else a primal-dual interior-point method, stopping on its residuals
+and duality gap.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .instances import WeightedCspInstance, csp_brute_opt
 # desk budgets, each checked before the work it bounds
 DIMENSION_BUDGET = 4096  # matrix dimension n; a dense block of it holds 8 n^2 bytes, 128 MiB at the cap
 LC_SIZE_BUDGET = 2048  # LC index set size
+LC_CONSTRAINT_BUDGET = 40_000  # LC equality constraints
 RESTART_BUDGET = 1000
 ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
 SCHUR_BUDGET = 2**24  # constraint pairs in an interior-point Newton system
@@ -86,13 +88,14 @@ class SdpInstance:
     """Maximization SDP over a block-diagonal PSD variable, subject to
     equalities <A_k, X> = b_k given as (A_k, b_k) pairs in ``constraints``.
 
-    ``blocks`` lists (kind, size) pairs, kind "s" for a full symmetric block
-    and "d" for a diagonal one.  Indices are global across blocks; entries
-    crossing two blocks or off the diagonal of a "d" block are rejected since
-    the corresponding variable entries are structurally zero.  ``constant``
-    is added to every reported objective value.  ``objective`` and
-    ``constraints`` are kept as given; everything else reads the coefficient
-    table built from them once here.
+    ``blocks`` lists (kind, size) pairs, kind "s" for a full symmetric block,
+    "u" for a symmetric one whose diagonal is 1, and "d" for a diagonal one.
+    Indices are global across blocks; entries crossing two blocks or off the
+    diagonal of a "d" block are rejected since the corresponding variable
+    entries are structurally zero.  ``constant`` is added to every reported
+    objective value.  ``objective`` and ``constraints`` are kept as given;
+    everything else reads the coefficient table built once here from them
+    and, after them, one X_ii = 1 row per index of a "u" block.
     """
 
     def __init__(
@@ -113,7 +116,7 @@ class SdpInstance:
             blocks = [("s", n)] if n else []
         blocks = [(str(kind), int(size)) for kind, size in blocks]
         for kind, size in blocks:
-            if kind not in ("s", "d"):
+            if kind not in ("s", "u", "d"):
                 raise InvalidParameterError(f"unknown block kind {kind!r}")
             if size < 1:
                 raise InvalidParameterError(f"block size must be >= 1, got {size}")
@@ -134,12 +137,15 @@ class SdpInstance:
         self.meta: Dict = dict(meta or {})
         # the coefficient table: row r is entry (_i[r], _j[r]), i <= j, of
         # matrix _mat[r] (0 the objective, k constraint k) with full
-        # coefficient _coef[r]; constraint k reads _bounds[k-1]
+        # coefficient _coef[r]; constraint k reads _bounds[k-1], the "u" rows last
         mats, chain = [objective.entries] + [a.entries for a, _ in cons], itertools.chain.from_iterable
-        self._mat = np.repeat(np.arange(len(mats)), [len(a) for a in mats])
-        self._i, self._j = np.fromiter(chain(chain(mats)), dtype=int).reshape(-1, 2).T
-        self._coef = np.fromiter(chain(a.values() for a in mats), dtype=float)
-        self._bounds = np.array([bound for _, bound in cons], dtype=float)
+        unit = np.flatnonzero(np.array([kind == "u" for kind, _ in blocks], dtype=bool)[self._block_of])
+        pairs, ones = np.fromiter(chain(chain(mats)), dtype=int).reshape(-1, 2), np.ones(len(unit))
+        self._mat = np.concatenate((np.repeat(np.arange(len(mats)), [len(a) for a in mats]),
+                                    len(mats) + np.arange(len(unit))))
+        self._i, self._j = np.concatenate((pairs, np.column_stack((unit, unit)))).T
+        self._coef = np.concatenate((np.fromiter(chain(a.values() for a in mats), dtype=float), ones))
+        self._bounds = np.concatenate(([bound for _, bound in cons], ones))
         self._check_table()
 
     def _check_table(self) -> None:
@@ -206,7 +212,7 @@ class SdpSolution:
 
 
 def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpInstance:
-    """Unit-diagonal relaxation of the maximum cut of a weighted graph.
+    """Unit-diagonal relaxation of the maximum cut of a weighted graph, one "u" block.
 
     The objective carries -w/2 per edge pair; the constant half of the total
     weight is stored separately so reported values equal actual cut weights.
@@ -226,12 +232,9 @@ def build_maxcut_sdp(graph: SimpleGraph, weights: Optional[Dict] = None) -> SdpI
         c.entries = {ij: float(-w / 2) for ij, w in zip(pairs, exact) if w}
         constant = float(sum(exact) / 2)
     n = len(graph.vertices)
-    cons = [(SymMatrix(), 1.0) for _ in range(n)]
-    for i, (a, _) in enumerate(cons):
-        a.entries[i, i] = 1.0
     i, j = np.fromiter(itertools.chain.from_iterable(pairs), dtype=int, count=2 * len(pairs)).reshape(-1, 2).T
     meta = {"kind": "maxcut", "edges": (i, j, np.array(ws, dtype=float))}
-    return SdpInstance(n, c, cons, blocks=[("s", n)] if n else [], constant=constant, meta=meta)
+    return SdpInstance(n, c, blocks=[("u", n)] if n else [], constant=constant, meta=meta)
 
 
 # -- solver -------------------------------------------------------------------
@@ -254,27 +257,13 @@ def _restart_generators(rng, restarts: int) -> Tuple[List[np.random.Generator], 
     return [np.random.default_rng(c) for c in children], seed
 
 
-def _unit_diagonal_form(instance: SdpInstance) -> bool:
-    """One "s" block (none when n = 0) and n constraints X_ii == 1, one per index."""
-    n, rows = instance.n, instance._mat > 0
-    i, ones = instance._i[rows], np.ones(n)
-    return (  # one bound per constraint, so n constraints
-        instance.blocks == ((("s", n),) if n else ())
-        and np.array_equal(instance._mat[rows], np.arange(1, n + 1))
-        and np.array_equal(instance._bounds, ones)
-        and np.array_equal(i, instance._j[rows])
-        and np.array_equal(instance._coef[rows], ones)
-        and np.array_equal(np.sort(i), np.arange(n))
-    )
-
-
 def _halved(instance: SdpInstance) -> np.ndarray:
     """Table coefficients as a dense block holds them: off-diagonal ones halved."""
     return np.where(instance._i == instance._j, instance._coef, instance._coef / 2.0)
 
 
 def _dense(instance: SdpInstance, at: Optional[np.ndarray] = None) -> np.ndarray:
-    """The objective of a one-"s"-block instance, dense with pairs mirrored;
+    """The objective of a one-block instance, dense with pairs mirrored;
     index k at row and column at[k] when `at` is given."""
     rows = instance._mat == 0
     i, j, c = instance._i[rows], instance._j[rows], _halved(instance)[rows]
@@ -400,24 +389,26 @@ def _interior_point(instance: SdpInstance, tol: float) -> Tuple[Callable, Callab
     """The interior-point restart and its failure message.
 
     Infeasible-start primal-dual path following (Helmberg, Rendl, Vanderbei &
-    Wolkowicz 1996) on max <C, X> s.t. <A_k, X> = b_k, X psd per "s" block and
-    >= 0 per "d" block; the dual is min b^T y s.t. Z = sum_k y_k A_k - C psd.
+    Wolkowicz 1996) on max <C, X> s.t. <A_k, X> = b_k over the table's rows
+    (a "u" block's X_ii = 1 among them), X psd per "s" or "u" block and >= 0
+    per "d" block; the dual is min b^T y s.t. Z = sum_k y_k A_k - C psd.
     Each step takes the HKM direction with Mehrotra's predictor and corrector,
     sigma = (mu_aff / mu)^3, from the Schur complement M_kl = <A_k, X A_l W>,
     W = Z^-1, and goes 0.95 of the way to the psd boundary, at most 1.  X and
-    Z are flat, block after block ("s" blocks row-major).  An "s" block adds
-    S T S^T to M, T over pairs r, s of its entries in use (i, j): X_ir,is W_jr,js
-    + X_jr,js W_ir,is + X_ir,js W_jr,is + X_jr,is W_ir,js, S_kr = c / 2 for
-    constraint k's coefficient c at r; a "d" block adds A_d diag(x / z) A_d^T.
-    M covers only constraints independent of earlier ones.  A restart stops
-    once the residuals are <= tol and |b^T y - <C, X>| <= tol max(1, |<C, X>|).
+    Z are flat, block after block (symmetric blocks row-major).  A symmetric
+    block adds S T S^T to M, T over pairs r, s of its entries in use (i, j):
+    X_ir,is W_jr,js + X_jr,js W_ir,is + X_ir,js W_jr,is + X_jr,is W_ir,js,
+    S_kr = c / 2 for constraint k's coefficient c at r; a "d" block adds
+    A_d diag(x / z) A_d^T.  M covers only constraints independent of earlier
+    ones.  A restart stops once the residuals are <= tol and
+    |b^T y - <C, X>| <= tol max(1, |<C, X>|).
     """
-    n, kcount = instance.n, len(instance.constraints)
+    n, kcount = instance.n, len(instance._bounds)
     diagonal = np.array([kind == "d" for kind, _ in instance.blocks], dtype=bool)
     sizes = np.array([size for _, size in instance.blocks], dtype=int)
     starts = np.concatenate(([0], np.cumsum(np.where(diagonal, sizes, sizes * sizes))))
     squares = [(starts[b], starts[b + 1], sizes[b]) for b in np.flatnonzero(~diagonal)]
-    # table row r sits at (i, j) of its "s" block's row-major matrix, or at i of its "d" block
+    # table row r sits at (i, j) of its symmetric block's row-major matrix, or at i of its "d" block
     block = instance._block_of[instance._i]
     first = np.array(instance.block_offsets, dtype=int)[block]
     i, j = instance._i - first, instance._j - first
@@ -428,7 +419,7 @@ def _interior_point(instance: SdpInstance, tol: float) -> Tuple[Callable, Callab
     if (pairs := max([kcount] + rows_per_block) ** 2) > SCHUR_BUDGET:  # M, the Gram and each block's T
         raise SearchBudgetError(f"{pairs} constraint pairs in the Newton system exceed {SCHUR_BUDGET}")
     flat = np.repeat(diagonal, np.diff(starts))  # the "d" entries of a flat iterate
-    ident = np.concatenate([np.zeros(0)] + [np.eye(size).ravel() if kind == "s" else np.ones(size)
+    ident = np.concatenate([np.zeros(0)] + [np.eye(size).ravel() if kind != "d" else np.ones(size)
                                             for kind, size in instance.blocks])
     # each constraint's coefficients at the flat entries in use, off-diagonal ones times sqrt(1/2), so amat amat^T
     # is the Gram <A_k, A_l>; a constraint whose QR diagonal entry is below 1e-9 of its column is left out
@@ -439,7 +430,7 @@ def _interior_point(instance: SdpInstance, tol: float) -> Tuple[Callable, Callab
     gram = amat @ amat.T
     keep = np.flatnonzero(np.abs(np.linalg.qr(gram, mode="r").diagonal()) > 1e-9 * np.linalg.norm(gram, axis=0))
     amat, dense, on_d = amat[keep], amat[keep][:, flat[cells]], cells[flat[cells]]  # dense: A_d at "d" entries in use
-    parts = []  # per "s" block: its slice, the local i and j of its entries in use, and S = their c / 2
+    parts = []  # per symmetric block: its slice, the local i and j of its entries in use, and S = their c / 2
     for lo, hi, size in squares:
         on = (cells >= lo) & (cells < hi) & amat.any(axis=0)
         ib, jb = np.divmod(cells[on] - lo, size)
@@ -474,7 +465,7 @@ def _interior_point(instance: SdpInstance, tol: float) -> Tuple[Callable, Callab
         return out
 
     def inverse_factors(v: np.ndarray) -> List[np.ndarray]:
-        """L^-1 for each "s" block L L^T of v."""
+        """L^-1 for each symmetric block L L^T of v."""
         return [np.linalg.inv(np.linalg.cholesky(v[lo:hi].reshape(size, size))) for lo, hi, size in squares]
 
     def step(v: np.ndarray, dv: np.ndarray, invs: List[np.ndarray]) -> float:
@@ -546,22 +537,22 @@ def solve_sdp_lowrank(
 ) -> SdpSolution:
     """Best-of-restarts factorized solve; deterministic for a fixed seed.
 
-    Unit-diagonal single-block instances take the coordinate-ascent path at
-    rank min(n, ceil(sqrt(2n))+1); anything else takes the interior-point
-    path (_interior_point) at full rank per block.  The best restart is the
-    feasible one of largest value (the largest value when none is), the first
-    such; only its factor is held while later restarts run.  `spread` is the
-    max - min of the feasible restarts' values (of all when none is); it
-    bounds nothing.  Raises ConvergenceError, with the best iterate attached,
-    when no restart meets the tolerance.
+    One "u" block (none when n = 0) and no given constraint takes the
+    coordinate-ascent path at rank min(n, ceil(sqrt(2n))+1); anything else
+    takes the interior-point path (_interior_point) at full rank per block.
+    The best restart is the feasible one of largest value (the largest value
+    when none is), the first such; only its factor is held while later
+    restarts run.  `spread` is the max - min of the feasible restarts' values
+    (of all when none is); it bounds nothing.  Raises ConvergenceError, with
+    the best iterate attached, when no restart meets the tolerance.
     """
     if not 1 <= restarts <= RESTART_BUDGET:
         raise InvalidParameterError(f"restarts must be in 1..{RESTART_BUDGET}, got {restarts}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would accept any iterate
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     gens, seed = _restart_generators(rng, restarts)
-    path = _mixing if _unit_diagonal_form(instance) else _interior_point
-    restart, failure = path(instance, tol)
+    cut = not instance.constraints and instance.blocks in ((), (("u", instance.n),))
+    restart, failure = (_mixing if cut else _interior_point)(instance, tol)
     runs = []  # every restart's (value, residual, ok, counters)
 
     def summarized(run):  # (factor, value, residual, ok, counters)
@@ -647,17 +638,22 @@ def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
     variables = instance.variables
     var_pos = {v: i for i, v in enumerate(variables)}
     n1 = len(variables) * q
-    sizes = []
+    sizes, count = [], 0
     for tname, var_tuple, _ in instance.applications:
         if len(set(var_tuple)) != len(var_tuple):
             raise InvalidParameterError(
                 f"application of {tname!r} repeats a variable; scopes must be distinct"
             )
-        sizes.append(q ** len(var_tuple))
+        r = len(var_tuple)
+        sizes.append(q**r)
+        # the norm row, then a tie per label pair a <= b of each variable and per label pair of each two
+        count += 1 + r * q * (q + 1) // 2 + r * (r - 1) // 2 * q * q
     n2 = sum(sizes)
     n = n1 + n2
     if n > LC_SIZE_BUDGET:
         raise SearchBudgetError(f"index set size {n} exceeds the desk budget {LC_SIZE_BUDGET}")
+    if count > LC_CONSTRAINT_BUDGET:
+        raise SearchBudgetError(f"{count} constraints exceed the desk budget {LC_CONSTRAINT_BUDGET}")
     mu_offsets = list(itertools.accumulate(sizes, initial=n1))[:-1] if sizes else []
     scale = instance.abs_weight() or Fraction(1)
 
@@ -690,8 +686,6 @@ def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
                             if f[p1] == a and f[p2] == bl:
                                 row.add(mu_offsets[t] + r, mu_offsets[t] + r, -1.0)
                         constraints.append((row, 0.0))
-    if len(constraints) > 40000:
-        raise SearchBudgetError(f"{len(constraints)} constraints exceed the desk budget")
     blocks = ([("s", n1)] if n1 else []) + ([("d", n2)] if n2 else [])
     meta = {"kind": "lc", "scale": scale}
     return SdpInstance(n, objective, constraints, blocks=blocks, constant=0.0, meta=meta)
@@ -758,13 +752,14 @@ def to_sdpa(instance: SdpInstance) -> str:
 
     SDPA inner products run over both triangles, so the halved entries make an
     external solver reproduce this module's values.  The objective constant
-    travels in a comment since the format has no slot for it.
+    travels in a comment since the format has no slot for it.  A "u" block is
+    written as a symmetric block with its X_ii = 1 rows.
     """
     lines = [f"*constant {instance.constant!r}"]
     lines.append(f"{len(instance._bounds)}")
     lines.append(f"{len(instance.blocks)}")
     # an empty vector is written "{}": a blank line would not hold its place
-    lines.append(" ".join(str(size if kind == "s" else -size) for kind, size in instance.blocks) or "{}")
+    lines.append(" ".join(str(size if kind != "d" else -size) for kind, size in instance.blocks) or "{}")
     lines.append(" ".join(repr(b) for b in instance._bounds.tolist()) or "{}")
     order = np.lexsort((instance._j, instance._i, instance._mat))
     i, j = instance._i[order], instance._j[order]

@@ -455,6 +455,16 @@ def _past_schur_budget(path):
     return ["sdp", "lc", "--csp", csp, "--out", path.parent / "lc.json"]
 
 
+def _past_lc_constraint_budget(path):
+    # 44 unary applications on one variable at q = 45: 45 + 44 * 45 = 2025 indices
+    # are within LC_SIZE_BUDGET, 44 (1 + 45 * 46 / 2) = 45 584 constraints are not
+    csp = path.parent / "wide.csp"
+    csp.write_text(
+        "csp q=45\nvar x\n" + "".join(f"ctype z{k} arity=1 sat=0\napply z{k} x w=1\n" for k in range(44))
+    )
+    return ["sdp", "lc", "--csp", csp, "--out", path.parent / "lc.json"]
+
+
 def _k4_at(path, m):
     # K4 over F_2^m: 4 * 2^m lifted vertices, under the default cap at m = 9,
     # but 6 * 4^m lifted bundles
@@ -541,6 +551,7 @@ def _bad_bytes(path):
      "error: need k in 1..1000, got 1000000000000000000"),
     (lambda p: _past_schur_budget(p["klein"]),
      f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
+    (lambda p: _past_lc_constraint_budget(p["klein"]), "error: 45584 constraints exceed the desk budget 40000"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", 10**12,
                 "--out", p["klein"].parent / "g.json"], "error: need max_rounds <= 10000, got 1000000000000"),
     (lambda p: ["gen", "random-pair", "--m", 10**18, "--out-dir", p["tree"].parent / "x"],
@@ -567,7 +578,8 @@ def _bad_bytes(path):
         "report-dir-is-file", "cops-u2-missing-edge", "cops-u2-bundle-changed", "gap-eta-negative",
         "gap-eta-overflow", "gap-grid-non-finite", "lc-tol-inf", "maxcut-seed-negative", "lc-seed-negative",
         "gap-seed-negative", "game-seed-negative", "random-pair-seed-negative", "maxcut-round-huge", "maxcut-round-negative",
-        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "rounds-huge", "random-pair-m-huge",
+        "gap-restarts-huge", "game-k-huge", "lc-past-schur-budget", "lc-past-constraint-budget", "rounds-huge",
+        "random-pair-m-huge",
         "params-alpha-underflow", "params-alpha-overflow", "params-epsilon-underflow", "params-gamma-underflow",
         "lift-bundles-past-cap", "brute-past-ceiling", "random-pair-past-cap", "random-pair-ell-60",
         "random-pair-census-huge-r"])

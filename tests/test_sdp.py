@@ -111,21 +111,27 @@ def test_instance_validation():
 # -- cut relaxation -----------------------------------------------------------
 
 
+def constraint_rows(inst):
+    """The coefficient table's constraint rows as (k, i, j, coefficient, b_k)."""
+    rows = inst._mat > 0
+    k, i, j, c = inst._mat[rows], inst._i[rows], inst._j[rows], inst._coef[rows]
+    return list(zip(k.tolist(), i.tolist(), j.tolist(), c.tolist(), inst._bounds[k - 1].tolist()))
+
+
 def test_maxcut_builder_fields():
     inst = build_maxcut_sdp(SimpleGraph(range(3), [(0, 1), (1, 2), (0, 2)]))
     assert inst.n == 3
     assert inst.constant == 1.5
     assert inst.objective.entries == {(0, 1): -0.5, (1, 2): -0.5, (0, 2): -0.5}
-    assert len(inst.constraints) == 3
-    for a, b in inst.constraints:
-        assert b == 1.0
-        ((i, j),) = a.entries
-        assert i == j
+    # the unit diagonal is declared, not given: the table holds X_ii = 1 as constraint i + 1
+    assert inst.blocks == (("u", 3),) and inst.constraints == ()
+    assert constraint_rows(inst) == [(i + 1, i, i, 1.0, 1.0) for i in range(3)]
 
 
 def test_maxcut_empty_graph():
     inst = build_maxcut_sdp(SimpleGraph(["a", "b", "c"], []))
-    assert len(inst.constraints) == 3
+    assert inst.blocks == (("u", 3),) and inst.constraints == ()
+    assert constraint_rows(inst) == [(i + 1, i, i, 1.0, 1.0) for i in range(3)]
     assert inst.objective.entries == {}
     assert solve_sdp_lowrank(inst).value == 0.0
 
@@ -207,7 +213,7 @@ def _unit_diagonal_sdp(draw, n, pairs, min_edges=0):
     objective = SymMatrix(cut.objective.entries)
     for i, c in draw(st.dictionaries(st.integers(0, n - 1), FRACS, max_size=3)).items():
         objective.add(i, i, c)
-    return SdpInstance(n, objective, cut.constraints, constant=cut.constant)
+    return SdpInstance(n, objective, blocks=[("u", n)], constant=cut.constant)
 
 
 @st.composite
@@ -314,7 +320,7 @@ def random_weighted_graph_sdp(rng):
     objective = SymMatrix(cut.objective.entries)
     for i in rng.sample(range(n), min(n, rng.randint(0, 3))):
         objective.add(i, i, rng.choice(fracs))
-    return SdpInstance(n, objective, cut.constraints, constant=cut.constant)
+    return SdpInstance(n, objective, blocks=[("u", n)], constant=cut.constant)
 
 
 def test_mixing_stops_on_the_sweep_of_the_per_column_reference():
@@ -452,11 +458,17 @@ def test_dense_unit_diagonal_sdpa_instance_solves():
     # so each class is one index
     n = 5
     objective = SymMatrix({(i, j): -3.0 if i == j else -2.0 for i in range(n) for j in range(i, n)})
-    inst = SdpInstance(n, objective, [(SymMatrix({(k, k): 1.0}), 1.0) for k in range(n)], constant=2.5)
+    inst = SdpInstance(n, objective, blocks=[("u", n)], constant=2.5)
     assert [s.tolist() for s in _colour_classes(inst)] == [[i] for i in range(n)]
     sol = solve_sdp_lowrank(inst, restarts=2)
     assert sol.value == pytest.approx(-10.0 + 2.5, abs=1e-6)
     assert sol.residual <= 1e-6 and len(sol.stats["sweeps"]) == 2
+    # the diagonal spelled out as n given constraints, as an SDPA file holds it, is
+    # the same problem on the interior-point path
+    spelled = SdpInstance(n, objective, [(SymMatrix({(k, k): 1.0}), 1.0) for k in range(n)], constant=2.5)
+    sol = solve_sdp_lowrank(spelled, restarts=2)
+    assert sol.value == pytest.approx(-10.0 + 2.5, abs=1e-6)
+    assert sol.residual <= 1e-6 and len(sol.stats["iterations"]) == 2
 
 
 # -- rounding -----------------------------------------------------------------
@@ -718,13 +730,38 @@ def test_schur_budget_boundary(monkeypatch):
     assert peak < 2000**2 * 8 / 20
 
 
-@pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)])
+@pytest.mark.parametrize("coeff, bound, value", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0), (None, None, 1.0)])
 def test_only_unit_diagonal_instances_take_the_mixing_path(coeff, bound, value):
     # max -X_01 subject to coeff * X_ii == bound is bound / coeff; the mixing
-    # path holds X_ii at 1 and would report 1.0 for every row
-    cons = [(SymMatrix({(i, i): coeff}), bound) for i in range(2)]
-    sol = solve_sdp_lowrank(SdpInstance(2, SymMatrix({(0, 1): -1.0}), cons), restarts=1)
+    # path holds X_ii at 1 and would report 1.0 for every row. Only a declared
+    # "u" block (coeff None) mixes: a given X_ii == 1 takes the interior-point path
+    if coeff is None:
+        inst = SdpInstance(2, SymMatrix({(0, 1): -1.0}), blocks=[("u", 2)])
+    else:
+        inst = SdpInstance(2, SymMatrix({(0, 1): -1.0}), [(SymMatrix({(i, i): coeff}), bound) for i in range(2)])
+    sol = solve_sdp_lowrank(inst, restarts=1)
     assert sol.value == pytest.approx(value, abs=1e-5)
+    assert list(sol.stats) == ["sweeps" if coeff is None else "iterations"]
+
+
+def test_unit_diagonal_block_beside_a_diagonal_block():
+    # max X_22 subject to X_01 + X_22 = 0 over a "u" block of 2 and a "d" block
+    # of 1 is 1, at X_01 = -1: the declared diagonal is what bounds it
+    objective, link = SymMatrix({(2, 2): 1.0}), SymMatrix({(0, 1): 1.0, (2, 2): 1.0})
+    inst = SdpInstance(3, objective, [(link, 0.0)], blocks=[("u", 2), ("d", 1)])
+    assert constraint_rows(inst) == [(1, 0, 1, 1.0, 0.0), (1, 2, 2, 1.0, 0.0), (2, 0, 0, 1.0, 1.0), (3, 1, 1, 1.0, 1.0)]
+    sol = solve_sdp_lowrank(inst, restarts=1)
+    assert sol.value == pytest.approx(1.0, abs=1e-6) and sol.residual <= 1e-6
+    assert list(sol.stats) == ["iterations"]
+    # SDPA writes the "u" block as a symmetric one, its X_ii = 1 rows after the given constraint
+    assert to_sdpa(inst).splitlines() == [
+        "*constant 0.0", "3", "2", "2 -1", "0.0 1.0 1.0",
+        "0 2 1 1 1.0", "1 1 1 2 0.5", "1 2 1 1 1.0", "2 1 1 1 1.0", "3 1 2 2 1.0",
+    ]
+    # a given constraint on the declared diagonal is one more row; X_00 = 2 cannot hold beside X_00 = 1
+    clash = SdpInstance(3, objective, [(link, 0.0), (SymMatrix({(0, 0): 1.0}), 2.0)], blocks=[("u", 2), ("d", 1)])
+    with pytest.raises(ConvergenceError):
+        solve_sdp_lowrank(clash, restarts=1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
@@ -899,6 +936,32 @@ def test_lc_size_budget():
         build_lc_relaxation(csp)
 
 
+def test_lc_constraint_budget_boundary(monkeypatch):
+    # the constraints are counted from the applications: built at K, refused
+    # at K - 1 before any matrix of the relaxation exists; q and arity up to 3
+    rng, built = random.Random(4), []
+
+    class Counted(SymMatrix):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    for _ in range(20):
+        q, vs = rng.randint(2, 3), ["x", "y", "z"]
+        types = {f"t{r}": CspType(r, [(0,) * r], q) for r in (1, 2, 3)}
+        apps = [(f"t{r}", tuple(rng.sample(vs, r)), 1) for r in (rng.randint(1, 3) for _ in range(rng.randint(1, 4)))]
+        csp = WeightedCspInstance(q, vs, types, apps)
+        limit = len(build_lc_relaxation(csp).constraints)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "LC_CONSTRAINT_BUDGET", limit)
+            assert len(build_lc_relaxation(csp).constraints) == limit
+            patch.setattr(sdp, "LC_CONSTRAINT_BUDGET", limit - 1)
+            patch.setattr(sdp, "SymMatrix", Counted)
+            with pytest.raises(SearchBudgetError, match=f"^{limit} constraints exceed the desk budget {limit - 1}$"):
+                build_lc_relaxation(csp)
+        assert built == []
+
+
 # -- gap tables ------------------------------------------------------------------
 
 
@@ -999,14 +1062,19 @@ def read_sdpa(text):
 
 
 def test_sdpa_round_trip_maxcut():
+    # SDPA has no unit-diagonal block: the "u" block reads back as an "s" block
+    # with its X_ii = 1 rows given, and the coefficient tables are equal
     inst = build_maxcut_sdp(SimpleGraph(range(3), [(0, 1), (1, 2), (0, 2)]))
     back = read_sdpa(to_sdpa(inst))
     assert back.n == inst.n
-    assert back.blocks == inst.blocks
     assert back.constant == inst.constant
     assert back.objective.entries == inst.objective.entries
-    assert [(a.entries, b) for a, b in back.constraints] == [(a.entries, b) for a, b in inst.constraints]
-    assert solve_sdp_lowrank(back).value == pytest.approx(solve_sdp_lowrank(inst).value, abs=1e-9)
+    for name in ("_mat", "_i", "_j", "_coef", "_bounds"):
+        assert np.array_equal(getattr(back, name), getattr(inst, name)), name
+    # the read-back form takes the interior-point path, at a tolerance that holds its value to 1e-9
+    interior = solve_sdp_lowrank(back, tol=1e-9)
+    assert list(interior.stats) == ["iterations"]
+    assert interior.value == pytest.approx(solve_sdp_lowrank(inst).value, abs=1e-9)
 
 
 def test_sdpa_round_trip_lc():
