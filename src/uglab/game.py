@@ -322,6 +322,12 @@ def find_winning_line(
     lifted slot, not on the element placed. So for each node and slot a
     fresh duplicator (answering may change its state) replays the prefix
     and answers once, and every placement is tested against that one map.
+    A duplicator whose class declares ``stateless = True`` answers from the
+    view alone, and answering or observing changes nothing; it is built
+    once, at the first question, and asked about the search's own board
+    with no replay. On the last level its verdict, the first failing
+    element or none, is kept per board after the lift and lifted slot in a
+    dict that lives for the call, so each such board is asked about once.
     Empty slots are interchangeable, so only the first empty slot is tried
     alongside the occupied ones. The budget caps simulated placements and
     is checked before the Duplicator is asked.
@@ -340,6 +346,8 @@ def find_winning_line(
     from int bit tables; on the last level, where nothing recurses, the
     first failing element in ``A.elements()`` order is the line.
     """
+    if A.universe_size() != B.universe_size():
+        raise PreconditionError("universes differ in size; no bijection exists")
     _check_pebbles(k)
     els = A.elements()
     if not els:  # nothing to place: the Duplicator is never asked
@@ -349,6 +357,8 @@ def find_winning_line(
         first_at.setdefault(v, i)
     diffs = _diff_table(A.base, B.base)
     moves_tried = 0
+    shared = None  # a stateless duplicator, kept from the first question on
+    verdicts: Dict[Tuple, Optional[int]] = {}  # last level, stateless: (board after the lift, slot) -> hit
 
     def spend(moves: int) -> None:
         nonlocal moves_tried
@@ -367,6 +377,18 @@ def find_winning_line(
             if hasattr(dup, "observe_placement"):
                 dup.observe_placement(GameView(A, B, k, rnd, tuple(pebbles), slot))
         return dup, pebbles
+
+    def ask(prefix: Sequence[Tuple], pebbles: Sequence[Optional[Tuple]], slot: int):
+        """The board after lifting ``slot`` and the Duplicator's answer."""
+        nonlocal shared
+        if shared is None:
+            dup, lifted = replay(prefix)
+            if getattr(dup, "stateless", False):
+                shared = dup
+        else:
+            dup, lifted = shared, list(pebbles)
+        _, g = _answer(dup, A, B, k, len(prefix) + 1, lifted, slot)
+        return lifted, g
 
     def candidate_slots(pebbles: Sequence[Optional[Tuple]]) -> List[int]:
         slots = [i for i, p in enumerate(pebbles) if p is not None]
@@ -388,21 +410,35 @@ def find_winning_line(
                     bad.add(w)
         return bad
 
+    def first_hit(prefix: List[Tuple], pebbles: Sequence[Optional[Tuple]], slot: int) -> Optional[int]:
+        """Last level: the index in ``els`` of the first failing placement
+        after lifting ``slot``, or None. A stateless duplicator is asked once
+        per key; one dict lookup per visit, as hashing the board is its cost."""
+        key = (*pebbles[:slot], None, *pebbles[slot + 1 :], slot)
+        hit = verdicts.get(key, -1)  # -1: not asked yet
+        if hit != -1:
+            return hit
+        lifted, g = ask(prefix, pebbles, slot)
+        bad = failing_vertices(lifted, g)
+        hit = min((first_at[w] for w in bad if w in first_at), default=None)
+        if shared is not None:
+            verdicts[key] = hit
+        return hit
+
     def rec(prefix: List[Tuple], pebbles: Sequence[Optional[Tuple]]) -> Optional[List[Tuple]]:
         if len(prefix) >= depth:
             return None
         last = len(prefix) + 1 == depth
         for slot in candidate_slots(pebbles):
             spend(1)  # the first placement; an exhausted budget comes before the question
-            dup, lifted = replay(prefix)
-            _, g = _answer(dup, A, B, k, len(prefix) + 1, lifted, slot)
-            bad = failing_vertices(lifted, g)
             if last:
-                hit = min((first_at[w] for w in bad if w in first_at), default=None)
+                hit = first_hit(prefix, pebbles, slot)
                 spend(len(els) - 1 if hit is None else hit)
                 if hit is not None:
                     return prefix + [(slot, els[hit])]
                 continue
+            lifted, g = ask(prefix, pebbles, slot)
+            bad = failing_vertices(lifted, g)
             for i, a in enumerate(els):
                 if i:
                     spend(1)
@@ -423,7 +459,10 @@ def find_winning_line(
 
 
 class IdentityDuplicator:
-    """Always answers the identity bijection (g* = 0)."""
+    """Always answers the identity bijection (g* = 0). Stateless: the
+    winning-line search builds one and asks it about every board."""
+
+    stateless = True
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -445,7 +484,12 @@ class K2Duplicator:
     With the single surviving pebble on (x_v0^{g1}, x_v0^{g2}): shift v0 by
     g1+g2; shift each neighbor v by g1+g2+z2+z1, where z1, z2 are the least
     diffs on (v0, v) in the two instances; everything else shifts by zero.
+    The offsets z1+z2 are computed once per vertex. The answer depends on
+    the view alone (``stateless``), so the winning-line search builds one
+    and asks it about every board.
     """
+
+    stateless = True
 
     def __init__(self, u1: GroupUgInstance, u2: GroupUgInstance) -> None:
         if u1.m != u2.m:
@@ -454,6 +498,8 @@ class K2Duplicator:
             raise PreconditionError("instances must share one base graph")
         self.u1 = u1
         self.u2 = u2
+        d2 = u2.diff_bits
+        self._offsets = {v: {w: min(d) ^ min(d2[v][w]) for w, d in row.items()} for v, row in u1.diff_bits.items()}
 
     def bijection(self, view: GameView) -> GStarMap:
         placed = [p for p in view.pebbles if p is not None]
@@ -466,8 +512,8 @@ class K2Duplicator:
             raise StrategyViolationError(
                 "pebble pair spans two base vertices", side="duplicator"
             )
-        s, row1, row2 = g1.bits ^ g2.bits, self.u1.diff_bits.get(v0, {}), self.u2.diff_bits.get(v0, {})
-        vals = {v0: s, **{w: s ^ min(d) ^ min(row2[w]) for w, d in row1.items()}}
+        s = g1.bits ^ g2.bits
+        vals = {v0: s, **{w: s ^ z for w, z in self._offsets.get(v0, {}).items()}}
         return GStarMap(self.u1.m, vals)
 
 

@@ -43,7 +43,6 @@ from .instances import WeightedCspInstance, csp_brute_opt
 # desk budgets, each checked before the work it bounds
 DIMENSION_BUDGET = 4096  # matrix dimension n; a dense block of it holds 8 n^2 bytes, 128 MiB at the cap
 LC_SIZE_BUDGET = 2048  # LC index set size
-LC_CONSTRAINT_BUDGET = 40_000  # LC equality constraints
 RESTART_BUDGET = 1000
 ROUND_SIZE_BUDGET = 10**7  # hyperplane-rounding trials x vertices, 8 bytes each
 SCHUR_BUDGET = 2**24  # constraint pairs in an interior-point Newton system
@@ -633,6 +632,9 @@ def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
     of the per-application distributions, and each distribution sums to one,
     all by equalities.  Weights are divided by the total absolute weight,
     recorded as meta["scale"], so objective values land in [-1, 1].
+    The constraints are counted from the applications before any is built;
+    K of them are refused when the solve would refuse K^2 pairs in its
+    Newton system (``SCHUR_BUDGET``), with the solve's message.
     """
     q = instance.q
     variables = instance.variables
@@ -652,8 +654,8 @@ def build_lc_relaxation(instance: WeightedCspInstance) -> SdpInstance:
     n = n1 + n2
     if n > LC_SIZE_BUDGET:
         raise SearchBudgetError(f"index set size {n} exceeds the desk budget {LC_SIZE_BUDGET}")
-    if count > LC_CONSTRAINT_BUDGET:
-        raise SearchBudgetError(f"{count} constraints exceed the desk budget {LC_CONSTRAINT_BUDGET}")
+    if (pairs := count**2) > SCHUR_BUDGET:  # the solve's Newton system, refused before the build
+        raise SearchBudgetError(f"{pairs} constraint pairs in the Newton system exceed {SCHUR_BUDGET}")
     mu_offsets = list(itertools.accumulate(sizes, initial=n1))[:-1] if sizes else []
     scale = instance.abs_weight() or Fraction(1)
 

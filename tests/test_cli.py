@@ -445,7 +445,7 @@ def _edge_graph(path):
 
 def _past_schur_budget(path):
     # 380 binary applications on distinct scopes give 4180 LC constraints, whose
-    # 4180^2 pairs pass the budget; the index set, 1580, is within LC_SIZE_BUDGET
+    # 4180^2 pairs are refused before the build; the index set, 1580, is within LC_SIZE_BUDGET
     pairs = itertools.islice(itertools.combinations(range(30), 2), 380)
     csp = path.parent / "big.csp"
     csp.write_text(
@@ -457,7 +457,8 @@ def _past_schur_budget(path):
 
 def _past_lc_constraint_budget(path):
     # 44 unary applications on one variable at q = 45: 45 + 44 * 45 = 2025 indices
-    # are within LC_SIZE_BUDGET, 44 (1 + 45 * 46 / 2) = 45 584 constraints are not
+    # are within LC_SIZE_BUDGET, the 45 584^2 pairs of 44 (1 + 45 * 46 / 2) constraints
+    # are past SCHUR_BUDGET
     csp = path.parent / "wide.csp"
     csp.write_text(
         "csp q=45\nvar x\n" + "".join(f"ctype z{k} arity=1 sat=0\napply z{k} x w=1\n" for k in range(44))
@@ -551,7 +552,8 @@ def _bad_bytes(path):
      "error: need k in 1..1000, got 1000000000000000000"),
     (lambda p: _past_schur_budget(p["klein"]),
      f"error: {4180**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
-    (lambda p: _past_lc_constraint_budget(p["klein"]), "error: 45584 constraints exceed the desk budget 40000"),
+    (lambda p: _past_lc_constraint_budget(p["klein"]),
+     f"error: {45584**2} constraint pairs in the Newton system exceed {SCHUR_BUDGET}"),
     (lambda p: ["game", "--pair", p["klein"], "--duplicator", "cops", "--rounds", 10**12,
                 "--out", p["klein"].parent / "g.json"], "error: need max_rounds <= 10000, got 1000000000000"),
     (lambda p: ["gen", "random-pair", "--m", 10**18, "--out-dir", p["tree"].parent / "x"],

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uglab.constructions import (
@@ -34,6 +35,7 @@ from uglab.game import (
     _elem_json,
     _hex_digits,
     GStarMap,
+    K2Duplicator,
     LiftedStructure,
     RandomSpoiler,
     check_partial_isomorphism,
@@ -213,6 +215,18 @@ def test_play_game_size_mismatch():
     small = LiftedStructure(GroupUgInstance(2, ["w"], []))
     with pytest.raises(PreconditionError):
         play_game(A, small, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 5)
+    # the lifted twisted C5 (20 elements) against a lifted C4 (16): both
+    # refuse, and the search before its duplicator factory runs
+    u1, _ = twisted_c5(0)
+    c4 = GroupUgInstance(2, range(4), [(u, v, [Gf2Vector.zero(2)]) for u, v in cycle_graph(4).edges])
+    A, B = LiftedStructure(u1), LiftedStructure(c4)
+    built = []
+    message = "^universes differ in size; no bijection exists$"
+    with pytest.raises(PreconditionError, match=message):
+        play_game(A, B, 2, duplicator_identity(2), RandomSpoiler(random.Random(0)), 5)
+    with pytest.raises(PreconditionError, match=message):
+        find_winning_line(A, B, 2, lambda: built.append(1) or duplicator_identity(2), depth=3)
+    assert built == []
 
 
 def test_play_game_rejects_an_empty_universe_and_negative_rounds():
@@ -316,6 +330,47 @@ def test_winning_lines_on_twisted_c5_are_pinned(seed, identity_line):
     assert find_winning_line(A, B, 2, lambda: duplicator_k2(u1, u2), depth=3) is None
     line = find_winning_line(A, B, 2, lambda: duplicator_identity(2), depth=3)
     assert line == [(slot, (v, Gf2Vector.zero(2))) for slot, v in identity_line]
+
+
+def test_stateless_search_builds_one_duplicator_and_asks_once_per_board():
+    # the benchmark's depth-3 search: K2 holds on twisted_c5(0), so the whole
+    # tree is explored. The duplicator is built once and asked once per
+    # (node, slot) above the last level, and once per distinct board after
+    # the lift and lifted slot on it; both counts come from a walk of the tree
+    u1, u2 = twisted_c5(0)
+    A, B = LiftedStructure(u1), LiftedStructure(u2)
+    built, asked = [], []
+
+    class Counted(K2Duplicator):
+        def bijection(self, view):
+            asked.append(view)
+            return super().bijection(view)
+
+    def factory():
+        built.append(1)
+        return Counted(u1, u2)
+
+    assert find_winning_line(A, B, 2, factory, depth=3) is None
+    k2, above, boards = duplicator_k2(u1, u2), [], set()
+
+    def walk(board, rnd):
+        occupied = [i for i, p in enumerate(board) if p is not None]
+        for slot in occupied + [i for i, p in enumerate(board) if p is None][:1]:
+            lifted = list(board)
+            lifted[slot] = None
+            if rnd == 3:
+                boards.add((tuple(lifted), slot))
+                continue
+            above.append(slot)
+            g = k2.bijection(GameView(A, B, 2, rnd, tuple(lifted), slot))
+            for a in A.elements():
+                child = list(lifted)
+                child[slot] = (a, g.apply(a))
+                walk(child, rnd + 1)
+
+    walk([None, None], 1)
+    assert len(built) == 1
+    assert len(asked) == len(above) + len(boards)
 
 
 @st.composite
@@ -1043,6 +1098,27 @@ class PinningK2:
         return GStarMap(self.u1.m, vals)
 
 
+class FirstPlacementRules:
+    """The K2 answer while the game's first placement is unknown or at base
+    vertex ``home``, the identity after one elsewhere: the answer depends on
+    the line, not only on the board, so one board reached by two lines may
+    get two verdicts."""
+
+    def __init__(self, u1, u2, home):
+        self.inner = duplicator_k2(u1, u2)
+        self.home = home
+        self.first = None
+
+    def bijection(self, view):
+        if self.first in (None, self.home):
+            return self.inner.bijection(view)
+        return duplicator_identity(self.inner.u1.m).bijection(view)
+
+    def observe_placement(self, view):
+        if self.first is None:
+            self.first = view.pebbles[view.picked][0][0]
+
+
 def twisted_path():
     """The path 0-1-2 over F_2, twisted on (0, 1) only."""
     zero, one = Gf2Vector(0, 1), Gf2Vector(1, 1)
@@ -1072,6 +1148,9 @@ def search_cases():
         # pebbles on 0 and 2, then on 1, which agrees with the pebble on 0
         # and not with the one on 2: a placement is checked against every pebble
         ("pinning-k3-path", P, Q, 3, lambda: PinningK2(p1, p2), 3),
+        # the lines that start on "a" hold; the line from ("b", 0) reaches a
+        # last-level board that they reached and loses on it
+        ("first-placement-rules", C, D, 2, lambda: FirstPlacementRules(t1, t2, "a"), 3),
     ]
 
 
@@ -1147,6 +1226,57 @@ def test_winning_line_matches_replay_reference_on_random_pairs(case):
     assert find_winning_line(A, B, k, factory, depth, budget=needed) == want
     with pytest.raises(SearchBudgetError):
         find_winning_line(A, B, k, factory, depth, budget=needed - 1)
+
+
+@functools.cache
+def _replayed(cls):
+    return type(f"Replayed{cls.__name__}", (cls,), {"stateless": False})
+
+
+def replayed(factory):
+    """The factory's strategy with its stateless declaration withdrawn, so
+    the search replays every prefix through a fresh one."""
+
+    def build():
+        dup = factory()
+        dup.__class__ = _replayed(type(dup))
+        return dup
+
+    return build
+
+
+def assert_replay_agrees(A, B, k, factory, depth, cap):
+    """A stateless factory and its replayed twin give one line, one exact
+    budget and one error message; the budget comes from the reference."""
+    try:
+        want, needed = naive_winning_line(A, B, k, factory, depth, budget=cap)
+    except (SearchBudgetError, PreconditionError, StrategyViolationError) as ref:
+        for search in (factory, replayed(factory)):
+            with pytest.raises(type(ref)) as got:
+                find_winning_line(A, B, k, search, depth, budget=cap)
+            assert str(got.value) == str(ref)
+        return
+    for search in (factory, replayed(factory)):
+        assert find_winning_line(A, B, k, search, depth, budget=needed) == want
+        with pytest.raises(SearchBudgetError) as got:
+            find_winning_line(A, B, k, search, depth, budget=needed - 1)
+        assert str(got.value) == f"winning-line search exceeded {needed - 1} moves"
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in search_cases() if getattr(c[4](), "stateless", False)], ids=lambda c: c[0]
+)
+def test_stateless_search_matches_forced_replay(case):
+    _, A, B, k, factory, depth = case
+    assert_replay_agrees(A, B, k, factory, depth, cap=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_search_cases())
+def test_stateless_search_matches_forced_replay_on_random_pairs(case):
+    A, B, k, factory, depth = case
+    assume(getattr(factory(), "stateless", False))
+    assert_replay_agrees(A, B, k, factory, depth, cap=3000)
 
 
 def test_winning_line_budget_before_strategy_check():

@@ -937,8 +937,9 @@ def test_lc_size_budget():
 
 
 def test_lc_constraint_budget_boundary(monkeypatch):
-    # the constraints are counted from the applications: built at K, refused
-    # at K - 1 before any matrix of the relaxation exists; q and arity up to 3
+    # the constraints are counted from the applications: built while the
+    # solve's Newton system admits K^2 pairs, refused at K^2 - 1 before any
+    # matrix of the relaxation exists; q and arity up to 3
     rng, built = random.Random(4), []
 
     class Counted(SymMatrix):
@@ -953,11 +954,12 @@ def test_lc_constraint_budget_boundary(monkeypatch):
         csp = WeightedCspInstance(q, vs, types, apps)
         limit = len(build_lc_relaxation(csp).constraints)
         with monkeypatch.context() as patch:
-            patch.setattr(sdp, "LC_CONSTRAINT_BUDGET", limit)
+            patch.setattr(sdp, "SCHUR_BUDGET", limit**2)
             assert len(build_lc_relaxation(csp).constraints) == limit
-            patch.setattr(sdp, "LC_CONSTRAINT_BUDGET", limit - 1)
+            patch.setattr(sdp, "SCHUR_BUDGET", limit**2 - 1)
             patch.setattr(sdp, "SymMatrix", Counted)
-            with pytest.raises(SearchBudgetError, match=f"^{limit} constraints exceed the desk budget {limit - 1}$"):
+            message = f"^{limit**2} constraint pairs in the Newton system exceed {limit**2 - 1}$"
+            with pytest.raises(SearchBudgetError, match=message):
                 build_lc_relaxation(csp)
         assert built == []
 
