@@ -43,7 +43,9 @@ from .errors import (
 from .gf2 import MAX_DIM, Gf2Vector
 from .graphs import SimpleGraph, petersen_graph
 from .instances import (
+    DEFAULT_BRUTE_BUDGET,
     DEFAULT_LIFT_VERTEX_CAP,
+    DEFAULT_TREE_BUDGET,
     GroupUgInstance,
     brute_force_opt,
     csp_brute_opt,
@@ -107,10 +109,7 @@ def _load_instance(path: str):
 
 
 def _witness_json(witness: Dict) -> Dict:
-    out = {}
-    for v, label in witness.items():
-        out[str(v)] = label.to_hex() if isinstance(label, Gf2Vector) else int(label)
-    return out
+    return {str(v): label.to_hex() if isinstance(label, Gf2Vector) else int(label) for v, label in witness.items()}
 
 
 # -- gen ------------------------------------------------------------------------
@@ -481,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out", default=None, help="result JSON path")
     solve.add_argument("--witness-out", default=None, help="assignment text path")
-    solve.add_argument("--budget", type=int, default=None)
+    solve.add_argument("--budget", type=int, default=None, help=(
+        f"brute: total entries of the elimination tables (default {DEFAULT_BRUTE_BUDGET}); tree: (tree, difference) "
+        f"evaluations (default {DEFAULT_TREE_BUDGET}), the search stopping early at full satisfaction"))
     _add_no_timestamp(solve)
     solve.set_defaults(func=cmd_solve)
 

@@ -536,14 +536,12 @@ def compute_params(alpha, gamma=Fraction(1, 4), epsilon=Fraction(1, 4)) -> Param
 
 @dataclass(frozen=True)
 class InapproxPair:
-    """Random pair over a d-regular base: full instances carry every edge's
-    subspace bundle (shifted by b on the second), restricted ones keep only
-    good edges; zmap/bmap expose the raw draws for the game strategies."""
+    """Random pair over a d-regular base: each good edge carries its
+    subspace bundle, shifted by b on the second instance; zmap/bmap expose
+    the raw draws of every edge for the game strategies."""
 
     u1: GroupUgInstance
     u2: GroupUgInstance
-    u1_full: GroupUgInstance
-    u2_full: GroupUgInstance
     good: FrozenSet
     zmap: Dict[Tuple, Gf2Subspace]
     bmap: Dict[Tuple, Gf2Vector]
@@ -588,18 +586,17 @@ class InapproxPair:
 
 def _pair_instances(
     base: SimpleGraph, zmap: Dict, bmap: Dict, good: FrozenSet, m: int
-) -> Tuple[GroupUgInstance, GroupUgInstance, GroupUgInstance, GroupUgInstance]:
-    """(u1, u2, u1_full, u2_full): Z(e) on the first instance and the coset
-    Z(e)+b(e) on the second, over every edge and over good edges only."""
+) -> Tuple[GroupUgInstance, GroupUgInstance]:
+    """(u1, u2): Z(e) on the first instance and the coset Z(e)+b(e) on the
+    second, over good edges only; every base vertex is kept."""
     for name, table in (("zmap", zmap), ("bmap", bmap)):
         for e in base.edges:
             if e not in table:
                 raise InvalidParameterError(f"{name} has no entry for edge {_edge_key(e)!r}")
-    full1 = [(u, v, list(zmap[(u, v)].elements())) for u, v in base.edges]
-    full2 = [(u, v, sorted(zmap[(u, v)].shifted(bmap[(u, v)]))) for u, v in base.edges]
-    u1 = GroupUgInstance(m, base.vertices, [b for b in full1 if b[:2] in good])
-    u2 = GroupUgInstance(m, base.vertices, [b for b in full2 if b[:2] in good])
-    return u1, u2, GroupUgInstance(m, base.vertices, full1), GroupUgInstance(m, base.vertices, full2)
+    kept = [e for e in base.edges if e in good]
+    u1 = GroupUgInstance(m, base.vertices, [(u, v, list(zmap[u, v].elements())) for u, v in kept])
+    u2 = GroupUgInstance(m, base.vertices, [(u, v, sorted(zmap[u, v].shifted(bmap[u, v]))) for u, v in kept])
+    return u1, u2
 
 
 def random_inapprox_pair(

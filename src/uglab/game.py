@@ -19,7 +19,7 @@ passed the check or the game would have ended; part of a partial isomorphism
 is one. So the new board is a partial isomorphism iff the new pair agrees
 with each pair still down, which is what ``check_partial_isomorphism`` is
 asked with ``new``. Transcripts, the JSON boundary, read their hex digits
-from a per-m table (``_hex_digits``); a ``GStarMap`` is read only once
+from the per-m table ``gf2.hex_digits``; a ``GStarMap`` is read only once
 built, so it formats its hex map at most once.
 
 The pursuit strategy checks its own invariant the same way: after a first
@@ -44,14 +44,13 @@ from .errors import (
     SearchBudgetError,
     StrategyViolationError,
 )
-from .gf2 import Gf2Subspace, Gf2Vector, coefficients_in_basis, span_of
+from .gf2 import Gf2Subspace, Gf2Vector, coefficients_in_basis, hex_digits, span_of
 from .graphs import SimpleGraph, normalize_edge, vertex_sort_key
 from .instances import GroupUgInstance
 
 PEBBLE_BUDGET = 1000  # pebble pairs k of one game
 ROUNDS_BUDGET = 10_000  # rounds of one game, each one Duplicator bijection and one transcript entry
 SEARCH_BUDGET = 500_000  # simulated placements of one find_winning_line search
-HEX_TABLE_DIM = 8  # largest m whose hex digits come from a table of 2^m strings
 
 
 def _check_pebbles(k: int) -> None:
@@ -115,29 +114,11 @@ class GStarMap:
 
     @cached_property
     def _hex(self) -> Dict[str, str]:
-        digits = _hex_digits(self.m)
+        digits = hex_digits(self.m)
         return {str(v): digits[g] for v, g in self.values.items()}
 
     def to_hex(self) -> Dict[str, str]:
         return dict(self._hex)
-
-
-class _HexDigits(dict):
-    """g -> ``format(g, f"0{(m + 3) // 4}x")``: looked up in a table built
-    once for m <= HEX_TABLE_DIM, formatted with the one spec above that."""
-
-    def __init__(self, m: int) -> None:
-        self.spec = f"0{(m + 3) // 4}x"
-        if m <= HEX_TABLE_DIM:
-            super().__init__((g, format(g, self.spec)) for g in range(1 << m))
-
-    def __missing__(self, g: int) -> str:
-        return format(g, self.spec)
-
-
-@lru_cache(maxsize=None)  # one per m; Gf2Vector bounds m to 1..64
-def _hex_digits(m: int) -> _HexDigits:
-    return _HexDigits(m)
 
 
 @dataclass
@@ -192,7 +173,7 @@ def check_partial_isomorphism(
 
 def _elem_json(elem: Tuple) -> List:
     v, g = elem
-    return [str(v), _hex_digits(g.dim)[g.bits]]
+    return [str(v), hex_digits(g.dim)[g.bits]]
 
 
 def _answer(duplicator, A, B, k: int, round_no: int, pebbles: List[Optional[Tuple]], picked: int):

@@ -8,11 +8,32 @@ canonical reduced row-echelon form, which makes equality structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence
 
 from .errors import InvalidParameterError, NotInSpanError
 
 MAX_DIM = 64
+HEX_TABLE_DIM = 8  # largest m whose hex digits come from a table of 2^m strings
+
+
+class _HexDigits(dict):
+    """g -> ``format(g, f"0{(m + 3) // 4}x")``: looked up in a table built
+    once for m <= HEX_TABLE_DIM, formatted with the one spec above that."""
+
+    def __init__(self, m: int) -> None:
+        self.spec = f"0{(m + 3) // 4}x"
+        if m <= HEX_TABLE_DIM:
+            super().__init__((g, format(g, self.spec)) for g in range(1 << m))
+
+    def __missing__(self, g: int) -> str:
+        return format(g, self.spec)
+
+
+@lru_cache(maxsize=None)  # one per m; out of __all__, whose names a traced run times call by call
+def hex_digits(m: int) -> _HexDigits:
+    """How a label of F_2^m is written: its ceil(m/4) hex digits, by int bits."""
+    return _HexDigits(m)
 
 
 @dataclass(frozen=True, order=False)
@@ -45,8 +66,7 @@ class Gf2Vector:
 
     def to_hex(self) -> str:
         """Lowercase hex string of ceil(m/4) digits, MSB = coordinate m-1."""
-        width = (self.dim + 3) // 4
-        return format(self.bits, f"0{width}x")
+        return hex_digits(self.dim)[self.bits]
 
     @classmethod
     def from_hex(cls, text: str, dim: int) -> "Gf2Vector":

@@ -9,7 +9,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uglab.constructions import (
@@ -28,12 +28,10 @@ from uglab.errors import (
     StrategyViolationError,
 )
 from uglab.game import (
-    HEX_TABLE_DIM,
     ROUNDS_BUDGET,
     GameView,
     _diff_table,
     _elem_json,
-    _hex_digits,
     GStarMap,
     K2Duplicator,
     LiftedStructure,
@@ -48,7 +46,7 @@ from uglab.game import (
     play_game,
     steiner_tree,
 )
-from uglab.gf2 import Gf2Subspace, Gf2Vector, random_subspace, random_vector, span_of
+from uglab.gf2 import HEX_TABLE_DIM, Gf2Subspace, Gf2Vector, hex_digits, random_subspace, random_vector, span_of
 from uglab.graphs import SimpleGraph, cycle_graph, normalize_edge, petersen_graph, vertex_sort_key
 from uglab.instances import GroupUgInstance
 
@@ -98,8 +96,8 @@ def test_transcript_hex_digits_match_format(m):
     values = sorted({0, 1, top // 3, top - 1, top})
     assert GStarMap(m, {f"v{g}": g for g in values}).to_hex() == {f"v{g}": format(g, spec) for g in values}
     for g in values:
-        assert _elem_json(("v", Gf2Vector(g, m))) == ["v", format(g, spec)]
-    assert len(_hex_digits(m)) == (1 << m if m <= HEX_TABLE_DIM else 0)  # never 2^m strings above the bound
+        assert _elem_json(("v", Gf2Vector(g, m))) == ["v", format(g, spec)] == ["v", Gf2Vector(g, m).to_hex()]
+    assert len(hex_digits(m)) == (1 << m if m <= HEX_TABLE_DIM else 0)  # never 2^m strings above the bound
 
 
 def test_transcript_placements_above_the_hex_table_bound():
@@ -1154,27 +1152,63 @@ def search_cases():
     ]
 
 
+@functools.cache
+def _replayed(cls):
+    return type(f"Replayed{cls.__name__}", (cls,), {"stateless": False})
+
+
+def replayed(factory):
+    """The factory's strategy with its stateless declaration withdrawn, so
+    the search replays every prefix through a fresh one."""
+
+    def build():
+        dup = factory()
+        dup.__class__ = _replayed(type(dup))
+        return dup
+
+    return build
+
+
+def assert_search_matches_reference(A, B, k, factory, depth, cap):
+    """The search gives the reference's line at the reference's exact budget,
+    the budget error one move short, and the reference's error where a
+    strategy breaks or `cap` runs out; returns the line, or None after an
+    error. A stateless factory's replayed twin is held to the same, so asking
+    once per board changes nothing."""
+    stateless = getattr(factory(), "stateless", False)
+    searches = (factory, replayed(factory)) if stateless else (factory,)
+    try:
+        want, needed = naive_winning_line(A, B, k, factory, depth, budget=cap)
+    except (SearchBudgetError, PreconditionError, StrategyViolationError) as ref:
+        for search in searches:
+            with pytest.raises(type(ref)) as got:
+                find_winning_line(A, B, k, search, depth, budget=cap)
+            assert str(got.value) == str(ref)
+        return None
+    for search in searches:
+        assert find_winning_line(A, B, k, search, depth, budget=needed) == want
+        with pytest.raises(SearchBudgetError) as got:
+            find_winning_line(A, B, k, search, depth, budget=needed - 1)
+        assert str(got.value) == f"winning-line search exceeded {needed - 1} moves"
+    return want
+
+
 @pytest.mark.parametrize("case", search_cases(), ids=lambda c: c[0])
 def test_winning_line_matches_replay_reference(case):
     _, A, B, k, factory, depth = case
-    want, needed = naive_winning_line(A, B, k, factory, depth, budget=10**6)
+    want = assert_search_matches_reference(A, B, k, factory, depth, cap=10**6)
     assert find_winning_line(A, B, k, factory, depth) == want
-    assert find_winning_line(A, B, k, factory, depth, budget=needed) == want
-    with pytest.raises(SearchBudgetError) as ref:
-        naive_winning_line(A, B, k, factory, depth, budget=needed - 1)
-    with pytest.raises(SearchBudgetError) as got:
-        find_winning_line(A, B, k, factory, depth, budget=needed - 1)
-    assert str(got.value) == str(ref.value)
 
 
 @st.composite
-def random_search_cases(draw):
+def random_search_cases(draw, stateless):
     """Two instances on one set of 2 to 5 base vertices over F_2^m, m in
     {1, 2}, with k in {2, 3} and depth 2 or 3 (a lone pebble never breaks
     the board, so depth 1 decides nothing). The identity duplicator
     plays bundles of any size on edge sets drawn independently; K2,
-    StatefulK2 and PinningK2 play singleton bundles on one shared edge set."""
-    kind = draw(st.sampled_from(["identity", "k2", "stateful", "pinning"]))
+    StatefulK2 and PinningK2 play singleton bundles on one shared edge set.
+    The first two are stateless, the last two not."""
+    kind = draw(st.sampled_from(["identity", "k2"] if stateless else ["stateful", "pinning"]))
     n = draw(st.integers(2, 5))
     m = draw(st.sampled_from([1, 2]))
     # with one pebble down PinningK2 is K2, which never loses
@@ -1209,74 +1243,12 @@ def random_search_cases(draw):
     return LiftedStructure(u1), LiftedStructure(u2), k, factory, depth
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_search_cases())
-def test_winning_line_matches_replay_reference_on_random_pairs(case):
-    # the per-base-vertex decision against the full check of every replayed
-    # board: same line, same exact budget, same error where a strategy breaks
-    A, B, k, factory, depth = case
-    cap = 3000
-    try:
-        want, needed = naive_winning_line(A, B, k, factory, depth, budget=cap)
-    except (SearchBudgetError, PreconditionError, StrategyViolationError) as ref:
-        with pytest.raises(type(ref)) as got:
-            find_winning_line(A, B, k, factory, depth, budget=cap)
-        assert str(got.value) == str(ref)
-        return
-    assert find_winning_line(A, B, k, factory, depth, budget=needed) == want
-    with pytest.raises(SearchBudgetError):
-        find_winning_line(A, B, k, factory, depth, budget=needed - 1)
-
-
-@functools.cache
-def _replayed(cls):
-    return type(f"Replayed{cls.__name__}", (cls,), {"stateless": False})
-
-
-def replayed(factory):
-    """The factory's strategy with its stateless declaration withdrawn, so
-    the search replays every prefix through a fresh one."""
-
-    def build():
-        dup = factory()
-        dup.__class__ = _replayed(type(dup))
-        return dup
-
-    return build
-
-
-def assert_replay_agrees(A, B, k, factory, depth, cap):
-    """A stateless factory and its replayed twin give one line, one exact
-    budget and one error message; the budget comes from the reference."""
-    try:
-        want, needed = naive_winning_line(A, B, k, factory, depth, budget=cap)
-    except (SearchBudgetError, PreconditionError, StrategyViolationError) as ref:
-        for search in (factory, replayed(factory)):
-            with pytest.raises(type(ref)) as got:
-                find_winning_line(A, B, k, search, depth, budget=cap)
-            assert str(got.value) == str(ref)
-        return
-    for search in (factory, replayed(factory)):
-        assert find_winning_line(A, B, k, search, depth, budget=needed) == want
-        with pytest.raises(SearchBudgetError) as got:
-            find_winning_line(A, B, k, search, depth, budget=needed - 1)
-        assert str(got.value) == f"winning-line search exceeded {needed - 1} moves"
-
-
-@pytest.mark.parametrize(
-    "case", [c for c in search_cases() if getattr(c[4](), "stateless", False)], ids=lambda c: c[0]
-)
-def test_stateless_search_matches_forced_replay(case):
-    _, A, B, k, factory, depth = case
-    assert_replay_agrees(A, B, k, factory, depth, cap=10**6)
-
-
 @settings(max_examples=60, deadline=None)
-@given(random_search_cases())
-def test_stateless_search_matches_forced_replay_on_random_pairs(case):
-    A, B, k, factory, depth = case
-    assume(getattr(factory(), "stateless", False))
-    assert_replay_agrees(A, B, k, factory, depth, cap=3000)
+@given(random_search_cases(stateless=True), random_search_cases(stateless=False))
+def test_winning_line_matches_replay_reference_on_random_pairs(stateless_case, stateful_case):
+    # the per-base-vertex decision against the full check of every replayed board
+    for case in (stateless_case, stateful_case):
+        assert_search_matches_reference(*case, cap=3000)
 
 
 def test_winning_line_budget_before_strategy_check():
